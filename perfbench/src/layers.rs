@@ -10,29 +10,21 @@ use em_sim::{EmConfig, EmMachine, EmVec, EmWriter, FileStore};
 use std::path::Path;
 use std::time::Instant;
 
-/// A job's direct `sort::run`: the bit-for-bit reference a served job's
-/// telemetry must equal.
-pub struct Direct {
-    pub outcome: SortOutcome,
-    pub ms: f64,
-}
-
-/// Run every request directly and check the output is sorted.
-pub fn direct_runs(requests: &[JobRequest]) -> Result<Vec<Direct>, String> {
+/// Run every request directly with `sort::run` and check the output is
+/// sorted: the bit-for-bit references served jobs' telemetry must equal.
+pub fn direct_runs(requests: &[JobRequest]) -> Result<Vec<SortOutcome>, String> {
     requests
         .iter()
         .enumerate()
         .map(|(i, r)| {
             let input = crate::sortload::materialize(r);
-            let t = Instant::now();
             let outcome = sort::run(&r.spec, &input).map_err(|e| format!("direct run {i}: {e}"))?;
-            let ms = t.elapsed().as_secs_f64() * 1e3;
             if outcome.output.len() != input.len()
                 || !asym_model::record::is_sorted(&outcome.output)
             {
                 return Err(format!("direct run {i}: output is not sorted"));
             }
-            Ok(Direct { outcome, ms })
+            Ok(outcome)
         })
         .collect()
 }
@@ -62,9 +54,14 @@ pub struct Replay {
 
 /// Push each request through every layer in turn: encode and decode it,
 /// price it, run it directly (single-shot and staged), render and parse its
-/// outcome, then submit it to an in-process service on `root` and wait.
-/// `direct` are the same requests' [`direct_runs`].
-pub fn replay(requests: &[JobRequest], direct: &[Direct], root: &Path) -> Result<Replay, String> {
+/// outcome, then submit it to an in-process service on `root` and wait; the
+/// service's overhead is that turnaround minus the direct run just before
+/// it. `direct` are the same requests' [`direct_runs`].
+pub fn replay(
+    requests: &[JobRequest],
+    direct: &[SortOutcome],
+    root: &Path,
+) -> Result<Replay, String> {
     let service = SortService::start(ServiceConfig::new(1, 1 << 30, root))
         .map_err(|e| format!("start replay service: {e}"))?;
     let mut sum = Replay::default();
@@ -92,11 +89,14 @@ pub fn replay(requests: &[JobRequest], direct: &[Direct], root: &Path) -> Result
         let staged =
             sort::run_staged(&r.spec, &input, &mut sink).map_err(|e| format!("staged run: {e}"))?;
         let staged_ms = ms(t);
-        if staged.output != d.outcome.output {
+        if staged.output != d.output {
             return Err("staged output differs from the single-shot run".into());
         }
+        let t = Instant::now();
+        std::hint::black_box(sort::run(&r.spec, &input).map_err(|e| format!("direct run: {e}"))?);
+        let run_ms = ms(t);
         sum.staged_ms += staged_ms;
-        sum.run_ms += d.ms;
+        sum.run_ms += run_ms;
         sum.manifest_bytes += sink
             .manifests
             .iter()
@@ -104,13 +104,13 @@ pub fn replay(requests: &[JobRequest], direct: &[Direct], root: &Path) -> Result
             .sum::<usize>() as f64;
 
         let t = Instant::now();
-        let telemetry = d.outcome.to_json(r.include_output);
+        let telemetry = d.to_json(r.include_output);
         sum.outcome_encode_ms += ms(t);
         let t = Instant::now();
         let back =
             SortOutcome::from_json(&telemetry).map_err(|e| format!("outcome decode: {e}"))?;
         sum.outcome_decode_ms += ms(t);
-        if !same_stats(&back, &d.outcome) {
+        if !same_stats(&back, d) {
             return Err("outcome does not round-trip through its codec".into());
         }
 
@@ -122,7 +122,7 @@ pub fn replay(requests: &[JobRequest], direct: &[Direct], root: &Path) -> Result
         let status = service.wait(id).ok_or("in-process job vanished")?;
         let telemetry = status.telemetry.ok_or("in-process job has no telemetry")?;
         SortOutcome::from_json(&telemetry).map_err(|e| format!("in-process outcome: {e}"))?;
-        let engine_ms = if r.checkpoint { staged_ms } else { d.ms };
+        let engine_ms = if r.checkpoint { staged_ms } else { run_ms };
         sum.overhead_ms += ms(t) - engine_ms;
     }
     service.drain();

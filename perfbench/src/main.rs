@@ -748,12 +748,12 @@ fn check_exact(phases: &[&Phase], errors: &mut Vec<String>) {
 /// `sort::run` of the same spec and seed (whose output
 /// [`layers::direct_runs`] checked is sorted).
 fn verify_bulk<'a>(
-    direct: &[layers::Direct],
+    direct: &[asym_core::sort::SortOutcome],
     passes: impl IntoIterator<Item = &'a sortload::Pass>,
     errors: &mut Vec<String>,
 ) {
     for d in passes.into_iter().flat_map(|p| &p.done) {
-        if !layers::same_stats(&d.outcome, &direct[d.job].outcome) {
+        if !layers::same_stats(&d.outcome, &direct[d.job]) {
             errors.push(format!(
                 "job {}: served stats differ from a direct run",
                 d.job

@@ -61,7 +61,7 @@ pub fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> Resu
 }
 
 /// What one service root's `audit.jsonl` holds, by event kind.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Default)]
 pub struct Wal {
     pub bytes: u64,
     pub lines: u64,
