@@ -7,7 +7,6 @@ use crate::sortload::{mix, B, M, OMEGA};
 use crate::trace::{Span, Tracer};
 use crate::wire::{read_wal, Wal};
 use asym_kv::{AsymKv, CompactionService, KvConfig, Policy};
-use asym_model::workload::Workload;
 use asym_serve::{ServiceConfig, SortService};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -24,38 +23,48 @@ pub enum Op {
     Scan(u64, u64),
 }
 
-/// `load` puts, then `mixed` ops: 45% puts, 10% deletes, 35% gets, 10%
-/// scans of 16 consecutive keys. Returns the ops and the time spent
+/// `load` puts, then `mixed` ops drawn like the E14 stream of
+/// `asym-bench` (`crates/bench/src/e14_kv.rs`): the same xorshift64 step,
+/// keys `x % 100_000`, values `x`, one op in ten a delete and one a get.
+/// The benchmark adds one named share, scans of 16 consecutive keys, taken
+/// from E14's puts: 70% puts, 10% deletes, 10% gets, 10% scans. Two
+/// departures from E14: the state starts from the seed, not a constant;
+/// and the op kind comes from the high half of `x`, because E14 reads it
+/// from `x % 10`, the last digit of the key, so its gets and deletes only
+/// ever name keys that no put writes. Returns the ops and the time spent
 /// generating them.
 pub fn ops(seed: u64, load: usize, mixed: usize) -> (Vec<Op>, Duration) {
     let t = Instant::now();
-    let draws = Workload::UniformRandom.generate(load + mixed, mix(seed, 7));
-    let ops = draws
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let key = r.key % KEYS;
-            let value = r.key >> 20;
+    let mut x = mix(seed, 7) | 1;
+    let ops = (0..load + mixed)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % KEYS;
             if i < load {
-                return Op::Put(key, value);
+                return Op::Put(key, x);
             }
-            match (r.key >> 40) % 100 {
-                0..=44 => Op::Put(key, value),
-                45..=54 => Op::Delete(key),
-                55..=89 => Op::Get(key),
-                _ => Op::Scan(key, key + 15),
+            match (x >> 32) % 10 {
+                0 => Op::Delete(key),
+                1 => Op::Get(key),
+                2 => Op::Scan(key, key + 15),
+                _ => Op::Put(key, x),
             }
         })
         .collect();
     (ops, t.elapsed())
 }
 
+/// Ops per entry of [`Pass::chunk_s`].
+const CHUNK: usize = 1000;
+
 /// One pass over the op list on a fresh engine and service root.
 #[derive(Default)]
 pub struct Pass {
     pub setup: Duration,
-    /// Time spent inside engine calls.
-    pub op_time: Duration,
+    /// Seconds spent inside engine calls, per `CHUNK` consecutive ops.
+    pub chunk_s: Vec<f64>,
     pub ops: u64,
     pub writes: u64,
     pub put_plain_us: Vec<f64>,
@@ -116,6 +125,7 @@ pub fn run_pass(ops: &[Op], root: &Path, tracing: bool, epoch: Instant) -> Pass 
 
     let mut p = Pass {
         setup,
+        chunk_s: vec![0.0; ops.len().div_ceil(CHUNK)],
         ..Pass::default()
     };
     let mut tr = Tracer::new(tracing, 0, epoch);
@@ -143,7 +153,7 @@ pub fn run_pass(ops: &[Op], root: &Path, tracing: bool, epoch: Instant) -> Pass 
                 (r.map(Answer::Scan), d)
             }
         };
-        p.op_time += dur;
+        p.chunk_s[i / CHUNK] += dur.as_secs_f64();
         p.ops += 1;
         let us = dur.as_secs_f64() * 1e6;
         match (op, result) {

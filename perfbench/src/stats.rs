@@ -16,15 +16,6 @@ pub fn median(samples: &[f64]) -> f64 {
     percentile(samples, 0.5)
 }
 
-/// Arithmetic mean; 0 when empty.
-pub fn mean(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    }
-}
-
 /// `num / den`, or 0 when `den` is 0.
 pub fn ratio(num: f64, den: f64) -> f64 {
     if den == 0.0 {

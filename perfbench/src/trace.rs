@@ -100,7 +100,7 @@ pub fn mean_ms(spans: &[Span], name: &str) -> f64 {
         .filter(|s| s.name == name)
         .map(Span::dur_ms)
         .collect();
-    crate::stats::mean(&d)
+    asym_model::stats::mean(&d)
 }
 
 /// Move one tracer's spans into a combined list, re-basing parent indices.
