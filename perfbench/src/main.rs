@@ -499,8 +499,7 @@ const BOOTS: usize = 100;
 
 /// Boot the system `BOOTS` times, run one untimed warm-up pass, then run
 /// passes until `seconds` have elapsed (at least two, so exact counts can be
-/// compared) and reduce them to the end-to-end metrics. A kv-mixed phase
-/// runs pinned to one CPU (see [`CpuPin`]).
+/// compared) and reduce them to the end-to-end metrics.
 fn measure(
     workload: Workload,
     inputs: &Inputs,
@@ -519,7 +518,6 @@ fn measure(
         sort_passes: Vec::new(),
         kv_passes: Vec::new(),
     };
-    let _pin = (workload == Workload::KvMixed).then(CpuPin::current);
     let root = |i: usize| -> PathBuf { work.join(format!("svc-{tag}-{i}")) };
     // Every boot reuses one root, so the timing is the system's start-up,
     // not the file system creating and unlinking directories.
@@ -717,7 +715,9 @@ fn kv_e2e(passes: &[kvload::Pass]) -> Metrics {
 /// exact counts prove it did the same work. Load from other tenants of a
 /// shared host only ever slows a unit down, and on the 2-vCPU VM this was
 /// tuned on it came and went every 10–20 s, so the fastest of a dozen or
-/// more passes is the unit's time on an unloaded machine.
+/// more passes is the unit's time on an unloaded machine. The engine hands
+/// each compaction to its service's worker thread, on whichever core the
+/// scheduler picks; the minimum also evens out where it picked.
 fn fastest<'a>(mut lists: impl Iterator<Item = &'a Vec<f64>>) -> Vec<f64> {
     let mut best = lists.next().cloned().unwrap_or_default();
     for list in lists {
@@ -758,67 +758,6 @@ fn verify_bulk<'a>(
             ));
         }
     }
-}
-
-/// A CPU set of up to 1024 CPUs, as `sched_{get,set}affinity` take it.
-type CpuSet = [u64; 16];
-
-extern "C" {
-    fn sched_getcpu() -> i32;
-    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
-    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-}
-
-/// While alive, keeps the calling thread, and every thread it spawns, on
-/// the CPU it is running on now; dropping it restores the earlier CPU set.
-///
-/// `kv-mixed` has two threads that never run at once: the engine, and its
-/// embedded service's one worker, which the engine blocks on for every
-/// compaction. Where the scheduler happens to place the worker decides
-/// whether each hand-off crosses cores; on a 2-vCPU VM that moved ops/s by
-/// a quarter from run to run. On one core the hand-off costs the same in
-/// every run. So the kv-mixed passes leave the cross-core hand-off out of
-/// what they measure; nothing else is pinned.
-struct CpuPin {
-    saved: Option<CpuSet>,
-}
-
-impl CpuPin {
-    fn current() -> CpuPin {
-        let mut saved: CpuSet = [0; 16];
-        // SAFETY: `saved` is a live, writable CPU set for the duration of
-        // the call and `cpusetsize` is its exact size; pid 0 is the calling
-        // thread. `sched_getcpu` takes no arguments.
-        let cpu = unsafe {
-            if sched_getaffinity(0, std::mem::size_of_val(&saved), saved.as_mut_ptr()) != 0 {
-                return CpuPin { saved: None };
-            }
-            sched_getcpu()
-        };
-        let mut mask: CpuSet = [0; 16];
-        match usize::try_from(cpu) {
-            Ok(cpu) if cpu < mask.len() * 64 => mask[cpu / 64] |= 1 << (cpu % 64),
-            _ => return CpuPin { saved: None },
-        }
-        CpuPin {
-            saved: set_affinity(&mask).then_some(saved),
-        }
-    }
-}
-
-impl Drop for CpuPin {
-    fn drop(&mut self) {
-        if let Some(saved) = &self.saved {
-            set_affinity(saved);
-        }
-    }
-}
-
-/// Set the calling thread's CPU set; false when the kernel refuses it.
-fn set_affinity(mask: &CpuSet) -> bool {
-    // SAFETY: `mask` is a live CPU set for the duration of the call and
-    // `cpusetsize` is its exact size; pid 0 is the calling thread.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(mask), mask.as_ptr()) == 0 }
 }
 
 /// Peak resident set size of this process so far, in MB.
