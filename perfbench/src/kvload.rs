@@ -56,15 +56,11 @@ pub fn ops(seed: u64, load: usize, mixed: usize) -> (Vec<Op>, Duration) {
     (ops, t.elapsed())
 }
 
-/// Ops per entry of [`Pass::chunk_s`].
-const CHUNK: usize = 1000;
-
 /// One pass over the op list on a fresh engine and service root.
 #[derive(Default)]
 pub struct Pass {
-    pub setup: Duration,
-    /// Seconds spent inside engine calls, per `CHUNK` consecutive ops.
-    pub chunk_s: Vec<f64>,
+    /// Seconds spent inside engine calls.
+    pub engine_s: f64,
     pub ops: u64,
     pub writes: u64,
     pub put_plain_us: Vec<f64>,
@@ -119,15 +115,8 @@ impl Pass {
 }
 
 pub fn run_pass(ops: &[Op], root: &Path, tracing: bool, epoch: Instant) -> Pass {
-    let t = Instant::now();
     let mut kv = open(root);
-    let setup = t.elapsed();
-
-    let mut p = Pass {
-        setup,
-        chunk_s: vec![0.0; ops.len().div_ceil(CHUNK)],
-        ..Pass::default()
-    };
+    let mut p = Pass::default();
     let mut tr = Tracer::new(tracing, 0, epoch);
     let mut shadow: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, &op) in ops.iter().enumerate() {
@@ -153,7 +142,7 @@ pub fn run_pass(ops: &[Op], root: &Path, tracing: bool, epoch: Instant) -> Pass 
                 (r.map(Answer::Scan), d)
             }
         };
-        p.chunk_s[i / CHUNK] += dur.as_secs_f64();
+        p.engine_s += dur.as_secs_f64();
         p.ops += 1;
         let us = dur.as_secs_f64() * 1e6;
         match (op, result) {

@@ -13,6 +13,7 @@
 //! `.bench_work/trace-<workload>-<seed>.jsonl`. The last line of standard
 //! output is one JSON object: `correct`, `attempted`, `failed`, `metrics`.
 
+mod gauge;
 mod kvload;
 mod layers;
 mod sortload;
@@ -482,6 +483,7 @@ fn per_layer(
     for ((name, unit, traced_v), (_, _, plain_v)) in traced.e2e.iter().zip(&plain.e2e) {
         put(&format!("overhead.{name}"), unit, traced_v - plain_v);
     }
+    put("peak_rss_mb", "MB", peak_rss_mb());
 
     let trace_file = bench_dir.join(format!(
         "trace-{}-{}.jsonl",
@@ -494,12 +496,17 @@ fn per_layer(
     (attempted, out)
 }
 
-/// Service boots timed before the passes, on top of each pass's own.
-const BOOTS: usize = 100;
+/// Service boots timed after every pass, so that `setup_s` does not hang on
+/// the host's state in the run's first milliseconds. A boot starts and
+/// joins threads, and runs pinned to one CPU (see [`CpuPin`]): unpinned,
+/// waking threads on the idle other vCPU of a 2-vCPU VM moved the median
+/// boot from 64 to 253 µs from run to run, against about 35 µs pinned.
+const BOOTS: usize = 10;
 
-/// Boot the system `BOOTS` times, run one untimed warm-up pass, then run
-/// passes until `seconds` have elapsed (at least two, so exact counts can be
-/// compared) and reduce them to the end-to-end metrics.
+/// Run one untimed warm-up pass, then passes until `seconds` have elapsed
+/// (at least two, so exact counts can be compared), booting the system
+/// `BOOTS` times after each, and reduce them to the end-to-end metrics. A
+/// kv-mixed phase runs pinned to one CPU (see [`CpuPin`]).
 fn measure(
     workload: Workload,
     inputs: &Inputs,
@@ -518,35 +525,38 @@ fn measure(
         sort_passes: Vec::new(),
         kv_passes: Vec::new(),
     };
+    let _pin = (workload == Workload::KvMixed).then(CpuPin::current);
     let root = |i: usize| -> PathBuf { work.join(format!("svc-{tag}-{i}")) };
     // Every boot reuses one root, so the timing is the system's start-up,
     // not the file system creating and unlinking directories.
     let boot_root = work.join(format!("boot-{tag}"));
-    let mut setups: Vec<f64> = (0..BOOTS)
-        .map(|_| {
-            let t = Instant::now();
-            match workload {
-                Workload::KvMixed => {
-                    let kv = kvload::open(&boot_root);
-                    let s = t.elapsed();
-                    drop(kv);
-                    s
-                }
-                _ => {
-                    let server = sortload::boot(&boot_root);
-                    let s = t.elapsed();
-                    drop(server);
-                    s
-                }
+    let boot = || -> f64 {
+        let t = Instant::now();
+        match workload {
+            Workload::KvMixed => {
+                let kv = kvload::open(&boot_root);
+                let s = t.elapsed();
+                drop(kv);
+                s
             }
-            .as_secs_f64()
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&boot_root);
+            _ => {
+                let server = sortload::boot(&boot_root);
+                let s = t.elapsed();
+                drop(server);
+                s
+            }
+        }
+        .as_secs_f64()
+    };
+    let mut setups = Vec::new();
     let wait = match workload {
         Workload::SortBulk => sortload::BULK_WAIT,
         _ => sortload::DEFAULT_WAIT,
     };
+    // Gauge readings between passes, while the system is idle, so its own
+    // load never slows the kernel.
+    let mut gauge = gauge::Gauge::new();
+    let mut readings = Vec::new();
     let mut start = Instant::now();
     let mut i = 0;
     // Pass 0 warms caches and the allocator; it is checked but not timed.
@@ -565,7 +575,6 @@ fn measure(
                     p.wal.lines,
                 ]);
                 if !warm {
-                    setups.push(p.setup.as_secs_f64());
                     // Every pass is traced alike, but one pass's 150k spans
                     // are enough to keep.
                     if phase.kv_passes.is_empty() {
@@ -592,108 +601,103 @@ fn measure(
                     .to_vec(),
                 );
                 if !warm {
-                    setups.push(p.setup.as_secs_f64());
                     trace::append(&mut phase.spans, std::mem::take(&mut p.spans));
                     phase.sort_passes.push(p);
                 }
             }
         }
+        gauge.read(&mut readings);
+        let pin = CpuPin::current();
+        setups.extend((0..BOOTS).map(|_| boot()));
+        drop(pin);
         if warm {
             start = Instant::now();
         }
         i += 1;
     }
+    let _ = std::fs::remove_dir_all(&boot_root);
+    let slowdown = gauge::slowdown(&readings);
+    eprintln!(
+        "perfbench: {tag}: {} gauge readings, slowdown {slowdown:.4}",
+        readings.len()
+    );
     phase.e2e = match workload {
-        Workload::KvMixed => kv_e2e(&phase.kv_passes),
-        _ => sort_e2e(&inputs.jobs, &phase.sort_passes),
+        Workload::KvMixed => kv_e2e(&phase.kv_passes, slowdown),
+        _ => sort_e2e(&inputs.jobs, &phase.sort_passes, slowdown),
     };
     phase
         .e2e
-        .insert(0, ("setup_s".into(), "s", median(&setups)));
+        .insert(0, ("setup_s".into(), "s", median(&setups) / slowdown));
     phase
 }
 
-/// The fastest quarter of the passes by throughput, widened to the next
-/// fastest until they hold at least 100 timed operations (so a p90 has ten
-/// samples beyond it). On the 2-vCPU VM this was tuned on, a neighbour on
-/// the sibling hyperthreads slowed every pass by a third for tens of seconds
-/// at a time; such load only ever slows a pass down, so timings come from
-/// these passes: throughput is their median, latency percentiles pool their
-/// samples. A sort pass has too few jobs to time each by its fastest pass,
-/// as [`fastest`] does for kv-mixed.
-fn clean<T>(passes: &[T], rate: impl Fn(&T) -> f64, ops: impl Fn(&T) -> usize) -> Vec<&T> {
-    let mut ranked: Vec<&T> = passes.iter().collect();
-    ranked.sort_by(|a, b| rate(b).total_cmp(&rate(a)));
-    let mut keep = passes.len().div_ceil(4);
-    while keep < ranked.len() && ranked[..keep].iter().map(|p| ops(p)).sum::<usize>() < 100 {
-        keep += 1;
-    }
-    ranked.truncate(keep);
-    ranked
-}
-
-/// Timings over the clean passes; exact counts from the first timed pass.
-fn sort_e2e(jobs: &[sortload::Job], passes: &[sortload::Pass]) -> Metrics {
+/// Timings over every timed pass, scaled to the reference host by the run's
+/// `slowdown`: throughputs and latency percentiles are medians over passes.
+/// Exact counts come from the first timed pass.
+fn sort_e2e(jobs: &[sortload::Job], passes: &[sortload::Pass], slowdown: f64) -> Metrics {
     let recs = |d: &sortload::Done| jobs[d.job].request.record_count() as f64;
-    let per_s = |p: &sortload::Pass, x: f64| ratio(x, p.active.as_secs_f64());
-    let fast = clean(passes, |p| per_s(p, p.done.len() as f64), |p| p.done.len());
-    let latency: Vec<f64> = fast
-        .iter()
-        .flat_map(|p| &p.done)
-        .map(|d| d.latency.as_secs_f64() * 1e3)
-        .collect();
+    let rate = |x: &dyn Fn(&sortload::Done) -> f64| {
+        let rates: Vec<f64> = passes
+            .iter()
+            .map(|p| ratio(p.done.iter().map(x).sum(), p.active.as_secs_f64()))
+            .collect();
+        median(&rates) * slowdown
+    };
+    let latency_ms = |p: &sortload::Pass| -> Vec<f64> {
+        p.done
+            .iter()
+            .map(|d| d.latency.as_secs_f64() * 1e3 / slowdown)
+            .collect()
+    };
     let first = &passes[0];
     let first_recs: f64 = first.done.iter().map(recs).sum();
     let io: f64 = first.done.iter().map(|d| d.outcome.io_cost() as f64).sum();
     vec![
-        (
-            "ops_per_s".into(),
-            "1/s",
-            median(
-                &fast
-                    .iter()
-                    .map(|p| per_s(p, p.done.len() as f64))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        (
-            "sorted_recs_per_s".into(),
-            "rec/s",
-            median(
-                &fast
-                    .iter()
-                    .map(|p| per_s(p, p.done.iter().map(recs).sum()))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        ("job_p50_ms".into(), "ms", median(&latency)),
-        ("job_p90_ms".into(), "ms", percentile(&latency, 0.9)),
+        ("ops_per_s".into(), "1/s", rate(&|_| 1.0)),
+        ("sorted_recs_per_s".into(), "rec/s", rate(&recs)),
+        ("job_p50_ms".into(), "ms", per_pass(passes, latency_ms, 0.5)),
+        ("job_p90_ms".into(), "ms", per_pass(passes, latency_ms, 0.9)),
         ("modeled_io_per_rec".into(), "io/rec", ratio(io, first_recs)),
         (
             "wal_bytes_per_user_byte".into(),
             "B/B",
             ratio(first.wal.bytes as f64, first_recs * 16.0),
         ),
-        ("peak_rss_mb".into(), "MB", peak_rss_mb()),
     ]
 }
 
-/// Timings as work per second spent inside engine calls, each unit of work
-/// (a chunk of ops, a compacting write) timed by its fastest pass; exact
-/// counts from the first timed pass.
-fn kv_e2e(passes: &[kvload::Pass]) -> Metrics {
-    let op_s: f64 = fastest(passes.iter().map(|p| &p.chunk_s)).iter().sum();
-    let compacting = fastest(passes.iter().map(|p| &p.compacting_ms));
+/// Timings as work per second spent inside engine calls and latencies of
+/// the compacting writes, medians over every timed pass, scaled to the
+/// reference host by the run's `slowdown`. Exact counts come from the first
+/// timed pass.
+fn kv_e2e(passes: &[kvload::Pass], slowdown: f64) -> Metrics {
+    let rate = |x: fn(&kvload::Pass) -> u64| {
+        let rates: Vec<f64> = passes
+            .iter()
+            .map(|p| ratio(x(p) as f64, p.engine_s))
+            .collect();
+        median(&rates) * slowdown
+    };
+    let compacting_ms =
+        |p: &kvload::Pass| -> Vec<f64> { p.compacting_ms.iter().map(|ms| ms / slowdown).collect() };
     let first = &passes[0];
     vec![
-        ("ops_per_s".into(), "1/s", ratio(first.ops as f64, op_s)),
+        ("ops_per_s".into(), "1/s", rate(|p| p.ops)),
         (
             "sorted_recs_per_s".into(),
             "rec/s",
-            ratio(first.compaction_input_recs as f64, op_s),
+            rate(|p| p.compaction_input_recs),
         ),
-        ("job_p50_ms".into(), "ms", median(&compacting)),
-        ("job_p90_ms".into(), "ms", percentile(&compacting, 0.9)),
+        (
+            "job_p50_ms".into(),
+            "ms",
+            per_pass(passes, compacting_ms, 0.5),
+        ),
+        (
+            "job_p90_ms".into(),
+            "ms",
+            per_pass(passes, compacting_ms, 0.9),
+        ),
         (
             "modeled_io_per_rec".into(),
             "io/rec",
@@ -704,28 +708,17 @@ fn kv_e2e(passes: &[kvload::Pass]) -> Metrics {
             "B/B",
             ratio(first.wal.bytes as f64, first.ops as f64 * 16.0),
         ),
-        ("peak_rss_mb".into(), "MB", peak_rss_mb()),
     ]
 }
 
-/// The element-wise minimum of sample lists that time the same units of
-/// work in the same order, one list per pass: each unit's fastest pass.
-///
-/// Every kv-mixed pass replays the same op list on a fresh engine, and its
-/// exact counts prove it did the same work. Load from other tenants of a
-/// shared host only ever slows a unit down, and on the 2-vCPU VM this was
-/// tuned on it came and went every 10–20 s, so the fastest of a dozen or
-/// more passes is the unit's time on an unloaded machine. The engine hands
-/// each compaction to its service's worker thread, on whichever core the
-/// scheduler picks; the minimum also evens out where it picked.
-fn fastest<'a>(mut lists: impl Iterator<Item = &'a Vec<f64>>) -> Vec<f64> {
-    let mut best = lists.next().cloned().unwrap_or_default();
-    for list in lists {
-        for (b, x) in best.iter_mut().zip(list) {
-            *b = b.min(*x);
-        }
-    }
-    best
+/// The median over passes of each pass's `p` percentile of its latency
+/// samples. A sort-bulk pass's ten jobs are ten different sorts, and the
+/// slowest, heapsort on `file`, is a tenth of the jobs: a p90 over the
+/// pooled jobs of every pass would be the slowest of all the others, a
+/// maximum; a pass's own p90 is its second-slowest job.
+fn per_pass<T>(passes: &[T], samples: impl Fn(&T) -> Vec<f64>, p: f64) -> f64 {
+    let each: Vec<f64> = passes.iter().map(|x| percentile(&samples(x), p)).collect();
+    median(&each)
 }
 
 /// Every pass of every phase must reproduce the first pass's exact counts.
@@ -758,6 +751,70 @@ fn verify_bulk<'a>(
             ));
         }
     }
+}
+
+/// A CPU set of up to 1024 CPUs, as `sched_{get,set}affinity` take it.
+type CpuSet = [u64; 16];
+
+extern "C" {
+    fn sched_getcpu() -> i32;
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// While alive, keeps the calling thread, and every thread it spawns, on
+/// the CPU it is running on now; dropping it restores the earlier CPU set.
+///
+/// `kv-mixed` has two threads that never run at once: the engine, and its
+/// embedded service's one worker, which the engine blocks on for every
+/// compaction. Where the scheduler happens to place the worker decides
+/// whether each hand-off crosses cores, and on a 2-vCPU VM that moved the
+/// compacting writes' p50 by 13% from run to run (IQR over median, five
+/// seeds); on one core the hand-off costs the same in every run, and the
+/// spread fell to 3–5%. The pin also puts the gauge on the core that does
+/// the work. So kv-mixed's timed passes leave the cross-core hand-off out
+/// of what they measure. The only other pinned code is the timed boots
+/// (see [`BOOTS`]).
+struct CpuPin {
+    saved: Option<CpuSet>,
+}
+
+impl CpuPin {
+    fn current() -> CpuPin {
+        let mut saved: CpuSet = [0; 16];
+        // SAFETY: `saved` is a live, writable CPU set for the duration of
+        // the call and `cpusetsize` is its exact size; pid 0 is the calling
+        // thread. `sched_getcpu` takes no arguments.
+        let cpu = unsafe {
+            if sched_getaffinity(0, std::mem::size_of_val(&saved), saved.as_mut_ptr()) != 0 {
+                return CpuPin { saved: None };
+            }
+            sched_getcpu()
+        };
+        let mut mask: CpuSet = [0; 16];
+        match usize::try_from(cpu) {
+            Ok(cpu) if cpu < mask.len() * 64 => mask[cpu / 64] |= 1 << (cpu % 64),
+            _ => return CpuPin { saved: None },
+        }
+        CpuPin {
+            saved: set_affinity(&mask).then_some(saved),
+        }
+    }
+}
+
+impl Drop for CpuPin {
+    fn drop(&mut self) {
+        if let Some(saved) = &self.saved {
+            set_affinity(saved);
+        }
+    }
+}
+
+/// Set the calling thread's CPU set; false when the kernel refuses it.
+fn set_affinity(mask: &CpuSet) -> bool {
+    // SAFETY: `mask` is a live CPU set for the duration of the call and
+    // `cpusetsize` is its exact size; pid 0 is the calling thread.
+    unsafe { sched_setaffinity(0, std::mem::size_of_val(mask), mask.as_ptr()) == 0 }
 }
 
 /// Peak resident set size of this process so far, in MB.

@@ -121,7 +121,6 @@ pub struct Done {
 /// One pass: a fresh service root served over HTTP, every job run once by
 /// the closed-loop clients, then shut down and metered.
 pub struct Pass {
-    pub setup: Duration,
     pub active: Duration,
     pub done: Vec<Done>,
     pub errors: Vec<String>,
@@ -138,10 +137,7 @@ pub fn boot(root: &Path) -> asym_serve::ServerHandle {
 }
 
 pub fn run_pass(jobs: &[Job], wait: &str, root: &Path, tracing: bool, epoch: Instant) -> Pass {
-    let t = Instant::now();
     let mut server = boot(root);
-    let setup = t.elapsed();
-
     let rounds = Barrier::new(CLIENTS);
     let t = Instant::now();
     let per_client: Vec<_> = std::thread::scope(|s| {
@@ -161,7 +157,6 @@ pub fn run_pass(jobs: &[Job], wait: &str, root: &Path, tracing: bool, epoch: Ins
     server.shutdown();
 
     let mut pass = Pass {
-        setup,
         active,
         done: Vec::new(),
         errors: Vec::new(),
