@@ -7,20 +7,9 @@ use asym_model::Result;
 use em_sim::{EmMachine, EmVec, EmWriter};
 
 /// Sort `input` by streaming it through the §4.3.3 priority queue.
-/// Consumes and frees the input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `aem-heapsort` entry of `asym_core::sort::sorters()`"
-)]
+/// Consumes and frees the input. The `aem-heapsort` `sort::Sorter` adapter
+/// runs this engine.
 pub fn aem_heapsort(machine: &EmMachine, input: EmVec, k: usize) -> Result<EmVec> {
-    heapsort_run(machine, input, k)
-}
-
-/// The heapsort engine behind both the deprecated free function and the
-/// `sort::Sorter` adapter (one code path, so the two are cost-identical by
-/// construction).
-pub(crate) fn heapsort_run(machine: &EmMachine, input: EmVec, k: usize) -> Result<EmVec> {
     let mut pq = AemPriorityQueue::new(machine.clone(), k)?;
     {
         let mut reader = input.reader(machine)?;

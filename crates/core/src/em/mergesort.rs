@@ -79,12 +79,8 @@ pub struct MergeOpts {
 
 /// Sort `input` with the AEM mergesort at write-saving factor `k`
 /// (1 ≤ k; k=1 is the classic EM mergesort). Consumes and frees the input's
-/// blocks; returns a freshly written sorted array.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `aem-mergesort` entry of `asym_core::sort::sorters()`"
-)]
+/// blocks; returns a freshly written sorted array. The `aem-mergesort`
+/// `sort::Sorter` adapter runs this engine.
 pub fn aem_mergesort(machine: &EmMachine, input: EmVec, k: usize) -> Result<EmVec> {
     aem_mergesort_opts(machine, input, k, MergeOpts::default())
 }

@@ -15,7 +15,7 @@
 //! produces a single dense array with no partial-block seams between
 //! buckets.
 
-use super::mergesort::{aem_mergesort_opts, mergesort_slack, MergeOpts};
+use super::mergesort::{aem_mergesort, mergesort_slack};
 use super::selection::selection_sort_into;
 use asym_model::{ModelError, Record, Result};
 use em_sim::{BlockId, EmMachine, EmVec, EmWriter};
@@ -32,24 +32,8 @@ pub fn samplesort_slack(m: usize, b: usize, k: usize) -> usize {
 
 /// Sort `input` with the AEM sample sort at write-saving factor `k`
 /// (k=1 is the classic EM distribution sort). Consumes and frees the input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `aem-samplesort` entry of `asym_core::sort::sorters()`"
-)]
+/// The `aem-samplesort` `sort::Sorter` adapter runs this engine.
 pub fn aem_samplesort(
-    machine: &EmMachine,
-    input: EmVec,
-    k: usize,
-    rng: &mut StdRng,
-) -> Result<EmVec> {
-    samplesort_run(machine, input, k, rng)
-}
-
-/// The sample-sort engine behind both the deprecated free function and the
-/// `sort::Sorter` adapter (one code path, so the two are cost-identical by
-/// construction).
-pub(crate) fn samplesort_run(
     machine: &EmMachine,
     input: EmVec,
     k: usize,
@@ -107,7 +91,7 @@ fn sort_rec(
             // With unique records an adequately sized sample always leaves
             // the overflow bucket nonempty, so this path stays cold there
             // and the frozen unique-input cost goldens are unaffected.
-            let sorted = aem_mergesort_opts(machine, bucket, k, MergeOpts::default())?;
+            let sorted = aem_mergesort(machine, bucket, k)?;
             let mut reader = sorted.reader(machine)?;
             while let Some(r) = reader.next() {
                 out.push(r);
@@ -167,7 +151,7 @@ fn choose_splitters(
         sample = det_writer.finish();
     }
 
-    let sorted = aem_mergesort_opts(machine, sample, 1, MergeOpts::default())?;
+    let sorted = aem_mergesort(machine, sample, 1)?;
     let s_len = sorted.len();
     // Sub-select l-1 evenly spaced splitters, streaming them to disk.
     let mut positions: Vec<usize> = (1..l).map(|i| i * s_len / l).collect();

@@ -23,7 +23,7 @@
 //! * [`sort`] — the unified job API: a validated [`sort::SortSpec`]
 //!   description, the [`sort::Sorter`] trait with one adapter per AEM sort,
 //!   and the [`sort::sorters`] registry. The per-algorithm free functions
-//!   are deprecated in its favor.
+//!   are the engines its adapters call.
 //!
 //! Every algorithm runs against an instrumented substrate (`asym-model`
 //! counters, `em-sim` block machine, or `cache-sim` cache) so experiments

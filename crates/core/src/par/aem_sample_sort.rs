@@ -67,7 +67,7 @@
 //! likewise uncharged: the distributed sorted runs are the output.
 
 use super::splitters::{bucket_of, dedup_splitters, splitter_positions};
-use crate::em::mergesort::{aem_mergesort_opts, mergesort_slack, MergeOpts};
+use crate::em::mergesort::{aem_mergesort, mergesort_slack};
 use asym_model::{ModelError, Record, Result};
 use em_sim::{EmStats, EmVec, EmWriter, ParMachine};
 use rand::rngs::StdRng;
@@ -152,24 +152,8 @@ impl<'a> PhaseLog<'a> {
 /// Runs are deterministic in `(input, geometry, k, seed)`; merged reads and
 /// writes are additionally independent of the lane count (see the module
 /// docs). Every intermediate block is released, so a run leaves the lanes'
-/// stores exactly as it found them.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `par-aem-samplesort` entry of `asym_core::sort::sorters()`"
-)]
-pub fn par_aem_sample_sort(
-    par: &ParMachine,
-    input: &[Record],
-    k: usize,
-    seed: u64,
-) -> Result<ParSortRun> {
-    par_sample_sort_run(par, input, k, seed, false).map(|(run, _)| run)
-}
-
-/// The parallel sample-sort engine behind both the deprecated free function
-/// and the `sort::Sorter` adapter (one code path, so the two are
-/// cost-identical by construction).
+/// stores exactly as it found them. The `par-aem-samplesort`
+/// `sort::Sorter` adapter runs this engine.
 ///
 /// When `charge_steals` is set, the §2 cache-warm-up charge is folded into
 /// the lane stats after the scheduler simulation: each successful steal
@@ -183,7 +167,7 @@ pub fn par_aem_sample_sort(
 /// on the schedule, not extra scheduled work). The second return value is
 /// the total warm-up charge (zero when disabled), so callers can recover
 /// the schedule-invariant base counts by subtraction.
-pub(crate) fn par_sample_sort_run(
+pub fn par_aem_sample_sort(
     par: &ParMachine,
     input: &[Record],
     k: usize,
@@ -265,7 +249,7 @@ pub(crate) fn par_sample_sort_run(
     } else {
         let mut writer = EmWriter::new(lane0)?;
         writer.extend(sample.drain(..));
-        let sorted = aem_mergesort_opts(lane0, writer.finish(), 1, MergeOpts::default())?;
+        let sorted = aem_mergesort(lane0, writer.finish(), 1)?;
         let positions = splitter_positions(sorted.len(), num_buckets);
         let mut picks = Vec::with_capacity(positions.len());
         {
@@ -348,10 +332,7 @@ pub(crate) fn par_sample_sort_run(
             // duplicate-heavy buckets — up to every record equal, the
             // all-duplicates adversary — sort exactly, so degenerate skew
             // needs no special casing here.
-            sorted_runs.push((
-                owner,
-                aem_mergesort_opts(lane, run, k, MergeOpts::default())?,
-            ));
+            sorted_runs.push((owner, aem_mergesort(lane, run, k)?));
         }
     }
     log.barrier("bucket-sort");
@@ -434,13 +415,20 @@ mod tests {
         )
     }
 
+    /// The engine without the steal charge.
+    fn sort(par: &ParMachine, input: &[Record], k: usize, seed: u64) -> ParSortRun {
+        par_aem_sample_sort(par, input, k, seed, false)
+            .expect("sort")
+            .0
+    }
+
     #[test]
     fn sorts_all_workloads_across_lane_counts() {
         for wl in Workload::ALL {
             let input = wl.generate(3000, 21);
             for lanes in [1usize, 3, 8] {
                 let machine = par(32, 4, 8, 2, lanes);
-                let run = par_aem_sample_sort(&machine, &input, 2, 42).expect("sort");
+                let run = sort(&machine, &input, 2, 42);
                 assert_sorted_permutation(&input, &run.output);
                 assert_eq!(machine.live_blocks(), 0, "leaked blocks ({wl:?}, {lanes})");
             }
@@ -452,11 +440,11 @@ mod tests {
         let input = Workload::UniformRandom.generate(5000, 3);
         let reference = {
             let machine = par(64, 8, 16, 2, 1);
-            par_aem_sample_sort(&machine, &input, 2, 7).expect("serial run")
+            sort(&machine, &input, 2, 7)
         };
         for lanes in [2usize, 4, 8] {
             let machine = par(64, 8, 16, 2, lanes);
-            let run = par_aem_sample_sort(&machine, &input, 2, 7).expect("lane run");
+            let run = sort(&machine, &input, 2, 7);
             assert_eq!(
                 run.merged.block_writes, reference.merged.block_writes,
                 "lanes={lanes}: write totals must be preserved"
@@ -474,11 +462,11 @@ mod tests {
         let input = Workload::UniformRandom.generate(8000, 9);
         let serial = {
             let machine = par(64, 8, 8, 1, 1);
-            par_aem_sample_sort(&machine, &input, 1, 5).expect("serial")
+            sort(&machine, &input, 1, 5)
         };
         let wide = {
             let machine = par(64, 8, 8, 1, 8);
-            par_aem_sample_sort(&machine, &input, 1, 5).expect("wide")
+            sort(&machine, &input, 1, 5)
         };
         assert!(
             wide.cost.depth < serial.cost.depth,
@@ -497,7 +485,7 @@ mod tests {
     fn phase_costs_compose_to_the_total() {
         let input = Workload::Zipf.generate(2000, 13);
         let machine = par(32, 4, 4, 1, 4);
-        let run = par_aem_sample_sort(&machine, &input, 1, 11).expect("sort");
+        let run = sort(&machine, &input, 1, 11);
         assert_eq!(run.phase_costs.len(), 5);
         let recomposed = Cost::seq_all(run.phase_costs.iter().map(|(_, c)| *c));
         assert_eq!(recomposed, run.cost);
@@ -512,7 +500,7 @@ mod tests {
             let input = Workload::Reversed.generate(n, 1);
             for lanes in [1usize, 4] {
                 let machine = par(16, 4, 2, 1, lanes);
-                let run = par_aem_sample_sort(&machine, &input, 1, 0).expect("sort");
+                let run = sort(&machine, &input, 1, 0);
                 assert_sorted_permutation(&input, &run.output);
                 assert_eq!(machine.live_blocks(), 0);
             }
@@ -524,7 +512,7 @@ mod tests {
         let input = vec![Record::new(5, 5); 4000];
         for lanes in [1usize, 4] {
             let machine = par(32, 4, 8, 2, lanes);
-            let run = par_aem_sample_sort(&machine, &input, 2, 19).expect("sort");
+            let run = sort(&machine, &input, 2, 19);
             assert_eq!(run.output, input);
             assert_eq!(machine.live_blocks(), 0);
         }
@@ -535,11 +523,11 @@ mod tests {
         let input = Workload::UniformRandom.generate(6000, 17);
         let base = {
             let machine = par(32, 4, 8, 1, 4);
-            par_sample_sort_run(&machine, &input, 1, 23, false).expect("base")
+            par_aem_sample_sort(&machine, &input, 1, 23, false).expect("base")
         };
         let charged = {
             let machine = par(32, 4, 8, 1, 4);
-            par_sample_sort_run(&machine, &input, 1, 23, true).expect("charged")
+            par_aem_sample_sort(&machine, &input, 1, 23, true).expect("charged")
         };
         assert_eq!(base.1, EmStats::default(), "knob off charges nothing");
         let (run, warmup) = charged;
@@ -572,8 +560,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let input = Workload::NearlySorted.generate(4000, 2);
-        let a = par_aem_sample_sort(&par(32, 4, 8, 1, 4), &input, 1, 23).expect("a");
-        let b = par_aem_sample_sort(&par(32, 4, 8, 1, 4), &input, 1, 23).expect("b");
+        let a = sort(&par(32, 4, 8, 1, 4), &input, 1, 23);
+        let b = sort(&par(32, 4, 8, 1, 4), &input, 1, 23);
         assert_eq!(a.output, b.output);
         assert_eq!(a.merged, b.merged);
         assert_eq!(a.cost, b.cost);

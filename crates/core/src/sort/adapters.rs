@@ -2,10 +2,8 @@
 //! registry, and the unified [`SortOutcome`].
 
 use super::spec::{Algorithm, SortSpec};
-use crate::em::heapsort::heapsort_run;
-use crate::em::mergesort::{aem_mergesort_opts, MergeOpts};
-use crate::em::samplesort::samplesort_run;
-use crate::par::aem_sample_sort::par_sample_sort_run;
+use crate::em::{aem_heapsort, aem_mergesort, aem_samplesort};
+use crate::par::par_aem_sample_sort;
 use asym_model::{CostReport, ModelError, Record, Result};
 use em_sim::{EmMachine, EmStats, EmVec};
 use rand::rngs::StdRng;
@@ -71,8 +69,8 @@ pub struct ParData {
 }
 
 /// One sorting algorithm behind the unified front door: adapters translate
-/// a validated [`SortSpec`] into machines, run the engine the legacy free
-/// function also wraps, and report a [`SortOutcome`].
+/// a validated [`SortSpec`] into machines, run the algorithm's engine (its
+/// public free function), and report a [`SortOutcome`].
 pub trait Sorter {
     /// Stable identifier (equals `self.kind().name()`); used in bench JSON
     /// and experiment tables.
@@ -139,9 +137,7 @@ impl Sorter for MergesortSorter {
 
     fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
         check_kind(self, spec)?;
-        run_serial(spec, input, true, |em, v| {
-            aem_mergesort_opts(em, v, spec.k(), MergeOpts::default())
-        })
+        run_serial(spec, input, true, |em, v| aem_mergesort(em, v, spec.k()))
     }
 }
 
@@ -158,7 +154,7 @@ impl Sorter for SamplesortSorter {
         check_kind(self, spec)?;
         run_serial(spec, input, true, |em, v| {
             let mut rng = StdRng::seed_from_u64(spec.seed());
-            samplesort_run(em, v, spec.k(), &mut rng)
+            aem_samplesort(em, v, spec.k(), &mut rng)
         })
     }
 }
@@ -173,7 +169,7 @@ impl Sorter for HeapsortSorter {
 
     fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
         check_kind(self, spec)?;
-        run_serial(spec, input, false, |em, v| heapsort_run(em, v, spec.k()))
+        run_serial(spec, input, false, |em, v| aem_heapsort(em, v, spec.k()))
     }
 }
 
@@ -189,7 +185,7 @@ impl Sorter for ParSamplesortSorter {
         check_kind(self, spec)?;
         let par = spec.par_machine()?;
         let (run, steal_warmup) =
-            par_sample_sort_run(&par, input, spec.k(), spec.seed(), spec.steal_charge())?;
+            par_aem_sample_sort(&par, input, spec.k(), spec.seed(), spec.steal_charge())?;
         assert_eq!(par.live_blocks(), 0, "a run must release every block");
         let stats = run.merged;
         Ok(SortOutcome {

@@ -13,11 +13,11 @@
 //!   build time; [`SortSpecBuilder::from_env`] absorbs the `ASYM_BENCH_*`
 //!   variables in one place.
 //! * [`Sorter`] — the algorithm-behind-a-trait: `name`, `kind`, and
-//!   `run(&spec, input) -> SortOutcome`. Four adapters wrap the same
-//!   engines the (now deprecated) free functions delegate to, so the two
-//!   paths are cost-identical by construction — `tests/cost_golden.rs`
-//!   freezes the counts through the legacy names and a registry-driven
-//!   differential suite pins the equivalence.
+//!   `run(&spec, input) -> SortOutcome`. Four adapters call the
+//!   per-algorithm free functions, which are the engines themselves, so
+//!   the two paths are cost-identical by construction —
+//!   `tests/cost_golden.rs` freezes the counts through the free functions
+//!   and a registry-driven differential suite pins the equivalence.
 //! * [`SortOutcome`] — output, merged [`EmStats`](em_sim::EmStats), a
 //!   [`CostReport`](asym_model::CostReport), and per-lane / per-phase /
 //!   scheduler detail for parallel runs.

@@ -127,7 +127,9 @@ fn malformed(msg: impl Into<String>) -> WireError {
     WireError::Malformed(msg.into())
 }
 
-fn req_u64(obj: &[(String, Json)], key: &str) -> Result<u64, WireError> {
+/// A required numeric field of a decoded object, or a typed
+/// [`WireError::Malformed`] naming it.
+pub fn req_u64(obj: &[(String, Json)], key: &str) -> Result<u64, WireError> {
     json::get_u64(obj, key).ok_or_else(|| malformed(format!("missing numeric field {key:?}")))
 }
 

@@ -28,10 +28,6 @@ pub struct MemStore {
     block_size: usize,
 }
 
-/// The pre-trait name of [`MemStore`], kept so existing code and tests keep
-/// compiling unchanged.
-pub type Disk = MemStore;
-
 impl MemStore {
     /// An empty store with the given block size `B` (in records).
     pub fn new(block_size: usize) -> Self {

@@ -44,7 +44,7 @@ pub mod par;
 pub mod store;
 pub mod vec;
 
-pub use disk::{Disk, MemStore};
+pub use disk::MemStore;
 pub use fault::{FaultCounts, FaultPlan, FaultSpec, FaultStore, StoreIoPanic};
 pub use file::FileStore;
 pub use machine::{EmConfig, EmMachine, EmStats, MemLease};

@@ -43,7 +43,7 @@ pub use policy::{choose, modeled_cost, CompactionStyle, Policy, PolicyInputs};
 pub use submit::{CompactionService, JobResult};
 
 /// Everything that can go wrong operating the engine.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum KvError {
     /// Keys must stay at or below [`asym_model::MAX_KEY`] (`u64::MAX` is
     /// the record sentinel).
@@ -57,14 +57,10 @@ pub enum KvError {
     /// The engine's own machine refused an operation (I/O fault, memory
     /// over-lease).
     Model(asym_model::ModelError),
-    /// The service's admission control turned a compaction away: its
-    /// predicted peak bytes exceed the available budget.
-    CompactionRejected {
-        /// The compaction job's predicted peak bytes.
-        predicted: u64,
-        /// Budget minus bytes currently in flight.
-        available: u64,
-    },
+    /// The service refused the compaction at submission: over the peak-byte
+    /// or I/O budget, a deadline it cannot meet, or draining — whichever
+    /// [`SubmitError`](asym_serve::SubmitError) it answered with.
+    Rejected(asym_serve::SubmitError),
     /// Transport or job failure talking to the sort service.
     Service(String),
 }
@@ -76,13 +72,7 @@ impl std::fmt::Display for KvError {
             KvError::Config(m) => write!(f, "config: {m}"),
             KvError::Spec(e) => write!(f, "compaction spec: {e}"),
             KvError::Model(e) => write!(f, "machine: {e}"),
-            KvError::CompactionRejected {
-                predicted,
-                available,
-            } => write!(
-                f,
-                "compaction rejected: predicted peak {predicted} B exceeds available {available} B"
-            ),
+            KvError::Rejected(e) => write!(f, "compaction {e}"),
             KvError::Service(m) => write!(f, "service: {m}"),
         }
     }

@@ -5,20 +5,21 @@
 //!
 //! - [`CompactionService::in_process`] — an embedded [`SortService`]
 //!   (the default; no sockets, deterministic, still admission-controlled).
-//! - [`CompactionService::http`] — a real `POST /jobs` + long-poll
-//!   `GET /jobs/<id>/wait` client over the existing wire codecs, for an
-//!   engine pointed at a remote sort server (see `asym_serve::serve`).
+//! - [`CompactionService::http`] — `POST /jobs` + long-poll
+//!   `GET /jobs/<id>/wait` through [`asym_serve::client`], for an engine
+//!   pointed at a remote sort server (see `asym_serve::serve`).
 //!
 //! Either way every compaction is priced by `JobRequest::predict()` at
-//! admission; a budget rejection surfaces as
-//! [`KvError::CompactionRejected`] with both sides of the comparison.
+//! admission, and a refusal surfaces as [`KvError::Rejected`] carrying the
+//! service's own typed [`SubmitError`](asym_serve::SubmitError) — decoded
+//! from the response body over HTTP — so both transports report the same
+//! budget axis and both sides of the comparison.
 
 use crate::KvError;
 use asym_core::sort::SortOutcome;
-use asym_model::json::{self, Json};
-use asym_serve::{JobId, JobRequest, JobState, JobStatus, ServiceConfig, SortService, SubmitError};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use asym_serve::client::{self, ClientError};
+use asym_serve::{JobId, JobRequest, JobState, JobStatus, ServiceConfig, SortService};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,17 +68,27 @@ impl CompactionService {
     /// Submit one job and block until it is terminal. `Completed` yields
     /// the decoded outcome; every other terminal state is an error.
     pub fn submit_and_wait(&self, request: JobRequest) -> Result<JobResult, KvError> {
-        match self {
+        let (id, status) = match self {
             CompactionService::Local(service) => {
-                let id = service.submit(request).map_err(submit_error)?;
+                let id = service.submit(request).map_err(KvError::Rejected)?;
                 let status = service
                     .wait(id)
                     .ok_or_else(|| KvError::Service(format!("job {id} vanished")))?;
-                let outcome = terminal_outcome(&status)?;
-                Ok(JobResult { id, outcome })
+                (id, status)
             }
-            CompactionService::Http(addr) => http_submit_and_wait(*addr, &request),
-        }
+            CompactionService::Http(addr) => {
+                let id = client::submit(*addr, &request).map_err(client_error)?;
+                let status = loop {
+                    let status = client::wait(*addr, id).map_err(client_error)?;
+                    if status.state.is_terminal() {
+                        break status;
+                    }
+                };
+                (id, status)
+            }
+        };
+        let outcome = terminal_outcome(&status)?;
+        Ok(JobResult { id, outcome })
     }
 }
 
@@ -101,15 +112,9 @@ fn service_dir() -> Result<PathBuf, KvError> {
     Ok(dir)
 }
 
-fn submit_error(e: SubmitError) -> KvError {
+fn client_error(e: ClientError) -> KvError {
     match e {
-        SubmitError::Rejected {
-            predicted,
-            available,
-        } => KvError::CompactionRejected {
-            predicted,
-            available,
-        },
+        ClientError::Refused(e) => KvError::Rejected(e),
         other => KvError::Service(other.to_string()),
     }
 }
@@ -132,131 +137,4 @@ fn terminal_outcome(status: &JobStatus) -> Result<SortOutcome, KvError> {
             status.error.as_deref().unwrap_or("no error recorded")
         ))),
     }
-}
-
-// ---------------------------------------------------------------------------
-// The HTTP client: hand-rolled like the server, one request per connection.
-// ---------------------------------------------------------------------------
-
-fn http_submit_and_wait(addr: SocketAddr, request: &JobRequest) -> Result<JobResult, KvError> {
-    let (code, body) = http_roundtrip(addr, "POST", "/jobs", Some(&request.to_json()))?;
-    let v = Json::parse(&body).map_err(|e| KvError::Service(format!("submit response: {e}")))?;
-    let id = match code {
-        202 => v
-            .get("id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| KvError::Service("202 without a job id".into()))?,
-        429 => {
-            let obj = v.as_obj().unwrap_or(&[]);
-            return Err(KvError::CompactionRejected {
-                predicted: json::get_u64(obj, "predicted").unwrap_or(0),
-                available: json::get_u64(obj, "available").unwrap_or(0),
-            });
-        }
-        _ => {
-            return Err(KvError::Service(format!(
-                "submit rejected with HTTP {code}: {body}"
-            )))
-        }
-    };
-    loop {
-        let (code, body) = http_roundtrip(addr, "GET", &format!("/jobs/{id}/wait"), None)?;
-        match code {
-            // 408 = server-side long-poll timeout, job still running: poll on.
-            408 => continue,
-            200 | 504 => {
-                let status = parse_status(&body)?;
-                let outcome = terminal_outcome(&status)?;
-                return Ok(JobResult { id, outcome });
-            }
-            _ => {
-                return Err(KvError::Service(format!(
-                    "wait for job {id} failed with HTTP {code}: {body}"
-                )))
-            }
-        }
-    }
-}
-
-/// The subset of the status payload the compactor dispatches on.
-fn parse_status(body: &str) -> Result<JobStatus, KvError> {
-    let v = Json::parse(body).map_err(|e| KvError::Service(format!("status decode: {e}")))?;
-    let obj = v
-        .as_obj()
-        .ok_or_else(|| KvError::Service("status must be a JSON object".into()))?;
-    let state = match json::get_str(obj, "state").as_deref() {
-        Some("queued") => JobState::Queued,
-        Some("running") => JobState::Running,
-        Some("completed") => JobState::Completed,
-        Some("failed") => JobState::Failed,
-        Some("expired") => JobState::Expired,
-        other => return Err(KvError::Service(format!("unknown job state {other:?}"))),
-    };
-    // The client re-derives the prediction locally (it priced the request
-    // before submitting); the wire copy is display-only here.
-    let predicted = json::find(obj, "predicted").and_then(Json::as_obj);
-    let field = |k| predicted.and_then(|p| json::get_u64(p, k)).unwrap_or(0);
-    Ok(JobStatus {
-        id: json::get_u64(obj, "id").unwrap_or(0),
-        state,
-        predicted: asym_core::sort::CostEstimate {
-            reads: field("reads"),
-            writes: field("writes"),
-            peak_memory: field("peak_memory") as usize,
-            omega: 1,
-        },
-        attempts: json::get_u64(obj, "attempts").unwrap_or(0) as u32,
-        telemetry: json::find(obj, "outcome").map(Json::render),
-        error: json::get_str(obj, "error"),
-        failure: None,
-    })
-}
-
-fn http_roundtrip(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Result<(u16, String), KvError> {
-    let io = |e: std::io::Error| KvError::Service(format!("{method} {path}: {e}"));
-    let stream = TcpStream::connect(addr).map_err(io)?;
-    let mut writer = stream.try_clone().map_err(io)?;
-    let body = body.unwrap_or("");
-    write!(
-        writer,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(io)?;
-    writer.flush().map_err(io)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(io)?;
-    let code: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| KvError::Service(format!("bad status line {line:?}")))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(io)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v
-                .parse()
-                .map_err(|e| KvError::Service(format!("bad content length: {e}")))?;
-        }
-    }
-    let mut buf = vec![0u8; content_length];
-    reader.read_exact(&mut buf).map_err(io)?;
-    let body = String::from_utf8(buf).map_err(|e| KvError::Service(format!("bad body: {e}")))?;
-    Ok((code, body))
 }

@@ -283,13 +283,45 @@ fn oversized_compactions_are_rejected_with_both_sides() {
         }
     }
     match err {
-        Some(asym_kv::KvError::CompactionRejected {
+        Some(asym_kv::KvError::Rejected(asym_serve::SubmitError::Rejected {
             predicted,
             available,
-        }) => {
+        })) => {
             assert!(predicted > 16, "predicted {predicted} B cannot fit");
             assert!(available <= 16);
         }
-        other => panic!("expected CompactionRejected, got {other:?}"),
+        other => panic!("expected a peak-bytes rejection, got {other:?}"),
     }
+}
+
+/// A refusal on the I/O-cost axis reads the same through either transport:
+/// the HTTP client decodes the 429 body back into the service's typed
+/// `SubmitError`, and both paths share one conversion to `KvError`.
+#[test]
+fn io_budget_rejections_match_across_transports() {
+    let dir = std::env::temp_dir().join(format!("asym-kv-io-reject-{}", std::process::id()));
+    let config = |sub: &str| {
+        let mut c = ServiceConfig::new(1, u64::MAX, dir.join(sub));
+        c.io_budget = 1; // no compaction's predicted I/O fits
+        c
+    };
+    let first_error = |service| {
+        let cfg = small_cfg(CompactionStyle::Tiering, 2, 8);
+        let mut kv = AsymKv::with_service(cfg, service).expect("engine");
+        (0..64u64)
+            .find_map(|i| kv.put(i, i).err())
+            .expect("the first compaction must be refused")
+    };
+    let local = first_error(CompactionService::Local(
+        SortService::start(config("local")).expect("service"),
+    ));
+    let mut server = serve(
+        SortService::start(config("http")).expect("service"),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let remote = first_error(CompactionService::http(server.addr()));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(local, remote, "one refusal, one typed error");
 }

@@ -5,9 +5,8 @@
 
 use asym_core::sort::SortOutcome;
 use asym_model::json::Json;
-use asym_serve::{serve, ServiceConfig, SortService};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use asym_serve::client::{self, roundtrip, ClientError};
+use asym_serve::{serve, JobRequest, JobState, ServiceConfig, SortService, SubmitError};
 
 const ACCEPTED_JOB: &str = r#"{
     "spec": {"algorithm": "par-aem-samplesort", "m": 64, "b": 8, "omega": 16, "k": 2, "lanes": 4},
@@ -16,28 +15,6 @@ const ACCEPTED_JOB: &str = r#"{
 const OVERSIZED_JOB: &str = r#"{
     "spec": {"algorithm": "aem-mergesort", "m": 16777216, "b": 8, "omega": 16},
     "workload": "uniform", "records": 1000, "data_seed": 7, "include_output": false }"#;
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: smoke\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    )
-    .expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let code: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("status code");
-    (
-        code,
-        response.split_once("\r\n\r\n").expect("body").1.to_string(),
-    )
-}
 
 fn main() {
     let root = std::env::temp_dir().join(format!("asym-serve-smoke-{}", std::process::id()));
@@ -48,35 +25,22 @@ fn main() {
     let addr = server.addr();
     println!("serve_smoke: listening on {addr}");
 
-    let (code, body) = request(addr, "GET", "/healthz", "");
+    let (code, body) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(code, 200, "healthz: {body}");
 
     // One job the budget admits...
-    let (code, body) = request(addr, "POST", "/jobs", ACCEPTED_JOB);
-    assert_eq!(code, 202, "submit: {body}");
-    let id = Json::parse(&body)
-        .expect("submit response parses")
-        .get("id")
-        .and_then(Json::as_u64)
-        .expect("job id");
+    let job = |text| JobRequest::from_json(text).expect("valid job");
+    let id = client::submit(addr, &job(ACCEPTED_JOB)).expect("submit");
     println!("serve_smoke: job {id} accepted");
 
     // ...and one whose predicted peak no budget this size can hold.
-    let (code, body) = request(addr, "POST", "/jobs", OVERSIZED_JOB);
-    assert_eq!(code, 429, "oversized submit: {body}");
-    let rejection = Json::parse(&body).expect("rejection parses");
-    assert_eq!(
-        rejection.get("error").and_then(Json::as_str),
-        Some("rejected")
-    );
-    let predicted = rejection
-        .get("predicted")
-        .and_then(Json::as_u64)
-        .expect("predicted");
-    let available = rejection
-        .get("available")
-        .and_then(Json::as_u64)
-        .expect("available");
+    let (predicted, available) = match client::submit(addr, &job(OVERSIZED_JOB)) {
+        Err(ClientError::Refused(SubmitError::Rejected {
+            predicted,
+            available,
+        })) => (predicted, available),
+        other => panic!("oversized submit must be a memory rejection: {other:?}"),
+    };
     assert!(predicted > available, "rejection must be a real shortfall");
     println!(
         "serve_smoke: oversized job rejected ({predicted} B predicted, {available} B available)"
@@ -85,19 +49,14 @@ fn main() {
     // Long-poll the accepted job to completion; its telemetry must decode.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let outcome = loop {
-        let (code, body) = request(addr, "GET", &format!("/jobs/{id}/wait?timeout_ms=2000"), "");
-        let v = Json::parse(&body).expect("status parses");
-        match v.get("state").and_then(Json::as_str).expect("state") {
-            "completed" => {
-                assert_eq!(code, 200, "wait: {body}");
-                let telemetry = v.get("outcome").expect("outcome present").render();
+        let status = client::wait(addr, id).expect("wait");
+        match status.state {
+            JobState::Completed => {
+                let telemetry = status.telemetry.expect("outcome present");
                 break SortOutcome::from_json(&telemetry).expect("telemetry decodes");
             }
-            "failed" => panic!("job failed: {body}"),
-            _ => {
-                assert_eq!(code, 408, "non-terminal wait must time out: {body}");
-                assert!(std::time::Instant::now() < deadline, "job did not finish");
-            }
+            state if state.is_terminal() => panic!("job ended {}: {status:?}", state.name()),
+            _ => assert!(std::time::Instant::now() < deadline, "job did not finish"),
         }
     };
     // Count gates: a real 20k-record parallel sort moved real blocks.
@@ -111,14 +70,14 @@ fn main() {
         outcome.report.total(),
     );
 
-    let (code, body) = request(addr, "GET", "/stats", "");
+    let (code, body) = roundtrip(addr, "GET", "/stats", "").expect("stats");
     assert_eq!(code, 200, "stats: {body}");
     let v = Json::parse(&body).expect("stats parse");
     assert_eq!(v.get("submitted").and_then(Json::as_u64), Some(1), "{body}");
     assert_eq!(v.get("rejected").and_then(Json::as_u64), Some(1), "{body}");
     assert_eq!(v.get("completed").and_then(Json::as_u64), Some(1), "{body}");
 
-    let (code, body) = request(addr, "POST", "/shutdown", "");
+    let (code, body) = roundtrip(addr, "POST", "/shutdown", "").expect("shutdown");
     assert_eq!(code, 200, "shutdown: {body}");
     assert_eq!(
         Json::parse(&body)

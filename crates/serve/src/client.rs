@@ -1,0 +1,203 @@
+//! The HTTP client for [`crate::http`]: one request per connection, bodies
+//! framed by `Content-Length` and read with the same header reader the
+//! server uses for requests.
+//!
+//! [`roundtrip`] is the raw exchange. [`submit`] and [`wait`] speak the
+//! job routes and hand back typed values, decoded by
+//! [`SubmitError::from_json`] and [`JobStatus::from_json`].
+
+use crate::http::read_content_length;
+use crate::job::{JobId, JobRequest, JobState, JobStatus};
+use crate::service::SubmitError;
+use asym_core::sort::WireError;
+use asym_model::json::Json;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+
+/// Why a client call did not return its typed value.
+#[derive(Debug)]
+pub enum ClientError {
+    /// Connecting, sending, or reading a framed response failed.
+    Io(std::io::Error),
+    /// The service refused the submission (`429`, `422`, or `503`).
+    Refused(SubmitError),
+    /// The response body did not decode.
+    Wire(WireError),
+    /// Any other status code, with its body (e.g. `404` for an unknown job).
+    Status {
+        /// The HTTP status code.
+        code: u16,
+        /// The response body.
+        body: String,
+    },
+}
+
+impl std::fmt::Display for ClientError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClientError::Io(e) => write!(f, "transport: {e}"),
+            ClientError::Refused(e) => write!(f, "{e}"),
+            ClientError::Wire(e) => write!(f, "response: {e}"),
+            ClientError::Status { code, body } => write!(f, "HTTP {code}: {body}"),
+        }
+    }
+}
+
+impl std::error::Error for ClientError {}
+
+impl From<std::io::Error> for ClientError {
+    fn from(e: std::io::Error) -> Self {
+        ClientError::Io(e)
+    }
+}
+
+impl From<WireError> for ClientError {
+    fn from(e: WireError) -> Self {
+        ClientError::Wire(e)
+    }
+}
+
+/// One HTTP/1.1 exchange with the server at `addr`: send `body` (empty for
+/// none) and return the response's status code and body.
+pub fn roundtrip(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<(u16, String)> {
+    let mut stream = TcpStream::connect(addr)?;
+    let msg = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(msg.as_bytes())?;
+    read_response(stream)
+}
+
+/// Read one response from `stream`: the status line, the headers, and
+/// exactly `Content-Length` body bytes. The body buffer grows with the bytes
+/// that arrive, never to a declared length up front.
+pub fn read_response(stream: TcpStream) -> std::io::Result<(u16, String)> {
+    use std::io::{Error, ErrorKind};
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line)?;
+    let code = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|c| c.parse().ok())
+        .ok_or_else(|| Error::new(ErrorKind::InvalidData, format!("bad status line {line:?}")))?;
+    let length = read_content_length(&mut reader)?;
+    let mut body = String::new();
+    reader.take(length as u64).read_to_string(&mut body)?;
+    if body.len() != length {
+        return Err(ErrorKind::UnexpectedEof.into());
+    }
+    Ok((code, body))
+}
+
+/// `POST /jobs`: the new job's id, or the service's typed refusal.
+pub fn submit(addr: SocketAddr, request: &JobRequest) -> Result<JobId, ClientError> {
+    let (code, body) = roundtrip(addr, "POST", "/jobs", &request.to_json())?;
+    match code {
+        202 => Json::parse(&body)
+            .ok()
+            .and_then(|v| v.get("id").and_then(Json::as_u64))
+            .ok_or_else(|| WireError::Malformed(format!("202 without a job id: {body}")).into()),
+        429 | 422 | 503 => Err(ClientError::Refused(SubmitError::from_json(&body)?)),
+        code => Err(ClientError::Status { code, body }),
+    }
+}
+
+/// One long-poll of `GET /jobs/<id>/wait`: the job's status once it is
+/// terminal, or its current snapshot when the server's default wait lapses
+/// first. Callers poll again while the state is not terminal.
+///
+/// The status code must agree with the decoded state — `200` for completed
+/// or failed, `504` for expired, `408` for a live job — or the call is a
+/// [`ClientError::Wire`].
+pub fn wait(addr: SocketAddr, id: JobId) -> Result<JobStatus, ClientError> {
+    let (code, body) = roundtrip(addr, "GET", &format!("/jobs/{id}/wait"), "")?;
+    if !matches!(code, 200 | 408 | 504) {
+        return Err(ClientError::Status { code, body });
+    }
+    let status = JobStatus::from_json(&body)?;
+    let expected = match status.state {
+        JobState::Completed | JobState::Failed => 200,
+        JobState::Expired => 504,
+        JobState::Queued | JobState::Running => 408,
+    };
+    if code != expected {
+        return Err(WireError::Malformed(format!(
+            "/wait answered {code} for a {} job",
+            status.state.name()
+        ))
+        .into());
+    }
+    Ok(status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::respond;
+    use asym_core::sort::CostEstimate;
+    use std::net::TcpListener;
+
+    /// `wait` against a one-shot server that answers `code` with a status
+    /// in `state`.
+    fn wait_answered(code: u16, state: JobState) -> Result<JobStatus, ClientError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let status = JobStatus {
+            id: 3,
+            state,
+            predicted: CostEstimate {
+                reads: 1,
+                writes: 1,
+                peak_memory: 8,
+                omega: 4,
+            },
+            attempts: 1,
+            telemetry: None,
+            error: None,
+            failure: None,
+        };
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            reader.read_line(&mut String::new()).expect("request line");
+            read_content_length(&mut reader).expect("headers");
+            respond(stream, code, "Test", &status.to_json());
+        });
+        let answer = wait(addr, 3);
+        server.join().expect("server");
+        answer
+    }
+
+    #[test]
+    fn wait_accepts_only_the_code_its_state_implies() {
+        for (code, state) in [
+            (200, JobState::Completed),
+            (200, JobState::Failed),
+            (504, JobState::Expired),
+            (408, JobState::Queued),
+            (408, JobState::Running),
+        ] {
+            let status = wait_answered(code, state).expect("contract holds");
+            assert_eq!(status.state, state);
+        }
+        for (code, state) in [
+            (408, JobState::Completed),
+            (504, JobState::Completed),
+            (200, JobState::Expired),
+            (200, JobState::Running),
+            (504, JobState::Queued),
+        ] {
+            assert!(
+                matches!(wait_answered(code, state), Err(ClientError::Wire(_))),
+                "{code} for {state:?} must be refused"
+            );
+        }
+    }
+}

@@ -235,22 +235,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, St
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or(ReadError::Malformed)?.to_string();
     let path = parts.next().ok_or(ReadError::Malformed)?.to_string();
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(malformed)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v.parse().map_err(|_| ReadError::Malformed)?;
-        }
-    }
+    let content_length = read_content_length(reader).map_err(malformed)?;
     if content_length > MAX_BODY {
         return Err(ReadError::TooLarge {
             length: content_length,
@@ -265,6 +250,30 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, St
     ))
 }
 
+/// Read header lines through the blank line that ends them and return the
+/// `Content-Length` (0 when absent). Both directions frame bodies with it:
+/// [`read_request`] here, and [`crate::client`] for responses.
+pub(crate) fn read_content_length(reader: &mut impl BufRead) -> std::io::Result<usize> {
+    let mut content_length = 0usize;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header)?;
+        let header = header.trim_end();
+        if header.is_empty() {
+            return Ok(content_length);
+        }
+        if let Some(v) = header
+            .to_ascii_lowercase()
+            .strip_prefix("content-length:")
+            .map(str::trim)
+        {
+            content_length = v
+                .parse()
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        }
+    }
+}
+
 /// Pull one numeric query parameter out of `a=1&b=2` (missing or
 /// unparsable → `None`).
 fn query_u64(query: &str, key: &str) -> Option<u64> {
@@ -275,7 +284,7 @@ fn query_u64(query: &str, key: &str) -> Option<u64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-fn respond(mut stream: TcpStream, code: u16, reason: &str, body: &str) {
+pub(crate) fn respond(mut stream: TcpStream, code: u16, reason: &str, body: &str) {
     let msg = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),

@@ -14,6 +14,7 @@
 //! `include_output` chooses between lean telemetry and full sorted output
 //! in the completion payload.
 
+use asym_core::sort::wire::req_u64;
 use asym_core::sort::{checkpoint, CostEstimate, SortSpec, WireError};
 use asym_model::json::{self, Json, JsonArr, JsonObj};
 use asym_model::workload::Workload;
@@ -174,9 +175,7 @@ impl JobRequest {
         // only required for generator jobs.
         let records = match &input {
             Some(v) => v.len(),
-            None => json::get_u64(obj, "records")
-                .ok_or_else(|| WireError::Malformed("missing numeric field \"records\"".into()))?
-                as usize,
+            None => req_u64(obj, "records")? as usize,
         };
         Ok(JobRequest {
             spec,
@@ -217,6 +216,19 @@ impl JobState {
             JobState::Failed => "failed",
             JobState::Expired => "expired",
         }
+    }
+
+    /// Parse a stable name back.
+    pub fn parse(name: &str) -> Option<JobState> {
+        [
+            JobState::Queued,
+            JobState::Running,
+            JobState::Completed,
+            JobState::Failed,
+            JobState::Expired,
+        ]
+        .into_iter()
+        .find(|s| s.name() == name)
     }
 
     /// Whether the state is final: exactly one of completed / failed /
@@ -268,7 +280,7 @@ impl FailureKind {
 
 /// A point-in-time view of one job, as returned by
 /// [`SortService::status`](crate::SortService::status).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobStatus {
     /// The job.
     pub id: JobId,
@@ -300,6 +312,7 @@ impl JobStatus {
         p.u64("reads", self.predicted.reads)
             .u64("writes", self.predicted.writes)
             .u64("peak_memory", self.predicted.peak_memory as u64)
+            .u64("omega", self.predicted.omega)
             .u64("peak_bytes", self.predicted.peak_bytes())
             .u64("io_cost", self.predicted.io_cost());
         o.raw("predicted", &p.finish());
@@ -313,6 +326,43 @@ impl JobStatus {
             o.str("failure_kind", k.name());
         }
         o.finish()
+    }
+
+    /// Decode what [`to_json`](Self::to_json) renders, field for field.
+    /// The derived `peak_bytes` and `io_cost` are recomputed, not read.
+    pub fn from_json(text: &str) -> Result<JobStatus, WireError> {
+        let v = Json::parse(text).map_err(WireError::Malformed)?;
+        let obj = v
+            .as_obj()
+            .ok_or_else(|| WireError::Malformed("job status must be a JSON object".into()))?;
+        let name = json::get_str(obj, "state")
+            .ok_or_else(|| WireError::Malformed("missing string field \"state\"".into()))?;
+        let state = JobState::parse(&name)
+            .ok_or_else(|| WireError::Malformed(format!("unknown job state {name:?}")))?;
+        let p = json::find(obj, "predicted")
+            .and_then(Json::as_obj)
+            .ok_or_else(|| WireError::Malformed("missing \"predicted\" object".into()))?;
+        let failure = match json::get_str(obj, "failure_kind") {
+            None => None,
+            Some(k) => Some(
+                FailureKind::parse(&k)
+                    .ok_or_else(|| WireError::Malformed(format!("unknown failure kind {k:?}")))?,
+            ),
+        };
+        Ok(JobStatus {
+            id: req_u64(obj, "id")?,
+            state,
+            predicted: CostEstimate {
+                reads: req_u64(p, "reads")?,
+                writes: req_u64(p, "writes")?,
+                peak_memory: req_u64(p, "peak_memory")? as usize,
+                omega: req_u64(p, "omega")?,
+            },
+            attempts: req_u64(obj, "attempts")? as u32,
+            telemetry: json::find(obj, "outcome").map(Json::render),
+            error: json::get_str(obj, "error"),
+            failure,
+        })
     }
 }
 
@@ -472,16 +522,97 @@ mod tests {
             error: None,
             failure: None,
         };
+        // The derived bounds ride along for readers; from_json recomputes
+        // them from the four stored fields.
         let v = Json::parse(&status.to_json()).expect("parses");
-        assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
-        assert_eq!(v.get("state").and_then(Json::as_str), Some("completed"));
-        assert_eq!(v.get("attempts").and_then(Json::as_u64), Some(2));
         let p = v.get("predicted").expect("predicted");
         assert_eq!(
             p.get("peak_bytes").and_then(Json::as_u64),
             Some(r.predict().peak_bytes())
         );
-        assert!(v.get("outcome").is_some());
+        assert_eq!(
+            p.get("io_cost").and_then(Json::as_u64),
+            Some(r.predict().io_cost())
+        );
+
+        // from_json inverts to_json in every state: queued through
+        // completed, failed with each failure kind, and expired.
+        let mut statuses = vec![status];
+        for state in [JobState::Queued, JobState::Running, JobState::Expired] {
+            statuses.push(JobStatus {
+                state,
+                telemetry: None,
+                ..statuses[0].clone()
+            });
+        }
+        for kind in [FailureKind::Io, FailureKind::Panic, FailureKind::Fatal] {
+            statuses.push(JobStatus {
+                state: JobState::Failed,
+                telemetry: None,
+                error: Some(format!("attempt died: \"{}\"", kind.name())),
+                failure: Some(kind),
+                ..statuses[0].clone()
+            });
+        }
+        for s in statuses {
+            assert_eq!(JobStatus::from_json(&s.to_json()).as_ref(), Ok(&s));
+        }
+    }
+
+    #[test]
+    fn submit_errors_round_trip() {
+        use crate::SubmitError;
+        for e in [
+            SubmitError::Rejected {
+                predicted: 4096,
+                available: 1024,
+            },
+            SubmitError::RejectedIo {
+                predicted: 68,
+                available: 1,
+            },
+            SubmitError::DeadlineUnmeetable {
+                eta_ms: 90,
+                deadline_ms: 1,
+            },
+            SubmitError::Draining,
+        ] {
+            assert_eq!(SubmitError::from_json(&e.to_json()), Ok(e));
+        }
+        assert!(matches!(
+            SubmitError::from_json(r#"{"error": "busy"}"#),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn malformed_statuses_are_typed() {
+        for (text, needle) in [
+            ("{ nope", ""),
+            ("[1]", "must be a JSON object"),
+            (r#"{"id": 1, "attempts": 0}"#, "\"state\""),
+            (r#"{"id": 1, "state": "asleep"}"#, "unknown job state"),
+            (
+                r#"{"id": 1, "state": "queued", "attempts": 0}"#,
+                "\"predicted\"",
+            ),
+            (
+                r#"{"id": 1, "state": "queued", "attempts": 0,
+                    "predicted": {"reads": 1, "writes": 1, "peak_memory": 1}}"#,
+                "\"omega\"",
+            ),
+            (
+                r#"{"id": 1, "state": "failed", "attempts": 1, "failure_kind": "luck",
+                    "predicted": {"reads": 1, "writes": 1, "peak_memory": 1, "omega": 8}}"#,
+                "unknown failure kind",
+            ),
+        ] {
+            let err = JobStatus::from_json(text).unwrap_err();
+            assert!(
+                matches!(err, WireError::Malformed(ref m) if m.contains(needle)),
+                "{text}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -493,6 +624,7 @@ mod tests {
             JobState::Failed,
             JobState::Expired,
         ] {
+            assert_eq!(JobState::parse(s.name()), Some(s));
             assert_eq!(
                 s.is_terminal(),
                 matches!(

@@ -8,7 +8,8 @@
 //! predicted-peak-memory budget, so an over-committed machine is refused at
 //! submission time ([`SubmitError::Rejected`]) instead of discovered by
 //! thrashing at run time. [`http::serve`] puts a dependency-free HTTP/1.1
-//! front door on it, speaking the [`asym_core::sort::wire`] JSON formats.
+//! front door on it, speaking the [`asym_core::sort::wire`] JSON formats,
+//! and [`client`] is the one client every caller uses to reach it.
 //!
 //! The service is built to survive its process: `audit.jsonl` is a
 //! versioned write-ahead log ([`audit`]), [`SortService::recover`] replays
@@ -59,6 +60,7 @@
 //! [`SortSpec`]: asym_core::sort::SortSpec
 
 pub mod audit;
+pub mod client;
 pub mod http;
 pub mod job;
 pub mod service;

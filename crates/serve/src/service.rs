@@ -38,8 +38,11 @@
 
 use crate::audit::{replay, AuditError, AuditEvent, ReplayOutcome};
 use crate::job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
-use asym_core::sort::{self, CheckpointManifest, Checkpointer, CostEstimate, SortSpec, SpecError};
-use asym_model::json::JsonObj;
+use asym_core::sort::wire::req_u64;
+use asym_core::sort::{
+    self, CheckpointManifest, Checkpointer, CostEstimate, SortSpec, SpecError, WireError,
+};
+use asym_model::json::{self, Json, JsonObj};
 use asym_model::ModelError;
 use em_sim::{Backend, FaultSpec};
 use std::collections::{HashMap, VecDeque};
@@ -135,7 +138,7 @@ pub enum SubmitError {
 }
 
 impl SubmitError {
-    /// Structured error payload (`error` is `"rejected"`,
+    /// Structured error payload (`error` is `"rejected"`, `"rejected_io"`,
     /// `"deadline_unmeetable"`, or `"draining"`).
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
@@ -179,6 +182,33 @@ impl SubmitError {
             }
         }
         o.finish()
+    }
+
+    /// Decode what [`to_json`](Self::to_json) renders (the `message` is
+    /// prose and is not read back).
+    pub fn from_json(text: &str) -> Result<SubmitError, WireError> {
+        let v = Json::parse(text).map_err(WireError::Malformed)?;
+        let obj = v
+            .as_obj()
+            .ok_or_else(|| WireError::Malformed("submit error must be a JSON object".into()))?;
+        match json::get_str(obj, "error").as_deref() {
+            Some("rejected") => Ok(SubmitError::Rejected {
+                predicted: req_u64(obj, "predicted")?,
+                available: req_u64(obj, "available")?,
+            }),
+            Some("rejected_io") => Ok(SubmitError::RejectedIo {
+                predicted: req_u64(obj, "predicted")?,
+                available: req_u64(obj, "available")?,
+            }),
+            Some("deadline_unmeetable") => Ok(SubmitError::DeadlineUnmeetable {
+                eta_ms: req_u64(obj, "eta_ms")?,
+                deadline_ms: req_u64(obj, "deadline_ms")?,
+            }),
+            Some("draining") => Ok(SubmitError::Draining),
+            other => Err(WireError::Malformed(format!(
+                "unknown submit error {other:?}"
+            ))),
+        }
     }
 }
 

@@ -18,12 +18,10 @@
 //! Set `CHAOS_AUDIT_DIR` to keep the audit log as a CI artifact.
 
 use asym_core::sort::{self, Algorithm, SortOutcome, SortSpec};
-use asym_model::json::Json;
 use asym_model::workload::Workload;
-use asym_serve::{replay, serve, JobRequest, ServiceConfig, SortService};
+use asym_serve::client::{self, roundtrip};
+use asym_serve::{replay, serve, FailureKind, JobRequest, JobState, ServiceConfig, SortService};
 use em_sim::FaultSpec;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -35,30 +33,6 @@ const CHAOS_SEED: u64 = 0xC0FFEE;
 /// pool. If the session doesn't reach terminal states in this long,
 /// something deadlocked.
 const GUARD: Duration = Duration::from_secs(180);
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: chaos\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    )
-    .expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let code: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("status code");
-    let body = response
-        .split_once("\r\n\r\n")
-        .expect("header/body separator")
-        .1
-        .to_string();
-    (code, body)
-}
 
 /// What we expect of a job once the storm passes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -154,16 +128,6 @@ fn roster(round: u64) -> Vec<(JobRequest, Fate)> {
     jobs
 }
 
-fn submit(addr: SocketAddr, req: &JobRequest) -> u64 {
-    let (code, body) = request(addr, "POST", "/jobs", &req.to_json());
-    assert_eq!(code, 202, "{body}");
-    Json::parse(&body)
-        .expect("parses")
-        .get("id")
-        .and_then(Json::as_u64)
-        .expect("id")
-}
-
 #[test]
 fn chaos_storm_with_kill_and_recover_settles_every_job() {
     // The crashers panic inside the workers' catch_unwind; silence the
@@ -193,7 +157,7 @@ fn chaos_storm_with_kill_and_recover_settles_every_job() {
     let mut server = serve(service, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
     for (req, fate) in roster(0) {
-        let id = submit(addr, &req);
+        let id = client::submit(addr, &req).expect("submit");
         jobs.push((id, req, fate));
     }
     std::thread::sleep(Duration::from_millis(100));
@@ -223,7 +187,7 @@ fn chaos_storm_with_kill_and_recover_settles_every_job() {
         .take(4)
         .map(|(req, fate)| {
             std::thread::spawn(move || {
-                let id = submit(addr, &req);
+                let id = client::submit(addr, &req).expect("submit");
                 (id, req, fate)
             })
         })
@@ -245,38 +209,25 @@ fn chaos_storm_with_kill_and_recover_settles_every_job() {
     for (id, req, fate) in &jobs {
         // Long-poll to a terminal state; the guard deadline is the
         // no-deadlock assertion.
-        let (state, body) = loop {
-            let (code, body) =
-                request(addr, "GET", &format!("/jobs/{id}/wait?timeout_ms=2000"), "");
-            let v = Json::parse(&body).expect("parses");
-            let state = v
-                .get("state")
-                .and_then(Json::as_str)
-                .expect("state")
-                .to_string();
-            match state.as_str() {
-                "completed" | "failed" | "expired" => {
-                    assert_eq!(code, if state == "expired" { 504 } else { 200 }, "{body}");
-                    break (state, body);
-                }
-                _ => {
-                    assert_eq!(code, 408, "{body}");
-                    assert!(
-                        Instant::now() < deadline,
-                        "job {id} did not settle — pool wedged?"
-                    );
-                }
+        let status = loop {
+            let status = client::wait(addr, *id).expect("wait");
+            if status.state.is_terminal() {
+                break status;
             }
+            assert!(
+                Instant::now() < deadline,
+                "job {id} did not settle — pool wedged?"
+            );
         };
-        let v = Json::parse(&body).expect("parses");
+        let state = status.state;
         match fate {
             Fate::Completes => {
-                assert_eq!(state, "completed", "job {id}: {body}");
+                assert_eq!(state, JobState::Completed, "job {id}: {status:?}");
                 // The availability storm never touches the model: modeled
                 // costs equal a fault-free run of the same spec, bit for
                 // bit.
-                let telemetry = v.get("outcome").expect("telemetry").render();
-                let outcome = SortOutcome::from_json(&telemetry).expect("decodes");
+                let telemetry = status.telemetry.as_deref().expect("telemetry");
+                let outcome = SortOutcome::from_json(telemetry).expect("decodes");
                 let clean = fault_free(&req.spec);
                 let direct = sort::run(&clean, &req.workload.generate(req.records, req.data_seed))
                     .expect("fault-free run");
@@ -286,23 +237,19 @@ fn chaos_storm_with_kill_and_recover_settles_every_job() {
                 );
             }
             Fate::Crashes => {
-                assert_eq!(state, "failed", "job {id}: {body}");
-                assert_eq!(
-                    v.get("failure_kind").and_then(Json::as_str),
-                    Some("panic"),
-                    "{body}"
-                );
+                assert_eq!(state, JobState::Failed, "job {id}: {status:?}");
+                assert_eq!(status.failure, Some(FailureKind::Panic), "{status:?}");
             }
             Fate::Races => {
                 assert!(
-                    state == "completed" || state == "expired",
-                    "job {id}: {body}"
+                    state == JobState::Completed || state == JobState::Expired,
+                    "job {id}: {status:?}"
                 );
             }
         }
     }
 
-    let (code, body) = request(addr, "POST", "/shutdown", "");
+    let (code, body) = roundtrip(addr, "POST", "/shutdown", "").expect("shutdown");
     assert_eq!(code, 200, "{body}");
     server.shutdown();
     drop(server);
@@ -328,7 +275,7 @@ fn chaos_storm_with_kill_and_recover_settles_every_job() {
             Fate::Crashes => assert!(
                 matches!(
                     j.outcome,
-                    ReplayOutcome::Failed { kind, .. } if kind == asym_serve::FailureKind::Panic
+                    ReplayOutcome::Failed { kind, .. } if kind == FailureKind::Panic
                 ),
                 "job {id}: {:?}",
                 j.outcome

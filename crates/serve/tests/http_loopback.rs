@@ -1,12 +1,13 @@
 //! The HTTP front door over real loopback sockets: submit, poll, reject,
-//! introspect, shut down — all with a hand-rolled client so the test
+//! introspect, shut down — all through `asym_serve::client`, so the test
 //! exercises actual bytes on the wire, not internal calls.
 
 use asym_core::sort::SortOutcome;
 use asym_model::json::Json;
-use asym_serve::{serve, ServiceConfig, SortService};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use asym_serve::client::{self, read_response, roundtrip};
+use asym_serve::{serve, JobRequest, JobState, JobStatus, ServiceConfig, SortService, SubmitError};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 fn fresh_root(name: &str) -> PathBuf {
@@ -15,34 +16,13 @@ fn fresh_root(name: &str) -> PathBuf {
     dir
 }
 
-/// One HTTP/1.1 exchange; returns (status code, body).
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    )
-    .expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let code: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("status code");
-    let body = response
-        .split_once("\r\n\r\n")
-        .expect("header/body separator")
-        .1
-        .to_string();
-    (code, body)
-}
-
 const SMALL_JOB: &str = r#"{
     "spec": {"algorithm": "aem-samplesort", "m": 64, "b": 8, "omega": 16, "k": 2},
     "workload": "zipf", "records": 3000, "data_seed": 11, "include_output": false }"#;
+
+fn job(text: &str) -> JobRequest {
+    JobRequest::from_json(text).expect("valid job")
+}
 
 #[test]
 fn full_session_over_loopback() {
@@ -51,26 +31,23 @@ fn full_session_over_loopback() {
     let mut server = serve(service, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
-    let (code, body) = request(addr, "GET", "/healthz", "");
+    let (code, body) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(code, 200, "{body}");
 
-    // Accepted submission: 202 with an id and the queued status.
-    let (code, body) = request(addr, "POST", "/jobs", SMALL_JOB);
-    assert_eq!(code, 202, "{body}");
-    let v = Json::parse(&body).expect("parses");
-    let id = v.get("id").and_then(Json::as_u64).expect("id");
+    // Accepted submission: 202 with an id.
+    let id = client::submit(addr, &job(SMALL_JOB)).expect("submit");
 
     // Poll until done; telemetry must be decodable outcome JSON.
     let outcome = loop {
-        let (code, body) = request(addr, "GET", &format!("/jobs/{id}"), "");
+        let (code, body) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "").expect("status");
         assert_eq!(code, 200, "{body}");
-        let v = Json::parse(&body).expect("parses");
-        match v.get("state").and_then(Json::as_str).expect("state") {
-            "completed" => {
-                let telemetry = v.get("outcome").expect("telemetry present");
-                break SortOutcome::from_json(&telemetry.render()).expect("telemetry decodes");
+        let status = JobStatus::from_json(&body).expect("status decodes");
+        match status.state {
+            JobState::Completed => {
+                let telemetry = status.telemetry.as_deref().expect("telemetry present");
+                break SortOutcome::from_json(telemetry).expect("telemetry decodes");
             }
-            "failed" => panic!("job failed: {body}"),
+            JobState::Failed => panic!("job failed: {body}"),
             _ => std::thread::sleep(std::time::Duration::from_millis(5)),
         }
     };
@@ -79,15 +56,18 @@ fn full_session_over_loopback() {
 
     // Over-budget submission: typed 429 with both sides of the comparison.
     let monster = SMALL_JOB.replace("\"m\": 64", "\"m\": 1000000");
-    let (code, body) = request(addr, "POST", "/jobs", &monster);
+    let (code, body) = roundtrip(addr, "POST", "/jobs", &monster).expect("submit");
     assert_eq!(code, 429, "{body}");
-    let v = Json::parse(&body).expect("parses");
-    assert_eq!(v.get("error").and_then(Json::as_str), Some("rejected"));
-    assert!(v.get("predicted").and_then(Json::as_u64).unwrap() > 1 << 20);
-    assert!(v.get("available").and_then(Json::as_u64).is_some());
+    assert!(
+        matches!(
+            SubmitError::from_json(&body),
+            Ok(SubmitError::Rejected { predicted, .. }) if predicted > 1 << 20
+        ),
+        "{body}"
+    );
 
     // Malformed and invalid payloads: 400 with structured errors.
-    let (code, body) = request(addr, "POST", "/jobs", "{ nope");
+    let (code, body) = roundtrip(addr, "POST", "/jobs", "{ nope").expect("submit");
     assert_eq!(code, 400, "{body}");
     assert_eq!(
         Json::parse(&body)
@@ -97,7 +77,7 @@ fn full_session_over_loopback() {
         Some("malformed")
     );
     let invalid = SMALL_JOB.replace("\"b\": 8", "\"b\": 1000");
-    let (code, body) = request(addr, "POST", "/jobs", &invalid);
+    let (code, body) = roundtrip(addr, "POST", "/jobs", &invalid).expect("submit");
     assert_eq!(code, 400, "{body}");
     let v = Json::parse(&body).expect("parses");
     assert_eq!(v.get("error").and_then(Json::as_str), Some("spec"));
@@ -106,17 +86,17 @@ fn full_session_over_loopback() {
         Some("block_exceeds_memory")
     );
 
-    let (code, _) = request(addr, "GET", "/jobs/4096", "");
+    let (code, _) = roundtrip(addr, "GET", "/jobs/4096", "").expect("status");
     assert_eq!(code, 404);
 
-    let (code, body) = request(addr, "GET", "/stats", "");
+    let (code, body) = roundtrip(addr, "GET", "/stats", "").expect("stats");
     assert_eq!(code, 200);
     let v = Json::parse(&body).expect("parses");
     assert_eq!(v.get("submitted").and_then(Json::as_u64), Some(1));
     assert_eq!(v.get("rejected").and_then(Json::as_u64), Some(1));
 
     // Graceful shutdown over the wire: drained stats in the response.
-    let (code, body) = request(addr, "POST", "/shutdown", "");
+    let (code, body) = roundtrip(addr, "POST", "/shutdown", "").expect("shutdown");
     assert_eq!(code, 200, "{body}");
     let v = Json::parse(&body).expect("parses");
     assert_eq!(v.get("drained").and_then(Json::as_bool), Some(true));
@@ -144,58 +124,31 @@ fn wait_long_polls_with_a_bounded_server_side_timeout() {
     let addr = server.addr();
 
     // Unknown jobs are 404 on the wait route too.
-    let (code, _) = request(addr, "GET", "/jobs/4096/wait", "");
+    let (code, _) = roundtrip(addr, "GET", "/jobs/4096/wait", "").expect("wait");
     assert_eq!(code, 404);
 
-    let (_, body) = request(addr, "POST", "/jobs", BUSY_JOB);
-    let busy = Json::parse(&body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_u64)
-        .unwrap();
-    let (_, body) = request(addr, "POST", "/jobs", SMALL_JOB);
-    let queued = Json::parse(&body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_u64)
-        .unwrap();
+    let busy = client::submit(addr, &job(BUSY_JOB)).expect("submit");
+    let queued = client::submit(addr, &job(SMALL_JOB)).expect("submit");
 
     // The queued job sits behind the busy one on the single worker, so a
     // short wait must come back 408 carrying the *current* snapshot.
-    let (code, body) = request(
-        addr,
-        "GET",
-        &format!("/jobs/{queued}/wait?timeout_ms=50"),
-        "",
-    );
+    let path = format!("/jobs/{queued}/wait?timeout_ms=50");
+    let (code, body) = roundtrip(addr, "GET", &path, "").expect("wait");
     assert_eq!(code, 408, "{body}");
-    let v = Json::parse(&body).expect("parses");
-    assert!(
-        matches!(
-            v.get("state").and_then(Json::as_str),
-            Some("queued") | Some("running")
-        ),
-        "{body}"
-    );
+    let status = JobStatus::from_json(&body).expect("status decodes");
+    assert!(!status.state.is_terminal(), "{body}");
 
-    // A long enough wait rides the long-poll to 200 completed.
+    // A long enough wait rides the long-poll to 200 completed
+    // (`client::wait` checks each code against the state it carries).
     for id in [busy, queued] {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
         loop {
-            let (code, body) =
-                request(addr, "GET", &format!("/jobs/{id}/wait?timeout_ms=2000"), "");
-            let v = Json::parse(&body).expect("parses");
-            match v.get("state").and_then(Json::as_str).expect("state") {
-                "completed" => {
-                    assert_eq!(code, 200, "{body}");
-                    break;
-                }
-                "failed" => panic!("job failed: {body}"),
-                _ => {
-                    assert_eq!(code, 408, "{body}");
-                    assert!(std::time::Instant::now() < deadline);
-                }
+            let status = client::wait(addr, id).expect("wait");
+            if status.state.is_terminal() {
+                assert_eq!(status.state, JobState::Completed, "{status:?}");
+                break;
             }
+            assert!(std::time::Instant::now() < deadline);
         }
     }
     server.shutdown();
@@ -209,31 +162,21 @@ fn queued_jobs_past_their_deadline_expire_into_504() {
     let mut server = serve(service, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
-    let (code, _) = request(addr, "POST", "/jobs", BUSY_JOB);
-    assert_eq!(code, 202);
+    client::submit(addr, &job(BUSY_JOB)).expect("submit");
     // One millisecond of deadline against a worker held busy for much
     // longer: the job must expire in the queue, never having run.
-    let dated = SMALL_JOB.replace("\"data_seed\": 11", "\"data_seed\": 11, \"deadline_ms\": 1");
-    let (code, body) = request(addr, "POST", "/jobs", &dated);
-    assert_eq!(code, 202, "{body}");
-    let id = Json::parse(&body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_u64)
-        .unwrap();
+    let mut dated = job(SMALL_JOB);
+    dated.deadline_ms = Some(1);
+    let id = client::submit(addr, &dated).expect("submit");
 
     std::thread::sleep(std::time::Duration::from_millis(20));
-    let (code, body) = request(addr, "GET", &format!("/jobs/{id}"), "");
+    let (code, body) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "").expect("status");
     assert_eq!(code, 504, "{body}");
-    let v = Json::parse(&body).expect("parses");
-    assert_eq!(v.get("state").and_then(Json::as_str), Some("expired"));
-    assert_eq!(
-        v.get("attempts").and_then(Json::as_u64),
-        Some(0),
-        "never ran"
-    );
+    let status = JobStatus::from_json(&body).expect("status decodes");
+    assert_eq!(status.state, JobState::Expired);
+    assert_eq!(status.attempts, 0, "never ran");
     // The wait route agrees: expiry is terminal, reported as 504.
-    let (code, _) = request(addr, "GET", &format!("/jobs/{id}/wait"), "");
+    let (code, _) = roundtrip(addr, "GET", &format!("/jobs/{id}/wait"), "").expect("wait");
     assert_eq!(code, 504);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
@@ -250,19 +193,20 @@ fn unmeetable_deadlines_are_refused_up_front_with_422() {
     let mut server = serve(service, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
-    let dated = SMALL_JOB.replace("\"data_seed\": 11", "\"data_seed\": 11, \"deadline_ms\": 1");
-    let (code, body) = request(addr, "POST", "/jobs", &dated);
+    let mut dated = job(SMALL_JOB);
+    dated.deadline_ms = Some(1);
+    let (code, body) = roundtrip(addr, "POST", "/jobs", &dated.to_json()).expect("submit");
     assert_eq!(code, 422, "{body}");
-    let v = Json::parse(&body).expect("parses");
-    assert_eq!(
-        v.get("error").and_then(Json::as_str),
-        Some("deadline_unmeetable")
+    assert!(
+        matches!(
+            SubmitError::from_json(&body),
+            Ok(SubmitError::DeadlineUnmeetable { eta_ms, deadline_ms: 1 }) if eta_ms > 1
+        ),
+        "{body}"
     );
-    assert!(v.get("eta_ms").and_then(Json::as_u64).unwrap() > 1);
 
     // The same job without a deadline sails through.
-    let (code, _) = request(addr, "POST", "/jobs", SMALL_JOB);
-    assert_eq!(code, 202);
+    client::submit(addr, &job(SMALL_JOB)).expect("submit");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -283,18 +227,15 @@ fn oversized_request_bodies_get_a_typed_413_without_allocation() {
         "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 2147483647\r\nConnection: close\r\n\r\n"
     )
     .expect("send headers");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let code: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-    assert_eq!(code, 413, "{response}");
-    let body = response.split_once("\r\n\r\n").unwrap().1;
-    let v = Json::parse(body).expect("parses");
+    let (code, body) = read_response(stream).expect("receive");
+    assert_eq!(code, 413, "{body}");
+    let v = Json::parse(&body).expect("parses");
     assert_eq!(v.get("error").and_then(Json::as_str), Some("too_large"));
     assert_eq!(v.get("length").and_then(Json::as_u64), Some(2147483647));
     assert!(v.get("max").and_then(Json::as_u64).unwrap() >= 1 << 20);
 
     // The connection above did not wedge the server.
-    let (code, _) = request(addr, "GET", "/healthz", "");
+    let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(code, 200);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

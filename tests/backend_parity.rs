@@ -80,12 +80,11 @@ fn adversarial_workloads_are_backend_invariant() {
 
 // The heapsort's drained priority queue retains empty structural blocks,
 // so the registry adapter (which owns its machine) cannot assert a clean
-// store for it. This check runs the legacy entry point on a visible
+// store for it. This check runs the engine's free function on a visible
 // machine instead: the *count* of residual blocks must be identical across
 // backends — a FileStore alloc/release accounting bug that diverges
 // without corrupting bytes or modeled stats would surface here.
 #[test]
-#[allow(deprecated)]
 fn heapsort_residual_blocks_match_across_backends() {
     use asym_core::em::aem_heapsort;
     use asym_core::em::pq::pq_slack;

@@ -14,7 +14,7 @@
 //! identical `BlockId` schedule.
 
 use asym_model::Record;
-use em_sim::{BlockId, BlockStore, Disk, FileStore, MemStore};
+use em_sim::{BlockId, BlockStore, FileStore, MemStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -58,7 +58,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..300),
         b in 1usize..9,
     ) {
-        let mut disk = Disk::new(b);
+        let mut disk = MemStore::new(b);
         let mut reference: HashMap<usize, Vec<Record>> = HashMap::new();
         let mut live: Vec<BlockId> = Vec::new();
         let mut dead: Vec<BlockId> = Vec::new();

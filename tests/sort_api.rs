@@ -2,9 +2,8 @@
 //!
 //! * a registry-driven differential suite proving every `Sorter` adapter
 //!   byte-identical — output *and* modeled `(reads, writes, peak_memory)` —
-//!   to the legacy free-function entry points it replaces (the redesign
-//!   must be provably cost-neutral; `tests/cost_golden.rs` separately
-//!   freezes the absolute counts through the legacy names);
+//!   to the free-function engine it runs on a hand-built machine
+//!   (`tests/cost_golden.rs` separately freezes the absolute counts);
 //! * `SortSpec` validation: every invalid combination is a typed
 //!   `SpecError` (and backend faults a typed `ModelError`), never a panic;
 //! * the §2 steal-charging knob: off by default (cost-neutral), folded into
@@ -13,9 +12,6 @@
 //! The `ASYM_BENCH_*` absorption of `SortSpecBuilder::from_env` lives in
 //! its own binary (`tests/sort_env.rs`) because it mutates the process
 //! environment.
-
-// The point of this suite is to compare against the deprecated entry points.
-#![allow(deprecated)]
 
 use asym_core::em::pq::pq_slack;
 use asym_core::em::{
@@ -32,9 +28,9 @@ use rand::SeedableRng;
 const OMEGA: u64 = 8;
 const SEED: u64 = 0xD1FF;
 
-/// Run one legacy free function at the given geometry, returning what the
+/// Run one engine's free function at the given geometry, returning what the
 /// unified API would call the outcome: (output, merged stats).
-fn legacy_run(
+fn engine_run(
     algorithm: Algorithm,
     m: usize,
     b: usize,
@@ -47,7 +43,7 @@ fn legacy_run(
             let cfg = EmConfig::new(m, b, OMEGA).with_slack(mergesort_slack(m, b, k));
             let em = EmMachine::new(cfg);
             let v = EmVec::stage(&em, input);
-            let sorted = aem_mergesort(&em, v, k).expect("legacy mergesort");
+            let sorted = aem_mergesort(&em, v, k).expect("mergesort");
             let out = sorted.read_all_uncharged(&em);
             (out, em.stats())
         }
@@ -56,7 +52,7 @@ fn legacy_run(
             let em = EmMachine::new(cfg);
             let v = EmVec::stage(&em, input);
             let mut rng = StdRng::seed_from_u64(SEED);
-            let sorted = aem_samplesort(&em, v, k, &mut rng).expect("legacy samplesort");
+            let sorted = aem_samplesort(&em, v, k, &mut rng).expect("samplesort");
             let out = sorted.read_all_uncharged(&em);
             (out, em.stats())
         }
@@ -64,20 +60,20 @@ fn legacy_run(
             let cfg = EmConfig::new(m, b, OMEGA).with_slack(pq_slack(m, b, k));
             let em = EmMachine::new(cfg);
             let v = EmVec::stage(&em, input);
-            let sorted = aem_heapsort(&em, v, k).expect("legacy heapsort");
+            let sorted = aem_heapsort(&em, v, k).expect("heapsort");
             let out = sorted.read_all_uncharged(&em);
             (out, em.stats())
         }
         Algorithm::ParSamplesort => {
             let cfg = EmConfig::new(m, b, OMEGA).with_slack(par_samplesort_slack(m, b, k));
             let par = ParMachine::new(cfg, lanes);
-            let run = par_aem_sample_sort(&par, input, k, SEED).expect("legacy par sort");
+            let (run, _) = par_aem_sample_sort(&par, input, k, SEED, false).expect("par sort");
             (run.output, run.merged)
         }
     }
 }
 
-/// The registry spec matching `legacy_run`'s machine construction.
+/// The registry spec matching `engine_run`'s machine construction.
 fn spec(algorithm: Algorithm, m: usize, b: usize, k: usize, lanes: usize) -> SortSpec {
     SortSpec::builder(algorithm, m, b, OMEGA)
         .k(k)
@@ -102,14 +98,14 @@ fn registry_is_byte_identical_to_the_legacy_entry_points() {
         for k in [1usize, 2] {
             for wl in [Workload::UniformRandom, Workload::Zipf, Workload::Sorted] {
                 let input = wl.generate(700, 0x60_1D);
-                let (legacy_out, legacy_stats) = legacy_run(algorithm, m, b, k, lanes, &input);
+                let (engine_out, engine_stats) = engine_run(algorithm, m, b, k, lanes, &input);
                 let outcome = sorter
                     .run(&spec(algorithm, m, b, k, lanes), &input)
                     .expect("registry run");
                 let label = format!("{} k={k} {wl:?}", sorter.name());
-                assert_eq!(outcome.output, legacy_out, "{label}: output drifted");
+                assert_eq!(outcome.output, engine_out, "{label}: output drifted");
                 assert_eq!(
-                    outcome.stats, legacy_stats,
+                    outcome.stats, engine_stats,
                     "{label}: modeled costs drifted — the redesign must be cost-neutral"
                 );
             }
