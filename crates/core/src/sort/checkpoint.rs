@@ -34,7 +34,7 @@ use super::predict::CostEstimate;
 use super::spec::SortSpec;
 use super::wire::WireError;
 use crate::em::mergesort::{merge_sorted_runs, mergesort_slack};
-use asym_model::json::{self, Json, JsonArr, JsonObj};
+use asym_model::json::{self, Json, JsonArr, JsonObj, RecordsError};
 use asym_model::{ModelError, Record, Result};
 use em_sim::{EmStats, EmVec};
 
@@ -232,11 +232,7 @@ impl CheckpointManifest {
         o.raw("stats", &s.finish());
         let mut runs = JsonArr::new();
         for run in &self.runs {
-            let mut arr = JsonArr::new();
-            for r in run {
-                arr.raw(&format!("[{}, {}]", r.key, r.payload));
-            }
-            runs.raw(&arr.finish());
+            runs.records(run);
         }
         o.raw("runs", &runs.finish());
         o.finish()
@@ -270,27 +266,16 @@ impl CheckpointManifest {
         let runs_v = json::find(obj, "runs")
             .and_then(Json::as_arr)
             .ok_or_else(|| bad("manifest missing \"runs\" array".into()))?;
-        let mut runs = Vec::with_capacity(runs_v.len());
-        for run in runs_v {
-            let items = run
-                .as_arr()
-                .ok_or_else(|| bad("manifest runs must be arrays".into()))?;
-            let mut records = Vec::with_capacity(items.len());
-            for item in items {
-                let pair = item
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| bad("run records are [key, payload] pairs".into()))?;
-                let key = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| bad("record key must be a u64".into()))?;
-                let payload = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| bad("record payload must be a u64".into()))?;
-                records.push(Record::new(key, payload));
-            }
-            runs.push(records);
-        }
+        let runs = runs_v
+            .iter()
+            .map(|run| {
+                json::records(run).map_err(|e| match e {
+                    RecordsError::NotArray => bad("manifest runs must be arrays".into()),
+                    RecordsError::NotPair => bad("run records are [key, payload] pairs".into()),
+                    e => bad(e.to_string()),
+                })
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         Ok(CheckpointManifest {
             version,
             digest: req("digest")?,

@@ -27,8 +27,7 @@
 
 use super::adapters::{ParData, SortOutcome};
 use super::spec::{Algorithm, SortSpec, SpecError};
-use asym_model::json::{self, Json, JsonArr, JsonObj};
-use asym_model::Record;
+use asym_model::json::{self, Json, JsonArr, JsonObj, RecordsError};
 use em_sim::{Backend, EmStats, FaultSpec};
 use wd_sim::{Cost, StealStats};
 
@@ -298,11 +297,7 @@ impl SortOutcome {
             .u64("io_cost", self.io_cost())
             .u64("output_len", self.output.len() as u64);
         if include_output {
-            let mut arr = JsonArr::new();
-            for r in &self.output {
-                arr.raw(&format!("[{}, {}]", r.key, r.payload));
-            }
-            o.raw("output", &arr.finish());
+            o.records("output", &self.output);
         }
         if let Some(par) = &self.parallel {
             let mut p = JsonObj::new();
@@ -347,25 +342,14 @@ impl SortOutcome {
             peak_memory: req_u64(obj, "peak_memory")? as usize,
         };
         let omega = req_u64(obj, "omega")?;
-        let mut output = Vec::new();
-        if let Some(arr) = json::find(obj, "output") {
-            let items = arr
-                .as_arr()
-                .ok_or_else(|| malformed("\"output\" must be an array"))?;
-            for item in items {
-                let pair = item
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| malformed("output records are [key, payload] pairs"))?;
-                let key = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| malformed("record key must be a u64"))?;
-                let payload = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| malformed("record payload must be a u64"))?;
-                output.push(Record::new(key, payload));
-            }
-        }
+        let output = match json::find(obj, "output") {
+            None => Vec::new(),
+            Some(arr) => json::records(arr).map_err(|e| match e {
+                RecordsError::NotArray => malformed("\"output\" must be an array"),
+                RecordsError::NotPair => malformed("output records are [key, payload] pairs"),
+                e => malformed(e.to_string()),
+            })?,
+        };
         let parallel = match json::find(obj, "parallel") {
             None => None,
             Some(p) => {

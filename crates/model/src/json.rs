@@ -7,9 +7,19 @@
 //! no external dependency to vendor. The surface is deliberately small: a
 //! [`Json`] tree with typed accessors for reading, and [`JsonObj`] /
 //! [`JsonArr`] builders plus [`quote`] / [`number`] for writing.
+//!
+//! Bulk record data — sort inputs, sorted outputs, checkpoint runs — is a
+//! `[[key, payload], ...]` array, and it is most of every large document.
+//! It gets a fast path both ways: [`write_records`] prints digits straight
+//! into the output buffer, and the parser reads an array of exact
+//! `[u64, u64]` pairs in one pass into a [`Json::Records`] node instead of
+//! a tree node per number. [`records`] decodes either form. Neither changes
+//! a byte of the documents themselves.
+
+use crate::record::Record;
 
 /// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum Json {
     /// `null`.
     Null,
@@ -29,6 +39,36 @@ pub enum Json {
     /// An object, as ordered key/value pairs (duplicate keys keep the first
     /// match on lookup).
     Obj(Vec<(String, Json)>),
+    /// A non-empty array of `[key, payload]` pairs of bare `u64` digit
+    /// runs, held as records: the parser's one-pass form of bulk record
+    /// data. It equals, and renders byte-identically to, the [`Json::Arr`]
+    /// of two-[`Json::Int`] arrays it stands for. Read it with [`records`];
+    /// [`Json::as_arr`] does not see it.
+    Records(Vec<Record>),
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Int(a), Json::Int(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            (Json::Records(a), Json::Records(b)) => a == b,
+            // The same pair array, held in its two forms.
+            (Json::Records(recs), Json::Arr(items)) | (Json::Arr(items), Json::Records(recs)) => {
+                recs.len() == items.len()
+                    && recs.iter().zip(items).all(|(r, item)| {
+                        matches!(item, Json::Arr(p)
+                            if p[..] == [Json::Int(r.key), Json::Int(r.payload)])
+                    })
+            }
+            _ => false,
+        }
+    }
 }
 
 impl Json {
@@ -52,7 +92,8 @@ impl Json {
         }
     }
 
-    /// The array's items, if this is an array.
+    /// The array's items, if this is a generic array (a [`Json::Records`]
+    /// node has no per-item values: read it with [`records`]).
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
@@ -106,26 +147,46 @@ impl Json {
     /// Serialize back to a JSON document. `parse(render(v)) == v` for every
     /// value — integers stay exact ([`Json::Int`] prints verbatim).
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Append the rendering to `out`: one buffer for the whole tree. The
+    /// layout matches [`JsonObj`] / [`JsonArr`] (`{ "k": v, ... }`,
+    /// `[a, b]`), so builder output renders back byte for byte.
+    fn render_into(&self, out: &mut String) {
         match self {
-            Json::Null => "null".into(),
-            Json::Bool(b) => b.to_string(),
-            Json::Int(n) => n.to_string(),
-            Json::Num(x) => number(*x),
-            Json::Str(s) => quote(s),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => push_u64(out, *n),
+            Json::Num(x) => out.push_str(&number(*x)),
+            Json::Str(s) => push_quoted(out, s),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
-                let mut a = JsonArr::new();
-                for v in items {
-                    a.raw(&v.render());
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    v.render_into(out);
                 }
-                a.finish()
+                out.push(']');
             }
+            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
             Json::Obj(fields) => {
-                let mut o = JsonObj::new();
-                for (k, v) in fields {
-                    o.raw(k, &v.render());
+                out.push_str("{ ");
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    push_quoted(out, k);
+                    out.push_str(": ");
+                    v.render_into(out);
                 }
-                o.finish()
+                out.push_str(" }");
             }
+            Json::Records(recs) => write_records(out, recs),
         }
     }
 }
@@ -163,6 +224,57 @@ pub fn get_usize(obj: &[(String, Json)], key: &str) -> Option<usize> {
 /// A boolean field's value.
 pub fn get_bool(obj: &[(String, Json)], key: &str) -> Option<bool> {
     find(obj, key).and_then(Json::as_bool)
+}
+
+/// Why a value is not a `[[key, payload], ...]` record array. Callers map
+/// each case onto their own wording; [`Display`](std::fmt::Display) gives
+/// the shared one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordsError {
+    /// The value is not an array.
+    NotArray,
+    /// An item is not a two-element array.
+    NotPair,
+    /// A key is not a non-negative whole number within `u64`.
+    Key,
+    /// A payload is not a non-negative whole number within `u64`.
+    Payload,
+}
+
+impl std::fmt::Display for RecordsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RecordsError::NotArray => "records must be an array",
+            RecordsError::NotPair => "records are [key, payload] pairs",
+            RecordsError::Key => "record key must be a u64",
+            RecordsError::Payload => "record payload must be a u64",
+        })
+    }
+}
+
+/// Decode a `[[key, payload], ...]` array: the one reader of bulk record
+/// data. A [`Json::Records`] node is copied out whole; a generic array
+/// (empty, or holding something the parser's fast path declined, such as
+/// `2.0`) is read pair by pair through [`Json::as_u64`], exactly as before
+/// the fast path existed.
+pub fn records(v: &Json) -> Result<Vec<Record>, RecordsError> {
+    match v {
+        Json::Records(recs) => Ok(recs.clone()),
+        Json::Arr(items) => items
+            .iter()
+            .map(|item| match item {
+                Json::Arr(pair) if pair.len() == 2 => Ok(Record::new(
+                    pair[0].as_u64().ok_or(RecordsError::Key)?,
+                    pair[1].as_u64().ok_or(RecordsError::Payload)?,
+                )),
+                // Two records in a pair's place: a two-item array whose
+                // first item, an array, is no key.
+                Json::Records(recs) if recs.len() == 2 => Err(RecordsError::Key),
+                _ => Err(RecordsError::NotPair),
+            })
+            .collect(),
+        _ => Err(RecordsError::NotArray),
+    }
 }
 
 // ---- parser ----------------------------------------------------------------
@@ -234,6 +346,9 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
+    if let Some(recs) = parse_records(b, pos) {
+        return Ok(Json::Records(recs));
+    }
     let mut items = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b']') {
@@ -252,6 +367,55 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => return Err(format!("expected ',' or ']' at offset {pos}")),
         }
     }
+}
+
+/// The rest of an array (its `[` consumed) when it is a non-empty run of
+/// `[u64, u64]` pairs, read in one pass with no node per number. Anything
+/// else returns `None` with `pos` untouched, and the generic path parses
+/// (or rejects) the array exactly as it always has: an empty array, a
+/// sign, fraction or exponent, a digit run past `u64::MAX`, the wrong
+/// arity, or a syntax error. Whitespace is skipped wherever the generic
+/// path skips it.
+fn parse_records(b: &[u8], pos: &mut usize) -> Option<Vec<Record>> {
+    fn byte(b: &[u8], p: &mut usize, c: u8) -> Option<()> {
+        skip_ws(b, p);
+        (b.get(*p) == Some(&c)).then(|| *p += 1)
+    }
+    let mut p = *pos;
+    let mut recs = Vec::new();
+    loop {
+        byte(b, &mut p, b'[')?;
+        let key = parse_digits(b, &mut p)?;
+        byte(b, &mut p, b',')?;
+        let payload = parse_digits(b, &mut p)?;
+        byte(b, &mut p, b']')?;
+        recs.push(Record::new(key, payload));
+        skip_ws(b, &mut p);
+        match b.get(p) {
+            Some(b',') => p += 1,
+            Some(b']') => {
+                *pos = p + 1;
+                return Some(recs);
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// A bare digit run that [`parse_number`] would read as [`Json::Int`]
+/// (leading whitespace skipped), or `None`.
+fn parse_digits(b: &[u8], p: &mut usize) -> Option<u64> {
+    skip_ws(b, p);
+    let start = *p;
+    let mut n = 0u64;
+    while let Some(&c @ b'0'..=b'9') = b.get(*p) {
+        n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        *p += 1;
+    }
+    // parse_number takes a following sign, dot or exponent into the same
+    // token, which then is no u64.
+    let token_goes_on = matches!(b.get(*p), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
+    (*p > start && !token_goes_on).then_some(n)
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -284,13 +448,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             _ => {
-                // Re-borrow the full char (the input is valid UTF-8; multi-byte
-                // chars only occur inside strings).
+                // Copy the whole unescaped run up to the next quote or
+                // backslash. Both are ASCII, so the run ends on a char
+                // boundary and is validated once, in time linear in its
+                // length.
                 let start = *pos - 1;
-                let s = std::str::from_utf8(&b[start..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().ok_or("empty string tail")?;
-                *pos = start + ch.len_utf8();
-                out.push(ch);
+                let end = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| start + i);
+                out.push_str(std::str::from_utf8(&b[start..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -319,6 +487,12 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// escaping.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Append [`quote`]`(s)` to `out`.
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -330,7 +504,56 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
+}
+
+/// Append the decimal digits of `n` to `out`, two at a time, with no
+/// intermediate string.
+fn push_u64(out: &mut String, mut n: u64) {
+    const PAIRS: [u8; 200] = {
+        let mut t = [0u8; 200];
+        let mut i = 0;
+        while i < 100 {
+            t[2 * i] = b'0' + (i / 10) as u8;
+            t[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        t
+    };
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while n >= 10 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+    }
+    if n > 0 || i == digits.len() {
+        i -= 1;
+        digits[i] = b'0' + n as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Append `recs` as a `[[key, payload], ...]` array (`[]` when empty): the
+/// one writer of bulk record data. Byte-identical to building the array
+/// with [`JsonArr`] from `format!("[{}, {}]", key, payload)` items.
+pub fn write_records(out: &mut String, recs: &[Record]) {
+    if recs.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, r) in recs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push('[');
+        push_u64(out, r.key);
+        out.push_str(", ");
+        push_u64(out, r.payload);
+        out.push(']');
+    }
+    out.push(']');
 }
 
 /// A finite JSON number (non-finite values degrade to 0, which JSON cannot
@@ -368,21 +591,27 @@ impl JsonObj {
         } else {
             self.buf.push_str(", ");
         }
-        self.buf.push_str(&quote(key));
+        push_quoted(&mut self.buf, key);
         self.buf.push_str(": ");
         &mut self.buf
     }
 
     /// Append a string field.
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        let q = quote(value);
-        self.key(key).push_str(&q);
+        push_quoted(self.key(key), value);
         self
     }
 
     /// Append an unsigned integer field.
     pub fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key).push_str(&value.to_string());
+        push_u64(self.key(key), value);
+        self
+    }
+
+    /// Append a `[[key, payload], ...]` record array field
+    /// ([`write_records`]).
+    pub fn records(&mut self, key: &str, recs: &[Record]) -> &mut Self {
+        write_records(self.key(key), recs);
         self
     }
 
@@ -429,14 +658,25 @@ impl JsonArr {
         Self::default()
     }
 
-    /// Append one already-rendered JSON value.
-    pub fn raw(&mut self, rendered: &str) -> &mut Self {
+    fn item(&mut self) -> &mut String {
         if self.buf.is_empty() {
             self.buf.push('[');
         } else {
             self.buf.push_str(", ");
         }
-        self.buf.push_str(rendered);
+        &mut self.buf
+    }
+
+    /// Append one already-rendered JSON value.
+    pub fn raw(&mut self, rendered: &str) -> &mut Self {
+        self.item().push_str(rendered);
+        self
+    }
+
+    /// Append a `[[key, payload], ...]` record array item
+    /// ([`write_records`]).
+    pub fn records(&mut self, recs: &[Record]) -> &mut Self {
+        write_records(self.item(), recs);
         self
     }
 
@@ -531,6 +771,149 @@ mod tests {
         assert_eq!(Json::parse(&rendered).unwrap(), v);
         // And rendering the reparse reproduces the same document.
         assert_eq!(Json::parse(&rendered).unwrap().render(), rendered);
+    }
+
+    #[test]
+    fn integers_print_like_display() {
+        let mut n = 1u64;
+        let mut cases = vec![0, u64::MAX, u64::MAX - 1];
+        while let Some(next) = n.checked_mul(10) {
+            cases.extend([n - 1, n, n + 1, n * 5]);
+            n = next;
+        }
+        for n in cases {
+            let mut out = String::from("x");
+            push_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
+    }
+
+    #[test]
+    fn pair_arrays_parse_in_one_pass_and_render_verbatim() {
+        let text = format!("[[3, 0], [1, {}], [0, 7]]", u64::MAX);
+        let v = Json::parse(&text).unwrap();
+        let expect = [
+            Record::new(3, 0),
+            Record::new(1, u64::MAX),
+            Record::new(0, 7),
+        ];
+        assert_eq!(v, Json::Records(expect.to_vec()));
+        assert_eq!(v.render(), text);
+        assert_eq!(records(&v).unwrap(), expect);
+        // The compact node equals the tree it stands for, both ways round.
+        let tree = Json::Arr(
+            expect
+                .iter()
+                .map(|r| Json::Arr(vec![Json::Int(r.key), Json::Int(r.payload)]))
+                .collect(),
+        );
+        assert_eq!(v, tree);
+        assert_eq!(tree, v);
+        assert_eq!(tree.render(), text);
+        assert_ne!(v, Json::Records(expect[..2].to_vec()));
+        let mut out = String::new();
+        write_records(&mut out, &expect);
+        assert_eq!(out, text);
+        // Pair arrays nest inside generic documents.
+        let doc = r#"{ "runs": [[[1, 2]], [], [[3, 4], [5, 6]]], "n": 3 }"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(v.render(), doc);
+        let runs = v.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(records(&runs[0]).unwrap(), [Record::new(1, 2)]);
+        assert_eq!(records(&runs[1]).unwrap(), []);
+        assert_eq!(records(&runs[2]).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn other_arrays_take_the_generic_path_unchanged() {
+        let int = |n| Json::Int(n);
+        for (text, expect) in [
+            ("[]", Json::Arr(vec![])),
+            ("[1, 2]", Json::Arr(vec![int(1), int(2)])),
+            (
+                "[[5, 2.0]]",
+                Json::Arr(vec![Json::Arr(vec![int(5), Json::Num(2.0)])]),
+            ),
+            (
+                "[[1, -2]]",
+                Json::Arr(vec![Json::Arr(vec![int(1), Json::Num(-2.0)])]),
+            ),
+            (
+                "[[1, 2, 3]]",
+                Json::Arr(vec![Json::Arr(vec![int(1), int(2), int(3)])]),
+            ),
+            (
+                "[[1, 2], 3]",
+                Json::Arr(vec![Json::Arr(vec![int(1), int(2)]), int(3)]),
+            ),
+            (
+                "[[1e2, 0]]",
+                Json::Arr(vec![Json::Arr(vec![Json::Num(100.0), int(0)])]),
+            ),
+            (
+                "[[18446744073709551616, 1]]",
+                Json::Arr(vec![Json::Arr(vec![
+                    Json::Num(18446744073709551616.0),
+                    int(1),
+                ])]),
+            ),
+        ] {
+            let v = Json::parse(text).unwrap();
+            assert_eq!(v, expect, "{text}");
+            assert!(matches!(v, Json::Arr(_)), "{text} keeps the tree form");
+        }
+        // Whitespace anywhere the generic path allows it, leading zeros
+        // included: still the compact form, and the same value.
+        let v = Json::parse("[ [1 ,2] ,[007,\n\t0] ]").unwrap();
+        assert_eq!(v, Json::Records(vec![Record::new(1, 2), Record::new(7, 0)]));
+        // Broken pair arrays fail with the generic parser's messages.
+        for (text, err) in [
+            ("[[1, 2]", "expected ',' or ']' at offset 7"),
+            ("[[1, 2],]", "bad number \"\" at offset 8"),
+            ("[[1, 2] [3, 4]]", "expected ',' or ']' at offset 8"),
+            ("[[1 2]]", "expected ',' or ']' at offset 4"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err(), err, "{text}");
+        }
+    }
+
+    #[test]
+    fn the_record_decoder_reads_both_forms_and_names_the_fault() {
+        let parse = |t: &str| Json::parse(t).unwrap();
+        assert_eq!(records(&parse("[[5, 2.0]]")).unwrap(), [Record::new(5, 2)]);
+        assert_eq!(records(&parse("7")), Err(RecordsError::NotArray));
+        assert_eq!(records(&parse("[[1, 2, 3]]")), Err(RecordsError::NotPair));
+        assert_eq!(records(&parse("[[1, 2], 3]")), Err(RecordsError::NotPair));
+        assert_eq!(records(&parse("[[-1, 2]]")), Err(RecordsError::Key));
+        assert_eq!(records(&parse("[[1, -2]]")), Err(RecordsError::Payload));
+        // A digit run past u64::MAX reads as a float, which saturates.
+        assert_eq!(
+            records(&parse("[[18446744073709551616, 1]]")).unwrap(),
+            [Record::new(u64::MAX, 1)]
+        );
+        // A pair array standing where a pair should be: its first item is
+        // an array, so the key is what fails.
+        assert_eq!(
+            records(&parse("[[[1, 2], [3, 4]]]")),
+            Err(RecordsError::Key)
+        );
+        assert_eq!(records(&parse("[[[1, 2]]]")), Err(RecordsError::NotPair));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 512 KiB of mixed one-, two- and four-byte characters plus
+        // escapes: re-validating the tail per character took tens of
+        // seconds on this input.
+        let unit = "abcé😀\"\\\n";
+        let text: String = unit.repeat((512 << 10) / unit.len());
+        let quoted = quote(&text);
+        let start = std::time::Instant::now();
+        let v = Json::parse(&quoted).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.as_str(), Some(text.as_str()));
+        assert_eq!(v.render(), quoted);
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

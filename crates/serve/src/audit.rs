@@ -285,7 +285,7 @@ impl AuditEvent {
             "accepted" => {
                 let rv = json::find(obj, "request")
                     .ok_or_else(|| bad("accepted event missing \"request\"".into()))?;
-                let request = JobRequest::from_json(&rv.render())
+                let request = JobRequest::from_json_value(rv)
                     .map_err(|e| bad(format!("embedded request: {e}")))?;
                 Ok(AuditEvent::Accepted {
                     id: id()?,

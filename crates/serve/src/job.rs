@@ -16,7 +16,7 @@
 
 use asym_core::sort::wire::req_u64;
 use asym_core::sort::{checkpoint, CostEstimate, SortSpec, WireError};
-use asym_model::json::{self, Json, JsonArr, JsonObj};
+use asym_model::json::{self, Json, JsonObj, RecordsError};
 use asym_model::workload::Workload;
 use asym_model::Record;
 
@@ -118,11 +118,7 @@ impl JobRequest {
             .u64("data_seed", self.data_seed)
             .bool("include_output", self.include_output);
         if let Some(input) = &self.input {
-            let mut arr = JsonArr::new();
-            for r in input {
-                arr.raw(&format!("[{}, {}]", r.key, r.payload));
-            }
-            o.raw("input", &arr.finish());
+            o.records("input", input);
         }
         if let Some(d) = self.deadline_ms {
             o.u64("deadline_ms", d);
@@ -138,6 +134,12 @@ impl JobRequest {
     /// defaults to 0 and `include_output` to false.
     pub fn from_json(text: &str) -> Result<JobRequest, WireError> {
         let v = Json::parse(text).map_err(WireError::Malformed)?;
+        Self::from_json_value(&v)
+    }
+
+    /// Decode from an already-parsed [`Json`] value (e.g. the request an
+    /// `accepted` audit line embeds).
+    pub fn from_json_value(v: &Json) -> Result<JobRequest, WireError> {
         let obj = v
             .as_obj()
             .ok_or_else(|| WireError::Malformed("job request must be a JSON object".into()))?;
@@ -151,25 +153,13 @@ impl JobRequest {
             .ok_or_else(|| WireError::Malformed(format!("unknown workload {name:?}")))?;
         let input = match json::find(obj, "input") {
             None => None,
-            Some(arr) => {
-                let items = arr
-                    .as_arr()
-                    .ok_or_else(|| WireError::Malformed("\"input\" must be an array".into()))?;
-                let mut records = Vec::with_capacity(items.len());
-                for item in items {
-                    let pair = item.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                        WireError::Malformed("input records are [key, payload] pairs".into())
-                    })?;
-                    let key = pair[0]
-                        .as_u64()
-                        .ok_or_else(|| WireError::Malformed("record key must be a u64".into()))?;
-                    let payload = pair[1].as_u64().ok_or_else(|| {
-                        WireError::Malformed("record payload must be a u64".into())
-                    })?;
-                    records.push(Record::new(key, payload));
-                }
-                Some(records)
-            }
+            Some(arr) => Some(json::records(arr).map_err(|e| {
+                WireError::Malformed(match e {
+                    RecordsError::NotArray => "\"input\" must be an array".into(),
+                    RecordsError::NotPair => "input records are [key, payload] pairs".into(),
+                    e => e.to_string(),
+                })
+            })?),
         };
         // Inline input is authoritative for the record count; `records` is
         // only required for generator jobs.

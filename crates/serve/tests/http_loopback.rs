@@ -127,29 +127,28 @@ fn wait_long_polls_with_a_bounded_server_side_timeout() {
     let (code, _) = roundtrip(addr, "GET", "/jobs/4096/wait", "").expect("wait");
     assert_eq!(code, 404);
 
-    let busy = client::submit(addr, &job(BUSY_JOB)).expect("submit");
-    let queued = client::submit(addr, &job(SMALL_JOB)).expect("submit");
-
-    // The queued job sits behind the busy one on the single worker, so a
+    // An admin hold keeps the job queued however fast the worker is, so a
     // short wait must come back 408 carrying the *current* snapshot.
+    server.service().hold();
+    let queued = client::submit(addr, &job(SMALL_JOB)).expect("submit");
     let path = format!("/jobs/{queued}/wait?timeout_ms=50");
     let (code, body) = roundtrip(addr, "GET", &path, "").expect("wait");
     assert_eq!(code, 408, "{body}");
     let status = JobStatus::from_json(&body).expect("status decodes");
-    assert!(!status.state.is_terminal(), "{body}");
+    assert_eq!(status.state, JobState::Queued, "{body}");
 
-    // A long enough wait rides the long-poll to 200 completed
-    // (`client::wait` checks each code against the state it carries).
-    for id in [busy, queued] {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-        loop {
-            let status = client::wait(addr, id).expect("wait");
-            if status.state.is_terminal() {
-                assert_eq!(status.state, JobState::Completed, "{status:?}");
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline);
+    // Once released, a long enough wait rides the long-poll to 200
+    // completed (`client::wait` checks each code against the state it
+    // carries).
+    server.service().release();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let status = client::wait(addr, queued).expect("wait");
+        if status.state.is_terminal() {
+            assert_eq!(status.state, JobState::Completed, "{status:?}");
+            break;
         }
+        assert!(std::time::Instant::now() < deadline);
     }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
