@@ -10,6 +10,8 @@
 //! * `standard` (default) — the sizes recorded in EXPERIMENTS.md;
 //! * `full` — larger sweeps for sharper asymptotics.
 //!
+//! Any other value panics, like the backend and thread selectors below.
+//!
 //! The storage backend of the AEM experiments (E3–E6) is controlled by
 //! `ASYM_BENCH_BACKEND`:
 //! * `mem` (default) — the zero-alloc slab arena;
@@ -55,12 +57,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read `ASYM_BENCH_SCALE` (default: standard).
+    /// Read `ASYM_BENCH_SCALE` (unset: standard). Panics on any value
+    /// [`Scale::parse`] refuses, so a typo cannot silently run the standard
+    /// sweep.
     pub fn from_env() -> Scale {
-        match std::env::var("ASYM_BENCH_SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("full") => Scale::Full,
-            _ => Scale::Standard,
+        let value = match std::env::var("ASYM_BENCH_SCALE") {
+            Ok(v) => Some(v),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(e) => panic!("ASYM_BENCH_SCALE: {e}"),
+        };
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Interpret an `ASYM_BENCH_SCALE` value (`None`: unset, which means
+    /// standard).
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("standard") => Ok(Scale::Standard),
+            Some("smoke") => Ok(Scale::Smoke),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "ASYM_BENCH_SCALE={other:?} is not one of smoke, standard, full"
+            )),
         }
     }
 
@@ -251,6 +269,14 @@ mod tests {
         assert_eq!(Scale::Standard.pick(1, 2, 3), 2);
         assert_eq!(Scale::Smoke.pick(1, 2, 3), 1);
         assert_eq!(Scale::Full.pick(1, 2, 3), 3);
+        assert_eq!(Scale::parse(None), Ok(Scale::Standard));
+        for scale in [Scale::Smoke, Scale::Standard, Scale::Full] {
+            assert_eq!(Scale::parse(Some(scale.name())), Ok(scale));
+        }
+        for typo in ["smok", "Smoke", "", " full"] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("ASYM_BENCH_SCALE"), "{err}");
+        }
     }
 
     #[test]

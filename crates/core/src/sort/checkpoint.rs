@@ -242,8 +242,14 @@ impl CheckpointManifest {
     /// [`WireError::Malformed`] naming it — a future manifest must not be
     /// half-read as an empty one.
     pub fn from_json(text: &str) -> std::result::Result<CheckpointManifest, WireError> {
+        let v = Json::parse(text).map_err(WireError::Malformed)?;
+        Self::from_json_value(&v)
+    }
+
+    /// Decode from an already-parsed [`Json`] value (e.g. the `manifest`
+    /// field of an audit line).
+    pub fn from_json_value(v: &Json) -> std::result::Result<CheckpointManifest, WireError> {
         let bad = |m: String| WireError::Malformed(m);
-        let v = Json::parse(text).map_err(bad)?;
         let obj = v
             .as_obj()
             .ok_or_else(|| bad("manifest must be a JSON object".into()))?;
@@ -509,25 +515,11 @@ fn merge_round(
     Ok((out, em.stats()))
 }
 
-/// The spec with its slack widened to [`staged_slack`] (identity when the
-/// spec's own slack already covers the merge).
+/// The spec with its slack widened to [`staged_slack`].
 fn merge_spec(spec: &SortSpec) -> SortSpec {
-    let slack = staged_slack(spec);
-    if slack == spec.slack() {
-        return spec.clone();
-    }
-    let mut b = SortSpec::builder(spec.algorithm(), spec.m(), spec.b(), spec.omega())
-        .k(spec.k())
-        .lanes(spec.lanes())
-        .backend(spec.backend())
-        .seed(spec.seed())
-        .slack(slack)
-        .steal_charge(spec.steal_charge())
-        .fault(spec.fault());
-    if let Some(dir) = spec.file_dir() {
-        b = b.file_dir(dir);
-    }
-    b.build()
+    spec.to_builder()
+        .slack(staged_slack(spec))
+        .build()
         .expect("a valid spec stays valid under wider slack")
 }
 

@@ -264,6 +264,25 @@ impl SortSpec {
         }
     }
 
+    /// A builder seeded with every field of this spec, so a caller can
+    /// change one field and rebuild without restating the rest.
+    pub fn to_builder(&self) -> SortSpecBuilder {
+        SortSpecBuilder {
+            algorithm: self.algorithm,
+            m: self.m,
+            b: self.b,
+            omega: self.omega,
+            k: self.k,
+            lanes: self.lanes,
+            backend: self.backend,
+            file_dir: self.file_dir.clone(),
+            seed: self.seed,
+            slack: Some(self.slack),
+            steal_charge: self.steal_charge,
+            fault: self.fault,
+        }
+    }
+
     /// The algorithm this job runs.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
@@ -560,6 +579,30 @@ mod tests {
             assert_eq!(spec.slack(), algorithm.default_slack(32, 4, 2));
             assert_eq!(spec.em_config().capacity(), 32 + spec.slack());
             assert_eq!(spec.backend(), Backend::Mem);
+        }
+    }
+
+    #[test]
+    fn to_builder_round_trips_every_field() {
+        for algorithm in Algorithm::ALL {
+            let spec = SortSpec::builder(algorithm, 32, 4, 8)
+                .k(2)
+                .lanes(if algorithm.is_parallel() { 4 } else { 1 })
+                .backend(Backend::File)
+                .file_dir("/tmp/asym-to-builder")
+                .seed(u64::MAX)
+                .slack(77)
+                .steal_charge(algorithm.is_parallel())
+                .fault(Some(FaultSpec {
+                    seed: 9,
+                    read_permille: 1,
+                    write_permille: 2,
+                    short_permille: 3,
+                    panic_permille: 4,
+                }))
+                .build()
+                .expect("valid spec");
+            assert_eq!(spec.to_builder().build(), Ok(spec), "{algorithm}");
         }
     }
 

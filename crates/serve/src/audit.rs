@@ -14,12 +14,19 @@
 //!   prefix only ever *adds* information — the monotonicity property
 //!   `tests/recovery.rs` pins;
 //! * a torn final line (the crash happened mid-`write`) is tolerated and
-//!   flagged, torn interior lines are typed errors;
+//!   flagged, torn interior lines are typed errors — an interior
+//!   `checkpointed` line whose manifest does not decode included;
 //! * an unknown schema version anywhere is a typed
 //!   [`AuditError::UnknownVersion`] — forward-compat for consumers that
 //!   must not misread a future log as an empty one.
+//!
+//! [`ReplayJob`] is also the live service's durable job record: the
+//! worker calls the same [`ReplayJob`] transitions as [`Replay`] does, so
+//! the advance-only checkpoint rule and the first-terminal-wins rule each
+//! live in one place.
 
 use crate::job::{FailureKind, JobId, JobRequest};
+use asym_core::sort::CheckpointManifest;
 use asym_model::json::{self, Json, JsonObj};
 use std::collections::BTreeMap;
 
@@ -96,15 +103,14 @@ pub enum AuditEvent {
     /// A staged job completed a phase; the manifest is durable the moment
     /// this line is. Recovery hands the *latest* manifest back to the
     /// re-queued job so a restarted worker resumes instead of restarting.
+    ///
+    /// The line also writes the manifest's `phases_done` as `"phase"`; the
+    /// decoder refuses a line where the two disagree.
     Checkpointed {
         /// The job.
         id: JobId,
-        /// Completed phases (the manifest's `phases_done`).
-        phase: u64,
-        /// [`CheckpointManifest::to_json`], embedded verbatim.
-        ///
-        /// [`CheckpointManifest::to_json`]: asym_core::sort::CheckpointManifest::to_json
-        manifest: String,
+        /// The manifest, embedded as [`CheckpointManifest::to_json`].
+        manifest: CheckpointManifest,
     },
     /// A retryable failure; the job re-queued with backoff.
     Retried {
@@ -213,14 +219,10 @@ impl AuditEvent {
             AuditEvent::Started { id, attempt } => {
                 o.u64("id", *id).u64("attempt", *attempt as u64);
             }
-            AuditEvent::Checkpointed {
-                id,
-                phase,
-                manifest,
-            } => {
+            AuditEvent::Checkpointed { id, manifest } => {
                 o.u64("id", *id)
-                    .u64("phase", *phase)
-                    .raw("manifest", manifest);
+                    .u64("phase", manifest.phases_done)
+                    .raw("manifest", &manifest.to_json());
             }
             AuditEvent::Retried {
                 id,
@@ -316,13 +318,20 @@ impl AuditEvent {
                 attempt: attempt()?,
             }),
             "checkpointed" => {
-                let manifest = json::find(obj, "manifest")
-                    .ok_or_else(|| bad("checkpointed event missing \"manifest\"".into()))?
-                    .render();
+                let mv = json::find(obj, "manifest")
+                    .ok_or_else(|| bad("checkpointed event missing \"manifest\"".into()))?;
+                let manifest = CheckpointManifest::from_json_value(mv)
+                    .map_err(|e| bad(format!("embedded manifest: {e}")))?;
+                let phase = json::get_u64(obj, "phase")
+                    .ok_or_else(|| bad("checkpointed event missing \"phase\"".into()))?;
+                if phase != manifest.phases_done {
+                    return Err(bad(format!(
+                        "checkpointed phase {phase} disagrees with the manifest's phases_done {}",
+                        manifest.phases_done
+                    )));
+                }
                 Ok(AuditEvent::Checkpointed {
                     id: id()?,
-                    phase: json::get_u64(obj, "phase")
-                        .ok_or_else(|| bad("checkpointed event missing \"phase\"".into()))?,
                     manifest,
                 })
             }
@@ -392,7 +401,9 @@ impl ReplayOutcome {
     }
 }
 
-/// One job reconstructed from the log.
+/// One job reconstructed from the log — and, inside the live service, the
+/// durable part of a job's state, which the service moves only through the
+/// transitions below.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayJob {
     /// The embedded request, ready to re-run.
@@ -401,18 +412,59 @@ pub struct ReplayJob {
     pub attempts: u32,
     /// The job's fate so far.
     pub outcome: ReplayOutcome,
-    /// The latest checkpoint manifest (embedded JSON), if the job made
-    /// phase progress before the log ended. A re-queued job resumes from
-    /// it instead of restarting.
-    pub manifest: Option<String>,
-    /// `phases_done` of that manifest (0: none). Only advances — a stale
-    /// or replayed `checkpointed` line can never roll progress back.
-    pub checkpoint_phase: u64,
+    /// The latest checkpoint manifest, if the job made phase progress
+    /// before the log ended. A re-queued job resumes from it instead of
+    /// restarting.
+    pub manifest: Option<CheckpointManifest>,
     /// The attempt count at the moment of the last phase progress — the
     /// retry clock's epoch: backoff and fault decay key off
     /// `attempts − attempts_at_checkpoint`, so attempts that *made*
     /// progress are never re-billed.
     pub attempts_at_checkpoint: u32,
+}
+
+impl ReplayJob {
+    /// An accepted job: no attempts, no progress, no outcome.
+    pub(crate) fn new(request: JobRequest) -> ReplayJob {
+        ReplayJob {
+            request,
+            attempts: 0,
+            outcome: ReplayOutcome::Pending,
+            manifest: None,
+            attempts_at_checkpoint: 0,
+        }
+    }
+
+    /// Completed phases: the manifest's `phases_done` (0: no manifest).
+    pub fn checkpoint_phase(&self) -> u64 {
+        self.manifest.as_ref().map_or(0, |m| m.phases_done)
+    }
+
+    /// Attempt `attempt` (1-based) began. The count only grows, so a
+    /// replayed or duplicated line cannot lower it.
+    pub(crate) fn start_attempt(&mut self, attempt: u32) {
+        self.attempts = self.attempts.max(attempt);
+    }
+
+    /// Record a manifest. Progress only moves forward, and a manifest
+    /// arriving after the job's terminal outcome is stale noise (a torn
+    /// race the WAL ordering makes possible only across replays) — both
+    /// are ignored. Advancing moves the retry clock's epoch to the
+    /// current attempt.
+    pub(crate) fn checkpoint(&mut self, manifest: CheckpointManifest) {
+        if !self.outcome.is_terminal() && manifest.phases_done > self.checkpoint_phase() {
+            self.manifest = Some(manifest);
+            self.attempts_at_checkpoint = self.attempts;
+        }
+    }
+
+    /// Terminal outcomes stick: the first one recorded for a job wins, so
+    /// replay is idempotent and monotonic over prefixes.
+    pub(crate) fn terminalize(&mut self, outcome: ReplayOutcome) {
+        if !self.outcome.is_terminal() {
+            self.outcome = outcome;
+        }
+    }
 }
 
 /// The fold of a log prefix: everything a restarted service needs.
@@ -446,14 +498,7 @@ impl Replay {
                 self.next_id = self.next_id.max(id + 1);
                 // First acceptance wins: replaying a duplicated line (or a
                 // prefix twice) cannot double a job.
-                self.jobs.entry(id).or_insert(ReplayJob {
-                    request,
-                    attempts: 0,
-                    outcome: ReplayOutcome::Pending,
-                    manifest: None,
-                    checkpoint_phase: 0,
-                    attempts_at_checkpoint: 0,
-                });
+                self.jobs.entry(id).or_insert(ReplayJob::new(request));
             }
             AuditEvent::RejectedBudget { .. }
             | AuditEvent::RejectedDeadline { .. }
@@ -462,30 +507,18 @@ impl Replay {
             }
             AuditEvent::Started { id, attempt } => {
                 if let Some(j) = self.jobs.get_mut(&id) {
-                    j.attempts = j.attempts.max(attempt);
+                    j.start_attempt(attempt);
                 }
             }
-            AuditEvent::Checkpointed {
-                id,
-                phase,
-                manifest,
-            } => {
-                // Progress only moves forward, and a manifest arriving
-                // after the job's terminal outcome is stale noise (a torn
-                // race the WAL ordering makes possible only across
-                // replays) — ignore both.
+            AuditEvent::Checkpointed { id, manifest } => {
                 if let Some(j) = self.jobs.get_mut(&id) {
-                    if !j.outcome.is_terminal() && phase > j.checkpoint_phase {
-                        j.checkpoint_phase = phase;
-                        j.manifest = Some(manifest);
-                        j.attempts_at_checkpoint = j.attempts;
-                    }
+                    j.checkpoint(manifest);
                 }
             }
             AuditEvent::Retried { id, attempt, .. } => {
                 self.retries += 1;
                 if let Some(j) = self.jobs.get_mut(&id) {
-                    j.attempts = j.attempts.max(attempt);
+                    j.start_attempt(attempt);
                 }
             }
             AuditEvent::Completed { id, telemetry } => {
@@ -501,13 +534,9 @@ impl Replay {
         }
     }
 
-    /// Terminal outcomes stick: the first one recorded for a job wins, so
-    /// replay is idempotent and monotonic over prefixes.
     fn terminalize(&mut self, id: JobId, outcome: ReplayOutcome) {
         if let Some(j) = self.jobs.get_mut(&id) {
-            if !j.outcome.is_terminal() {
-                j.outcome = outcome;
-            }
+            j.terminalize(outcome);
         }
     }
 }
@@ -536,7 +565,7 @@ pub fn replay(text: &str) -> Result<Replay, AuditError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_core::sort::{Algorithm, SortSpec};
+    use asym_core::sort::{self, Algorithm, MemCheckpointer, SortSpec};
     use asym_model::workload::Workload;
 
     fn request() -> JobRequest {
@@ -553,6 +582,20 @@ mod tests {
             deadline_ms: Some(9_000),
             checkpoint: false,
         }
+    }
+
+    /// The manifest stream a real staged run of [`request`] saves.
+    fn manifests() -> Vec<CheckpointManifest> {
+        let r = request();
+        let input = r.workload.generate(r.records, r.data_seed);
+        let mut sink = MemCheckpointer::default();
+        sort::run_staged(&r.spec, &input, &mut sink).expect("staged run");
+        assert!(sink.manifests.len() >= 3, "a multi-phase plan");
+        sink.manifests
+    }
+
+    fn log_of(events: &[AuditEvent]) -> String {
+        events.iter().map(|ev| ev.to_json() + "\n").collect()
     }
 
     #[test]
@@ -632,26 +675,13 @@ mod tests {
         assert!(line.contains("\"io_budget\""), "{line}");
         assert_eq!(AuditEvent::from_json(&line), Ok(io));
 
-        let manifest = Json::parse(r#"{"version": 1, "phases_done": 3}"#)
-            .unwrap()
-            .render();
         let ev = AuditEvent::Checkpointed {
             id: 9,
-            phase: 3,
-            manifest: manifest.clone(),
+            manifest: manifests()[2].clone(),
         };
-        let back = AuditEvent::from_json(&ev.to_json()).expect("decode");
-        match back {
-            AuditEvent::Checkpointed {
-                id,
-                phase,
-                manifest: m,
-            } => {
-                assert_eq!((id, phase), (9, 3));
-                assert_eq!(Json::parse(&m).unwrap().render(), manifest);
-            }
-            other => panic!("decoded as {other:?}"),
-        }
+        let line = ev.to_json();
+        assert!(line.contains("\"phase\": 3, "), "{line}");
+        assert_eq!(AuditEvent::from_json(&line), Ok(ev));
         // Required fields are enforced, not defaulted.
         assert!(AuditEvent::from_json(r#"{"v": 1, "event": "checkpointed", "id": 9}"#).is_err());
     }
@@ -659,66 +689,84 @@ mod tests {
     #[test]
     fn replay_tracks_checkpoint_progress_monotonically() {
         let r = request();
-        let mut log = String::new();
-        for ev in [
+        let m = manifests();
+        let checkpointed = |i: usize| AuditEvent::Checkpointed {
+            id: 0,
+            manifest: m[i].clone(),
+        };
+        let log = log_of(&[
             AuditEvent::Accepted {
                 id: 0,
                 request: r.clone(),
                 predicted_bytes: 100,
             },
             AuditEvent::Started { id: 0, attempt: 1 },
-            AuditEvent::Checkpointed {
-                id: 0,
-                phase: 1,
-                manifest: r#"{"phases_done": 1}"#.into(),
-            },
-            AuditEvent::Checkpointed {
-                id: 0,
-                phase: 2,
-                manifest: r#"{"phases_done": 2}"#.into(),
-            },
+            checkpointed(0),
+            checkpointed(1),
             // A duplicated / late-arriving older manifest must not roll
             // progress back.
-            AuditEvent::Checkpointed {
-                id: 0,
-                phase: 1,
-                manifest: r#"{"phases_done": 1}"#.into(),
-            },
-        ] {
-            log.push_str(&ev.to_json());
-            log.push('\n');
-        }
+            checkpointed(0),
+        ]);
         let rep = replay(&log).expect("replays");
         let j = &rep.jobs[&0];
-        assert_eq!(j.checkpoint_phase, 2);
-        assert!(j.manifest.as_deref().unwrap().contains("2"));
+        assert_eq!(j.checkpoint_phase(), 2);
+        assert_eq!(j.manifest.as_ref(), Some(&m[1]));
         assert_eq!(j.attempts_at_checkpoint, 1, "progress made on attempt 1");
         assert_eq!(j.outcome, ReplayOutcome::Pending);
 
         // After a terminal outcome, a stale manifest line is ignored.
-        let mut terminal = log.clone();
-        for ev in [
-            AuditEvent::Completed {
-                id: 0,
-                telemetry: r#"{"reads": 7}"#.into(),
-            },
-            AuditEvent::Checkpointed {
-                id: 0,
-                phase: 3,
-                manifest: r#"{"phases_done": 3}"#.into(),
-            },
-        ] {
-            terminal.push_str(&ev.to_json());
-            terminal.push('\n');
-        }
+        let terminal = log.clone()
+            + &log_of(&[
+                AuditEvent::Completed {
+                    id: 0,
+                    telemetry: r#"{"reads": 7}"#.into(),
+                },
+                checkpointed(2),
+            ]);
         let rep2 = replay(&terminal).expect("replays");
         assert!(rep2.jobs[&0].outcome.is_terminal());
         assert_eq!(
-            rep2.jobs[&0].checkpoint_phase, 2,
+            rep2.jobs[&0].checkpoint_phase(),
+            2,
             "stale manifest after terminal outcome is ignored"
         );
         // And replay is idempotent over the extended log too.
         assert_eq!(replay(&terminal).unwrap(), rep2);
+    }
+
+    #[test]
+    fn checkpointed_lines_that_do_not_decode_are_malformed_unless_torn() {
+        let m = manifests();
+        let head = log_of(&[AuditEvent::Accepted {
+            id: 0,
+            request: request(),
+            predicted_bytes: 100,
+        }]);
+        let good = AuditEvent::Checkpointed {
+            id: 0,
+            manifest: m[1].clone(),
+        }
+        .to_json();
+        let tail = AuditEvent::Started { id: 0, attempt: 2 }.to_json();
+        let disagreeing = good.replacen("\"phase\": 2,", "\"phase\": 3,", 1);
+        assert_ne!(disagreeing, good);
+        let undecodable = r#"{"v": 1, "event": "checkpointed", "id": 0, "phase": 1, "manifest": {"phases_done": 1}}"#;
+        for bad in [disagreeing.as_str(), undecodable] {
+            assert!(matches!(
+                AuditEvent::from_json(bad),
+                Err(AuditError::Malformed(_))
+            ));
+            let log = format!("{head}{bad}\n{tail}\n");
+            assert!(
+                matches!(replay(&log), Err(AuditError::Malformed(_))),
+                "an interior line is corrupt, not torn: {bad}"
+            );
+        }
+        // Torn mid-write as the final line, the same event is tolerated.
+        let torn = format!("{head}{}", &good[..good.len() / 2]);
+        let rep = replay(&torn).expect("a torn tail replays");
+        assert!(rep.torn_tail);
+        assert_eq!(rep.jobs[&0].checkpoint_phase(), 0);
     }
 
     #[test]
@@ -742,8 +790,7 @@ mod tests {
     #[test]
     fn replay_folds_and_tolerates_a_torn_tail() {
         let r = request();
-        let mut log = String::new();
-        for ev in [
+        let mut log = log_of(&[
             AuditEvent::Accepted {
                 id: 0,
                 request: r.clone(),
@@ -770,10 +817,7 @@ mod tests {
                 predicted: 9,
                 available: 1,
             },
-        ] {
-            log.push_str(&ev.to_json());
-            log.push('\n');
-        }
+        ]);
         log.push_str(r#"{"v": 1, "event": "acc"#); // the crash tore this line
 
         let rep = replay(&log).expect("replays");

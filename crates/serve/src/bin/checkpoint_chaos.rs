@@ -75,20 +75,16 @@ fn reference(request: &JobRequest) -> (SortOutcome, Vec<CheckpointManifest>) {
     (outcome, sink.manifests)
 }
 
-/// Per-job checkpointed phases in log order, and the raw manifest JSON of
-/// the highest phase seen.
-fn phase_streams(log: &str) -> BTreeMap<u64, (Vec<u64>, String)> {
-    let mut streams: BTreeMap<u64, (Vec<u64>, String)> = BTreeMap::new();
+/// Per-job checkpointed phases in log order, and the manifest of the
+/// highest phase seen.
+fn phase_streams(log: &str) -> BTreeMap<u64, (Vec<u64>, Option<CheckpointManifest>)> {
+    let mut streams: BTreeMap<u64, (Vec<u64>, Option<CheckpointManifest>)> = BTreeMap::new();
     for line in log.lines().filter(|l| !l.trim().is_empty()) {
-        if let Ok(AuditEvent::Checkpointed {
-            id,
-            phase,
-            manifest,
-        }) = AuditEvent::from_json(line)
-        {
+        if let Ok(AuditEvent::Checkpointed { id, manifest }) = AuditEvent::from_json(line) {
+            let phase = manifest.phases_done;
             let entry = streams.entry(id).or_default();
             if entry.0.last().is_none_or(|&last| phase > last) {
-                entry.1 = manifest;
+                entry.1 = Some(manifest);
             }
             entry.0.push(phase);
         }
@@ -130,7 +126,7 @@ fn dump_manifests(root: &Path, log: &str) {
     let dir = root.join("manifests");
     std::fs::create_dir_all(&dir).expect("manifest dir");
     for (id, (_, manifest)) in phase_streams(log) {
-        let m = CheckpointManifest::from_json(&manifest).expect("final manifest decodes");
+        let m = manifest.expect("a checkpointed job has a final manifest");
         std::fs::write(dir.join(format!("job-{id}.json")), m.to_json()).expect("write manifest");
     }
 }
@@ -190,7 +186,7 @@ fn kill_recover_wave(root: &Path) {
         .copied()
         .filter(|id| {
             let j = &pre.jobs[id];
-            !j.outcome.is_terminal() && j.checkpoint_phase >= 1
+            !j.outcome.is_terminal() && j.checkpoint_phase() >= 1
         })
         .collect();
     assert!(
@@ -201,7 +197,7 @@ fn kill_recover_wave(root: &Path) {
         "checkpoint_chaos: killed with job(s) {killed:?} mid-phase (phases {:?})",
         killed
             .iter()
-            .map(|id| pre.jobs[id].checkpoint_phase)
+            .map(|id| pre.jobs[id].checkpoint_phase())
             .collect::<Vec<_>>()
     );
 
@@ -235,7 +231,7 @@ fn kill_recover_wave(root: &Path) {
         let i = ids.iter().position(|x| x == id).expect("known id");
         let fault_free = refs[i].0.stats.block_writes;
         let deltas = write_deltas(&refs[i].1);
-        let interrupted = pre.jobs[id].checkpoint_phase as usize; // died in phase k+1
+        let interrupted = pre.jobs[id].checkpoint_phase() as usize; // died in phase k+1
         let paid_bound = fault_free + deltas[interrupted];
         assert!(
             paid_bound < 2 * fault_free,

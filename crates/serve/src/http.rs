@@ -149,10 +149,17 @@ fn handle(stream: TcpStream, service: &SortService) -> HandleResult {
         Some((r, q)) => (r, q),
         None => (path.as_str(), ""),
     };
-    match (method.as_str(), route) {
-        ("GET", "/healthz") => respond(stream, 200, "OK", r#"{"ok": true}"#),
-        ("GET", "/stats") => respond(stream, 200, "OK", &service.stats().to_json()),
-        ("POST", "/jobs") => match JobRequest::from_json(&body) {
+    // `/jobs/<id>` and `/jobs/<id>/wait`: the id text, and whether to wait.
+    let job = route
+        .strip_prefix("/jobs/")
+        .map(|rest| match rest.strip_suffix("/wait") {
+            Some(id) => (id, true),
+            None => (rest, false),
+        });
+    match (method.as_str(), route, job) {
+        ("GET", "/healthz", _) => respond(stream, 200, "OK", r#"{"ok": true}"#),
+        ("GET", "/stats", _) => respond(stream, 200, "OK", &service.stats().to_json()),
+        ("POST", "/jobs", _) => match JobRequest::from_json(&body) {
             Err(e) => respond(stream, 400, "Bad Request", &e.to_json()),
             Ok(request) => match service.submit(request) {
                 Ok(id) => {
@@ -170,10 +177,8 @@ fn handle(stream: TcpStream, service: &SortService) -> HandleResult {
                 Err(e) => respond(stream, 503, "Service Unavailable", &e.to_json()),
             },
         },
-        ("GET", p) if p.starts_with("/jobs/") && p.ends_with("/wait") => {
-            let id = p["/jobs/".len()..p.len() - "/wait".len()]
-                .parse::<u64>()
-                .ok();
+        ("GET", _, Some((id, true))) => {
+            let id = id.parse::<u64>().ok();
             let timeout_ms = query_u64(query, "timeout_ms")
                 .unwrap_or(DEFAULT_WAIT_MS)
                 .min(MAX_WAIT_MS);
@@ -190,12 +195,8 @@ fn handle(stream: TcpStream, service: &SortService) -> HandleResult {
                 Some(status) => respond(stream, 408, "Request Timeout", &status.to_json()),
             }
         }
-        ("GET", p) if p.starts_with("/jobs/") => {
-            match p["/jobs/".len()..]
-                .parse::<u64>()
-                .ok()
-                .and_then(|id| service.status(id))
-            {
+        ("GET", _, Some((id, false))) => {
+            match id.parse::<u64>().ok().and_then(|id| service.status(id)) {
                 Some(status) if status.state == JobState::Expired => {
                     respond(stream, 504, "Gateway Timeout", &status.to_json());
                 }
@@ -203,7 +204,7 @@ fn handle(stream: TcpStream, service: &SortService) -> HandleResult {
                 None => respond(stream, 404, "Not Found", r#"{"error": "unknown job"}"#),
             }
         }
-        ("POST", "/shutdown") => {
+        ("POST", "/shutdown", _) => {
             service.drain();
             let mut o = JsonObj::new();
             o.bool("drained", true)

@@ -36,15 +36,13 @@
 //! the recovery tests lean on — it drops queued and running work on the
 //! floor exactly like a power cut.
 
-use crate::audit::{replay, AuditError, AuditEvent, ReplayOutcome};
+use crate::audit::{replay, AuditError, AuditEvent, ReplayJob, ReplayOutcome};
 use crate::job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
 use asym_core::sort::wire::req_u64;
-use asym_core::sort::{
-    self, CheckpointManifest, Checkpointer, CostEstimate, SortSpec, SpecError, WireError,
-};
+use asym_core::sort::{self, CheckpointManifest, Checkpointer, CostEstimate, WireError};
 use asym_model::json::{self, Json, JsonObj};
 use asym_model::ModelError;
-use em_sim::{Backend, FaultSpec};
+use em_sim::Backend;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -344,32 +342,69 @@ impl ServiceStats {
     }
 }
 
+/// One job as the live service holds it: the durable record the WAL
+/// replays, plus what the log never records.
 struct JobEntry {
-    request: JobRequest,
+    job: ReplayJob,
     predicted: CostEstimate,
-    state: JobState,
-    attempts: u32,
-    /// Queue-expiry deadline, armed at admission from `deadline_ms`.
+    /// A worker holds the job (meaningful only while it is pending).
+    running: bool,
+    /// Queue-expiry deadline, armed from `deadline_ms` when the job enters
+    /// the queue.
     expires_at: Option<Instant>,
-    telemetry: Option<String>,
-    error: Option<String>,
-    failure: Option<FailureKind>,
     /// When the job entered the queue — the aging clock of the
     /// ETA-priority scheduler.
     enqueued_at: Instant,
-    /// Latest checkpoint manifest (embedded JSON) for a staged job; the
-    /// next attempt resumes from it.
-    manifest: Option<String>,
-    /// `phases_done` of that manifest (0: no progress yet).
-    checkpoint_phase: u64,
-    /// The plan's total phase count, once known (0: unknown) — lets the
-    /// scheduler scale remaining work by phases left.
-    checkpoint_total: u64,
-    /// Attempt count at the moment of the last phase progress: the retry
-    /// clock's epoch. Backoff and fault decay key off
-    /// `attempts − attempts_at_progress`, so an attempt that completed a
-    /// phase is never re-billed as a failure.
-    attempts_at_progress: u32,
+    /// The last retryable failure's message, shown until the job ends.
+    retry_error: Option<String>,
+}
+
+impl JobEntry {
+    /// A job entering the service at `now`, admitted by `submit` or
+    /// rebuilt by `recover`. A recovered job's deadline clock restarts
+    /// here: the log has no wall-clock anchor, and punishing a job for the
+    /// outage would expire everything.
+    fn new(job: ReplayJob, predicted: CostEstimate, now: Instant) -> JobEntry {
+        JobEntry {
+            expires_at: job
+                .request
+                .deadline_ms
+                .map(|ms| now + Duration::from_millis(ms)),
+            job,
+            predicted,
+            running: false,
+            enqueued_at: now,
+            retry_error: None,
+        }
+    }
+
+    fn state(&self) -> JobState {
+        match self.job.outcome {
+            ReplayOutcome::Pending if self.running => JobState::Running,
+            ReplayOutcome::Pending => JobState::Queued,
+            ReplayOutcome::Completed { .. } => JobState::Completed,
+            ReplayOutcome::Failed { .. } => JobState::Failed,
+            ReplayOutcome::Expired => JobState::Expired,
+        }
+    }
+
+    fn snapshot(&self, id: JobId) -> JobStatus {
+        let (telemetry, error, failure) = match &self.job.outcome {
+            ReplayOutcome::Pending => (None, self.retry_error.clone(), None),
+            ReplayOutcome::Completed { telemetry } => (Some(telemetry.clone()), None, None),
+            ReplayOutcome::Failed { kind, error } => (None, Some(error.clone()), Some(*kind)),
+            ReplayOutcome::Expired => (None, Some("deadline expired while queued".into()), None),
+        };
+        JobStatus {
+            id,
+            state: self.state(),
+            predicted: self.predicted,
+            attempts: self.job.attempts,
+            telemetry,
+            error,
+            failure,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -379,11 +414,9 @@ struct State {
     /// Retry parking lot: jobs waiting out their backoff, with due times.
     delayed: Vec<(Instant, JobId)>,
     jobs: HashMap<JobId, JobEntry>,
-    in_flight_bytes: u64,
-    peak_in_flight_bytes: u64,
-    in_flight_io: u64,
-    peak_in_flight_io: u64,
-    checkpoints: u64,
+    /// The lifetime counters and in-flight sums; [`SortService::stats`]
+    /// fills in the fields derived from the rest of the state.
+    stats: ServiceStats,
     /// Admin hold: workers leave the queue untouched until released —
     /// tests use this to line up a deterministic schedule.
     held: bool,
@@ -392,12 +425,6 @@ struct State {
     drained: bool,
     /// Simulated crash: workers bail, drain no-ops, audit is dead.
     killed: bool,
-    submitted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    expired: u64,
-    retried: u64,
 }
 
 /// Where audit events go. `Dead` models the post-crash world: writes
@@ -477,80 +504,41 @@ impl SortService {
 
         let mut st = State {
             next_id: rep.next_id,
-            rejected: rep.rejected,
-            retried: rep.retries,
+            stats: ServiceStats {
+                rejected: rep.rejected,
+                retried: rep.retries,
+                ..ServiceStats::default()
+            },
             ..State::default()
-        };
-        let mut report = RecoveryReport {
-            next_id: rep.next_id,
-            torn_tail: rep.torn_tail,
-            ..RecoveryReport::default()
         };
         let now = Instant::now();
         for (id, job) in rep.jobs {
-            st.submitted += 1;
+            st.stats.submitted += 1;
             let predicted = job.request.predict();
-            // A recovered staged job carries its latest durable manifest:
+            // A re-queued staged job carries its latest durable manifest:
             // the next attempt resumes from it instead of restarting, and
             // its retry clock restarts at the manifest's progress epoch.
-            let checkpoint_total = job
-                .manifest
-                .as_deref()
-                .and_then(|m| asym_core::sort::CheckpointManifest::from_json(m).ok())
-                .map_or(0, |m| m.total_phases);
-            let mut entry = JobEntry {
-                predicted,
-                state: JobState::Queued,
-                attempts: job.attempts,
-                expires_at: None,
-                telemetry: None,
-                error: None,
-                failure: None,
-                request: job.request,
-                enqueued_at: now,
-                manifest: job.manifest,
-                checkpoint_phase: job.checkpoint_phase,
-                checkpoint_total,
-                attempts_at_progress: job.attempts_at_checkpoint,
-            };
             match job.outcome {
                 ReplayOutcome::Pending => {
-                    // The deadline clock restarts at recovery: the log has
-                    // no wall-clock anchor, and punishing a job for the
-                    // outage would expire everything.
-                    entry.expires_at = entry
-                        .request
-                        .deadline_ms
-                        .map(|ms| now + Duration::from_millis(ms));
-                    st.in_flight_bytes += predicted.peak_bytes();
-                    st.in_flight_io += predicted.io_cost();
+                    st.stats.in_flight_bytes += predicted.peak_bytes();
+                    st.stats.in_flight_io += predicted.io_cost();
                     st.queue.push_back(id);
-                    report.requeued += 1;
                 }
-                ReplayOutcome::Completed { telemetry } => {
-                    entry.state = JobState::Completed;
-                    entry.telemetry = Some(telemetry);
-                    st.completed += 1;
-                    report.restored += 1;
-                }
-                ReplayOutcome::Failed { kind, error } => {
-                    entry.state = JobState::Failed;
-                    entry.failure = Some(kind);
-                    entry.error = Some(error);
-                    st.failed += 1;
-                    report.restored += 1;
-                }
-                ReplayOutcome::Expired => {
-                    entry.state = JobState::Expired;
-                    entry.error = Some("deadline expired while queued".into());
-                    st.expired += 1;
-                    report.restored += 1;
-                }
+                ReplayOutcome::Completed { .. } => st.stats.completed += 1,
+                ReplayOutcome::Failed { .. } => st.stats.failed += 1,
+                ReplayOutcome::Expired => st.stats.expired += 1,
             }
-            st.jobs.insert(id, entry);
+            st.jobs.insert(id, JobEntry::new(job, predicted, now));
         }
-        st.peak_in_flight_bytes = st.in_flight_bytes;
-        st.peak_in_flight_io = st.in_flight_io;
+        st.stats.peak_in_flight_bytes = st.stats.in_flight_bytes;
+        st.stats.peak_in_flight_io = st.stats.in_flight_io;
+        let requeued = st.queue.len() as u64;
+        let report = RecoveryReport {
+            requeued,
+            restored: st.jobs.len() as u64 - requeued,
+            next_id: rep.next_id,
+            torn_tail: rep.torn_tail,
+        };
 
         let service = SortService::boot(cfg, st, Some(report))?;
         Ok((service, report))
@@ -615,9 +603,9 @@ impl SortService {
                 .inner
                 .cfg
                 .budget_bytes
-                .saturating_sub(st.in_flight_bytes);
+                .saturating_sub(st.stats.in_flight_bytes);
             if need > available {
-                st.rejected += 1;
+                st.stats.rejected += 1;
                 drop(st);
                 self.inner.audit_event(&AuditEvent::RejectedBudget {
                     predicted: need,
@@ -630,9 +618,13 @@ impl SortService {
             }
             let need_io = predicted.io_cost();
             if self.inner.cfg.io_budget > 0 {
-                let available = self.inner.cfg.io_budget.saturating_sub(st.in_flight_io);
+                let available = self
+                    .inner
+                    .cfg
+                    .io_budget
+                    .saturating_sub(st.stats.in_flight_io);
                 if need_io > available {
-                    st.rejected += 1;
+                    st.stats.rejected += 1;
                     drop(st);
                     self.inner.audit_event(&AuditEvent::RejectedIo {
                         predicted: need_io,
@@ -648,7 +640,7 @@ impl SortService {
                 if rate > 0 {
                     let eta_ms = predicted.io_cost().div_ceil(rate);
                     if eta_ms > deadline_ms {
-                        st.rejected += 1;
+                        st.stats.rejected += 1;
                         drop(st);
                         self.inner.audit_event(&AuditEvent::RejectedDeadline {
                             eta_ms,
@@ -663,30 +655,15 @@ impl SortService {
             }
             let id = st.next_id;
             st.next_id += 1;
-            st.submitted += 1;
-            st.in_flight_bytes += need;
-            st.peak_in_flight_bytes = st.peak_in_flight_bytes.max(st.in_flight_bytes);
-            st.in_flight_io += need_io;
-            st.peak_in_flight_io = st.peak_in_flight_io.max(st.in_flight_io);
+            let stats = &mut st.stats;
+            stats.submitted += 1;
+            stats.in_flight_bytes += need;
+            stats.peak_in_flight_bytes = stats.peak_in_flight_bytes.max(stats.in_flight_bytes);
+            stats.in_flight_io += need_io;
+            stats.peak_in_flight_io = stats.peak_in_flight_io.max(stats.in_flight_io);
             st.jobs.insert(
                 id,
-                JobEntry {
-                    request: request.clone(),
-                    predicted,
-                    state: JobState::Queued,
-                    attempts: 0,
-                    expires_at: request
-                        .deadline_ms
-                        .map(|ms| Instant::now() + Duration::from_millis(ms)),
-                    telemetry: None,
-                    error: None,
-                    failure: None,
-                    enqueued_at: Instant::now(),
-                    manifest: None,
-                    checkpoint_phase: 0,
-                    checkpoint_total: 0,
-                    attempts_at_progress: 0,
-                },
+                JobEntry::new(ReplayJob::new(request.clone()), predicted, Instant::now()),
             );
             // WAL ordering: the accepted record must be on disk before the
             // job can run, or a crash could complete work the log never
@@ -710,7 +687,7 @@ impl SortService {
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         let mut st = self.inner.state.lock().expect("service state");
         expire_overdue(&self.inner, &mut st);
-        st.jobs.get(&id).map(|e| snapshot(id, e))
+        st.jobs.get(&id).map(|e| e.snapshot(id))
     }
 
     /// Block until job `id` reaches a terminal state; returns its final
@@ -731,12 +708,9 @@ impl SortService {
         loop {
             expire_overdue(&self.inner, &mut st);
             let e = st.jobs.get(&id)?;
-            if e.state.is_terminal() {
-                return Some(snapshot(id, e));
-            }
             let now = Instant::now();
-            if deadline.is_some_and(|d| d <= now) {
-                return Some(snapshot(id, e));
+            if e.state().is_terminal() || deadline.is_some_and(|d| d <= now) {
+                return Some(e.snapshot(id));
             }
             // Short bounded steps rather than one long wait: expiry has no
             // dedicated timer thread, so waiters double as the sweep.
@@ -759,22 +733,12 @@ impl SortService {
         let mut st = self.inner.state.lock().expect("service state");
         expire_overdue(&self.inner, &mut st);
         ServiceStats {
-            submitted: st.submitted,
-            rejected: st.rejected,
-            completed: st.completed,
-            failed: st.failed,
-            expired: st.expired,
-            retried: st.retried,
             queued: st.queue.len() as u64,
             delayed: st.delayed.len() as u64,
             active: st.active,
-            in_flight_bytes: st.in_flight_bytes,
-            peak_in_flight_bytes: st.peak_in_flight_bytes,
             budget_bytes: self.inner.cfg.budget_bytes,
-            in_flight_io: st.in_flight_io,
-            peak_in_flight_io: st.peak_in_flight_io,
             io_budget: self.inner.cfg.io_budget,
-            checkpoints: st.checkpoints,
+            ..st.stats
         }
     }
 
@@ -873,18 +837,6 @@ impl Drop for SortService {
     }
 }
 
-fn snapshot(id: JobId, e: &JobEntry) -> JobStatus {
-    JobStatus {
-        id,
-        state: e.state,
-        predicted: e.predicted,
-        attempts: e.attempts,
-        telemetry: e.telemetry.clone(),
-        error: e.error.clone(),
-        failure: e.failure,
-    }
-}
-
 /// Expire every queued job whose deadline has lapsed. Called under the
 /// state lock from every observer path and from the worker loop, so a
 /// dedicated timer thread is unnecessary. Running jobs are never expired
@@ -894,7 +846,7 @@ fn expire_overdue(inner: &Inner, st: &mut State) {
     let overdue: Vec<JobId> = st
         .jobs
         .iter()
-        .filter(|(_, e)| e.state == JobState::Queued && e.expires_at.is_some_and(|t| t <= now))
+        .filter(|(_, e)| e.state() == JobState::Queued && e.expires_at.is_some_and(|t| t <= now))
         .map(|(&id, _)| id)
         .collect();
     if overdue.is_empty() {
@@ -904,11 +856,10 @@ fn expire_overdue(inner: &Inner, st: &mut State) {
         st.queue.retain(|&q| q != id);
         st.delayed.retain(|&(_, d)| d != id);
         let e = st.jobs.get_mut(&id).expect("overdue job exists");
-        e.state = JobState::Expired;
-        e.error = Some("deadline expired while queued".into());
-        st.in_flight_bytes -= e.predicted.peak_bytes();
-        st.in_flight_io -= e.predicted.io_cost();
-        st.expired += 1;
+        e.job.terminalize(ReplayOutcome::Expired);
+        st.stats.in_flight_bytes -= e.predicted.peak_bytes();
+        st.stats.in_flight_io -= e.predicted.io_cost();
+        st.stats.expired += 1;
         inner.audit_event(&AuditEvent::Expired { id });
     }
     inner.job_done.notify_all();
@@ -932,11 +883,12 @@ fn pick_next(st: &State, cfg: &ServiceConfig, now: Instant) -> Option<usize> {
     for (pos, &id) in st.queue.iter().enumerate() {
         let Some(e) = st.jobs.get(&id) else { continue };
         let io = e.predicted.io_cost();
-        let remaining = if e.checkpoint_total > 0 {
-            let left = e.checkpoint_total - e.checkpoint_phase.min(e.checkpoint_total);
-            (io as u128 * left as u128 / e.checkpoint_total as u128) as u64
-        } else {
-            io
+        let remaining = match &e.job.manifest {
+            Some(m) if m.total_phases > 0 => {
+                let left = m.total_phases - m.phases_done.min(m.total_phases);
+                (io as u128 * left as u128 / m.total_phases as u128) as u64
+            }
+            _ => io,
         };
         let age_ms = now.saturating_duration_since(e.enqueued_at).as_millis() as i128;
         let effective = remaining as i128 - age_ms * cfg.aging_io_per_ms as i128;
@@ -976,7 +928,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                     step = step.min(due.saturating_duration_since(now));
                 }
                 for e in st.jobs.values() {
-                    if e.state == JobState::Queued {
+                    if e.state() == JobState::Queued {
                         if let Some(t) = e.expires_at {
                             step = step.min(t.saturating_duration_since(now));
                         }
@@ -990,18 +942,19 @@ fn worker_loop(inner: &Arc<Inner>) {
             };
             st.active += 1;
             let entry = st.jobs.get_mut(&id).expect("queued job exists");
-            entry.state = JobState::Running;
-            entry.attempts += 1;
-            let attempt = entry.attempts;
+            entry.running = true;
+            let attempt = entry.job.attempts + 1;
+            entry.job.start_attempt(attempt);
             // The fault-decay clock counts only attempts since the last
             // phase progress: an attempt that checkpointed a phase reset
             // the storm's schedule along with the retry clock.
-            let failed_since_progress = (attempt - 1).saturating_sub(entry.attempts_at_progress);
-            let manifest = entry.manifest.clone();
+            let failed_since_progress =
+                (attempt - 1).saturating_sub(entry.job.attempts_at_checkpoint);
+            let manifest = entry.job.manifest.clone();
             inner.audit_event(&AuditEvent::Started { id, attempt });
             (
                 id,
-                entry.request.clone(),
+                entry.job.request.clone(),
                 attempt,
                 failed_since_progress,
                 manifest,
@@ -1011,13 +964,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         // The sort runs outside the lock, fenced by catch_unwind: a
         // panicking sorter becomes a typed failure, not a dead worker.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_job(
-                inner,
-                id,
-                &request,
-                failed_since_progress,
-                manifest.as_deref(),
-            )
+            run_job(inner, id, &request, failed_since_progress, manifest)
         }))
         .unwrap_or_else(|payload| {
             // Store paths with no `Result` channel (block appends,
@@ -1036,79 +983,65 @@ fn worker_loop(inner: &Arc<Inner>) {
         });
 
         {
-            let mut st = inner.state.lock().expect("service state");
+            let mut guard = inner.state.lock().expect("service state");
+            let st = &mut *guard;
             let max_attempts = inner.cfg.max_attempts.max(1);
             let entry = st.jobs.get_mut(&id).expect("running job exists");
-            let need = entry.predicted.peak_bytes();
-            let need_io = entry.predicted.io_cost();
+            entry.running = false;
             // The retry budget is per progress epoch: attempts that
             // completed a phase (this one included — the checkpointer may
             // have advanced the epoch while we ran) moved the epoch
             // forward and are not billed against `max_attempts`.
-            let effective_attempts = attempt.saturating_sub(entry.attempts_at_progress);
-            enum Done {
-                Completed,
-                Retried(u64),
-                Failed,
-            }
-            let done = match result {
-                Ok(telemetry) => {
-                    entry.state = JobState::Completed;
-                    entry.telemetry = Some(telemetry.clone());
-                    entry.error = None;
-                    inner.audit_event(&AuditEvent::Completed { id, telemetry });
-                    Done::Completed
-                }
+            let effective_attempts = attempt.saturating_sub(entry.job.attempts_at_checkpoint);
+            let event = match result {
+                Ok(telemetry) => AuditEvent::Completed { id, telemetry },
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
-                    let entry = st.jobs.get_mut(&id).expect("running job exists");
-                    entry.state = JobState::Queued;
-                    entry.error = Some(f.message.clone());
                     let shift = effective_attempts.saturating_sub(1).min(20);
-                    let backoff_ms = inner
-                        .cfg
-                        .backoff_base_ms
-                        .saturating_mul(1u64 << shift)
-                        .min(inner.cfg.backoff_cap_ms);
-                    inner.audit_event(&AuditEvent::Retried {
+                    AuditEvent::Retried {
                         id,
                         attempt,
-                        backoff_ms,
+                        backoff_ms: inner
+                            .cfg
+                            .backoff_base_ms
+                            .saturating_mul(1u64 << shift)
+                            .min(inner.cfg.backoff_cap_ms),
                         error: f.message,
-                    });
-                    Done::Retried(backoff_ms)
+                    }
                 }
-                Err(f) => {
-                    let entry = st.jobs.get_mut(&id).expect("running job exists");
-                    entry.state = JobState::Failed;
-                    entry.failure = Some(f.kind);
-                    entry.error = Some(f.message.clone());
-                    inner.audit_event(&AuditEvent::Failed {
-                        id,
-                        kind: f.kind,
-                        error: f.message,
-                    });
-                    Done::Failed
-                }
+                Err(f) => AuditEvent::Failed {
+                    id,
+                    kind: f.kind,
+                    error: f.message,
+                },
             };
+            inner.audit_event(&event);
             st.active -= 1;
-            match done {
-                Done::Completed => {
-                    st.completed += 1;
-                    st.in_flight_bytes -= need;
-                    st.in_flight_io -= need_io;
-                }
-                Done::Retried(backoff_ms) => {
+            let outcome = match event {
+                AuditEvent::Retried {
+                    backoff_ms, error, ..
+                } => {
                     // The budgets stay held: the job is still the
                     // service's responsibility, just parked.
-                    st.retried += 1;
+                    entry.retry_error = Some(error);
+                    st.stats.retried += 1;
                     st.delayed
                         .push((Instant::now() + Duration::from_millis(backoff_ms), id));
+                    None
                 }
-                Done::Failed => {
-                    st.failed += 1;
-                    st.in_flight_bytes -= need;
-                    st.in_flight_io -= need_io;
+                AuditEvent::Completed { telemetry, .. } => {
+                    st.stats.completed += 1;
+                    Some(ReplayOutcome::Completed { telemetry })
                 }
+                AuditEvent::Failed { kind, error, .. } => {
+                    st.stats.failed += 1;
+                    Some(ReplayOutcome::Failed { kind, error })
+                }
+                _ => unreachable!("an attempt ends completed, retried or failed"),
+            };
+            if let Some(outcome) = outcome {
+                entry.job.terminalize(outcome);
+                st.stats.in_flight_bytes -= entry.predicted.peak_bytes();
+                st.stats.in_flight_io -= entry.predicted.io_cost();
             }
         }
         inner.job_done.notify_all();
@@ -1117,10 +1050,9 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 /// The [`Checkpointer`] the worker hands a staged job: each manifest is
-/// appended to the audit WAL *first* (durability), then credited to the
-/// job's in-memory entry — progress only ever advances, and advancing it
-/// moves the retry clock's epoch so the attempt that made progress is
-/// never re-billed. The two locks are taken strictly in sequence (audit,
+/// appended to the audit WAL *first* (durability), then recorded on the
+/// job's entry through [`ReplayJob::checkpoint`], the same transition
+/// replay applies. The two locks are taken strictly in sequence (audit,
 /// then state), never nested, per the service's lock order.
 struct ServiceCheckpointer {
     inner: Arc<Inner>,
@@ -1129,21 +1061,17 @@ struct ServiceCheckpointer {
 
 impl Checkpointer for ServiceCheckpointer {
     fn save(&mut self, manifest: &CheckpointManifest) -> asym_model::Result<()> {
-        let rendered = manifest.to_json();
-        self.inner.audit_event(&AuditEvent::Checkpointed {
+        let event = AuditEvent::Checkpointed {
             id: self.id,
-            phase: manifest.phases_done,
-            manifest: rendered.clone(),
-        });
+            manifest: manifest.clone(),
+        };
+        self.inner.audit_event(&event);
         let mut st = self.inner.state.lock().expect("service state");
-        st.checkpoints += 1;
-        if let Some(e) = st.jobs.get_mut(&self.id) {
-            if manifest.phases_done > e.checkpoint_phase {
-                e.checkpoint_phase = manifest.phases_done;
-                e.checkpoint_total = manifest.total_phases;
-                e.manifest = Some(rendered);
-                e.attempts_at_progress = e.attempts;
-            }
+        st.stats.checkpoints += 1;
+        if let (Some(e), AuditEvent::Checkpointed { manifest, .. }) =
+            (st.jobs.get_mut(&self.id), event)
+        {
+            e.job.checkpoint(manifest);
         }
         Ok(())
     }
@@ -1160,7 +1088,7 @@ fn run_job(
     id: JobId,
     request: &JobRequest,
     failed_since_progress: u32,
-    manifest: Option<&str>,
+    manifest: Option<CheckpointManifest>,
 ) -> Result<String, JobFailure> {
     let dir = if request.spec.backend() == Backend::File {
         let dir = inner.cfg.root_dir.join(format!("job-{id}"));
@@ -1184,8 +1112,14 @@ fn run_job(
         .spec
         .fault()
         .map(|f| f.for_attempt(failed_since_progress));
+    // Wire specs may name any `file_dir`; on the server every file-backed
+    // job gets a private directory under the service root.
     let spec = if dir.is_some() || fault != request.spec.fault() {
-        respec(&request.spec, dir, fault).map_err(|e| JobFailure {
+        let mut b = request.spec.to_builder().fault(fault);
+        if let Some(d) = dir {
+            b = b.file_dir(d);
+        }
+        b.build().map_err(|e| JobFailure {
             kind: FailureKind::Fatal,
             message: format!("respec: {e}"),
         })?
@@ -1209,9 +1143,7 @@ fn run_job(
             inner: Arc::clone(inner),
             id,
         };
-        let resume = manifest
-            .and_then(|m| CheckpointManifest::from_json(m).ok())
-            .filter(|m| m.validate(&spec, &input).is_ok());
+        let resume = manifest.filter(|m| m.validate(&spec, &input).is_ok());
         match resume {
             Some(m) => sort::resume_from(&spec, &input, &m, &mut sink),
             None => sort::run_staged(&spec, &input, &mut sink),
@@ -1227,29 +1159,6 @@ fn run_job(
         message: e.to_string(),
     })?;
     Ok(outcome.to_json(request.include_output))
-}
-
-/// The same job description with its file directory re-pointed (wire specs
-/// may name any `file_dir`; on the server every file-backed job gets a
-/// private directory under the service root) and its fault schedule
-/// stepped to the current attempt.
-fn respec(
-    spec: &SortSpec,
-    dir: Option<PathBuf>,
-    fault: Option<FaultSpec>,
-) -> Result<SortSpec, SpecError> {
-    let mut b = SortSpec::builder(spec.algorithm(), spec.m(), spec.b(), spec.omega())
-        .k(spec.k())
-        .lanes(spec.lanes())
-        .backend(spec.backend())
-        .seed(spec.seed())
-        .slack(spec.slack())
-        .steal_charge(spec.steal_charge())
-        .fault(fault);
-    if let Some(d) = dir.or_else(|| spec.file_dir().map(PathBuf::from)) {
-        b = b.file_dir(d);
-    }
-    b.build()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

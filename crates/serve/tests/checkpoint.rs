@@ -5,9 +5,7 @@
 //! truncated; a stale manifest after the terminal outcome is ignored; and
 //! recovery is idempotent.
 
-use asym_core::sort::{
-    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec,
-};
+use asym_core::sort::{self, Algorithm, MemCheckpointer, SortOutcome, SortSpec};
 use asym_model::workload::Workload;
 use asym_serve::{
     replay, AuditEvent, JobRequest, JobState, ReplayOutcome, ServiceConfig, SortService,
@@ -43,7 +41,9 @@ fn checkpointed_phases(root: &Path, id: u64) -> Vec<u64> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
         .filter_map(|l| match AuditEvent::from_json(l) {
-            Ok(AuditEvent::Checkpointed { id: jid, phase, .. }) if jid == id => Some(phase),
+            Ok(AuditEvent::Checkpointed { id: jid, manifest }) if jid == id => {
+                Some(manifest.phases_done)
+            }
             _ => None,
         })
         .collect()
@@ -93,7 +93,7 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
 
     let pre = replay(&std::fs::read_to_string(root.join("audit.jsonl")).expect("audit"))
         .expect("replays");
-    let k = pre.jobs[&id].checkpoint_phase;
+    let k = pre.jobs[&id].checkpoint_phase();
     assert!(
         k >= 1 && k < total,
         "killed mid-job at phase {k} of {total}"
@@ -130,15 +130,14 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
     // reference stream at every phase.
     let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        if let Ok(AuditEvent::Checkpointed {
-            id: jid,
-            phase,
-            manifest,
-        }) = AuditEvent::from_json(line)
-        {
+        if let Ok(AuditEvent::Checkpointed { id: jid, manifest }) = AuditEvent::from_json(line) {
             if jid == id {
-                let m = CheckpointManifest::from_json(&manifest).expect("manifest decodes");
-                assert_eq!(&m, &full.manifests[(phase - 1) as usize], "phase {phase}");
+                let phase = manifest.phases_done;
+                assert_eq!(
+                    &manifest,
+                    &full.manifests[(phase - 1) as usize],
+                    "phase {phase}"
+                );
             }
         }
     }
@@ -164,13 +163,11 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
         AuditEvent::Started { id: 0, attempt: 1 },
         AuditEvent::Checkpointed {
             id: 0,
-            phase: 1,
-            manifest: full.manifests[0].to_json(),
+            manifest: full.manifests[0].clone(),
         },
         AuditEvent::Checkpointed {
             id: 0,
-            phase: 2,
-            manifest: full.manifests[1].to_json(),
+            manifest: full.manifests[1].clone(),
         },
     ] {
         log.push_str(&ev.to_json());
@@ -178,8 +175,7 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
     }
     let torn = AuditEvent::Checkpointed {
         id: 0,
-        phase: 3,
-        manifest: full.manifests[2].to_json(),
+        manifest: full.manifests[2].clone(),
     }
     .to_json();
     log.push_str(&torn[..torn.len() / 2]); // crash mid-write
@@ -187,7 +183,11 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
 
     let rep = replay(&log).expect("torn tail tolerated");
     assert!(rep.torn_tail);
-    assert_eq!(rep.jobs[&0].checkpoint_phase, 2, "last whole manifest wins");
+    assert_eq!(
+        rep.jobs[&0].checkpoint_phase(),
+        2,
+        "last whole manifest wins"
+    );
 
     let (service, report) =
         SortService::recover(ServiceConfig::new(1, u64::MAX, root.clone())).expect("recover");
@@ -229,8 +229,7 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         AuditEvent::Started { id: 0, attempt: 1 },
         AuditEvent::Checkpointed {
             id: 0,
-            phase: full.manifests.len() as u64,
-            manifest: full.manifests.last().unwrap().to_json(),
+            manifest: full.manifests.last().unwrap().clone(),
         },
         AuditEvent::Completed {
             id: 0,
@@ -240,8 +239,7 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         // outcome — replay must not resurrect the job or touch progress.
         AuditEvent::Checkpointed {
             id: 0,
-            phase: 1,
-            manifest: full.manifests[0].to_json(),
+            manifest: full.manifests[0].clone(),
         },
     ] {
         log.push_str(&ev.to_json());

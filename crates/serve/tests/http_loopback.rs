@@ -161,7 +161,17 @@ fn queued_jobs_past_their_deadline_expire_into_504() {
     let mut server = serve(service, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
-    client::submit(addr, &job(BUSY_JOB)).expect("submit");
+    let busy = client::submit(addr, &job(BUSY_JOB)).expect("submit");
+    // The worker must hold the busy job before the dated one arrives: with
+    // both queued, the ETA-priority pick would run the smaller dated job
+    // first.
+    let state = |id: u64| {
+        let (_, body) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "").expect("status");
+        JobStatus::from_json(&body).expect("status decodes").state
+    };
+    while state(busy) == JobState::Queued {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     // One millisecond of deadline against a worker held busy for much
     // longer: the job must expire in the queue, never having run.
     let mut dated = job(SMALL_JOB);
@@ -234,6 +244,23 @@ fn oversized_request_bodies_get_a_typed_413_without_allocation() {
     assert!(v.get("max").and_then(Json::as_u64).unwrap() >= 1 << 20);
 
     // The connection above did not wedge the server.
+    let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(code, 200);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_wait_route_without_an_id_is_a_404_and_the_server_keeps_serving() {
+    let root = fresh_root("wait-no-id");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    for path in ["/jobs/wait", "/jobs//wait", "/jobs/"] {
+        let (code, body) = roundtrip(addr, "GET", path, "").expect(path);
+        assert_eq!(code, 404, "{path}: {body}");
+    }
     let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(code, 200);
     server.shutdown();

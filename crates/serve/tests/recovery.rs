@@ -258,7 +258,7 @@ fn session_log() -> &'static str {
             ReplayOutcome::Completed { .. }
         ));
         assert!(
-            full.jobs[&4].checkpoint_phase > 0 && full.jobs[&4].manifest.is_some(),
+            full.jobs[&4].checkpoint_phase() > 0 && full.jobs[&4].manifest.is_some(),
             "the staged job left checkpointed events in the log"
         );
         text
@@ -291,10 +291,10 @@ fn longer_prefixes_only_add_information() {
         for (&id, j) in &rep.jobs {
             let prev = prev_phases.get(&id).copied().unwrap_or(0);
             assert!(
-                j.checkpoint_phase >= prev,
+                j.checkpoint_phase() >= prev,
                 "checkpoint progress of job {id} regressed at {cut}"
             );
-            prev_phases.insert(id, j.checkpoint_phase);
+            prev_phases.insert(id, j.checkpoint_phase());
         }
         prev_terminal = rep
             .jobs
@@ -331,7 +331,7 @@ proptest! {
             prop_assert_eq!(&j.request, &f.request, "request {} mutated", id);
             prop_assert!(j.attempts <= f.attempts);
             prop_assert!(
-                j.checkpoint_phase <= f.checkpoint_phase,
+                j.checkpoint_phase() <= f.checkpoint_phase(),
                 "checkpoint progress of {} ahead of the full log",
                 id
             );

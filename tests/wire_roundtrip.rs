@@ -7,13 +7,14 @@
 //! (job requests, outcome telemetry, checkpoint manifests) must render
 //! byte-equal to the plain `format!`-joined encoding kept below as the
 //! reference, decode back exactly, and treat pair arrays the one-pass
-//! parser declines exactly as the generic parser always has.
+//! parser declines exactly as the generic parser always has. The audit
+//! line that carries a manifest into the WAL is pinned the same way.
 
 use asym_core::sort::{run, Algorithm, CheckpointManifest, SortOutcome, SortSpec, WireError};
 use asym_model::json::Json;
 use asym_model::workload::Workload;
 use asym_model::Record;
-use asym_serve::JobRequest;
+use asym_serve::{AuditEvent, JobRequest};
 use em_sim::{Backend, EmStats, FaultSpec};
 use proptest::prelude::*;
 
@@ -152,8 +153,22 @@ proptest! {
         let runs_ref: Vec<String> = manifest.runs.iter().map(|r| reference_records(r)).collect();
         let empty = CheckpointManifest { runs: Vec::new(), ..manifest.clone() }.to_json();
         let body = empty.strip_suffix("\"runs\": [] }").expect("runs close the manifest");
-        prop_assert_eq!(&text, &format!("{body}\"runs\": [{}] }}", runs_ref.join(", ")));
+        let manifest_ref = format!("{body}\"runs\": [{}] }}", runs_ref.join(", "));
+        prop_assert_eq!(&text, &manifest_ref);
         prop_assert_eq!(&CheckpointManifest::from_json(&text).expect("decode"), &manifest);
+
+        // The WAL line carrying it: schema version first, `phase` beside
+        // the embedded manifest.
+        let event = AuditEvent::Checkpointed { id: u64::MAX, manifest };
+        let line = event.to_json();
+        prop_assert_eq!(
+            &line,
+            &format!(
+                "{{ \"v\": 1, \"event\": \"checkpointed\", \"id\": {}, \"phase\": 1, \"manifest\": {manifest_ref} }}",
+                u64::MAX
+            )
+        );
+        prop_assert_eq!(AuditEvent::from_json(&line).expect("decode"), event);
 
         // The bare array is a parse/render fixed point.
         prop_assert_eq!(Json::parse(&reference).expect("parses").render(), reference);
