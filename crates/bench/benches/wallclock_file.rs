@@ -57,7 +57,7 @@ struct Case {
     run: Box<dyn Fn(Backend) -> (EmStats, f64)>,
 }
 
-/// One timed registry run of `spec` over `input`.
+/// One timed `sort::run` of `spec` over `input`.
 fn timed_run(spec: &SortSpec, input: &[Record]) -> (EmStats, f64) {
     let start = Instant::now();
     let outcome = sort::run(spec, input).expect("sort");

@@ -61,7 +61,7 @@ pub fn input_for(n: usize) -> Vec<Record> {
 }
 
 /// One measured run (shared with the `par_sort` bench target): dispatch the
-/// spec through the registry and sanity-check the outcome shape.
+/// spec through `sort::run` and sanity-check the outcome shape.
 pub fn run_spec(spec: &SortSpec, input: &[Record]) -> SortOutcome {
     let outcome = sort::run(spec, input).expect("par sample sort");
     assert_eq!(outcome.output.len(), input.len());

@@ -2,7 +2,7 @@
 //! measured transfers against the closed-form bounds, and the k sweep
 //! showing the improvement region k/log k < ω/log(M/B) with its crossover.
 //!
-//! Runs go through the unified job API (`SortSpec` + the registry), so the
+//! Runs go through the unified job API (`SortSpec` + `sort::run`), so the
 //! storage backend arrives via `SortSpec::from_env` like every consumer;
 //! the pointer-placement ablation keeps its dedicated engine entry point
 //! (`aem_mergesort_opts`), which the adapter wraps with default options.

@@ -1,7 +1,7 @@
 //! E5 — Theorem 4.5: the AEM sample sort matches the mergesort's
 //! asymptotics: O(kn/B · levels) reads, O(n/B · levels) writes. The table
 //! mirrors E3's sweep and cross-checks the two algorithms' totals — both
-//! now enumerated generically through the sorter registry rather than two
+//! now dispatched generically through `sort::run` rather than two
 //! hard-coded call sites.
 
 use crate::Scale;
@@ -10,7 +10,7 @@ use asym_model::table::{f2, Table};
 use asym_model::workload::Workload;
 use asym_model::Record;
 
-/// One registry run at the E5 geometry; returns (reads, writes, cost).
+/// One `sort::run` at the E5 geometry; returns (reads, writes, cost).
 fn measure(algorithm: Algorithm, omega: u64, k: usize, input: &[Record]) -> (u64, u64, u64) {
     crate::measure_sort(&crate::sort_spec(algorithm, 64, 8, omega, k, 0xE5), input)
 }

@@ -13,7 +13,7 @@ use asym_model::Record;
 use em_sim::EmConfig;
 use rand::{Rng, SeedableRng};
 
-/// One registry run at the E6 geometry; returns (reads, writes, cost).
+/// One `sort::run` at the E6 geometry; returns (reads, writes, cost).
 fn measure(
     algorithm: Algorithm,
     m: usize,

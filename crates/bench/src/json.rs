@@ -21,8 +21,8 @@
 //! }
 //! ```
 //!
-//! `algorithm` is the `Sorter::name` of the unified sort API's adapter that
-//! produced the entry (empty for workloads that are not sort jobs); the
+//! `algorithm` is the `Algorithm::name` of the sort that `sort::run`
+//! dispatched to produce the entry (empty for workloads that are not sort jobs); the
 //! checker flags an entry whose algorithm silently changed.
 //!
 //! `reads` / `writes` / `peak_memory` are the *modeled* [`EmStats`] of the
@@ -45,8 +45,8 @@ use std::path::{Path, PathBuf};
 pub struct BenchEntry {
     /// Stable workload identifier (e.g. `e3-mergesort-k4`).
     pub id: String,
-    /// The `Sorter::name` of the algorithm the workload ran through the
-    /// unified sort API (empty for non-sort workloads like `raw-stream`).
+    /// The `Algorithm::name` of the sort the workload ran through
+    /// `sort::run` (empty for non-sort workloads like `raw-stream`).
     pub algorithm: String,
     /// Records processed by one run.
     pub records: u64,
@@ -123,8 +123,8 @@ impl BenchReport {
         self.push_sort(id, "", records, seconds, stats);
     }
 
-    /// Record one sort-job measurement: stats plus the `Sorter::name` of
-    /// the algorithm that produced them.
+    /// Record one sort-job measurement: stats plus the `Algorithm::name` of
+    /// the sort that produced them.
     pub fn push_sort(
         &mut self,
         id: impl Into<String>,

@@ -156,7 +156,7 @@ pub fn sort_spec(
         .unwrap_or_else(|e| panic!("{algorithm} bench spec: {e}"))
 }
 
-/// Run `spec` through the sorter registry, assert record conservation, and
+/// Run `spec` through `sort::run`, assert record conservation, and
 /// return the three numbers every sort table tabulates:
 /// `(reads, writes, io_cost)`.
 pub fn measure_sort(spec: &SortSpec, input: &[Record]) -> (u64, u64, u64) {

@@ -7,8 +7,8 @@ use asym_model::Result;
 use em_sim::{EmMachine, EmVec, EmWriter};
 
 /// Sort `input` by streaming it through the §4.3.3 priority queue.
-/// Consumes and frees the input. The `aem-heapsort` `sort::Sorter` adapter
-/// runs this engine.
+/// Consumes and frees the input. `sort::run` dispatches `aem-heapsort`
+/// specs to this engine.
 pub fn aem_heapsort(machine: &EmMachine, input: EmVec, k: usize) -> Result<EmVec> {
     let mut pq = AemPriorityQueue::new(machine.clone(), k)?;
     {

@@ -79,8 +79,8 @@ pub struct MergeOpts {
 
 /// Sort `input` with the AEM mergesort at write-saving factor `k`
 /// (1 ≤ k; k=1 is the classic EM mergesort). Consumes and frees the input's
-/// blocks; returns a freshly written sorted array. The `aem-mergesort`
-/// `sort::Sorter` adapter runs this engine.
+/// blocks; returns a freshly written sorted array. `sort::run`
+/// dispatches `aem-mergesort` specs to this engine.
 pub fn aem_mergesort(machine: &EmMachine, input: EmVec, k: usize) -> Result<EmVec> {
     aem_mergesort_opts(machine, input, k, MergeOpts::default())
 }

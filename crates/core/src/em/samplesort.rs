@@ -32,7 +32,7 @@ pub fn samplesort_slack(m: usize, b: usize, k: usize) -> usize {
 
 /// Sort `input` with the AEM sample sort at write-saving factor `k`
 /// (k=1 is the classic EM distribution sort). Consumes and frees the input.
-/// The `aem-samplesort` `sort::Sorter` adapter runs this engine.
+/// `sort::run` dispatches `aem-samplesort` specs to this engine.
 pub fn aem_samplesort(
     machine: &EmMachine,
     input: EmVec,

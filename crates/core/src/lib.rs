@@ -21,9 +21,9 @@
 //! * [`par`] — a real multi-threaded sample sort (crossbeam scoped threads)
 //!   for wall-clock benchmarking.
 //! * [`sort`] — the unified job API: a validated [`sort::SortSpec`]
-//!   description, the [`sort::Sorter`] trait with one adapter per AEM sort,
-//!   and the [`sort::sorters`] registry. The per-algorithm free functions
-//!   are the engines its adapters call.
+//!   description, [`sort::Algorithm::ALL`] naming every AEM sort, and
+//!   [`sort::run`], which dispatches a spec to its algorithm's engine. The
+//!   per-algorithm free functions are those engines.
 //!
 //! Every algorithm runs against an instrumented substrate (`asym-model`
 //! counters, `em-sim` block machine, or `cache-sim` cache) so experiments

@@ -152,8 +152,8 @@ impl<'a> PhaseLog<'a> {
 /// Runs are deterministic in `(input, geometry, k, seed)`; merged reads and
 /// writes are additionally independent of the lane count (see the module
 /// docs). Every intermediate block is released, so a run leaves the lanes'
-/// stores exactly as it found them. The `par-aem-samplesort`
-/// `sort::Sorter` adapter runs this engine.
+/// stores exactly as it found them. `sort::run` dispatches
+/// `par-aem-samplesort` specs to this engine.
 ///
 /// When `charge_steals` is set, the §2 cache-warm-up charge is folded into
 /// the lane stats after the scheduler simulation: each successful steal

@@ -1,10 +1,10 @@
-//! The [`Sorter`] trait, one adapter per AEM algorithm, the [`sorters`]
-//! registry, and the unified [`SortOutcome`].
+//! [`run`], the one `match` that dispatches a [`SortSpec`] to its
+//! algorithm's engine, and the unified [`SortOutcome`].
 
 use super::spec::{Algorithm, SortSpec};
 use crate::em::{aem_heapsort, aem_mergesort, aem_samplesort};
 use crate::par::par_aem_sample_sort;
-use asym_model::{CostReport, ModelError, Record, Result};
+use asym_model::{CostReport, Record, Result};
 use em_sim::{EmMachine, EmStats, EmVec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,28 +68,9 @@ pub struct ParData {
     pub steal_warmup: EmStats,
 }
 
-/// One sorting algorithm behind the unified front door: adapters translate
-/// a validated [`SortSpec`] into machines, run the algorithm's engine (its
-/// public free function), and report a [`SortOutcome`].
-pub trait Sorter {
-    /// Stable identifier (equals `self.kind().name()`); used in bench JSON
-    /// and experiment tables.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Which algorithm this adapter fronts.
-    fn kind(&self) -> Algorithm;
-
-    /// Run the job described by `spec` over `input`. The spec's algorithm
-    /// must match [`Sorter::kind`]; runtime faults (backend I/O, exceeded
-    /// leases) surface as [`ModelError`]s.
-    fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome>;
-}
-
-/// Shared sequential-adapter plumbing: build the spec's machine, stage the
-/// input (uncharged), run the engine, gather the output, and leave the
-/// store exactly as clean as the engine left it. `expect_clean` asserts a
+/// Shared sequential plumbing: build the spec's machine, stage the input
+/// (uncharged), run the engine, gather the output, and leave the store
+/// exactly as clean as the engine left it. `expect_clean` asserts a
 /// fully-released store after the output is freed — the mergesort and
 /// sample sort guarantee it; the heapsort's drained priority queue retains
 /// empty structural blocks, so it opts out.
@@ -116,119 +97,42 @@ fn run_serial(
     })
 }
 
-fn check_kind(sorter: &dyn Sorter, spec: &SortSpec) -> Result<()> {
-    if spec.algorithm() != sorter.kind() {
-        return Err(ModelError::Invariant(format!(
-            "spec describes {} but was handed to the {} sorter",
-            spec.algorithm(),
-            sorter.name()
-        )));
-    }
-    Ok(())
-}
-
-/// Adapter for the AEM mergesort (Algorithm 2).
-pub struct MergesortSorter;
-
-impl Sorter for MergesortSorter {
-    fn kind(&self) -> Algorithm {
-        Algorithm::Mergesort
-    }
-
-    fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
-        check_kind(self, spec)?;
-        run_serial(spec, input, true, |em, v| aem_mergesort(em, v, spec.k()))
-    }
-}
-
-/// Adapter for the AEM sample sort (§4.2). The spec's seed drives the
-/// splitter sampling, so runs are deterministic in the spec.
-pub struct SamplesortSorter;
-
-impl Sorter for SamplesortSorter {
-    fn kind(&self) -> Algorithm {
-        Algorithm::Samplesort
-    }
-
-    fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
-        check_kind(self, spec)?;
-        run_serial(spec, input, true, |em, v| {
-            let mut rng = StdRng::seed_from_u64(spec.seed());
-            aem_samplesort(em, v, spec.k(), &mut rng)
-        })
-    }
-}
-
-/// Adapter for the buffer-tree heapsort (§4.3).
-pub struct HeapsortSorter;
-
-impl Sorter for HeapsortSorter {
-    fn kind(&self) -> Algorithm {
-        Algorithm::Heapsort
-    }
-
-    fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
-        check_kind(self, spec)?;
-        run_serial(spec, input, false, |em, v| aem_heapsort(em, v, spec.k()))
-    }
-}
-
-/// Adapter for the modeled parallel sample sort on lane-sharded machines.
-pub struct ParSamplesortSorter;
-
-impl Sorter for ParSamplesortSorter {
-    fn kind(&self) -> Algorithm {
-        Algorithm::ParSamplesort
-    }
-
-    fn run(&self, spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
-        check_kind(self, spec)?;
-        let par = spec.par_machine()?;
-        let (run, steal_warmup) =
-            par_aem_sample_sort(&par, input, spec.k(), spec.seed(), spec.steal_charge())?;
-        assert_eq!(par.live_blocks(), 0, "a run must release every block");
-        let stats = run.merged;
-        Ok(SortOutcome {
-            output: run.output,
-            stats,
-            report: stats.report(spec.omega()),
-            parallel: Some(ParData {
-                lane_stats: run.lane_stats,
-                phase_costs: run.phase_costs,
-                cost: run.cost,
-                sched: run.sched,
-                steal_warmup,
-            }),
-        })
-    }
-}
-
-/// Every registered sorter, in [`Algorithm::ALL`] order. Consumers that
-/// want "all the sorts" (differential suites, experiment sweeps) enumerate
-/// this instead of hard-coding call sites.
-pub fn sorters() -> Vec<Box<dyn Sorter>> {
-    vec![
-        Box::new(MergesortSorter),
-        Box::new(SamplesortSorter),
-        Box::new(HeapsortSorter),
-        Box::new(ParSamplesortSorter),
-    ]
-}
-
-/// The registered sorter for one algorithm.
-pub fn sorter_for(algorithm: Algorithm) -> Box<dyn Sorter> {
-    match algorithm {
-        Algorithm::Mergesort => Box::new(MergesortSorter),
-        Algorithm::Samplesort => Box::new(SamplesortSorter),
-        Algorithm::Heapsort => Box::new(HeapsortSorter),
-        Algorithm::ParSamplesort => Box::new(ParSamplesortSorter),
-    }
-}
-
-/// Run the job described by `spec` with its algorithm's registered sorter —
-/// the one-call front door.
+/// Run the job described by `spec` over `input` — the one front door. The
+/// spec's algorithm picks the engine (its public free function), so the
+/// result is cost-identical to calling that engine on the spec's machine.
+/// Runtime faults (backend I/O, exceeded leases) surface as [`ModelError`]s.
+///
+/// [`ModelError`]: asym_model::ModelError
 pub fn run(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
-    sorter_for(spec.algorithm()).run(spec, input)
+    let k = spec.k();
+    match spec.algorithm() {
+        Algorithm::Mergesort => run_serial(spec, input, true, |em, v| aem_mergesort(em, v, k)),
+        // The spec's seed drives the splitter sampling, so runs are
+        // deterministic in the spec.
+        Algorithm::Samplesort => run_serial(spec, input, true, |em, v| {
+            aem_samplesort(em, v, k, &mut StdRng::seed_from_u64(spec.seed()))
+        }),
+        Algorithm::Heapsort => run_serial(spec, input, false, |em, v| aem_heapsort(em, v, k)),
+        Algorithm::ParSamplesort => {
+            let par = spec.par_machine()?;
+            let (run, steal_warmup) =
+                par_aem_sample_sort(&par, input, k, spec.seed(), spec.steal_charge())?;
+            assert_eq!(par.live_blocks(), 0, "a run must release every block");
+            let stats = run.merged;
+            Ok(SortOutcome {
+                output: run.output,
+                stats,
+                report: stats.report(spec.omega()),
+                parallel: Some(ParData {
+                    lane_stats: run.lane_stats,
+                    phase_costs: run.phase_costs,
+                    cost: run.cost,
+                    sched: run.sched,
+                    steal_warmup,
+                }),
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -247,54 +151,29 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_every_algorithm_with_matching_names() {
-        let all = sorters();
-        assert_eq!(all.len(), Algorithm::ALL.len());
-        for (sorter, algorithm) in all.iter().zip(Algorithm::ALL) {
-            assert_eq!(sorter.kind(), algorithm);
-            assert_eq!(sorter.name(), algorithm.name());
-            assert_eq!(sorter_for(algorithm).kind(), algorithm);
-        }
-    }
-
-    #[test]
     fn every_sorter_sorts_and_reports_costs() {
-        let input = Workload::UniformRandom.generate(1200, 0x5027);
-        for sorter in sorters() {
-            let spec = spec_for(sorter.kind());
-            let outcome = sorter.run(&spec, &input).expect("run");
-            assert_sorted_permutation(&input, &outcome.output);
-            assert!(outcome.stats.block_writes > 0, "{}", sorter.name());
-            assert_eq!(
-                outcome.io_cost(),
-                outcome.stats.block_reads + 8 * outcome.stats.block_writes
-            );
-            assert_eq!(
-                outcome.parallel.is_some(),
-                sorter.kind().is_parallel(),
-                "{}",
-                sorter.name()
-            );
-            assert_eq!(outcome.base_stats(), outcome.stats, "knob off: no warm-up");
-        }
-    }
-
-    #[test]
-    fn mismatched_spec_is_rejected() {
-        let spec = spec_for(Algorithm::Mergesort);
-        let err = HeapsortSorter.run(&spec, &[]).unwrap_err();
-        assert!(matches!(err, ModelError::Invariant(_)));
-    }
-
-    #[test]
-    fn dispatching_run_matches_direct_adapter_calls() {
-        let input = Workload::Zipf.generate(800, 3);
+        let uniform = Workload::UniformRandom.generate(1200, 0x5027);
         for algorithm in Algorithm::ALL {
             let spec = spec_for(algorithm);
-            let via_dispatch = run(&spec, &input).expect("dispatch");
-            let via_adapter = sorter_for(algorithm).run(&spec, &input).expect("adapter");
-            assert_eq!(via_dispatch.output, via_adapter.output);
-            assert_eq!(via_dispatch.stats, via_adapter.stats);
+            for input in [&uniform[..], &[]] {
+                let outcome = run(&spec, input).expect("run");
+                assert_sorted_permutation(input, &outcome.output);
+                assert_eq!(
+                    outcome.stats.block_writes > 0,
+                    !input.is_empty(),
+                    "{algorithm}"
+                );
+                assert_eq!(
+                    outcome.io_cost(),
+                    outcome.stats.block_reads + 8 * outcome.stats.block_writes
+                );
+                assert_eq!(
+                    outcome.parallel.is_some(),
+                    algorithm.is_parallel(),
+                    "{algorithm}"
+                );
+                assert_eq!(outcome.base_stats(), outcome.stats, "knob off: no warm-up");
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! A staged run decomposes one sort job into a deterministic sequence of
 //! phases computed from `(spec, n)` alone ([`StagePlan`]): the input is
 //! cut into block-aligned chunks, each chunk phase sorts one chunk with
-//! the spec's registered sorter, then merge-round phases fold the sorted
+//! the spec's algorithm through [`super::run`], then merge-round phases fold the sorted
 //! runs `l = kM/B` at a time with the Lemma 4.1 merge until one run
 //! survives. After every completed phase the executor hands a versioned
 //! [`CheckpointManifest`] — phase counter, surviving run layout,
@@ -20,7 +20,7 @@
 //! staged run — that equality is the paper's "writes are the expensive
 //! resource" argument turned into a recovery property: work already
 //! written is never re-written. `tests/checkpoint_resume.rs` pins it for
-//! every registry sorter; the serve chaos harness's "never redo paid
+//! every algorithm; the serve chaos harness's "never redo paid
 //! writes" gate builds on it.
 //!
 //! Staged execution is a different (checkpointable) schedule of the same
@@ -29,7 +29,7 @@
 //! single-shot path's, so [`predict_staged`] prices it — per-chunk
 //! theorem envelopes plus a Lemma 4.1 envelope per merge round.
 
-use super::adapters::{sorter_for, SortOutcome};
+use super::adapters::{run, SortOutcome};
 use super::predict::CostEstimate;
 use super::spec::SortSpec;
 use super::wire::WireError;
@@ -454,7 +454,7 @@ fn execute(
                 runs.push(Vec::new());
                 EmStats::default()
             } else {
-                let out = sorter_for(spec.algorithm()).run(spec, &input[lo..hi])?;
+                let out = run(spec, &input[lo..hi])?;
                 runs.push(out.output);
                 out.stats
             }

@@ -12,17 +12,17 @@
 //!   steal-charging knob. Invalid combinations are typed [`SpecError`]s at
 //!   build time; [`SortSpecBuilder::from_env`] absorbs the `ASYM_BENCH_*`
 //!   variables in one place.
-//! * [`Sorter`] — the algorithm-behind-a-trait: `name`, `kind`, and
-//!   `run(&spec, input) -> SortOutcome`. Four adapters call the
-//!   per-algorithm free functions, which are the engines themselves, so
-//!   the two paths are cost-identical by construction —
-//!   `tests/cost_golden.rs` freezes the counts through the free functions
-//!   and a registry-driven differential suite pins the equivalence.
+//! * [`run`] — `run(&spec, input) -> SortOutcome`, one `match` on the
+//!   spec's [`Algorithm`] that calls the per-algorithm free functions,
+//!   which are the engines themselves, so `run` and a direct engine call
+//!   are cost-identical by construction — `tests/cost_golden.rs` freezes
+//!   the counts through the free functions and `tests/sort_api.rs` pins
+//!   the equivalence.
 //! * [`SortOutcome`] — output, merged [`EmStats`](em_sim::EmStats), a
 //!   [`CostReport`](asym_model::CostReport), and per-lane / per-phase /
 //!   scheduler detail for parallel runs.
-//! * [`sorters`] — the registry; experiments and differential tests
-//!   enumerate it instead of hard-coding call sites.
+//! * [`Algorithm::ALL`] — every algorithm; experiments and differential
+//!   tests enumerate it and call [`run`] instead of hard-coding call sites.
 //! * [`SortSpec::predict`] — the paper's cost bounds evaluated pre-run as a
 //!   [`CostEstimate`], the admission-control currency of the job server.
 //! * [`SortSpec::to_json`] / [`SortOutcome::to_json`] — the JSON wire
@@ -59,10 +59,7 @@ pub use checkpoint::{
     MemCheckpointer, StagePlan, MANIFEST_VERSION,
 };
 
-pub use adapters::{
-    run, sorter_for, sorters, HeapsortSorter, MergesortSorter, ParData, ParSamplesortSorter,
-    SamplesortSorter, SortOutcome, Sorter,
-};
+pub use adapters::{run, ParData, SortOutcome};
 pub use predict::CostEstimate;
 pub use spec::{
     env_backend, env_thread_cap, parse_backend, parse_thread_cap, Algorithm, SortSpec,

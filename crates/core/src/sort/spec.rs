@@ -33,8 +33,8 @@ impl Algorithm {
         Algorithm::ParSamplesort,
     ];
 
-    /// Stable lowercase identifier (the `Sorter::name` of the adapter, used
-    /// in bench JSON and tables).
+    /// Stable lowercase identifier (used in bench JSON, tables and the
+    /// wire format).
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Mergesort => "aem-mergesort",
@@ -223,8 +223,8 @@ pub fn env_thread_cap() -> Result<Option<usize>, SpecError> {
 /// A validated description of one sort job: which algorithm, on what
 /// machine geometry, at which write-saving factor, over how many lanes, on
 /// which storage backend. Constructed through [`SortSpec::builder`]; a
-/// `SortSpec` that exists has passed validation, so the `Sorter` adapters
-/// only surface runtime faults ([`asym_model::ModelError`]), never
+/// `SortSpec` that exists has passed validation, so [`super::run`] only
+/// surfaces runtime faults ([`asym_model::ModelError`]), never
 /// configuration mistakes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SortSpec {

@@ -39,14 +39,21 @@ impl MemStore {
         }
     }
 
-    /// The block size `B` this store was built with.
-    pub fn block_size(&self) -> usize {
+    /// Borrow a block's live records — the slab window `read_into` copies
+    /// from.
+    fn slice(&self, id: BlockId) -> Result<&[Record]> {
+        let len = self.slots.live_len(id)?;
+        let start = id.index() * self.block_size;
+        Ok(&self.data[start..start + len])
+    }
+}
+
+impl BlockStore for MemStore {
+    fn block_size(&self) -> usize {
         self.block_size
     }
 
-    /// Copy `records` into a fresh slot, returning its id. Panics if the
-    /// block is overfull.
-    pub fn alloc(&mut self, records: &[Record]) -> BlockId {
+    fn alloc(&mut self, records: &[Record]) -> BlockId {
         assert!(
             records.len() <= self.block_size,
             "block of {} records exceeds B={}",
@@ -63,26 +70,14 @@ impl MemStore {
         BlockId(slot)
     }
 
-    /// Borrow a block's live records (in-memory backend only — a file-backed
-    /// store has nothing to borrow from).
-    pub fn slice(&self, id: BlockId) -> Result<&[Record]> {
-        let len = self.slots.live_len(id)?;
-        let start = id.index() * self.block_size;
-        Ok(&self.data[start..start + len])
-    }
-
-    /// Copy a block out of secondary memory into `out` (cleared first). The
-    /// caller reuses `out` across reads, so the steady state allocates
-    /// nothing.
-    pub fn read_into(&self, id: BlockId, out: &mut Vec<Record>) -> Result<()> {
+    fn read_into(&mut self, id: BlockId, out: &mut Vec<Record>) -> Result<()> {
         let src = self.slice(id)?;
         out.clear();
         out.extend_from_slice(src);
         Ok(())
     }
 
-    /// Overwrite a block in place from `records`.
-    pub fn write(&mut self, id: BlockId, records: &[Record]) -> Result<()> {
+    fn write(&mut self, id: BlockId, records: &[Record]) -> Result<()> {
         assert!(
             records.len() <= self.block_size,
             "block of {} records exceeds B={}",
@@ -95,54 +90,16 @@ impl MemStore {
         Ok(())
     }
 
-    /// Release a block's slot for reuse.
-    pub fn release(&mut self, id: BlockId) -> Result<()> {
+    fn release(&mut self, id: BlockId) -> Result<()> {
         self.slots.release(id)
     }
 
-    /// Number of live (allocated, unreleased) blocks.
-    pub fn live_blocks(&self) -> usize {
+    fn live_blocks(&self) -> usize {
         self.slots.live()
     }
 
-    /// Total slots ever carved out of the arena (live + free).
-    pub fn slots(&self) -> usize {
-        self.slots.slots()
-    }
-
-    /// Uncharged peek for test oracles.
-    pub fn peek(&self, id: BlockId) -> Option<&[Record]> {
-        self.slice(id).ok()
-    }
-}
-
-impl BlockStore for MemStore {
-    fn block_size(&self) -> usize {
-        MemStore::block_size(self)
-    }
-
-    fn alloc(&mut self, records: &[Record]) -> BlockId {
-        MemStore::alloc(self, records)
-    }
-
-    fn read_into(&mut self, id: BlockId, out: &mut Vec<Record>) -> Result<()> {
-        MemStore::read_into(self, id, out)
-    }
-
-    fn write(&mut self, id: BlockId, records: &[Record]) -> Result<()> {
-        MemStore::write(self, id, records)
-    }
-
-    fn release(&mut self, id: BlockId) -> Result<()> {
-        MemStore::release(self, id)
-    }
-
-    fn live_blocks(&self) -> usize {
-        MemStore::live_blocks(self)
-    }
-
     fn slots(&self) -> usize {
-        MemStore::slots(self)
+        self.slots.slots()
     }
 }
 
@@ -221,14 +178,6 @@ mod tests {
         let mut d = MemStore::new(2);
         let id = d.alloc(&[rec(1)]);
         let _ = d.write(id, &[rec(1), rec(2), rec(3)]);
-    }
-
-    #[test]
-    fn peek_is_uncharged_window() {
-        let mut d = MemStore::new(2);
-        let id = d.alloc(&[rec(7)]);
-        assert_eq!(d.peek(id).unwrap()[0], rec(7));
-        assert!(d.peek(BlockId(5)).is_none());
     }
 
     #[test]

@@ -446,17 +446,23 @@ struct Inner {
 }
 
 impl Inner {
-    /// Append one event, flushed — the WAL write. Lock order is always
-    /// state → audit (or audit alone); never take state while holding
-    /// audit.
-    fn audit_event(&self, ev: &AuditEvent) {
+    /// Append one event, flushed — the WAL write — and report a failed
+    /// write or flush. A `Dead` sink swallows the event and succeeds. Lock
+    /// order is always state → audit (or audit alone); never take state
+    /// while holding audit.
+    fn append_event(&self, ev: &AuditEvent) -> std::io::Result<()> {
         let mut sink = self.audit.lock().expect("audit log");
         if let AuditSink::File(f) = &mut *sink {
-            // Audit faults must not take down the data path; events are
-            // best-effort once the file opened.
-            let _ = writeln!(f, "{}", ev.to_json());
-            let _ = f.flush();
+            writeln!(f, "{}", ev.to_json())?;
+            f.flush()?;
         }
+        Ok(())
+    }
+
+    /// [`Inner::append_event`], best-effort: audit faults must not take
+    /// down the data path once the file opened.
+    fn audit_event(&self, ev: &AuditEvent) {
+        let _ = self.append_event(ev);
     }
 }
 
@@ -1052,8 +1058,10 @@ fn worker_loop(inner: &Arc<Inner>) {
 /// The [`Checkpointer`] the worker hands a staged job: each manifest is
 /// appended to the audit WAL *first* (durability), then recorded on the
 /// job's entry through [`ReplayJob::checkpoint`], the same transition
-/// replay applies. The two locks are taken strictly in sequence (audit,
-/// then state), never nested, per the service's lock order.
+/// replay applies. A failed append fails the save — and so the phase —
+/// and records nothing: a manifest the WAL refused is not durable. The
+/// two locks are taken strictly in sequence (audit, then state), never
+/// nested, per the service's lock order.
 struct ServiceCheckpointer {
     inner: Arc<Inner>,
     id: JobId,
@@ -1065,7 +1073,9 @@ impl Checkpointer for ServiceCheckpointer {
             id: self.id,
             manifest: manifest.clone(),
         };
-        self.inner.audit_event(&event);
+        self.inner
+            .append_event(&event)
+            .map_err(|e| ModelError::Io(format!("checkpoint append: {e}")))?;
         let mut st = self.inner.state.lock().expect("service state");
         st.stats.checkpoints += 1;
         if let (Some(e), AuditEvent::Checkpointed { manifest, .. }) =

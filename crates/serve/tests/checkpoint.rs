@@ -2,13 +2,14 @@
 //! after phase k resumes from phase k+1 (never re-running a paid phase),
 //! with output byte-identical and modeled stats bit-identical to an
 //! uninterrupted staged run; a torn `checkpointed` line is tolerated and
-//! truncated; a stale manifest after the terminal outcome is ignored; and
-//! recovery is idempotent.
+//! truncated; a stale manifest after the terminal outcome is ignored;
+//! recovery is idempotent; and a manifest the WAL refuses fails its attempt.
 
 use asym_core::sort::{self, Algorithm, MemCheckpointer, SortOutcome, SortSpec};
 use asym_model::workload::Workload;
 use asym_serve::{
-    replay, AuditEvent, JobRequest, JobState, ReplayOutcome, ServiceConfig, SortService,
+    replay, AuditEvent, FailureKind, JobRequest, JobState, ReplayOutcome, ServiceConfig,
+    SortService,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -264,5 +265,35 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         service.kill(); // leave the log as-is for the next round
         drop(service);
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A checkpoint the WAL refused is not durable, so it must fail its phase:
+/// with the audit log pointed at a full device, every attempt's first save
+/// fails with an I/O error, nothing is recorded as progress, and the job
+/// exhausts its retries and ends `Failed`.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_checkpoint_the_wal_refuses_fails_the_attempt() {
+    let root = fresh_root("wal-full");
+    std::fs::create_dir_all(&root).expect("mkdir");
+    std::os::unix::fs::symlink("/dev/full", root.join("audit.jsonl")).expect("symlink");
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let service = SortService::start(cfg.clone()).expect("start");
+    let id = service.submit(staged_job(2_000)).expect("admitted");
+    let done = service.wait(id).expect("known job");
+    assert_eq!(
+        done.state,
+        JobState::Failed,
+        "the refused manifests were ignored"
+    );
+    assert_eq!(done.failure, Some(FailureKind::Io), "{:?}", done.error);
+    assert_eq!(done.attempts, cfg.max_attempts);
+    assert_eq!(
+        service.stats().checkpoints,
+        0,
+        "a refused manifest is not counted"
+    );
+    drop(service);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -7,13 +7,13 @@
 //! A synthetic table of records must be sorted before building a clustered
 //! index. On phase-change memory a 512 Mb chip is projected at 16 ns byte
 //! reads versus 416 ns byte writes (§2 of the paper, citing Dong et al.),
-//! i.e. ω ≈ 26. We sort the table with every algorithm in the unified
-//! `asym_core::sort` registry — one `SortSpec` per (algorithm, k) cell, no
-//! per-algorithm call sites — at k = 1 (the classic EM algorithms) and
+//! i.e. ω ≈ 26. We sort the table with every algorithm in
+//! `Algorithm::ALL` through `asym_core::sort::run` — one `SortSpec` per
+//! (algorithm, k) cell, no per-algorithm call sites — at k = 1 (the classic EM algorithms) and
 //! write-saving k > 1, then convert block counts into projected device time
 //! with those latencies.
 
-use asym_core::sort::{sorters, Algorithm, SortSpec};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::table::{f2, Table};
 use asym_model::workload::Workload;
 
@@ -41,34 +41,29 @@ fn main() {
         ],
     );
 
-    for sorter in sorters() {
+    for algorithm in Algorithm::ALL {
         // The buffer tree's deep k-sweeps dominate runtime; cap k like a DBA
         // would cap a maintenance window.
-        let ks: &[usize] = if sorter.kind() == Algorithm::Heapsort {
+        let ks: &[usize] = if algorithm == Algorithm::Heapsort {
             &[1, 8]
         } else {
             &[1, 8, 26]
         };
         for &k in ks {
-            let spec = SortSpec::builder(sorter.kind(), m, b, omega)
+            let spec = SortSpec::builder(algorithm, m, b, omega)
                 .k(k)
-                .lanes(if sorter.kind().is_parallel() { 4 } else { 1 })
+                .lanes(if algorithm.is_parallel() { 4 } else { 1 })
                 .seed(3)
                 .build()
                 .expect("valid spec");
-            let outcome = sorter.run(&spec, &table_rows).expect("sort");
-            assert_eq!(
-                outcome.output.len(),
-                n,
-                "{} must sort every row",
-                sorter.name()
-            );
+            let outcome = sort::run(&spec, &table_rows).expect("sort");
+            assert_eq!(outcome.output.len(), n, "{algorithm} must sort every row");
             let s = outcome.stats;
             let ms = (s.block_reads as f64 * READ_NS_PER_BLOCK
                 + s.block_writes as f64 * WRITE_NS_PER_BLOCK)
                 / 1e6;
             table.row(&[
-                sorter.name().to_string(),
+                algorithm.name().to_string(),
                 k.to_string(),
                 s.block_reads.to_string(),
                 s.block_writes.to_string(),

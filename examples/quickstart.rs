@@ -49,7 +49,7 @@ fn main() {
     );
 
     // The AEM tour runs through the unified sort API: one validated
-    // `SortSpec` per job, dispatched by the registry. `from_env` absorbs
+    // `SortSpec` per job, dispatched by `sort::run`. `from_env` absorbs
     // `ASYM_BENCH_BACKEND=file` (swap the in-memory slab for a real temp
     // file — modeled costs are identical by construction; only wall-clock
     // time changes).

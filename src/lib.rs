@@ -8,7 +8,7 @@
 //!
 //! * [`core`] (`asym-core`) — the algorithms, organized by model: `ram`,
 //!   `pram`, `em`, `co`, `par` — fronted by the unified job API in
-//!   `core::sort` (`SortSpec` + `Sorter` registry).
+//!   `core::sort` (`SortSpec`, `Algorithm::ALL` and `sort::run`).
 //! * [`model`] (`asym-model`) — the shared cost substrate: `omega`-weighted
 //!   [`model::CostModel`], counters, records, workloads.
 //! * [`cache_sim`] — the Asymmetric Ideal-Cache simulator (LRU, read-write

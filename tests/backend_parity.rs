@@ -4,15 +4,15 @@
 //! The machine counts costs *before* touching the store, so `EmStats`
 //! equality is by construction — what these tests actually pin down is that
 //! the file backend stores and returns the same bytes under the same slot
-//! schedule. Every registered sorter (the unified `asym_core::sort`
-//! registry: mergesort, sample sort, buffer-tree heapsort, and the parallel
-//! sample sort) runs at smoke scale on both backends and must produce
+//! schedule. Every algorithm in `Algorithm::ALL` (mergesort,
+//! sample sort, buffer-tree heapsort, and the parallel sample sort) runs
+//! through `asym_core::sort::run` at smoke scale on both backends and must produce
 //! byte-identical sorted output and identical `(reads, writes,
 //! peak_memory)`. Slot-reuse semantics get a dedicated release-heavy check
 //! (the sorts free their intermediate runs, so any LIFO/ordering divergence
 //! between the backends' free lists would surface as different output).
 
-use asym_core::sort::{sorters, Algorithm, SortSpec, Sorter};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::record::assert_sorted_permutation;
 use asym_model::workload::Workload;
 use asym_model::Record;
@@ -29,35 +29,35 @@ fn geometry(algorithm: Algorithm) -> (usize, usize, usize, usize) {
     }
 }
 
-/// Run one sorter on one backend; return (sorted output, stats).
+/// Run one algorithm on one backend; return (sorted output, stats).
 fn run_on(
-    sorter: &dyn Sorter,
+    algorithm: Algorithm,
     backend: Backend,
     k: usize,
     input: &[Record],
 ) -> (Vec<Record>, em_sim::EmStats) {
-    let (m, b, _, lanes) = geometry(sorter.kind());
-    let spec = SortSpec::builder(sorter.kind(), m, b, 8)
+    let (m, b, _, lanes) = geometry(algorithm);
+    let spec = SortSpec::builder(algorithm, m, b, 8)
         .k(k)
         .lanes(lanes)
         .seed(0xE5)
         .backend(backend)
         .build()
         .expect("valid spec");
-    let outcome = sorter.run(&spec, input).expect("run");
+    let outcome = sort::run(&spec, input).expect("run");
     assert_sorted_permutation(input, &outcome.output);
     (outcome.output, outcome.stats)
 }
 
 #[test]
 fn every_registered_sorter_is_backend_invariant() {
-    for sorter in sorters() {
-        let (_, _, n, _) = geometry(sorter.kind());
+    for algorithm in Algorithm::ALL {
+        let (_, _, n, _) = geometry(algorithm);
         let input = Workload::UniformRandom.generate(n, 0x60_1D);
         for k in [1usize, 2] {
-            let (out_mem, stats_mem) = run_on(sorter.as_ref(), Backend::Mem, k, &input);
-            let (out_file, stats_file) = run_on(sorter.as_ref(), Backend::File, k, &input);
-            let label = format!("{} k={k}", sorter.name());
+            let (out_mem, stats_mem) = run_on(algorithm, Backend::Mem, k, &input);
+            let (out_file, stats_file) = run_on(algorithm, Backend::File, k, &input);
+            let label = format!("{algorithm} k={k}");
             assert_eq!(out_mem, out_file, "{label}: sorted output differs");
             assert_eq!(stats_mem, stats_file, "{label}: EmStats differ");
         }
@@ -68,18 +68,17 @@ fn every_registered_sorter_is_backend_invariant() {
 fn adversarial_workloads_are_backend_invariant() {
     // Sorted / reversed / few-distinct inputs drive different merge and
     // bucket paths (and different release orders) than uniform-random.
-    let mergesort = asym_core::sort::sorter_for(Algorithm::Mergesort);
     for wl in [Workload::Sorted, Workload::Reversed, Workload::FewDistinct] {
         let input = wl.generate(300, 0xBEEF);
-        let (out_mem, stats_mem) = run_on(mergesort.as_ref(), Backend::Mem, 2, &input);
-        let (out_file, stats_file) = run_on(mergesort.as_ref(), Backend::File, 2, &input);
+        let (out_mem, stats_mem) = run_on(Algorithm::Mergesort, Backend::Mem, 2, &input);
+        let (out_file, stats_file) = run_on(Algorithm::Mergesort, Backend::File, 2, &input);
         assert_eq!(out_mem, out_file, "{wl:?}: sorted output differs");
         assert_eq!(stats_mem, stats_file, "{wl:?}: EmStats differ");
     }
 }
 
 // The heapsort's drained priority queue retains empty structural blocks,
-// so the registry adapter (which owns its machine) cannot assert a clean
+// so `sort::run` (which owns its machine) cannot assert a clean
 // store for it. This check runs the engine's free function on a visible
 // machine instead: the *count* of residual blocks must be identical across
 // backends — a FileStore alloc/release accounting bug that diverges
@@ -134,7 +133,7 @@ fn concurrent_file_jobs_match_serial_mem_runs() {
     };
     let serial: Vec<_> = inputs
         .iter()
-        .map(|input| asym_core::sort::run(&spec_on(Backend::Mem, None), input).expect("serial run"))
+        .map(|input| sort::run(&spec_on(Backend::Mem, None), input).expect("serial run"))
         .collect();
     // The same jobs, file-backed, all running at once in distinct dirs.
     let concurrent: Vec<_> = std::thread::scope(|s| {
@@ -147,7 +146,7 @@ fn concurrent_file_jobs_match_serial_mem_runs() {
                     std::fs::create_dir_all(&dir).expect("job dir");
                     spec_on(Backend::File, Some(dir))
                 };
-                s.spawn(move || asym_core::sort::run(&spec, input).expect("file run"))
+                s.spawn(move || sort::run(&spec, input).expect("file run"))
             })
             .collect();
         handles

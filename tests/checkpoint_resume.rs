@@ -1,4 +1,4 @@
-//! Checkpoint/resume differential suite: for every registry sorter, a
+//! Checkpoint/resume differential suite: for every algorithm, a
 //! staged run interrupted after *any* phase and resumed from its manifest
 //! produces byte-identical output and bit-identical cumulative modeled
 //! stats (`resume ⊕ prefix == uninterrupted`). This is the core
@@ -9,7 +9,7 @@ use asym_core::sort::checkpoint::{
     input_digest, predict_staged, resume_from, run_staged, CheckpointManifest, MemCheckpointer,
     StagePlan,
 };
-use asym_core::sort::{run, sorters, Algorithm, SortSpec};
+use asym_core::sort::{run, Algorithm, SortSpec};
 use asym_model::workload::Workload;
 
 fn spec_for(algorithm: Algorithm) -> SortSpec {
@@ -27,15 +27,14 @@ fn spec_for(algorithm: Algorithm) -> SortSpec {
 #[test]
 fn resume_after_every_phase_is_bit_identical() {
     let input = Workload::Zipf.generate(1_500, 0xC0FFEE);
-    for sorter in sorters() {
-        let spec = spec_for(sorter.kind());
+    for algorithm in Algorithm::ALL {
+        let spec = spec_for(algorithm);
         let mut full = MemCheckpointer::default();
         let uninterrupted = run_staged(&spec, &input, &mut full).expect("staged run");
         let plan = StagePlan::new(&spec, input.len());
         assert!(
             plan.total_phases() >= 3,
-            "{}: want a multi-phase plan, got {} phases",
-            sorter.name(),
+            "{algorithm}: want a multi-phase plan, got {} phases",
             plan.total_phases()
         );
         assert_eq!(full.manifests.len(), plan.total_phases());
@@ -46,15 +45,13 @@ fn resume_after_every_phase_is_bit_identical() {
             assert_eq!(
                 resumed.output,
                 uninterrupted.output,
-                "{} cut after phase {}: output diverged",
-                sorter.name(),
+                "{algorithm} cut after phase {}: output diverged",
                 cut + 1
             );
             assert_eq!(
                 resumed.stats,
                 uninterrupted.stats,
-                "{} cut after phase {}: modeled stats diverged",
-                sorter.name(),
+                "{algorithm} cut after phase {}: modeled stats diverged",
                 cut + 1
             );
             // The resume's manifest stream is exactly the suffix of the
@@ -70,20 +67,19 @@ fn resume_after_every_phase_is_bit_identical() {
 #[test]
 fn staged_matches_single_shot_and_its_envelope() {
     let input = Workload::FewDistinct.generate(1_200, 0xFACE);
-    for sorter in sorters() {
-        let spec = spec_for(sorter.kind());
+    for algorithm in Algorithm::ALL {
+        let spec = spec_for(algorithm);
         let mut sink = MemCheckpointer::default();
         let staged = run_staged(&spec, &input, &mut sink).expect("staged run");
         let plain = run(&spec, &input).expect("single-shot run");
-        assert_eq!(staged.output, plain.output, "{}", sorter.name());
+        assert_eq!(staged.output, plain.output, "{algorithm}");
 
         let est = predict_staged(&spec, input.len());
         assert!(
             staged.stats.block_reads <= est.reads
                 && staged.stats.block_writes <= est.writes
                 && staged.stats.peak_memory <= est.peak_memory,
-            "{}: staged run escaped its envelope: {:?} vs {:?}",
-            sorter.name(),
+            "{algorithm}: staged run escaped its envelope: {:?} vs {:?}",
             staged.stats,
             est
         );

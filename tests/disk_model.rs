@@ -93,7 +93,8 @@ proptest! {
                     let id = live[(pick as usize) % live.len()];
                     disk.read_into(id, &mut read_buf).expect("live read");
                     prop_assert_eq!(&read_buf, &reference[&id.index()]);
-                    prop_assert_eq!(disk.slice(id).expect("live slice"), &reference[&id.index()][..]);
+                    disk.peek_into(id, &mut read_buf).expect("live peek");
+                    prop_assert_eq!(&read_buf, &reference[&id.index()]);
                 }
                 Op::Release(pick) => {
                     if live.is_empty() {
@@ -112,7 +113,7 @@ proptest! {
                     let id = dead[(pick as usize) % dead.len()];
                     // A released id must stay dead until its slot is reused.
                     prop_assert!(disk.read_into(id, &mut read_buf).is_err());
-                    prop_assert!(disk.slice(id).is_err());
+                    prop_assert!(disk.peek_into(id, &mut read_buf).is_err());
                     prop_assert!(disk.write(id, &[]).is_err());
                     prop_assert!(disk.release(id).is_err());
                 }
@@ -121,7 +122,8 @@ proptest! {
         }
         // Final sweep: every live block still reads back exactly.
         for id in &live {
-            prop_assert_eq!(disk.peek(*id).expect("live peek"), &reference[&id.index()][..]);
+            disk.peek_into(*id, &mut read_buf).expect("live peek");
+            prop_assert_eq!(&read_buf, &reference[&id.index()]);
         }
         // Every slot ever carved out is either live or on the free list.
         prop_assert!(disk.slots() >= disk.live_blocks());
@@ -168,7 +170,7 @@ proptest! {
                     }
                     let id = live[(pick as usize) % live.len()];
                     file.read_into(id, &mut buf_file).expect("live read");
-                    MemStore::read_into(&mem, id, &mut buf_mem).expect("live read");
+                    mem.read_into(id, &mut buf_mem).expect("live read");
                     prop_assert_eq!(&buf_file, &reference[&id.index()]);
                     prop_assert_eq!(&buf_file, &buf_mem);
                 }

@@ -32,7 +32,7 @@ fn spec(m: usize, b: usize, k: usize, lanes: usize, seed: u64) -> SortSpec {
         .expect("valid spec")
 }
 
-/// Run the modeled sort on `lanes` lanes through the registry.
+/// Run the modeled sort on `lanes` lanes through `sort::run`.
 fn run(input: &[Record], m: usize, b: usize, k: usize, lanes: usize, seed: u64) -> SortOutcome {
     let outcome = sort::run(&spec(m, b, k, lanes, seed), input).expect("modeled par sort");
     assert!(

@@ -3,13 +3,13 @@
 //!
 //! The peak-memory prediction is the admission-control currency of
 //! `asym-serve`, so it is pinned as a **hard bound** here: for every
-//! registered sorter, across ω ∈ {1, 8, 32}, several `k` values, and three
+//! algorithm, across ω ∈ {1, 8, 32}, several `k` values, and three
 //! workloads, `predict(n).peak_memory >= EmStats::peak_memory`. The
 //! read/write envelopes are checked as upper bounds too — they are the same
 //! theorem constants `tests/cost_bounds.rs` validates, re-expressed through
 //! the spec API.
 
-use asym_core::sort::{sorters, Algorithm, SortSpec};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::workload::Workload;
 
 const OMEGAS: [u64; 3] = [1, 8, 32];
@@ -25,7 +25,7 @@ fn spec_for(algorithm: Algorithm, m: usize, b: usize, omega: u64, k: usize) -> S
 
 #[test]
 fn predicted_peak_memory_is_a_hard_bound_for_every_sorter_and_omega() {
-    for sorter in sorters() {
+    for algorithm in Algorithm::ALL {
         for omega in OMEGAS {
             for k in [1usize, 2, 4] {
                 for (workload, n) in [
@@ -33,14 +33,13 @@ fn predicted_peak_memory_is_a_hard_bound_for_every_sorter_and_omega() {
                     (Workload::NearlySorted, 700),
                     (Workload::FewDistinct, 300),
                 ] {
-                    let spec = spec_for(sorter.kind(), 64, 8, omega, k);
+                    let spec = spec_for(algorithm, 64, 8, omega, k);
                     let est = spec.predict(n);
                     let input = workload.generate(n, 23);
-                    let outcome = sorter.run(&spec, &input).expect("sort");
+                    let outcome = sort::run(&spec, &input).expect("sort");
                     assert!(
                         est.peak_memory >= outcome.stats.peak_memory,
-                        "{} omega={omega} k={k} {} n={n}: predicted peak {} < actual {}",
-                        sorter.name(),
+                        "{algorithm} omega={omega} k={k} {} n={n}: predicted peak {} < actual {}",
                         workload.name(),
                         est.peak_memory,
                         outcome.stats.peak_memory,
@@ -54,25 +53,23 @@ fn predicted_peak_memory_is_a_hard_bound_for_every_sorter_and_omega() {
 
 #[test]
 fn predicted_transfer_envelopes_dominate_measured_counts() {
-    for sorter in sorters() {
+    for algorithm in Algorithm::ALL {
         for omega in OMEGAS {
             for k in [1usize, 2, 4] {
-                let spec = spec_for(sorter.kind(), 64, 8, omega, k);
+                let spec = spec_for(algorithm, 64, 8, omega, k);
                 let n = 4_000;
                 let est = spec.predict(n);
                 let input = Workload::UniformRandom.generate(n, 5);
-                let outcome = sorter.run(&spec, &input).expect("sort");
+                let outcome = sort::run(&spec, &input).expect("sort");
                 assert!(
                     est.reads >= outcome.stats.block_reads,
-                    "{} omega={omega} k={k}: predicted reads {} < actual {}",
-                    sorter.name(),
+                    "{algorithm} omega={omega} k={k}: predicted reads {} < actual {}",
                     est.reads,
                     outcome.stats.block_reads,
                 );
                 assert!(
                     est.writes >= outcome.stats.block_writes,
-                    "{} omega={omega} k={k}: predicted writes {} < actual {}",
-                    sorter.name(),
+                    "{algorithm} omega={omega} k={k}: predicted writes {} < actual {}",
                     est.writes,
                     outcome.stats.block_writes,
                 );

@@ -1,8 +1,9 @@
 //! The unified sort API, end to end:
 //!
-//! * a registry-driven differential suite proving every `Sorter` adapter
-//!   byte-identical — output *and* modeled `(reads, writes, peak_memory)` —
-//!   to the free-function engine it runs on a hand-built machine
+//! * a differential suite proving `sort::run` byte-identical, for every
+//!   algorithm in `Algorithm::ALL` — output *and* modeled `(reads, writes,
+//!   peak_memory)` — to the free-function engine it dispatches to, run on a
+//!   hand-built machine
 //!   (`tests/cost_golden.rs` separately freezes the absolute counts);
 //! * `SortSpec` validation: every invalid combination is a typed
 //!   `SpecError` (and backend faults a typed `ModelError`), never a panic;
@@ -18,7 +19,7 @@ use asym_core::em::{
     aem_heapsort, aem_mergesort, aem_samplesort, mergesort_slack, samplesort_slack,
 };
 use asym_core::par::{par_aem_sample_sort, par_samplesort_slack};
-use asym_core::sort::{self, sorter_for, sorters, Algorithm, SortSpec, SpecError};
+use asym_core::sort::{self, Algorithm, SortSpec, SpecError};
 use asym_model::workload::Workload;
 use asym_model::{ModelError, Record};
 use em_sim::{Backend, EmConfig, EmMachine, EmStats, EmVec, ParMachine};
@@ -73,7 +74,7 @@ fn engine_run(
     }
 }
 
-/// The registry spec matching `engine_run`'s machine construction.
+/// The spec matching `engine_run`'s machine construction.
 fn spec(algorithm: Algorithm, m: usize, b: usize, k: usize, lanes: usize) -> SortSpec {
     SortSpec::builder(algorithm, m, b, OMEGA)
         .k(k)
@@ -86,10 +87,9 @@ fn spec(algorithm: Algorithm, m: usize, b: usize, k: usize, lanes: usize) -> Sor
 #[test]
 fn registry_is_byte_identical_to_the_legacy_entry_points() {
     // Every algorithm × two write-saving factors × three workloads: the
-    // adapter and the free function must agree on output bytes and on every
+    // dispatch and the free function must agree on output bytes and on every
     // modeled count — the redesign is provably cost-neutral.
-    for sorter in sorters() {
-        let algorithm = sorter.kind();
+    for algorithm in Algorithm::ALL {
         let (m, b, lanes) = match algorithm {
             Algorithm::Heapsort => (16usize, 2usize, 1usize),
             Algorithm::ParSamplesort => (32, 4, 4),
@@ -99,10 +99,9 @@ fn registry_is_byte_identical_to_the_legacy_entry_points() {
             for wl in [Workload::UniformRandom, Workload::Zipf, Workload::Sorted] {
                 let input = wl.generate(700, 0x60_1D);
                 let (engine_out, engine_stats) = engine_run(algorithm, m, b, k, lanes, &input);
-                let outcome = sorter
-                    .run(&spec(algorithm, m, b, k, lanes), &input)
-                    .expect("registry run");
-                let label = format!("{} k={k} {wl:?}", sorter.name());
+                let outcome =
+                    sort::run(&spec(algorithm, m, b, k, lanes), &input).expect("dispatched run");
+                let label = format!("{algorithm} k={k} {wl:?}");
                 assert_eq!(outcome.output, engine_out, "{label}: output drifted");
                 assert_eq!(
                     outcome.stats, engine_stats,
@@ -205,9 +204,8 @@ fn steal_charge_knob_is_off_by_default_and_folds_when_on() {
         .build()
         .expect("valid spec");
 
-    let sorter = sorter_for(Algorithm::ParSamplesort);
-    let base = sorter.run(&base_spec, &input).expect("base");
-    let charged = sorter.run(&charged_spec, &input).expect("charged");
+    let base = sort::run(&base_spec, &input).expect("base");
+    let charged = sort::run(&charged_spec, &input).expect("charged");
 
     // Identical schedule and output; the charge is an accounting overlay.
     assert_eq!(base.output, charged.output);
@@ -235,15 +233,4 @@ fn steal_charge_knob_is_off_by_default_and_folds_when_on() {
     // The cost algebra stays consistent with the charged counters.
     assert_eq!(charged_par.cost.reads, charged.stats.block_reads);
     assert_eq!(charged_par.cost.writes, charged.stats.block_writes);
-}
-
-#[test]
-fn mismatched_spec_and_sorter_is_a_typed_error() {
-    let spec = spec(Algorithm::Mergesort, 32, 4, 1, 1);
-    let err = sorter_for(Algorithm::Samplesort)
-        .run(&spec, &[])
-        .unwrap_err();
-    assert!(matches!(err, ModelError::Invariant(_)));
-    // Dispatching through sort::run always picks the matching adapter.
-    assert!(sort::run(&spec, &[]).is_ok());
 }

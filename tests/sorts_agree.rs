@@ -1,13 +1,13 @@
 //! End-to-end agreement: every sorting algorithm in the workspace, on every
 //! workload, produces the same answer as the standard library sort. The
-//! AEM sorts are enumerated generically through the unified
-//! `asym_core::sort` registry — no per-algorithm call sites.
+//! AEM sorts are enumerated generically through `Algorithm::ALL` and
+//! `asym_core::sort::run` — no per-algorithm call sites.
 
 use asym_core::co::{co_asym_sort, co_mergesort};
 use asym_core::par::par_sample_sort;
 use asym_core::pram::pram_sample_sort;
 use asym_core::ram::tree_sort::tree_sort;
-use asym_core::sort::{sorters, Algorithm, SortSpec};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::record::assert_sorted_permutation;
 use asym_model::workload::Workload;
 use asym_model::Record;
@@ -25,7 +25,7 @@ fn all_inputs() -> Vec<(String, Vec<Record>)> {
     inputs
 }
 
-/// A registry-sized spec: geometry per algorithm (the heapsort's buffer
+/// A suite-sized spec: geometry per algorithm (the heapsort's buffer
 /// tree is exercised deeper on a smaller machine, matching the legacy
 /// suite's choices), lanes only for the parallel sort.
 fn spec_for(algorithm: Algorithm, k: usize) -> SortSpec {
@@ -64,21 +64,20 @@ fn pram_sample_sort_agrees() {
 
 #[test]
 fn every_registered_aem_sort_agrees() {
-    for sorter in sorters() {
+    for algorithm in Algorithm::ALL {
         // Per-algorithm write-saving sweep matching the legacy suite's
         // coverage: deeper k changes the fan-in l = kM/B and the round
         // structure, so k > 2 is not redundant with k ∈ {1, 2}.
-        let ks: &[usize] = match sorter.kind() {
+        let ks: &[usize] = match algorithm {
             Algorithm::Mergesort => &[1, 2, 4],
             Algorithm::Samplesort => &[1, 3],
             _ => &[1, 2],
         };
         for &k in ks {
-            let spec = spec_for(sorter.kind(), k);
+            let spec = spec_for(algorithm, k);
             for (name, input) in all_inputs() {
-                let outcome = sorter
-                    .run(&spec, &input)
-                    .unwrap_or_else(|e| panic!("{name} via {}: {e}", sorter.name()));
+                let outcome = sort::run(&spec, &input)
+                    .unwrap_or_else(|e| panic!("{name} via {algorithm}: {e}"));
                 assert_sorted_permutation(&input, &outcome.output);
             }
         }
@@ -88,13 +87,13 @@ fn every_registered_aem_sort_agrees() {
 #[test]
 fn duplicate_adversaries_agree_on_every_registered_sorter() {
     // The duplicate battery: all-identical and 90%-duplicate inputs through
-    // every registry sorter, on both backends, across lane counts for the
+    // every algorithm, on both backends, across lane counts for the
     // parallel sort. Output must be byte-identical to the RAM stable sort
     // (duplicates make "sorted permutation" too weak a check on its own),
     // and for the parallel sort the merged write totals must not depend on
     // the lane count.
-    for sorter in sorters() {
-        let lane_set: &[usize] = if sorter.kind().is_parallel() {
+    for algorithm in Algorithm::ALL {
+        let lane_set: &[usize] = if algorithm.is_parallel() {
             &[1, 2, 4, 8]
         } else {
             &[1]
@@ -107,11 +106,11 @@ fn duplicate_adversaries_agree_on_every_registered_sorter() {
                 for backend in [Backend::Mem, Backend::File] {
                     let mut write_total: Option<u64> = None;
                     for &lanes in lane_set {
-                        let (m, b) = match sorter.kind() {
+                        let (m, b) = match algorithm {
                             Algorithm::Heapsort => (16usize, 2usize),
                             _ => (32usize, 4usize),
                         };
-                        let spec = SortSpec::builder(sorter.kind(), m, b, 8)
+                        let spec = SortSpec::builder(algorithm, m, b, 8)
                             .k(2)
                             .lanes(lanes)
                             .seed(2)
@@ -119,13 +118,11 @@ fn duplicate_adversaries_agree_on_every_registered_sorter() {
                             .build()
                             .expect("valid spec");
                         let ctx = format!(
-                            "{}:{n} via {} ({backend:?}, {lanes} lanes)",
-                            wl.name(),
-                            sorter.name()
+                            "{}:{n} via {algorithm} ({backend:?}, {lanes} lanes)",
+                            wl.name()
                         );
-                        let outcome = sorter
-                            .run(&spec, &input)
-                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        let outcome =
+                            sort::run(&spec, &input).unwrap_or_else(|e| panic!("{ctx}: {e}"));
                         assert_eq!(outcome.output, expect, "{ctx}: output differs");
                         match write_total {
                             None => write_total = Some(outcome.stats.block_writes),
@@ -181,10 +178,9 @@ fn all_sorts_agree_pairwise_on_one_input() {
     assert_eq!(pram_sample_sort(&input, 4, &mut rng, true).0, expect);
 
     // Every AEM sort through the one front door.
-    for sorter in sorters() {
-        let spec = spec_for(sorter.kind(), 2);
-        let outcome = sorter.run(&spec, &input).expect("registry sort");
-        assert_eq!(outcome.output, expect, "{} disagrees", sorter.name());
+    for algorithm in Algorithm::ALL {
+        let outcome = sort::run(&spec_for(algorithm, 2), &input).expect("sort");
+        assert_eq!(outcome.output, expect, "{algorithm} disagrees");
     }
 
     let t = Tracker::null();
