@@ -2,8 +2,9 @@
 //! a real temp file.
 //!
 //! `FileStore` performs genuine `std::fs` I/O — every modeled block transfer
-//! becomes a seek plus a read or write of `B * 16` bytes (records serialize
-//! as two little-endian `u64`s). Slot `i` owns the byte range
+//! becomes one positioned read or write (`pread`/`pwrite`, through
+//! `FileExt::read_exact_at`/`write_all_at`) of `B * 16` bytes (records
+//! serialize as two little-endian `u64`s). Slot `i` owns the byte range
 //! `[i * B * 16, (i+1) * B * 16)`; live-length and free-list bookkeeping
 //! stays in host memory in the same `SlotTable` type [`crate::MemStore`]
 //! uses (LIFO slot reuse, fresh slots in increasing index order), so a run
@@ -19,7 +20,7 @@
 use crate::store::{BlockId, BlockStore, SlotTable};
 use asym_model::{ModelError, Record, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -103,10 +104,8 @@ impl FileStore {
             self.byte_buf[i * RECORD_BYTES + 8..(i + 1) * RECORD_BYTES]
                 .copy_from_slice(&r.payload.to_le_bytes());
         }
-        let off = self.offset(slot);
-        self.file.seek(SeekFrom::Start(off)).map_err(io_err)?;
         self.file
-            .write_all(&self.byte_buf[..nbytes])
+            .write_all_at(&self.byte_buf[..nbytes], self.offset(slot))
             .map_err(io_err)
     }
 
@@ -114,9 +113,8 @@ impl FileStore {
     fn read_slot(&mut self, slot: usize, len: usize, out: &mut Vec<Record>) -> Result<()> {
         let nbytes = len * RECORD_BYTES;
         let off = self.offset(slot);
-        self.file.seek(SeekFrom::Start(off)).map_err(io_err)?;
         self.file
-            .read_exact(&mut self.byte_buf[..nbytes])
+            .read_exact_at(&mut self.byte_buf[..nbytes], off)
             .map_err(io_err)?;
         out.clear();
         for chunk in self.byte_buf[..nbytes].chunks_exact(RECORD_BYTES) {

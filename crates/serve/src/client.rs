@@ -6,12 +6,12 @@
 //! job routes and hand back typed values, decoded by
 //! [`SubmitError::from_json`] and [`JobStatus::from_json`].
 
-use crate::http::read_content_length;
+use crate::http::{read_body, read_content_length};
 use crate::job::{JobId, JobRequest, JobState, JobStatus};
 use crate::service::SubmitError;
 use asym_core::sort::WireError;
 use asym_model::json::Json;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Why a client call did not return its typed value.
@@ -23,7 +23,8 @@ pub enum ClientError {
     Refused(SubmitError),
     /// The response body did not decode.
     Wire(WireError),
-    /// Any other status code, with its body (e.g. `404` for an unknown job).
+    /// Any other status code, with its body (e.g. `404` for an unknown job,
+    /// or the front door's `503` busy).
     Status {
         /// The HTTP status code.
         code: u16,
@@ -75,8 +76,7 @@ pub fn roundtrip(
 }
 
 /// Read one response from `stream`: the status line, the headers, and
-/// exactly `Content-Length` body bytes. The body buffer grows with the bytes
-/// that arrive, never to a declared length up front.
+/// exactly `Content-Length` body bytes.
 pub fn read_response(stream: TcpStream) -> std::io::Result<(u16, String)> {
     use std::io::{Error, ErrorKind};
     let mut reader = BufReader::new(stream);
@@ -88,12 +88,7 @@ pub fn read_response(stream: TcpStream) -> std::io::Result<(u16, String)> {
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| Error::new(ErrorKind::InvalidData, format!("bad status line {line:?}")))?;
     let length = read_content_length(&mut reader)?;
-    let mut body = String::new();
-    reader.take(length as u64).read_to_string(&mut body)?;
-    if body.len() != length {
-        return Err(ErrorKind::UnexpectedEof.into());
-    }
-    Ok((code, body))
+    Ok((code, read_body(&mut reader, length)?))
 }
 
 /// `POST /jobs`: the new job's id, or the service's typed refusal.
@@ -104,7 +99,13 @@ pub fn submit(addr: SocketAddr, request: &JobRequest) -> Result<JobId, ClientErr
             .ok()
             .and_then(|v| v.get("id").and_then(Json::as_u64))
             .ok_or_else(|| WireError::Malformed(format!("202 without a job id: {body}")).into()),
-        429 | 422 | 503 => Err(ClientError::Refused(SubmitError::from_json(&body)?)),
+        429 | 422 | 503 => match SubmitError::from_json(&body) {
+            Ok(e) => Err(ClientError::Refused(e)),
+            // The front door's own `503 {"error": "busy"}`: the request
+            // never reached the service.
+            Err(_) if code == 503 => Err(ClientError::Status { code, body }),
+            Err(e) => Err(e.into()),
+        },
         code => Err(ClientError::Status { code, body }),
     }
 }

@@ -14,18 +14,27 @@
 //! | GET    | `/stats`           | service counters                         |
 //! | POST   | `/shutdown`        | graceful drain, respond, stop accepting  |
 //!
-//! The accept loop runs on its own thread; [`ServerHandle::shutdown`]
-//! triggers the same drain as `POST /shutdown`, nudging the blocking
-//! `accept` with a loopback self-connection.
+//! The accept loop runs on its own thread and serves nothing itself: each
+//! accepted connection gets a handler thread of its own, spawned on demand
+//! (none at boot), so one client's long-poll or idle socket never holds up
+//! another's request. At most [`MAX_CONNECTIONS`] handlers run at once;
+//! the accept thread answers a connection over that cap, or one whose
+//! spawn fails, with `503 {"error": "busy"}`. Every connection reads and
+//! writes under a [`IO_TIMEOUT`] socket timeout, so a silent peer gives up
+//! its handler instead of pinning it.
+//!
+//! [`ServerHandle::shutdown`] triggers the same drain as `POST /shutdown`,
+//! nudging the blocking `accept` with a loopback self-connection, and
+//! returns once every handler has ended.
 
 use crate::job::{JobRequest, JobState};
 use crate::service::{SortService, SubmitError};
 use asym_model::json::JsonObj;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body; bigger submissions get a typed `413`
 /// without the body ever being read.
@@ -36,6 +45,18 @@ const DEFAULT_WAIT_MS: u64 = 2_000;
 
 /// Hard cap on `timeout_ms` — a long-poll cannot pin a connection forever.
 const MAX_WAIT_MS: u64 = 10_000;
+
+/// Most connections served at once, each on its own handler thread; the
+/// accept thread answers the next one `503` busy.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Read and write timeout of every accepted connection: a peer that sends
+/// nothing, or stops reading, for this long loses its handler.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long the accept thread reads and drops what a refused peer sent
+/// after answering it `503` busy.
+const BUSY_LINGER: Duration = Duration::from_millis(50);
 
 /// A running HTTP server wrapping a [`SortService`].
 pub struct ServerHandle {
@@ -58,17 +79,17 @@ impl ServerHandle {
     }
 
     /// Drain the service and stop the accept loop (idempotent; also runs
-    /// on drop). A no-op drain after [`SortService::kill`] — the killed
-    /// service stays killed.
+    /// on drop). Returns once every handler has ended: a long-poll answers
+    /// when its job finishes, a silent peer within [`IO_TIMEOUT`]. A no-op
+    /// drain after [`SortService::kill`] — the killed service stays killed.
     pub fn shutdown(&mut self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
-            // Nudge the blocking accept() so the loop observes the flag.
-            let _ = TcpStream::connect(self.addr);
-        }
+        stop_accepting(&self.stop, self.addr);
+        // Drain before the join: an in-flight long-poll ends once its job
+        // does, and the join waits for every handler.
+        self.service.drain();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        self.service.drain();
     }
 }
 
@@ -89,7 +110,7 @@ pub fn serve(service: SortService, addr: impl ToSocketAddrs) -> std::io::Result<
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("sort-http".into())
-            .spawn(move || accept_loop(&listener, &service, &stop))?
+            .spawn(move || accept_loop(&listener, addr, &service, &stop))?
     };
     Ok(ServerHandle {
         addr,
@@ -99,21 +120,80 @@ pub fn serve(service: SortService, addr: impl ToSocketAddrs) -> std::io::Result<
     })
 }
 
-fn accept_loop(listener: &TcpListener, service: &SortService, stop: &AtomicBool) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        // One request per connection, handled inline: submissions are
-        // admission decisions (microseconds), the sorts themselves run on
-        // the worker pool. The one blocking route, /wait, is bounded by
-        // MAX_WAIT_MS.
-        if let HandleResult::Shutdown = handle(stream, service) {
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
+/// Set `stop` and nudge the blocking `accept` with a self-connection so the
+/// loop observes it (once: later calls find the flag already set).
+fn stop_accepting(stop: &AtomicBool, addr: SocketAddr) {
+    if !stop.swap(true, Ordering::SeqCst) {
+        let _ = TcpStream::connect(addr);
     }
+}
+
+/// Accept connections until `stop`, handing each to a handler thread of its
+/// own. The scope returns only after every handler has ended.
+fn accept_loop(listener: &TcpListener, addr: SocketAddr, service: &SortService, stop: &AtomicBool) {
+    let in_flight = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let Ok(stream) = conn else { continue };
+            let Some(slot) = Slot::claim(&in_flight) else {
+                refuse_busy(&stream);
+                continue;
+            };
+            // Shared so the accept thread can still answer the peer when
+            // the spawn fails and drops the closure.
+            let stream = Arc::new(stream);
+            let conn = Arc::clone(&stream);
+            let spawned = std::thread::Builder::new()
+                .name("sort-http-conn".into())
+                .spawn_scoped(scope, move || {
+                    let _slot = slot;
+                    let _ = conn.set_read_timeout(Some(IO_TIMEOUT));
+                    let _ = conn.set_write_timeout(Some(IO_TIMEOUT));
+                    if let HandleResult::Shutdown = handle(&conn, service) {
+                        stop_accepting(stop, addr);
+                    }
+                });
+            if spawned.is_err() {
+                refuse_busy(&stream);
+            }
+        }
+    });
+}
+
+/// One handler's claim on the [`MAX_CONNECTIONS`] budget, given back on
+/// drop: when the handler ends, panics, or never spawns.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl<'a> Slot<'a> {
+    fn claim(in_flight: &'a AtomicUsize) -> Option<Slot<'a>> {
+        let taken = in_flight.fetch_add(1, Ordering::SeqCst);
+        let slot = Slot(in_flight);
+        (taken < MAX_CONNECTIONS).then_some(slot)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answer `503` busy from the accept thread, then read and drop what the
+/// peer sent for at most about [`BUSY_LINGER`]: closing a socket over
+/// unread bytes resets the connection, which can discard the answer before
+/// the peer reads it.
+fn refuse_busy(mut stream: &TcpStream) {
+    respond(stream, 503, "Service Unavailable", r#"{"error": "busy"}"#);
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_read_timeout(Some(BUSY_LINGER)).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + BUSY_LINGER;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 enum HandleResult {
@@ -121,7 +201,7 @@ enum HandleResult {
     Shutdown,
 }
 
-fn handle(stream: TcpStream, service: &SortService) -> HandleResult {
+fn handle(stream: &TcpStream, service: &SortService) -> HandleResult {
     let mut reader = BufReader::new(stream);
     let (method, path, body) = match read_request(&mut reader) {
         Ok(req) => req,
@@ -229,7 +309,7 @@ enum ReadError {
 
 /// Parse one request: the request line, headers (only `Content-Length`
 /// matters), then exactly that many body bytes.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, String), ReadError> {
+fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<(String, String, String), ReadError> {
     let malformed = |_| ReadError::Malformed;
     let mut line = String::new();
     reader.read_line(&mut line).map_err(malformed)?;
@@ -242,13 +322,8 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<(String, String, St
             length: content_length,
         });
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(malformed)?;
-    Ok((
-        method,
-        path,
-        String::from_utf8(body).map_err(|_| ReadError::Malformed)?,
-    ))
+    let body = read_body(reader, content_length).map_err(malformed)?;
+    Ok((method, path, body))
 }
 
 /// Read header lines through the blank line that ends them and return the
@@ -275,6 +350,18 @@ pub(crate) fn read_content_length(reader: &mut impl BufRead) -> std::io::Result<
     }
 }
 
+/// Read exactly `length` body bytes of UTF-8, for [`read_request`] and
+/// [`crate::client`]. The buffer grows with the bytes that arrive, never to
+/// `length` up front, so a peer that declares a body and stalls pins nothing.
+pub(crate) fn read_body(reader: &mut impl Read, length: usize) -> std::io::Result<String> {
+    let mut body = String::new();
+    reader.take(length as u64).read_to_string(&mut body)?;
+    if body.len() != length {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
+}
+
 /// Pull one numeric query parameter out of `a=1&b=2` (missing or
 /// unparsable → `None`).
 fn query_u64(query: &str, key: &str) -> Option<u64> {
@@ -285,7 +372,7 @@ fn query_u64(query: &str, key: &str) -> Option<u64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-pub(crate) fn respond(mut stream: TcpStream, code: u16, reason: &str, body: &str) {
+pub(crate) fn respond(mut stream: impl Write, code: u16, reason: &str, body: &str) {
     let msg = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),

@@ -1,14 +1,17 @@
 //! The HTTP front door over real loopback sockets: submit, poll, reject,
-//! introspect, shut down — all through `asym_serve::client`, so the test
+//! introspect, shut down, and serve clients side by side (an idle peer, a
+//! long-poll, the connection cap) — all through real sockets, so the test
 //! exercises actual bytes on the wire, not internal calls.
 
 use asym_core::sort::SortOutcome;
 use asym_model::json::Json;
-use asym_serve::client::{self, read_response, roundtrip};
+use asym_serve::client::{self, read_response, roundtrip, ClientError};
+use asym_serve::http::MAX_CONNECTIONS;
 use asym_serve::{serve, JobRequest, JobState, JobStatus, ServiceConfig, SortService, SubmitError};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn fresh_root(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asym-serve-http-{}-{name}", std::process::id()));
@@ -263,6 +266,201 @@ fn a_wait_route_without_an_id_is_a_404_and_the_server_keeps_serving() {
     }
     let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(code, 200);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Connect and send one request, leaving its answer on the returned stream.
+fn send(addr: SocketAddr, method: &str, path: &str, body: &str) -> std::io::Result<TcpStream> {
+    let mut stream = TcpStream::connect(addr)?;
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )?;
+    Ok(stream)
+}
+
+/// One request whose answer must arrive within `limit`: the socket's read
+/// timeout turns a stalled server into an error instead of a hung test.
+fn roundtrip_within(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+    limit: Duration,
+) -> std::io::Result<(u16, String)> {
+    let stream = send(addr, method, path, body)?;
+    stream.set_read_timeout(Some(limit))?;
+    read_response(stream)
+}
+
+/// `GET /healthz` must answer 200 in well under a second.
+fn assert_healthz_is_prompt(addr: SocketAddr) {
+    let started = Instant::now();
+    let (code, body) =
+        roundtrip_within(addr, "GET", "/healthz", "", Duration::from_secs(2)).expect("healthz");
+    assert_eq!(code, 200, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+}
+
+/// Send `GET /jobs/<id>/wait` at the 10 s cap and read its answer on a
+/// thread of its own. The request is on the wire when this returns, and the
+/// listener accepts connections in arrival order, so the long-poll is ahead
+/// of every request made after it.
+fn long_poll(addr: SocketAddr, id: u64) -> std::thread::JoinHandle<(u16, String)> {
+    let path = format!("/jobs/{id}/wait?timeout_ms=10000");
+    let stream = send(addr, "GET", &path, "").expect("send");
+    std::thread::spawn(move || read_response(stream).expect("wait"))
+}
+
+#[test]
+fn an_idle_peer_does_not_delay_healthz() {
+    let root = fresh_root("idle-peer");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // Connected, and silent: its handler waits on a read.
+    let idle = TcpStream::connect(addr).expect("connect");
+    assert_healthz_is_prompt(addr);
+    drop(idle);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_long_poll_does_not_delay_other_clients() {
+    let root = fresh_root("long-poll");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // A held job keeps its waiter parked for the whole 10 s cap.
+    server.service().hold();
+    let held = client::submit(addr, &job(SMALL_JOB)).expect("submit");
+    let poller = long_poll(addr, held);
+
+    assert_healthz_is_prompt(addr);
+    let (code, body) =
+        roundtrip_within(addr, "POST", "/jobs", SMALL_JOB, Duration::from_secs(2)).expect("submit");
+    assert_eq!(code, 202, "{body}");
+
+    server.service().release();
+    let (code, body) = poller.join().expect("poller");
+    assert_eq!(code, 200, "{body}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn connections_over_the_cap_get_503_busy_until_they_close() {
+    let root = fresh_root("busy");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // Every handler slot held by a silent peer, accepted in connect order
+    // ahead of the requests below.
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let (code, body) =
+        roundtrip_within(addr, "GET", "/healthz", "", Duration::from_secs(2)).expect("healthz");
+    assert_eq!(code, 503, "{body}");
+    assert_eq!(
+        Json::parse(&body)
+            .expect("parses")
+            .get("error")
+            .and_then(Json::as_str),
+        Some("busy")
+    );
+    // The client reports it as a status, not as a garbled refusal.
+    assert!(
+        matches!(
+            client::submit(addr, &job(SMALL_JOB)),
+            Err(ClientError::Status { code: 503, .. })
+        ),
+        "busy submit"
+    );
+
+    // Closed peers give their slots back.
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (code, body) =
+            roundtrip_within(addr, "GET", "/healthz", "", Duration::from_secs(2)).expect("healthz");
+        if code == 200 {
+            break;
+        }
+        assert_eq!(code, 503, "{body}");
+        assert!(Instant::now() < deadline, "slots never came back");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_with_a_long_poll_in_flight_answers_the_poller() {
+    let root = fresh_root("shutdown-poll");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    server.service().hold();
+    let held = client::submit(addr, &job(SMALL_JOB)).expect("submit");
+    let poller = long_poll(addr, held);
+    // Answered only once the long-poll's connection has been accepted.
+    let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(code, 200);
+
+    // The drain lifts the hold, so the job runs and the poller's answer is
+    // its terminal status, long before the 10 s wait would lapse.
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        started.elapsed()
+    );
+    let (code, body) = poller.join().expect("poller");
+    assert_eq!(code, 200, "{body}");
+    let status = JobStatus::from_json(&body).expect("status decodes");
+    assert_eq!(status.state, JobState::Completed, "{body}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_body_shorter_than_its_content_length_is_a_400() {
+    let root = fresh_root("short-body");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // Ten bytes of a declared hundred, then end of stream.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\nConnection: close\r\n\r\n{{\"spec\": "
+    )
+    .expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let (code, body) = read_response(stream).expect("receive");
+    assert_eq!(code, 400, "{body}");
+    assert_eq!(
+        Json::parse(&body)
+            .expect("parses")
+            .get("error")
+            .and_then(Json::as_str),
+        Some("malformed")
+    );
+
+    assert_healthz_is_prompt(addr);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
