@@ -9,8 +9,8 @@
 //!   its inline input (the HTTP body and the `accepted` WAL line);
 //! * `codec-outcome-encode` / `codec-outcome-decode` — `SortOutcome` with
 //!   its sorted output (the `completed` WAL line and the status reply);
-//! * `codec-manifest-render` — every checkpoint manifest of the staged run
-//!   (the `checkpointed` WAL lines), rendered once each.
+//! * `codec-manifest-render` — every delta checkpoint manifest of the
+//!   staged run (the `checkpointed` WAL lines), rendered once each.
 //!
 //! ```text
 //! cargo bench -p asym-bench --bench wire_codec              # + BENCH_codec.json

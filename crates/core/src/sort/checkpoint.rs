@@ -6,15 +6,23 @@
 //! the spec's algorithm through [`super::run`], then merge-round phases fold the sorted
 //! runs `l = kM/B` at a time with the Lemma 4.1 merge until one run
 //! survives. After every completed phase the executor hands a versioned
-//! [`CheckpointManifest`] — phase counter, surviving run layout,
-//! cumulative [`EmStats`], input digest — to a [`Checkpointer`] sink;
-//! `asym-serve` appends it to its audit WAL as a `checkpointed` event, so
-//! the manifest is durable the moment the phase's writes are.
+//! [`CheckpointManifest`] — phase counter, cumulative [`EmStats`], input
+//! digest, and the runs *that phase produced* — to a [`Checkpointer`]
+//! sink; `asym-serve` appends it to its audit WAL as a `checkpointed`
+//! event, so the manifest is durable the moment the phase's writes are.
 //!
-//! [`resume_from`] verifies the digest, rebuilds the machine state from
-//! the manifest's surviving runs (restaged uncharged — their writes were
-//! paid, and recorded, by the prefix), and continues from the first
-//! incomplete phase. Phases are deterministic in `(spec, input)` and the
+//! Manifests are deltas, so each run is written once per level, as the
+//! sorts themselves write each block: a chunk phase carries its one
+//! sorted chunk and keeps the `base` runs before it, a merge round
+//! carries its outputs and keeps nothing (`base` 0). A staged run's
+//! manifests carry `n·(1 + rounds)` records in all.
+//! [`CheckpointManifest::fold`] rebuilds the full layout from the deltas;
+//! it is the one fold the live service, WAL replay and the tests share.
+//!
+//! [`resume_from`] takes a folded (full) manifest, verifies the digest,
+//! rebuilds the machine state from its surviving runs (restaged uncharged —
+//! their writes were paid, and recorded, by the prefix), and continues from
+//! the first incomplete phase. Phases are deterministic in `(spec, input)` and the
 //! cumulative fold is associative (reads/writes add, peaks max), so the
 //! modeled cost of `resume ⊕ prefix` is bit-identical to an uninterrupted
 //! staged run — that equality is the paper's "writes are the expensive
@@ -38,8 +46,10 @@ use asym_model::json::{self, Json, JsonArr, JsonObj, RecordsError};
 use asym_model::{ModelError, Record, Result};
 use em_sim::{EmStats, EmVec};
 
-/// The manifest schema this build writes and the only one it resumes.
-pub const MANIFEST_VERSION: u64 = 1;
+/// The manifest schema this build writes: v2 manifests are deltas with a
+/// `base`. A v1 manifest (every surviving run, no `base`) still decodes,
+/// as a v2 delta with `base` 0.
+pub const MANIFEST_VERSION: u64 = 2;
 
 /// How many chunk phases a staged run aims for: enough that a crash loses
 /// at most ~1/8 of the chunk-sorting work, few enough that manifests stay
@@ -63,7 +73,8 @@ pub trait Checkpointer {
 /// themselves.
 #[derive(Debug, Default)]
 pub struct MemCheckpointer {
-    /// Every manifest saved, in phase order.
+    /// Every delta manifest saved, in phase order; [`CheckpointManifest::fold`]
+    /// them for the full layout.
     pub manifests: Vec<CheckpointManifest>,
 }
 
@@ -190,8 +201,11 @@ pub fn input_digest(spec: &SortSpec, input: &[Record]) -> u64 {
     h
 }
 
-/// One phase-boundary snapshot of a staged run: everything a fresh
-/// process needs to continue from the first incomplete phase.
+/// One phase-boundary checkpoint of a staged run. As saved, it is a
+/// *delta*: the runs its phase produced, on top of the first `base` runs
+/// of the previous phase's layout. Folded ([`CheckpointManifest::fold`]),
+/// it is a full snapshot (`base` 0): everything a fresh process needs to
+/// continue from the first incomplete phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointManifest {
     /// Schema version ([`MANIFEST_VERSION`]).
@@ -205,13 +219,18 @@ pub struct CheckpointManifest {
     pub phases_done: u64,
     /// The plan's total phase count (sanity-checked on resume).
     pub total_phases: u64,
+    /// How many leading runs of the previous phase's layout this manifest
+    /// keeps: a chunk phase keeps every run before its chunk, a merge
+    /// round keeps none. A full manifest has `base` 0.
+    pub base: u64,
     /// Cumulative modeled stats over the completed phases: reads and
     /// writes sum, peaks max (phases run sequentially on fresh machines,
     /// so the footprint is the largest single phase — *not*
     /// [`EmStats::merge`], whose summed peaks are lane semantics).
     pub stats: EmStats,
-    /// The surviving sorted runs, in layout order. Pending chunks are
-    /// recomputable from the input, so only produced data is carried.
+    /// The sorted runs this phase produced, appended after the `base`
+    /// kept ones, in layout order. Pending chunks are recomputable from
+    /// the input, so only produced data is carried.
     pub runs: Vec<Vec<Record>>,
 }
 
@@ -224,7 +243,8 @@ impl CheckpointManifest {
             .u64("digest", self.digest)
             .u64("n", self.n)
             .u64("phases_done", self.phases_done)
-            .u64("total_phases", self.total_phases);
+            .u64("total_phases", self.total_phases)
+            .u64("base", self.base);
         let mut s = JsonObj::new();
         s.u64("block_reads", self.stats.block_reads)
             .u64("block_writes", self.stats.block_writes)
@@ -238,9 +258,9 @@ impl CheckpointManifest {
         o.finish()
     }
 
-    /// Decode a manifest. An unknown version is a typed
-    /// [`WireError::Malformed`] naming it — a future manifest must not be
-    /// half-read as an empty one.
+    /// Decode a manifest. A v1 manifest decodes as a full v2 one (`base`
+    /// 0). An unknown version is a typed [`WireError::Malformed`] naming
+    /// it — a future manifest must not be half-read as an empty one.
     pub fn from_json(text: &str) -> std::result::Result<CheckpointManifest, WireError> {
         let v = Json::parse(text).map_err(WireError::Malformed)?;
         Self::from_json_value(&v)
@@ -258,11 +278,15 @@ impl CheckpointManifest {
                 .ok_or_else(|| bad(format!("manifest missing numeric field {k:?}")))
         };
         let version = req("version")?;
-        if version != MANIFEST_VERSION {
-            return Err(bad(format!(
-                "manifest version {version} is not supported (this build speaks v{MANIFEST_VERSION})"
-            )));
-        }
+        let base = match version {
+            1 => 0,
+            MANIFEST_VERSION => req("base")?,
+            _ => {
+                return Err(bad(format!(
+                    "manifest version {version} is not supported (this build speaks v{MANIFEST_VERSION})"
+                )))
+            }
+        };
         let stats = json::find(obj, "stats")
             .and_then(Json::as_obj)
             .ok_or_else(|| bad("manifest missing \"stats\" object".into()))?;
@@ -283,11 +307,12 @@ impl CheckpointManifest {
             })
             .collect::<std::result::Result<Vec<_>, _>>()?;
         Ok(CheckpointManifest {
-            version,
+            version: MANIFEST_VERSION,
             digest: req("digest")?,
             n: req("n")?,
             phases_done: req("phases_done")?,
             total_phases: req("total_phases")?,
+            base,
             stats: EmStats {
                 block_reads: stat("block_reads")?,
                 block_writes: stat("block_writes")?,
@@ -297,14 +322,56 @@ impl CheckpointManifest {
         })
     }
 
+    /// Fold `delta` into the full manifest `held` (`None`: no phase done
+    /// yet) and report whether `held` moved. Progress only moves forward:
+    ///
+    /// * a delta whose `phases_done` is not above `held`'s is ignored;
+    /// * a `base` 0 delta replaces `held`;
+    /// * a delta for exactly the next phase of the same job keeps `held`'s
+    ///   first `base` runs and appends its own;
+    /// * anything else — a gap, or a `base` past `held`'s layout — is
+    ///   ignored, so `held` stays the last good state.
+    ///
+    /// The result is full (`base` 0) but not validated: callers check it
+    /// with [`validate`](Self::validate) before resuming from it.
+    pub fn fold(held: &mut Option<CheckpointManifest>, mut delta: CheckpointManifest) -> bool {
+        let phase = held.as_ref().map_or(0, |h| h.phases_done);
+        if delta.phases_done <= phase {
+            return false;
+        }
+        if delta.base == 0 {
+            *held = Some(delta);
+            return true;
+        }
+        let Some(h) = held else { return false };
+        if delta.phases_done != phase + 1
+            || delta.base > h.runs.len() as u64
+            || (delta.digest, delta.n, delta.total_phases) != (h.digest, h.n, h.total_phases)
+        {
+            return false;
+        }
+        h.runs.truncate(delta.base as usize);
+        h.runs.append(&mut delta.runs);
+        h.phases_done = delta.phases_done;
+        h.stats = delta.stats;
+        true
+    }
+
     /// Full consistency check against the job this manifest claims to
     /// belong to: version, digest, phase counters, and the run layout the
-    /// plan dictates (lengths and sortedness). `Err` carries the reason —
-    /// a server holding a non-matching manifest should fall back to a
-    /// fresh staged run rather than fail the job.
+    /// plan dictates (lengths and sortedness). Only a full manifest
+    /// (`base` 0, e.g. a [`fold`](Self::fold)) passes. `Err` carries the
+    /// reason — a server holding a non-matching manifest should fall back
+    /// to a fresh staged run rather than fail the job.
     pub fn validate(&self, spec: &SortSpec, input: &[Record]) -> std::result::Result<(), String> {
         if self.version != MANIFEST_VERSION {
             return Err(format!("unsupported manifest version {}", self.version));
+        }
+        if self.base != 0 {
+            return Err(format!(
+                "manifest is a delta on {} runs; fold it first",
+                self.base
+            ));
         }
         if self.n as usize != input.len() {
             return Err(format!(
@@ -407,8 +474,9 @@ pub fn run_staged(
     execute(spec, input, &plan, 0, Vec::new(), EmStats::default(), sink)
 }
 
-/// Continue a staged run from `manifest`: verify it against `(spec,
-/// input)`, restage the surviving runs, and execute the remaining phases.
+/// Continue a staged run from the full (folded) `manifest`: verify it
+/// against `(spec, input)`, restage the surviving runs, and execute the
+/// remaining phases.
 /// The returned outcome — output *and* cumulative stats — is bit-identical
 /// to an uninterrupted [`run_staged`]. A manifest that fails validation is
 /// a [`ModelError::Invariant`] (callers that can should pre-check with
@@ -436,7 +504,8 @@ pub fn resume_from(
 
 /// The phase interpreter both entry points share. `start` phases are
 /// already done, their surviving runs are `runs` and their cumulative
-/// stats `cum` — zero/empty for a fresh run.
+/// stats `cum` — zero/empty for a fresh run. Each phase's delta manifest
+/// carries the runs it produced, which then move into `runs` uncopied.
 fn execute(
     spec: &SortSpec,
     input: &[Record],
@@ -449,34 +518,35 @@ fn execute(
     let total = plan.total_phases();
     let digest = input_digest(spec, input);
     for phase in start..total {
-        let phase_stats = if let Some(&(lo, hi)) = plan.chunks().get(phase) {
-            if lo == hi {
-                runs.push(Vec::new());
-                EmStats::default()
-            } else {
+        let (base, produced, phase_stats) = match plan.chunks().get(phase) {
+            Some(&(lo, hi)) if lo == hi => (runs.len(), vec![Vec::new()], EmStats::default()),
+            Some(&(lo, hi)) => {
                 let out = run(spec, &input[lo..hi])?;
-                runs.push(out.output);
-                out.stats
+                (runs.len(), vec![out.output], out.stats)
             }
-        } else {
-            let (merged, stats) = merge_round(spec, &runs, plan.fan_in)?;
-            runs = merged;
-            stats
+            None => {
+                let (merged, stats) = merge_round(spec, std::mem::take(&mut runs), plan.fan_in)?;
+                (0, merged, stats)
+            }
         };
         // Sequential fold: counts add, footprints max (each phase runs on
         // fresh machines, so the peak is the largest single phase).
         cum.block_reads += phase_stats.block_reads;
         cum.block_writes += phase_stats.block_writes;
         cum.peak_memory = cum.peak_memory.max(phase_stats.peak_memory);
-        sink.save(&CheckpointManifest {
+        let delta = CheckpointManifest {
             version: MANIFEST_VERSION,
             digest,
             n: input.len() as u64,
             phases_done: (phase + 1) as u64,
             total_phases: total as u64,
+            base: base as u64,
             stats: cum,
-            runs: runs.clone(),
-        })?;
+            runs: produced,
+        };
+        sink.save(&delta)?;
+        // `runs` already holds exactly the `base` kept runs.
+        runs.extend(delta.runs);
     }
     let output = runs.pop().expect("the plan always ends with one run");
     debug_assert!(runs.is_empty(), "merge rounds must converge to one run");
@@ -493,14 +563,16 @@ fn execute(
 /// Single-run groups carry over untouched (no work, no charge).
 fn merge_round(
     spec: &SortSpec,
-    runs: &[Vec<Record>],
+    runs: Vec<Vec<Record>>,
     fan_in: usize,
 ) -> Result<(Vec<Vec<Record>>, EmStats)> {
     let em = merge_spec(spec).machine()?;
     let mut out = Vec::with_capacity(runs.len().div_ceil(fan_in));
-    for group in runs.chunks(fan_in) {
+    let mut runs = runs.into_iter().peekable();
+    while runs.peek().is_some() {
+        let group: Vec<Vec<Record>> = runs.by_ref().take(fan_in).collect();
         if group.len() == 1 {
-            out.push(group[0].clone());
+            out.extend(group);
             continue;
         }
         let staged: Vec<EmVec> = group.iter().map(|r| EmVec::stage(&em, r)).collect();
@@ -594,23 +666,86 @@ mod tests {
         }
     }
 
+    /// The fold of every delta in `deltas`, each of which must advance it.
+    fn folded(deltas: &[CheckpointManifest]) -> CheckpointManifest {
+        let mut held = None;
+        for d in deltas {
+            assert!(
+                CheckpointManifest::fold(&mut held, d.clone()),
+                "phase {}",
+                d.phases_done
+            );
+        }
+        held.expect("at least one delta")
+    }
+
     #[test]
     fn manifests_round_trip_and_reject_garbage() {
         let spec = spec_for(Algorithm::Mergesort);
         let input = Workload::UniformRandom.generate(300, 5);
         let mut sink = MemCheckpointer::default();
         run_staged(&spec, &input, &mut sink).expect("staged");
-        for m in &sink.manifests {
+        for (i, m) in sink.manifests.iter().enumerate() {
             let back = CheckpointManifest::from_json(&m.to_json()).expect("round trip");
             assert_eq!(&back, m);
-            assert!(back.validate(&spec, &input).is_ok());
+            let full = folded(&sink.manifests[..=i]);
+            assert!(full.validate(&spec, &input).is_ok());
+            // The same snapshot as a v1 line (no `base`) decodes to it.
+            let v1 = full
+                .to_json()
+                .replacen("\"version\": 2", "\"version\": 1", 1)
+                .replacen("\"base\": 0, ", "", 1);
+            assert!(!v1.contains("base"), "{v1}");
+            assert_eq!(CheckpointManifest::from_json(&v1), Ok(full));
         }
         assert!(CheckpointManifest::from_json("42").is_err());
         let future = sink.manifests[0]
             .to_json()
-            .replacen("\"version\": 1", "\"version\": 9", 1);
+            .replacen("\"version\": 2", "\"version\": 9", 1);
         let err = CheckpointManifest::from_json(&future).unwrap_err();
         assert!(err.to_string().contains("version 9"), "{err}");
+        let baseless = sink.manifests[0].to_json().replacen("\"base\": 0, ", "", 1);
+        assert!(
+            CheckpointManifest::from_json(&baseless).is_err(),
+            "v2 needs a base"
+        );
+    }
+
+    #[test]
+    fn fold_ignores_duplicates_gaps_and_bases_past_the_layout() {
+        let spec = spec_for(Algorithm::Mergesort);
+        let input = Workload::UniformRandom.generate(400, 9);
+        let mut sink = MemCheckpointer::default();
+        run_staged(&spec, &input, &mut sink).expect("staged");
+        let d = &sink.manifests;
+        assert!(
+            d[1].base == 1 && d[2].base == 2,
+            "chunk phases keep the runs before them"
+        );
+        let two = folded(&d[..2]);
+        let mut held = Some(two.clone());
+        for (stale, why) in [
+            (d[1].clone(), "duplicate"),
+            (d[0].clone(), "older"),
+            (d[3].clone(), "gap"),
+            (
+                CheckpointManifest {
+                    base: 3,
+                    ..d[2].clone()
+                },
+                "base past the layout",
+            ),
+        ] {
+            assert!(!CheckpointManifest::fold(&mut held, stale), "{why}");
+            assert_eq!(held.as_ref(), Some(&two), "{why}");
+        }
+        let mut none = None;
+        assert!(
+            !CheckpointManifest::fold(&mut none, d[1].clone()),
+            "no layout to extend"
+        );
+        assert!(CheckpointManifest::fold(&mut held, d[2].clone()));
+        assert_eq!(held, Some(folded(&d[..3])));
     }
 
     #[test]
@@ -619,7 +754,14 @@ mod tests {
         let input = Workload::UniformRandom.generate(400, 9);
         let mut sink = MemCheckpointer::default();
         run_staged(&spec, &input, &mut sink).expect("staged");
-        let good = sink.manifests[1].clone();
+        let good = folded(&sink.manifests[..2]);
+        assert!(good.validate(&spec, &input).is_ok());
+
+        // An unfolded delta is not a snapshot.
+        assert!(sink.manifests[1]
+            .validate(&spec, &input)
+            .unwrap_err()
+            .contains("fold"));
 
         // Different input: digest refuses.
         let other = Workload::UniformRandom.generate(400, 10);

@@ -101,8 +101,10 @@ pub enum AuditEvent {
         attempt: u32,
     },
     /// A staged job completed a phase; the manifest is durable the moment
-    /// this line is. Recovery hands the *latest* manifest back to the
-    /// re-queued job so a restarted worker resumes instead of restarting.
+    /// this line is. The manifest is a delta (the runs that phase
+    /// produced); recovery folds a job's deltas and hands the fold back to
+    /// the re-queued job so a restarted worker resumes instead of
+    /// restarting.
     ///
     /// The line also writes the manifest's `phases_done` as `"phase"`; the
     /// decoder refuses a line where the two disagree.
@@ -412,9 +414,10 @@ pub struct ReplayJob {
     pub attempts: u32,
     /// The job's fate so far.
     pub outcome: ReplayOutcome,
-    /// The latest checkpoint manifest, if the job made phase progress
-    /// before the log ended. A re-queued job resumes from it instead of
-    /// restarting.
+    /// The fold of the job's delta manifests
+    /// ([`CheckpointManifest::fold`]), if the job made phase progress
+    /// before the log ended: a full snapshot of its latest good phase. A
+    /// re-queued job resumes from it instead of restarting.
     pub manifest: Option<CheckpointManifest>,
     /// The attempt count at the moment of the last phase progress — the
     /// retry clock's epoch: backoff and fault decay key off
@@ -446,14 +449,14 @@ impl ReplayJob {
         self.attempts = self.attempts.max(attempt);
     }
 
-    /// Record a manifest. Progress only moves forward, and a manifest
-    /// arriving after the job's terminal outcome is stale noise (a torn
-    /// race the WAL ordering makes possible only across replays) — both
-    /// are ignored. Advancing moves the retry clock's epoch to the
-    /// current attempt.
-    pub(crate) fn checkpoint(&mut self, manifest: CheckpointManifest) {
-        if !self.outcome.is_terminal() && manifest.phases_done > self.checkpoint_phase() {
-            self.manifest = Some(manifest);
+    /// Record a delta manifest by folding it into [`Self::manifest`].
+    /// Progress only moves forward (the fold ignores a stale, duplicate or
+    /// gapped delta), and a manifest arriving after the job's terminal
+    /// outcome is stale noise (a torn race the WAL ordering makes possible
+    /// only across replays) — both are ignored. Advancing moves the retry
+    /// clock's epoch to the current attempt.
+    pub(crate) fn checkpoint(&mut self, delta: CheckpointManifest) {
+        if !self.outcome.is_terminal() && CheckpointManifest::fold(&mut self.manifest, delta) {
             self.attempts_at_checkpoint = self.attempts;
         }
     }
@@ -584,14 +587,30 @@ mod tests {
         }
     }
 
-    /// The manifest stream a real staged run of [`request`] saves.
+    /// The delta manifest stream a real staged run of [`request`] saves.
     fn manifests() -> Vec<CheckpointManifest> {
         let r = request();
         let input = r.workload.generate(r.records, r.data_seed);
         let mut sink = MemCheckpointer::default();
         sort::run_staged(&r.spec, &input, &mut sink).expect("staged run");
-        assert!(sink.manifests.len() >= 3, "a multi-phase plan");
+        assert!(sink.manifests.len() >= 4, "a multi-phase plan");
         sink.manifests
+    }
+
+    /// The fold of `deltas`, each of which must advance it.
+    fn folded(deltas: &[CheckpointManifest]) -> CheckpointManifest {
+        let mut held = None;
+        for d in deltas {
+            assert!(CheckpointManifest::fold(&mut held, d.clone()));
+        }
+        held.expect("at least one delta")
+    }
+
+    fn checkpointed(id: JobId, manifest: &CheckpointManifest) -> AuditEvent {
+        AuditEvent::Checkpointed {
+            id,
+            manifest: manifest.clone(),
+        }
     }
 
     fn log_of(events: &[AuditEvent]) -> String {
@@ -690,10 +709,7 @@ mod tests {
     fn replay_tracks_checkpoint_progress_monotonically() {
         let r = request();
         let m = manifests();
-        let checkpointed = |i: usize| AuditEvent::Checkpointed {
-            id: 0,
-            manifest: m[i].clone(),
-        };
+        let checkpointed = |i: usize| checkpointed(0, &m[i]);
         let log = log_of(&[
             AuditEvent::Accepted {
                 id: 0,
@@ -710,7 +726,7 @@ mod tests {
         let rep = replay(&log).expect("replays");
         let j = &rep.jobs[&0];
         assert_eq!(j.checkpoint_phase(), 2);
-        assert_eq!(j.manifest.as_ref(), Some(&m[1]));
+        assert_eq!(j.manifest.as_ref(), Some(&folded(&m[..2])));
         assert_eq!(j.attempts_at_checkpoint, 1, "progress made on attempt 1");
         assert_eq!(j.outcome, ReplayOutcome::Pending);
 
@@ -732,6 +748,85 @@ mod tests {
         );
         // And replay is idempotent over the extended log too.
         assert_eq!(replay(&terminal).unwrap(), rep2);
+    }
+
+    #[test]
+    fn replay_ignores_duplicate_gapped_and_late_deltas() {
+        let m = manifests();
+        let accepted = AuditEvent::Accepted {
+            id: 0,
+            request: request(),
+            predicted_bytes: 100,
+        };
+        let two = folded(&m[..2]);
+        for (stale, why) in [
+            (checkpointed(0, &m[1]), "a duplicate delta"),
+            (checkpointed(0, &m[3]), "a gap"),
+        ] {
+            let log = log_of(&[
+                accepted.clone(),
+                checkpointed(0, &m[0]),
+                checkpointed(0, &m[1]),
+                stale,
+            ]);
+            let rep = replay(&log).expect("replays");
+            assert_eq!(rep.jobs[&0].manifest.as_ref(), Some(&two), "{why}");
+        }
+        // After a terminal outcome even the next delta is ignored.
+        let log = log_of(&[
+            accepted,
+            checkpointed(0, &m[0]),
+            checkpointed(0, &m[1]),
+            AuditEvent::Expired { id: 0 },
+            checkpointed(0, &m[2]),
+        ]);
+        let rep = replay(&log).expect("replays");
+        assert_eq!(rep.jobs[&0].manifest.as_ref(), Some(&two));
+        assert_eq!(rep.jobs[&0].outcome, ReplayOutcome::Expired);
+    }
+
+    /// A log written before manifests were deltas carries a full v1
+    /// manifest per phase. It still replays to the same snapshot, and the
+    /// job resumes from it exactly.
+    #[test]
+    fn a_v1_full_manifest_line_still_replays_and_resumes() {
+        let r = request();
+        let m = manifests();
+        let v1_line = |full: &CheckpointManifest| {
+            let manifest = full
+                .to_json()
+                .replacen("\"version\": 2", "\"version\": 1", 1)
+                .replacen("\"base\": 0, ", "", 1);
+            format!(
+                r#"{{ "v": 1, "event": "checkpointed", "id": 0, "phase": {}, "manifest": {manifest} }}"#,
+                full.phases_done
+            ) + "\n"
+        };
+        let three = folded(&m[..3]);
+        let log = log_of(&[AuditEvent::Accepted {
+            id: 0,
+            request: r.clone(),
+            predicted_bytes: 100,
+        }]) + &v1_line(&folded(&m[..2]))
+            + &v1_line(&three);
+        assert!(!log.contains("\"base\""), "{log}");
+        let rep = replay(&log).expect("a v1 log replays");
+        let held = rep.jobs[&0].manifest.clone().expect("progress");
+        assert_eq!(held, three);
+
+        let input = r.workload.generate(r.records, r.data_seed);
+        let mut tail = MemCheckpointer::default();
+        let resumed = sort::resume_from(&r.spec, &input, &held, &mut tail).expect("resumes");
+        let uninterrupted =
+            sort::run_staged(&r.spec, &input, &mut MemCheckpointer::default()).expect("staged");
+        assert_eq!(resumed.output, uninterrupted.output);
+        assert_eq!(resumed.stats, uninterrupted.stats);
+        assert_eq!(tail.manifests, m[3..], "the resume writes v2 deltas");
+
+        // Those deltas fold onto the v1 snapshot in a mixed log.
+        let mixed = log + &log_of(&[checkpointed(0, &m[3])]);
+        let rep = replay(&mixed).expect("a mixed log replays");
+        assert_eq!(rep.jobs[&0].manifest, Some(folded(&m[..4])));
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //!    `completed` with modeled stats bit-identical to a fault-free staged
 //!    run, the per-job phase stream across the whole log must be exactly
 //!    `1..=total` with no duplicates (a completed phase is never re-run),
-//!    and the resumed job's total paid writes — fault-free total plus the
-//!    one interrupted phase it can have re-started — must stay strictly
-//!    under 2× the fault-free run.
+//!    its delta manifests must carry exactly `n·(1 + rounds)` records
+//!    (each record written once per level), and the resumed job's total
+//!    paid writes — fault-free total plus the one interrupted phase it can
+//!    have re-started — must stay strictly under 2× the fault-free run.
 //!
 //! 2. **Fault storm.** Checkpointed jobs under seeded retryable I/O
 //!    faults (reads and writes, torn and clean, no panics). Retries keep
 //!    whatever phases checkpointed — the phase stream stays
-//!    duplicate-free even across `started` attempt boundaries — and the
+//!    duplicate-free even across `started` attempt boundaries, so the
+//!    manifest volume is exactly `n·(1 + rounds)` here too — and the
 //!    final telemetry is still bit-identical to the fault-free reference.
 //!
-//! Artifacts (audit logs + every job's final manifest) land in
+//! Artifacts (audit logs + every job's folded final manifest) land in
 //! `CHECKPOINT_CHAOS_DIR` when set, a temp dir otherwise.
 
 use asym_core::sort::{
-    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec,
+    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec, StagePlan,
 };
 use asym_model::workload::Workload;
 use asym_serve::{replay, AuditEvent, JobRequest, JobState, ServiceConfig, SortService};
@@ -75,21 +77,49 @@ fn reference(request: &JobRequest) -> (SortOutcome, Vec<CheckpointManifest>) {
     (outcome, sink.manifests)
 }
 
-/// Per-job checkpointed phases in log order, and the manifest of the
-/// highest phase seen.
-fn phase_streams(log: &str) -> BTreeMap<u64, (Vec<u64>, Option<CheckpointManifest>)> {
-    let mut streams: BTreeMap<u64, (Vec<u64>, Option<CheckpointManifest>)> = BTreeMap::new();
+/// One job's `checkpointed` lines.
+#[derive(Default)]
+struct Stream {
+    /// Each line's phase, in log order.
+    phases: Vec<u64>,
+    /// Records carried by the lines' runs, all lines together.
+    records: u64,
+    /// The fold of the lines' delta manifests.
+    folded: Option<CheckpointManifest>,
+}
+
+/// Every checkpointed job's [`Stream`], by id.
+fn phase_streams(log: &str) -> BTreeMap<u64, Stream> {
+    let mut streams: BTreeMap<u64, Stream> = BTreeMap::new();
     for line in log.lines().filter(|l| !l.trim().is_empty()) {
         if let Ok(AuditEvent::Checkpointed { id, manifest }) = AuditEvent::from_json(line) {
-            let phase = manifest.phases_done;
-            let entry = streams.entry(id).or_default();
-            if entry.0.last().is_none_or(|&last| phase > last) {
-                entry.1 = Some(manifest);
-            }
-            entry.0.push(phase);
+            let s = streams.entry(id).or_default();
+            s.phases.push(manifest.phases_done);
+            s.records += manifest.runs.iter().map(|r| r.len() as u64).sum::<u64>();
+            CheckpointManifest::fold(&mut s.folded, manifest);
         }
     }
     streams
+}
+
+/// Assert `stream` ran every phase of `request`'s plan exactly once, and
+/// that its deltas wrote each record once per level: `n·(1 + rounds)`.
+fn assert_stream(stream: &Stream, request: &JobRequest, id: u64, label: &str) {
+    let plan = StagePlan::new(&request.spec, request.records);
+    let mut sorted = stream.phases.clone();
+    sorted.sort_unstable();
+    assert_eq!(
+        sorted,
+        (1..=plan.total_phases() as u64).collect::<Vec<_>>(),
+        "{label}: job {id}: phase stream has duplicates or holes: {:?}",
+        stream.phases
+    );
+    let want = (request.records * (1 + plan.rounds())) as u64;
+    assert_eq!(
+        stream.records, want,
+        "{label}: job {id}: manifests carried {} records, want n·(1 + rounds) = {want}",
+        stream.records
+    );
 }
 
 /// The per-phase *write* deltas of a reference manifest stream.
@@ -120,13 +150,15 @@ fn assert_stats(service: &SortService, id: u64, want: &SortOutcome, label: &str)
     );
 }
 
-/// Dump every job's final manifest (decoded and re-rendered, proving it
-/// parses) next to the audit log, as CI evidence.
+/// Dump every job's folded final manifest (decoded, folded and
+/// re-rendered, proving it parses) next to the audit log, as CI evidence.
 fn dump_manifests(root: &Path, log: &str) {
     let dir = root.join("manifests");
     std::fs::create_dir_all(&dir).expect("manifest dir");
-    for (id, (_, manifest)) in phase_streams(log) {
-        let m = manifest.expect("a checkpointed job has a final manifest");
+    for (id, stream) in phase_streams(log) {
+        let m = stream
+            .folded
+            .expect("a checkpointed job has a final manifest");
         std::fs::write(dir.join(format!("job-{id}.json")), m.to_json()).expect("write manifest");
     }
 }
@@ -160,8 +192,8 @@ fn kill_recover_wave(root: &Path) {
         let log = std::fs::read_to_string(root.join("audit.jsonl")).unwrap_or_default();
         let streams = phase_streams(&log);
         let mid_flight = ids.iter().enumerate().any(|(i, id)| {
-            streams.get(id).is_some_and(|(phases, _)| {
-                let max = phases.iter().copied().max().unwrap_or(0);
+            streams.get(id).is_some_and(|s| {
+                let max = s.phases.iter().copied().max().unwrap_or(0);
                 max >= 1
                     && max < totals[i]
                     && !service.status(*id).expect("known").state.is_terminal()
@@ -210,18 +242,12 @@ fn kill_recover_wave(root: &Path) {
     drop(service);
 
     // Whole-log phase accounting: exactly 1..=total per job, no phase
-    // ever re-run — the WAL-visible form of "resume starts at k+1".
+    // ever re-run — the WAL-visible form of "resume starts at k+1" — and
+    // each record written once per level.
     let log = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     let streams = phase_streams(&log);
     for (i, id) in ids.iter().enumerate() {
-        let (phases, _) = &streams[id];
-        let mut sorted = phases.clone();
-        sorted.sort_unstable();
-        assert_eq!(
-            sorted,
-            (1..=totals[i]).collect::<Vec<_>>(),
-            "job {id}: phase stream has duplicates or holes: {phases:?}"
-        );
+        assert_stream(&streams[id], &requests[i], *id, "wave 1");
     }
 
     // The 2× gate: a resumed job paid, at most, the fault-free total plus
@@ -304,15 +330,7 @@ fn fault_storm_wave(root: &Path) {
     // checkpointed survives into the next attempt.
     let streams = phase_streams(&log);
     for (i, id) in ids.iter().enumerate() {
-        let (phases, _) = &streams[id];
-        let mut sorted = phases.clone();
-        sorted.sort_unstable();
-        let total = refs[i].1.len() as u64;
-        assert_eq!(
-            sorted,
-            (1..=total).collect::<Vec<_>>(),
-            "job {id}: a retry re-ran a checkpointed phase: {phases:?}"
-        );
+        assert_stream(&streams[id], &requests[i], *id, "wave 2");
     }
     dump_manifests(root, &log);
 }

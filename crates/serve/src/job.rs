@@ -57,7 +57,7 @@ pub struct JobRequest {
     /// Run the job as a staged, checkpointable sequence of phases
     /// ([`checkpoint::run_staged`]): every completed phase is persisted to
     /// the audit WAL as a `checkpointed` event, and a crashed or killed
-    /// attempt resumes from its latest manifest instead of restarting.
+    /// attempt resumes from the fold of its manifests instead of restarting.
     /// Output is identical to the single-shot path; modeled costs follow
     /// the staged envelope ([`checkpoint::predict_staged`]), which is what
     /// `predict()` prices when this is set.

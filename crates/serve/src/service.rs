@@ -447,13 +447,16 @@ struct Inner {
 
 impl Inner {
     /// Append one event, flushed — the WAL write — and report a failed
-    /// write or flush. A `Dead` sink swallows the event and succeeds. Lock
-    /// order is always state → audit (or audit alone); never take state
-    /// while holding audit.
+    /// write or flush. The line and its newline go down in one write, so
+    /// a crash cannot leave a whole line without its terminator. A `Dead`
+    /// sink swallows the event and succeeds. Lock order is always state →
+    /// audit (or audit alone); never take state while holding audit.
     fn append_event(&self, ev: &AuditEvent) -> std::io::Result<()> {
         let mut sink = self.audit.lock().expect("audit log");
         if let AuditSink::File(f) = &mut *sink {
-            writeln!(f, "{}", ev.to_json())?;
+            let mut line = ev.to_json();
+            line.push('\n');
+            f.write_all(line.as_bytes())?;
             f.flush()?;
         }
         Ok(())
@@ -489,7 +492,8 @@ impl SortService {
     /// recovery appended, and lands in the same state. A missing log is an
     /// empty service, not an error.
     pub fn recover(cfg: ServiceConfig) -> Result<(SortService, RecoveryReport), RecoverError> {
-        let text = match std::fs::read_to_string(cfg.root_dir.join("audit.jsonl")) {
+        let log = cfg.root_dir.join("audit.jsonl");
+        let text = match std::fs::read_to_string(&log) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(RecoverError::Io(e)),
@@ -505,7 +509,14 @@ impl SortService {
             if !keep.is_empty() {
                 keep.push('\n');
             }
-            std::fs::write(cfg.root_dir.join("audit.jsonl"), keep)?;
+            std::fs::write(&log, keep)?;
+        } else if !text.is_empty() && !text.ends_with('\n') {
+            // A whole final line whose newline never landed: end it, or
+            // the next event would glue onto it the same way.
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(&log)?
+                .write_all(b"\n")?;
         }
 
         let mut st = State {
@@ -521,8 +532,9 @@ impl SortService {
         for (id, job) in rep.jobs {
             st.stats.submitted += 1;
             let predicted = job.request.predict();
-            // A re-queued staged job carries its latest durable manifest:
-            // the next attempt resumes from it instead of restarting, and
+            // A re-queued staged job carries the fold of its durable
+            // manifests: the next attempt resumes from it instead of
+            // restarting, and
             // its retry clock restarts at the manifest's progress epoch.
             match job.outcome {
                 ReplayOutcome::Pending => {
@@ -1055,10 +1067,10 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// The [`Checkpointer`] the worker hands a staged job: each manifest is
-/// appended to the audit WAL *first* (durability), then recorded on the
-/// job's entry through [`ReplayJob::checkpoint`], the same transition
-/// replay applies. A failed append fails the save — and so the phase —
+/// The [`Checkpointer`] the worker hands a staged job: each delta
+/// manifest is appended to the audit WAL *first* (durability), then
+/// folded into the job's entry through [`ReplayJob::checkpoint`], the
+/// same transition replay applies. A failed append fails the save — and so the phase —
 /// and records nothing: a manifest the WAL refused is not durable. The
 /// two locks are taken strictly in sequence (audit, then state), never
 /// nested, per the service's lock order.
@@ -1090,8 +1102,8 @@ impl Checkpointer for ServiceCheckpointer {
 /// Run one attempt: materialize the input (inline payload, or regenerated
 /// from the named workload), point file-backed storage and
 /// the fault schedule at this attempt, sort, render telemetry. Staged
-/// (checkpointed) jobs resume from their latest durable manifest when it
-/// still validates, and fall back to a fresh staged run otherwise.
+/// (checkpointed) jobs resume from the fold of their durable manifests
+/// when it still validates, and fall back to a fresh staged run otherwise.
 /// Failures come back classified.
 fn run_job(
     inner: &Arc<Inner>,
@@ -1144,8 +1156,8 @@ fn run_job(
             .generate(request.records, request.data_seed),
     };
     let outcome = if request.checkpoint {
-        // Staged path: resume from the latest durable manifest when it
-        // still matches this job (the digest ignores backend/file_dir/
+        // Staged path: resume from the folded durable manifests when they
+        // still match this job (the digest ignores backend/file_dir/
         // fault, so the per-attempt respec cannot orphan a manifest);
         // otherwise start a fresh staged run. Either way every completed
         // phase lands in the WAL via the service checkpointer.

@@ -5,7 +5,9 @@
 //! truncated; a stale manifest after the terminal outcome is ignored;
 //! recovery is idempotent; and a manifest the WAL refuses fails its attempt.
 
-use asym_core::sort::{self, Algorithm, MemCheckpointer, SortOutcome, SortSpec};
+use asym_core::sort::{
+    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec,
+};
 use asym_model::workload::Workload;
 use asym_serve::{
     replay, AuditEvent, FailureKind, JobRequest, JobState, ReplayOutcome, ServiceConfig,
@@ -51,7 +53,7 @@ fn checkpointed_phases(root: &Path, id: u64) -> Vec<u64> {
 }
 
 /// The fault-free staged reference for a request: output, stats, and the
-/// full manifest stream an uninterrupted run produces.
+/// delta manifest stream an uninterrupted run produces.
 fn reference(request: &JobRequest) -> (SortOutcome, MemCheckpointer) {
     let input = request
         .workload
@@ -100,6 +102,12 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
         "killed mid-job at phase {k} of {total}"
     );
     assert_eq!(pre.jobs[&id].outcome, ReplayOutcome::Pending);
+    // Replay folds the job's deltas into the reference's snapshot at k.
+    let mut want_k = None;
+    for delta in &full.manifests[..k as usize] {
+        CheckpointManifest::fold(&mut want_k, delta.clone());
+    }
+    assert_eq!(pre.jobs[&id].manifest, want_k);
 
     // Recover: the job comes back WITH its manifest and completes.
     let (service, report) = SortService::recover(cfg).expect("recover");
@@ -127,7 +135,7 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
         (1..=total).collect::<Vec<_>>(),
         "phase stream with duplicates or holes: {phases:?}"
     );
-    // And the durable manifests agree bit-for-bit with the uninterrupted
+    // And the durable deltas agree bit-for-bit with the uninterrupted
     // reference stream at every phase.
     let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     for line in text.lines().filter(|l| !l.trim().is_empty()) {

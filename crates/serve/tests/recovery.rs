@@ -149,6 +149,48 @@ fn kill_and_recover_restores_queue_counters_and_results() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A crash between a WAL line and its newline leaves a whole final line
+/// with no terminator. Replay accepts it, so recovery must end it before
+/// appending: otherwise the next event glues onto it, and the *following*
+/// recovery finds a corrupt interior line.
+#[test]
+fn an_unterminated_final_line_is_ended_before_the_next_append() {
+    let root = fresh_root("unterminated");
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let service = SortService::start(cfg.clone()).expect("start");
+    let first = service.submit(job(1, 2_000)).expect("admitted");
+    assert_eq!(
+        service.wait(first).expect("known").state,
+        JobState::Completed
+    );
+    service.drain();
+    drop(service);
+
+    let log = root.join("audit.jsonl");
+    let text = std::fs::read_to_string(&log).expect("audit");
+    std::fs::write(&log, text.strip_suffix('\n').expect("terminated")).expect("strip");
+
+    let (service, report) = SortService::recover(cfg.clone()).expect("first recovery");
+    assert!(!report.torn_tail, "a whole line is not torn");
+    assert_eq!(report.restored, 1);
+    let second = service.submit(job(2, 2_000)).expect("admitted");
+    assert_eq!(
+        service.wait(second).expect("known").state,
+        JobState::Completed
+    );
+    service.drain();
+    drop(service);
+
+    let (service, report) = SortService::recover(cfg).expect("second recovery");
+    assert_eq!((report.restored, report.requeued), (2, 0));
+    assert!(!report.torn_tail);
+    service.kill();
+    drop(service);
+    let text = std::fs::read_to_string(&log).expect("audit");
+    assert!(text.ends_with('\n'), "every appended line is terminated");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// One real service session whose audit log exercises every event type:
 /// completions, seeded-fault retries, a deterministic panic failure, a
 /// queue expiry, and a budget rejection. Generated once, replayed from

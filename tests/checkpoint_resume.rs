@@ -1,9 +1,11 @@
 //! Checkpoint/resume differential suite: for every algorithm, a
-//! staged run interrupted after *any* phase and resumed from its manifest
-//! produces byte-identical output and bit-identical cumulative modeled
-//! stats (`resume ⊕ prefix == uninterrupted`). This is the core
-//! guarantee the serve-layer recovery path and the chaos harness's
-//! "never redo paid writes" gate are built on.
+//! staged run interrupted after *any* phase and resumed from the fold of
+//! its delta manifests produces byte-identical output and bit-identical
+//! cumulative modeled stats (`resume ⊕ prefix == uninterrupted`). This is
+//! the core guarantee the serve-layer recovery path and the chaos
+//! harness's "never redo paid writes" gate are built on. The deltas
+//! themselves write each record once per level: `n·(1 + rounds)` records
+//! per staged run.
 
 use asym_core::sort::checkpoint::{
     input_digest, predict_staged, resume_from, run_staged, CheckpointManifest, MemCheckpointer,
@@ -21,9 +23,23 @@ fn spec_for(algorithm: Algorithm) -> SortSpec {
         .expect("valid spec")
 }
 
-/// Resuming from every manifest of a run reproduces the uninterrupted
-/// run exactly: same output, same cumulative stats, and the manifests
-/// the resume emits equal the suffix the prefix would have emitted.
+/// The fold of `deltas`, each of which must advance it.
+fn folded(deltas: &[CheckpointManifest]) -> CheckpointManifest {
+    let mut held = None;
+    for d in deltas {
+        assert!(
+            CheckpointManifest::fold(&mut held, d.clone()),
+            "phase {}",
+            d.phases_done
+        );
+    }
+    held.expect("at least one delta")
+}
+
+/// Folding every prefix of a run's deltas gives the layout the plan
+/// dictates, and resuming from that fold reproduces the uninterrupted run
+/// exactly: same output, same cumulative stats, and the deltas the resume
+/// emits equal the suffix the prefix would have emitted.
 #[test]
 fn resume_after_every_phase_is_bit_identical() {
     let input = Workload::Zipf.generate(1_500, 0xC0FFEE);
@@ -39,7 +55,17 @@ fn resume_after_every_phase_is_bit_identical() {
         );
         assert_eq!(full.manifests.len(), plan.total_phases());
 
-        for (cut, manifest) in full.manifests.iter().enumerate() {
+        let mut held = None;
+        for (cut, delta) in full.manifests.iter().enumerate() {
+            assert!(CheckpointManifest::fold(&mut held, delta.clone()));
+            let manifest = held.as_ref().expect("folded");
+            assert_eq!(manifest.base, 0, "a fold is a full snapshot");
+            assert_eq!(
+                manifest.runs.iter().map(Vec::len).collect::<Vec<_>>(),
+                plan.layout_after(cut + 1),
+                "{algorithm} cut after phase {}: folded layout",
+                cut + 1
+            );
             let mut tail = MemCheckpointer::default();
             let resumed = resume_from(&spec, &input, manifest, &mut tail).expect("resume");
             assert_eq!(
@@ -54,9 +80,45 @@ fn resume_after_every_phase_is_bit_identical() {
                 "{algorithm} cut after phase {}: modeled stats diverged",
                 cut + 1
             );
-            // The resume's manifest stream is exactly the suffix of the
+            // The resume's delta stream is exactly the suffix of the
             // uninterrupted stream — checkpointing is history-oblivious.
             assert_eq!(tail.manifests.as_slice(), &full.manifests[cut + 1..]);
+        }
+    }
+}
+
+/// Each staged run's deltas carry every record once per level: once when
+/// its chunk is sorted and once per merge round, `n·(1 + rounds)` in all
+/// — not every surviving run again at every phase.
+#[test]
+fn manifests_carry_each_record_once_per_level() {
+    let fan_in_two = SortSpec::builder(Algorithm::Mergesort, 8, 4, 8)
+        .build()
+        .expect("valid spec");
+    let specs = Algorithm::ALL
+        .iter()
+        .map(|&a| spec_for(a))
+        .chain([fan_in_two]);
+    for spec in specs {
+        for n in [0usize, 5, 1_000, 1_500] {
+            let input = Workload::UniformRandom.generate(n, 17);
+            let mut sink = MemCheckpointer::default();
+            run_staged(&spec, &input, &mut sink).expect("staged run");
+            let plan = StagePlan::new(&spec, n);
+            let carried: usize = sink
+                .manifests
+                .iter()
+                .flat_map(|m| &m.runs)
+                .map(Vec::len)
+                .sum();
+            assert_eq!(
+                carried,
+                n * (1 + plan.rounds()),
+                "{} n={n}: {} phases, {} rounds",
+                spec.algorithm(),
+                plan.total_phases(),
+                plan.rounds()
+            );
         }
     }
 }
@@ -94,14 +156,15 @@ fn resume_refuses_foreign_manifests() {
     let input = Workload::UniformRandom.generate(800, 21);
     let mut sink = MemCheckpointer::default();
     run_staged(&spec, &input, &mut sink).expect("staged run");
-    let manifest = sink.manifests[2].clone();
+    let manifest = folded(&sink.manifests[..3]);
+    let mut tail = MemCheckpointer::default();
+    assert!(resume_from(&spec, &input, &manifest, &mut tail).is_ok());
 
     let other_input = Workload::UniformRandom.generate(800, 22);
     assert_ne!(
         input_digest(&spec, &input),
         input_digest(&spec, &other_input)
     );
-    let mut tail = MemCheckpointer::default();
     assert!(resume_from(&spec, &other_input, &manifest, &mut tail).is_err());
 
     let other_spec = spec_for(Algorithm::Samplesort);
@@ -109,24 +172,26 @@ fn resume_refuses_foreign_manifests() {
 }
 
 /// The manifest wire codec is lossless, so a resume through the audit
-/// log (render → append → replay → parse) sees the exact snapshot the
-/// executor saved.
+/// log (render → append → replay → parse → fold) sees the exact snapshot
+/// the executor's deltas describe.
 #[test]
 fn manifest_json_round_trip_preserves_resume() {
     let spec = spec_for(Algorithm::Heapsort);
     let input = Workload::NearlySorted.generate(1_000, 5);
     let mut sink = MemCheckpointer::default();
     let uninterrupted = run_staged(&spec, &input, &mut sink).expect("staged run");
-    let mid = sink.manifests[sink.manifests.len() / 2].clone();
-    let decoded = CheckpointManifest::from_json(&mid.to_json()).expect("round trip");
-    assert_eq!(decoded, mid);
+    let decoded: Vec<CheckpointManifest> = sink.manifests[..=sink.manifests.len() / 2]
+        .iter()
+        .map(|m| CheckpointManifest::from_json(&m.to_json()).expect("round trip"))
+        .collect();
+    assert_eq!(decoded, sink.manifests[..decoded.len()]);
     let mut tail = MemCheckpointer::default();
-    let resumed = resume_from(&spec, &input, &decoded, &mut tail).expect("resume");
+    let resumed = resume_from(&spec, &input, &folded(&decoded), &mut tail).expect("resume");
     assert_eq!(resumed.output, uninterrupted.output);
     assert_eq!(resumed.stats, uninterrupted.stats);
 }
 
-/// Resuming from the final manifest runs zero phases — the outcome is
+/// Resuming from the final fold runs zero phases — the outcome is
 /// already in the manifest. Resume is idempotent at every cut.
 #[test]
 fn resume_from_complete_manifest_is_a_no_op() {
@@ -134,7 +199,7 @@ fn resume_from_complete_manifest_is_a_no_op() {
     let input = Workload::Reversed.generate(600, 13);
     let mut sink = MemCheckpointer::default();
     let uninterrupted = run_staged(&spec, &input, &mut sink).expect("staged run");
-    let last = sink.manifests.last().expect("manifests").clone();
+    let last = folded(&sink.manifests);
     assert_eq!(last.phases_done, last.total_phases);
     let mut tail = MemCheckpointer::default();
     let resumed = resume_from(&spec, &input, &last, &mut tail).expect("resume");

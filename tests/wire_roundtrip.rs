@@ -10,7 +10,9 @@
 //! parser declines exactly as the generic parser always has. The audit
 //! line that carries a manifest into the WAL is pinned the same way.
 
-use asym_core::sort::{run, Algorithm, CheckpointManifest, SortOutcome, SortSpec, WireError};
+use asym_core::sort::{
+    run, Algorithm, CheckpointManifest, SortOutcome, SortSpec, WireError, MANIFEST_VERSION,
+};
 use asym_model::json::Json;
 use asym_model::workload::Workload;
 use asym_model::Record;
@@ -141,11 +143,12 @@ proptest! {
         bounds.push(recs.len());
         let runs: Vec<Vec<Record>> = bounds.windows(2).map(|w| recs[w[0]..w[1]].to_vec()).collect();
         let manifest = CheckpointManifest {
-            version: 1,
+            version: MANIFEST_VERSION,
             digest: u64::MAX,
             n: recs.len() as u64,
             phases_done: 1,
             total_phases: 2,
+            base: u64::MAX,
             stats,
             runs,
         };
