@@ -6,9 +6,14 @@
 //! schema version (`"v"`) first. The event set is chosen so the log is
 //! *sufficient* to restart the service: `accepted` embeds the full
 //! [`JobRequest`] (the service can re-run the job), `completed` embeds the
-//! full outcome telemetry (a restarted service still serves old results),
-//! and every terminal event names its job. [`replay`] folds any prefix of
-//! a log into a [`Replay`]:
+//! lean outcome telemetry (counts, ω, `output_len`, any `parallel` block)
+//! plus, for a job that asked for its output, a digest of the sorted
+//! records in place of the records, and every terminal event names its
+//! job. A sort's output is a function of its input alone (`Record` orders
+//! by the whole `(key, payload)` pair), so recovery rebuilds the output
+//! from the `accepted` request and checks it against the digest; the log
+//! never holds the records a second time in `completed`. [`replay`] folds
+//! any prefix of a log into a [`Replay`]:
 //!
 //! * terminal outcomes win and never un-terminalize, so replaying a longer
 //!   prefix only ever *adds* information — the monotonicity property
@@ -18,7 +23,9 @@
 //!   `checkpointed` line whose manifest does not decode included;
 //! * an unknown schema version anywhere is a typed
 //!   [`AuditError::UnknownVersion`] — forward-compat for consumers that
-//!   must not misread a future log as an empty one.
+//!   must not misread a future log as an empty one. Schema v2 is the first
+//!   whose `completed` lines may omit the output, so a v1 build refuses a
+//!   v2 log instead of restoring empty outputs; this build replays both.
 //!
 //! [`ReplayJob`] is also the live service's durable job record: the
 //! worker calls the same [`ReplayJob`] transitions as [`Replay`] does, so
@@ -26,12 +33,14 @@
 //! live in one place.
 
 use crate::job::{FailureKind, JobId, JobRequest};
-use asym_core::sort::CheckpointManifest;
+use asym_core::sort::wire::records_digest;
+use asym_core::sort::{CheckpointManifest, SortOutcome};
 use asym_model::json::{self, Json, JsonObj};
 use std::collections::BTreeMap;
 
-/// The audit schema this build writes and the only one it replays.
-pub const SCHEMA_VERSION: u64 = 1;
+/// The audit schema this build writes. It replays every version from 1 up
+/// to this one.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Why an audit line (or log) failed to decode.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +57,7 @@ impl std::fmt::Display for AuditError {
             AuditError::UnknownVersion(v) => {
                 write!(
                     f,
-                    "audit schema v{v} is not supported (this build speaks v{SCHEMA_VERSION})"
+                    "audit schema v{v} is not supported (this build speaks v1 to v{SCHEMA_VERSION})"
                 )
             }
             AuditError::Malformed(m) => write!(f, "malformed audit line: {m}"),
@@ -125,14 +134,19 @@ pub enum AuditEvent {
         /// The failure message.
         error: String,
     },
-    /// Terminal success. Carries the full telemetry so a recovered service
-    /// still serves the result.
+    /// Terminal success. Carries the telemetry so a recovered service
+    /// still serves the result; see [`AuditEvent::completed`] for what the
+    /// service logs.
     Completed {
         /// The job.
         id: JobId,
-        /// [`SortOutcome::to_json`](asym_core::sort::SortOutcome::to_json),
-        /// embedded verbatim.
+        /// [`SortOutcome::to_json`], embedded verbatim.
         telemetry: String,
+        /// [`records_digest`] of the sorted output when `telemetry` is the
+        /// lean form of a job whose served telemetry carries the output.
+        /// `None`: `telemetry` is served as it is (a lean job, or a v1 line
+        /// that embedded the output).
+        output_digest: Option<u64>,
     },
     /// Terminal failure (fatal kind, or the attempt budget is spent).
     Failed {
@@ -162,6 +176,34 @@ pub enum AuditEvent {
 }
 
 impl AuditEvent {
+    /// The `completed` event the service logs for `outcome`: the lean
+    /// telemetry ([`SortOutcome::to_json`] without the output), plus the
+    /// output's [`records_digest`] when the job asked for its output. The
+    /// records themselves are not logged; recovery re-sorts the job's
+    /// logged input and checks it against the digest.
+    pub fn completed(id: JobId, outcome: &SortOutcome, include_output: bool) -> AuditEvent {
+        AuditEvent::Completed {
+            id,
+            telemetry: outcome.to_json(false),
+            output_digest: include_output.then(|| records_digest(&outcome.output)),
+        }
+    }
+
+    /// The `accepted` line for a request already rendered by
+    /// [`JobRequest::to_json`]: exactly what [`AuditEvent::to_json`] renders
+    /// for [`AuditEvent::Accepted`]. The service renders the (possibly
+    /// large) request before it takes its state lock, and only this cheap
+    /// splice of the assigned id runs under it.
+    pub(crate) fn accepted_line(id: JobId, predicted_bytes: u64, request: &str) -> String {
+        let mut o = JsonObj::new();
+        o.u64("v", SCHEMA_VERSION)
+            .str("event", "accepted")
+            .u64("id", id)
+            .u64("predicted_bytes", predicted_bytes)
+            .raw("request", request);
+        o.finish()
+    }
+
     /// Stable wire name of the event.
     pub fn name(&self) -> &'static str {
         match self {
@@ -190,9 +232,7 @@ impl AuditEvent {
                 request,
                 predicted_bytes,
             } => {
-                o.u64("id", *id)
-                    .u64("predicted_bytes", *predicted_bytes)
-                    .raw("request", &request.to_json());
+                return AuditEvent::accepted_line(*id, *predicted_bytes, &request.to_json());
             }
             AuditEvent::RejectedBudget {
                 predicted,
@@ -237,8 +277,16 @@ impl AuditEvent {
                     .u64("backoff_ms", *backoff_ms)
                     .str("error", error);
             }
-            AuditEvent::Completed { id, telemetry } => {
-                o.u64("id", *id).raw("outcome", telemetry);
+            AuditEvent::Completed {
+                id,
+                telemetry,
+                output_digest,
+            } => {
+                o.u64("id", *id);
+                if let Some(d) = output_digest {
+                    o.u64("output_digest", *d);
+                }
+                o.raw("outcome", telemetry);
             }
             AuditEvent::Failed { id, kind, error } => {
                 o.u64("id", *id)
@@ -262,9 +310,9 @@ impl AuditEvent {
         o.finish()
     }
 
-    /// Decode one line. Unknown schema versions are
-    /// [`AuditError::UnknownVersion`]; everything else unexpected is
-    /// [`AuditError::Malformed`].
+    /// Decode one line of any schema version from 1 to [`SCHEMA_VERSION`].
+    /// Other versions are [`AuditError::UnknownVersion`]; everything else
+    /// unexpected is [`AuditError::Malformed`].
     pub fn from_json(line: &str) -> Result<AuditEvent, AuditError> {
         let bad = |m: String| AuditError::Malformed(m);
         let v = Json::parse(line).map_err(bad)?;
@@ -273,7 +321,7 @@ impl AuditEvent {
             .ok_or_else(|| bad("event must be a JSON object".into()))?;
         let version = json::get_u64(obj, "v")
             .ok_or_else(|| bad("missing schema version field \"v\"".into()))?;
-        if version != SCHEMA_VERSION {
+        if !(1..=SCHEMA_VERSION).contains(&version) {
             return Err(AuditError::UnknownVersion(version));
         }
         let event = json::get_str(obj, "event")
@@ -350,6 +398,7 @@ impl AuditEvent {
                 Ok(AuditEvent::Completed {
                     id: id()?,
                     telemetry,
+                    output_digest: json::get_u64(obj, "output_digest"),
                 })
             }
             "failed" => {
@@ -384,6 +433,12 @@ pub enum ReplayOutcome {
     Completed {
         /// The embedded outcome JSON.
         telemetry: String,
+        /// Set while `telemetry` is the lean form a v2 `completed` line
+        /// logs in place of the output:
+        /// [`SortService::recover`](crate::SortService::recover) rebuilds
+        /// the output, checks it against this digest, and clears it. `None`:
+        /// `telemetry` is what the job serves.
+        output_digest: Option<u64>,
     },
     /// Terminally failed.
     Failed {
@@ -524,8 +579,18 @@ impl Replay {
                     j.start_attempt(attempt);
                 }
             }
-            AuditEvent::Completed { id, telemetry } => {
-                self.terminalize(id, ReplayOutcome::Completed { telemetry });
+            AuditEvent::Completed {
+                id,
+                telemetry,
+                output_digest,
+            } => {
+                self.terminalize(
+                    id,
+                    ReplayOutcome::Completed {
+                        telemetry,
+                        output_digest,
+                    },
+                );
             }
             AuditEvent::Failed { id, kind, error } => {
                 self.terminalize(id, ReplayOutcome::Failed { kind, error });
@@ -642,7 +707,13 @@ mod tests {
             },
             AuditEvent::Completed {
                 id: 3,
-                telemetry: r#"{"reads": 1, "writes": 2}"#.into(),
+                telemetry: r#"{ "reads": 1, "writes": 2 }"#.into(),
+                output_digest: None,
+            },
+            AuditEvent::Completed {
+                id: 4,
+                telemetry: r#"{ "reads": 1, "output_len": 2 }"#.into(),
+                output_digest: Some(u64::MAX - 7),
             },
             AuditEvent::Failed {
                 id: 4,
@@ -658,30 +729,56 @@ mod tests {
             },
         ];
         for ev in events {
+            // Embedded telemetry re-renders through the parser, which
+            // reproduces the codec's own spacing.
             let line = ev.to_json();
-            let back = AuditEvent::from_json(&line).expect(&line);
-            // The embedded telemetry re-renders through the parser, so
-            // compare semantically where whitespace may differ.
-            match (&ev, &back) {
-                (
-                    AuditEvent::Completed {
-                        id: a,
-                        telemetry: t,
-                    },
-                    AuditEvent::Completed {
-                        id: b,
-                        telemetry: u,
-                    },
-                ) => {
-                    assert_eq!(a, b);
-                    assert_eq!(
-                        Json::parse(t).unwrap().render(),
-                        Json::parse(u).unwrap().render()
-                    );
-                }
-                _ => assert_eq!(ev, back, "{line}"),
-            }
+            assert_eq!(AuditEvent::from_json(&line), Ok(ev), "{line}");
         }
+    }
+
+    /// `submit` renders the request before it takes the state lock and
+    /// splices the id in under it; the line must be the event's own.
+    #[test]
+    fn the_prerendered_accepted_line_is_the_event_line() {
+        let r = JobRequest::inline(request().spec, Workload::Zipf.generate(50, 2));
+        let line = AuditEvent::accepted_line(7, 4096, &r.to_json());
+        let event = AuditEvent::Accepted {
+            id: 7,
+            request: r,
+            predicted_bytes: 4096,
+        };
+        assert_eq!(line, event.to_json());
+        assert_eq!(AuditEvent::from_json(&line), Ok(event));
+    }
+
+    /// A job that asked for its output logs lean telemetry plus the
+    /// output's digest; one that did not logs its served telemetry as is.
+    #[test]
+    fn completed_logs_a_digest_in_place_of_the_output() {
+        let r = request();
+        let input = r.workload.generate(r.records, r.data_seed);
+        let outcome = sort::run(&r.spec, &input).expect("sort");
+        let lean = outcome.to_json(false);
+        let with = AuditEvent::completed(1, &outcome, true);
+        assert_eq!(
+            with,
+            AuditEvent::Completed {
+                id: 1,
+                telemetry: lean.clone(),
+                output_digest: Some(records_digest(&outcome.output)),
+            }
+        );
+        let line = with.to_json();
+        assert!(line.len() < 300, "no records in the line: {line}");
+        assert!(line.contains("\"output_len\": 300"), "{line}");
+        assert_eq!(
+            AuditEvent::completed(1, &outcome, false),
+            AuditEvent::Completed {
+                id: 1,
+                telemetry: lean,
+                output_digest: None,
+            }
+        );
     }
 
     #[test]
@@ -736,6 +833,7 @@ mod tests {
                 AuditEvent::Completed {
                     id: 0,
                     telemetry: r#"{"reads": 7}"#.into(),
+                    output_digest: None,
                 },
                 checkpointed(2),
             ]);
@@ -866,10 +964,15 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_typed_errors() {
-        let future = r#"{"v": 2, "event": "accepted", "id": 1}"#;
+        let future = r#"{"v": 3, "event": "accepted", "id": 1}"#;
         assert_eq!(
             AuditEvent::from_json(future),
-            Err(AuditError::UnknownVersion(2))
+            Err(AuditError::UnknownVersion(3))
+        );
+        let before_v1 = r#"{"v": 0, "event": "drained"}"#;
+        assert_eq!(
+            AuditEvent::from_json(before_v1),
+            Err(AuditError::UnknownVersion(0))
         );
         let versionless = r#"{"event": "drained"}"#;
         assert!(matches!(
@@ -879,7 +982,7 @@ mod tests {
         // A future version mid-log poisons the whole replay — better to
         // refuse than to recover a half-understood state.
         let log = format!("{}\n{future}\n", AuditEvent::Drained.to_json());
-        assert_eq!(replay(&log), Err(AuditError::UnknownVersion(2)));
+        assert_eq!(replay(&log), Err(AuditError::UnknownVersion(3)));
     }
 
     #[test]
@@ -907,6 +1010,7 @@ mod tests {
             AuditEvent::Completed {
                 id: 0,
                 telemetry: r#"{"reads": 7}"#.into(),
+                output_digest: None,
             },
             AuditEvent::RejectedBudget {
                 predicted: 9,

@@ -21,13 +21,24 @@
 //!    manifest volume is exactly `n·(1 + rounds)` here too — and the
 //!    final telemetry is still bit-identical to the fault-free reference.
 //!
+//! 3. **Inline WAL volume.** Compaction-shaped inline jobs that ask for
+//!    their output, one staged and one not. Each serves exactly its
+//!    sorted input, and its WAL bytes are at most its `accepted` line plus
+//!    its manifests plus 1 KB: the output is logged as a digest, not a
+//!    second copy. A recovery rebuilds the outputs into the telemetry the
+//!    live service served.
+//!
+//! In every wave, every `completed` line carries zero records.
+//!
 //! Artifacts (audit logs + every job's folded final manifest) land in
 //! `CHECKPOINT_CHAOS_DIR` when set, a temp dir otherwise.
 
 use asym_core::sort::{
     self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec, StagePlan,
 };
+use asym_model::json::Json;
 use asym_model::workload::Workload;
+use asym_model::Record;
 use asym_serve::{replay, AuditEvent, JobRequest, JobState, ServiceConfig, SortService};
 use em_sim::FaultSpec;
 use std::collections::BTreeMap;
@@ -150,6 +161,24 @@ fn assert_stats(service: &SortService, id: u64, want: &SortOutcome, label: &str)
     );
 }
 
+/// Assert no `completed` line of `log` carries a record: the output of a
+/// job that asked for it is logged as a digest.
+fn assert_lean_completions(log: &str, label: &str) {
+    let mut completions = 0;
+    for line in log.lines().filter(|l| !l.trim().is_empty()) {
+        if let Ok(AuditEvent::Completed { id, telemetry, .. }) = AuditEvent::from_json(line) {
+            completions += 1;
+            let outcome = SortOutcome::from_json(&telemetry).expect("logged telemetry decodes");
+            assert!(
+                outcome.output.is_empty() && !telemetry.contains("\"output\""),
+                "{label}: job {id}: a completed line carries {} records",
+                outcome.output.len()
+            );
+        }
+    }
+    assert!(completions > 0, "{label}: no completed lines");
+}
+
 /// Dump every job's folded final manifest (decoded, folded and
 /// re-rendered, proving it parses) next to the audit log, as CI evidence.
 fn dump_manifests(root: &Path, log: &str) {
@@ -270,6 +299,7 @@ fn kill_recover_wave(root: &Path) {
             paid_bound as f64 / fault_free as f64
         );
     }
+    assert_lean_completions(&log, "wave 1");
     dump_manifests(root, &log);
 }
 
@@ -332,7 +362,103 @@ fn fault_storm_wave(root: &Path) {
     for (i, id) in ids.iter().enumerate() {
         assert_stream(&streams[id], &requests[i], *id, "wave 2");
     }
+    assert_lean_completions(&log, "wave 2");
     dump_manifests(root, &log);
+}
+
+/// A compaction-shaped input: four sorted runs of 4096 keys over a
+/// 100k-key space, payloads unique sequence numbers.
+fn compaction_input(seed: u64) -> Vec<Record> {
+    let mut input = Vec::with_capacity(16_384);
+    for run in 0..4 {
+        let mut keys: Vec<u64> = Workload::UniformRandom
+            .generate(4096, seed * 4 + run)
+            .iter()
+            .map(|r| r.key % 100_000)
+            .collect();
+        keys.sort_unstable();
+        input.extend(keys.into_iter().map(|k| Record::new(k, 0)));
+    }
+    for (i, r) in input.iter_mut().enumerate() {
+        r.payload = i as u64;
+    }
+    input
+}
+
+/// One job's WAL bytes (lines with their newlines), by event name.
+fn job_wal_bytes(log: &str, id: u64) -> BTreeMap<String, usize> {
+    let mut bytes = BTreeMap::new();
+    for line in log.lines().filter(|l| !l.trim().is_empty()) {
+        let v = Json::parse(line).expect("audit line parses");
+        if v.get("id").and_then(Json::as_u64) == Some(id) {
+            let event = v.get("event").and_then(Json::as_str).expect("event name");
+            *bytes.entry(event.to_owned()).or_default() += line.len() + 1;
+        }
+    }
+    bytes
+}
+
+fn inline_wave(root: &Path) {
+    println!("checkpoint_chaos: wave 3 — inline WAL volume");
+    let _ = std::fs::remove_dir_all(root);
+    let cfg = ServiceConfig::new(1, u64::MAX, root.to_path_buf());
+    let spec = SortSpec::builder(Algorithm::Mergesort, 1024, 32, 8)
+        .k(4)
+        .build()
+        .expect("valid inline spec");
+    let inputs = [compaction_input(301), compaction_input(302)];
+    let service = SortService::start(cfg.clone()).expect("start");
+    let ids: Vec<u64> = inputs
+        .iter()
+        .zip([true, false])
+        .map(|(input, staged)| {
+            let request = JobRequest::inline(spec.clone(), input.clone()).checkpointed(staged);
+            service.submit(request).expect("admitted")
+        })
+        .collect();
+    let mut live = Vec::new();
+    for (input, id) in inputs.iter().zip(&ids) {
+        let status = service.wait(*id).expect("known job");
+        assert_eq!(status.state, JobState::Completed, "wave 3: job {id}");
+        let telemetry = status.telemetry.expect("telemetry");
+        let mut want = input.clone();
+        want.sort_unstable();
+        let served = SortOutcome::from_json(&telemetry).expect("decodes");
+        assert!(served.output == want, "wave 3: job {id} output is wrong");
+        live.push(telemetry);
+    }
+    service.drain();
+    drop(service);
+
+    let log = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
+    assert_lean_completions(&log, "wave 3");
+    for id in &ids {
+        let bytes = job_wal_bytes(&log, *id);
+        let total: usize = bytes.values().sum();
+        let accepted = bytes["accepted"];
+        let manifests = bytes.get("checkpointed").copied().unwrap_or(0);
+        assert!(
+            total <= accepted + manifests + 1024,
+            "wave 3: job {id} logged {total} B, over accepted {accepted} B + manifests \
+             {manifests} B + 1 KB: {bytes:?}"
+        );
+        println!(
+            "checkpoint_chaos: inline job {id} logged {total} B: accepted {accepted} B, \
+             manifests {manifests} B, the rest {} B",
+            total - accepted - manifests
+        );
+    }
+
+    let (service, report) = SortService::recover(cfg).expect("recover");
+    assert_eq!((report.restored, report.requeued), (2, 0));
+    for (id, telemetry) in ids.iter().zip(&live) {
+        let status = service.status(*id).expect("known job");
+        assert!(
+            status.telemetry.as_ref() == Some(telemetry),
+            "wave 3: job {id}: recovered telemetry differs from the live one"
+        );
+    }
+    service.kill();
 }
 
 fn main() {
@@ -353,5 +479,6 @@ fn main() {
     std::fs::create_dir_all(&out).expect("output dir");
     kill_recover_wave(&out.join("kill-recover"));
     fault_storm_wave(&out.join("fault-storm"));
+    inline_wave(&out.join("inline"));
     println!("checkpoint_chaos: ok (artifacts in {})", out.display());
 }

@@ -97,6 +97,15 @@ impl JobRequest {
         self.input.as_ref().map_or(self.records, Vec::len)
     }
 
+    /// The records this job sorts: the inline payload, or the named
+    /// workload regenerated from its seed.
+    pub(crate) fn input_records(&self) -> Vec<Record> {
+        match &self.input {
+            Some(records) => records.clone(),
+            None => self.workload.generate(self.records, self.data_seed),
+        }
+    }
+
     /// The pre-run cost bounds the service admits on: the single-shot
     /// envelope normally, the staged envelope for checkpointed jobs (the
     /// execution they actually get).
@@ -566,6 +575,9 @@ mod tests {
                 deadline_ms: 1,
             },
             SubmitError::Draining,
+            SubmitError::Unlogged {
+                error: "No space left on device (os error 28)".into(),
+            },
         ] {
             assert_eq!(SubmitError::from_json(&e.to_json()), Ok(e));
         }

@@ -18,13 +18,21 @@
 //!
 //! `audit.jsonl` in the service root is a **write-ahead log**, not a
 //! diary: the `accepted` event (carrying the whole request) is flushed
-//! *before* the job becomes runnable, and every later transition appends
-//! its own versioned [`AuditEvent`]. That
+//! *before* the job becomes runnable, and a submission whose `accepted`
+//! line the log refuses is refused too ([`SubmitError::Unlogged`]). Every
+//! later transition appends its own versioned [`AuditEvent`]. That
 //! ordering is what makes [`SortService::recover`] sound — any job the
 //! service ever owned is in the log, so replaying the log re-queues
 //! exactly the accepted-but-unfinished jobs, restores terminal results,
 //! and resumes the id counter. Replay tolerates a torn final line (the
 //! crash tore it mid-write) and is idempotent over prefixes.
+//!
+//! A `completed` line carries the lean outcome telemetry, never the sorted
+//! records: for a job that asked for its output it logs their digest
+//! ([`AuditEvent::completed`]). The live service serves the full telemetry
+//! from memory; `recover` rebuilds it by sorting the job's logged input
+//! in RAM and checking the result against the digest, and a mismatch is a
+//! typed [`RecoverError::OutputDigest`], never a silent restore.
 //!
 //! Failures are classified ([`FailureKind`]): `ModelError::Io` is
 //! transient weather and earns bounded-exponential-backoff retries up to
@@ -38,8 +46,10 @@
 
 use crate::audit::{replay, AuditError, AuditEvent, ReplayJob, ReplayOutcome};
 use crate::job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
-use asym_core::sort::wire::req_u64;
-use asym_core::sort::{self, CheckpointManifest, Checkpointer, CostEstimate, WireError};
+use asym_core::sort::wire::{records_digest, req_u64};
+use asym_core::sort::{
+    self, CheckpointManifest, Checkpointer, CostEstimate, SortOutcome, WireError,
+};
 use asym_model::json::{self, Json, JsonObj};
 use asym_model::ModelError;
 use em_sim::Backend;
@@ -133,11 +143,17 @@ pub enum SubmitError {
     },
     /// The service is draining and takes no new work.
     Draining,
+    /// The audit log refused the job's `accepted` line, so the service did
+    /// not take the job: it is neither queued nor holding any budget.
+    Unlogged {
+        /// The failed write's message.
+        error: String,
+    },
 }
 
 impl SubmitError {
     /// Structured error payload (`error` is `"rejected"`, `"rejected_io"`,
-    /// `"deadline_unmeetable"`, or `"draining"`).
+    /// `"deadline_unmeetable"`, `"draining"`, or `"unlogged"`).
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
         match self {
@@ -178,6 +194,12 @@ impl SubmitError {
                 o.str("error", "draining")
                     .str("message", "service is draining; resubmit elsewhere");
             }
+            SubmitError::Unlogged { error } => {
+                o.str("error", "unlogged").str("write_error", error).str(
+                    "message",
+                    "the audit log refused the job; nothing was admitted",
+                );
+            }
         }
         o.finish()
     }
@@ -203,6 +225,11 @@ impl SubmitError {
                 deadline_ms: req_u64(obj, "deadline_ms")?,
             }),
             Some("draining") => Ok(SubmitError::Draining),
+            Some("unlogged") => Ok(SubmitError::Unlogged {
+                error: json::get_str(obj, "write_error").ok_or_else(|| {
+                    WireError::Malformed("missing string field \"write_error\"".into())
+                })?,
+            }),
             other => Err(WireError::Malformed(format!(
                 "unknown submit error {other:?}"
             ))),
@@ -235,6 +262,9 @@ impl std::fmt::Display for SubmitError {
                 "deadline unmeetable: modeled ETA {eta_ms} ms exceeds deadline {deadline_ms} ms"
             ),
             SubmitError::Draining => write!(f, "service is draining"),
+            SubmitError::Unlogged { error } => {
+                write!(f, "not admitted: the audit log refused the job: {error}")
+            }
         }
     }
 }
@@ -248,6 +278,16 @@ pub enum RecoverError {
     Io(std::io::Error),
     /// The audit log is corrupt or from an unknown schema version.
     Audit(AuditError),
+    /// A completed job's output, rebuilt from its logged input, does not
+    /// match the digest its `completed` line logged.
+    OutputDigest {
+        /// The job.
+        id: JobId,
+        /// The digest the log holds.
+        logged: u64,
+        /// The digest of the rebuilt output.
+        rebuilt: u64,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -255,6 +295,14 @@ impl std::fmt::Display for RecoverError {
         match self {
             RecoverError::Io(e) => write!(f, "recovery I/O: {e}"),
             RecoverError::Audit(e) => write!(f, "recovery replay: {e}"),
+            RecoverError::OutputDigest {
+                id,
+                logged,
+                rebuilt,
+            } => write!(
+                f,
+                "job {id}: rebuilt output digest {rebuilt:#x} does not match the logged {logged:#x}"
+            ),
         }
     }
 }
@@ -391,7 +439,7 @@ impl JobEntry {
     fn snapshot(&self, id: JobId) -> JobStatus {
         let (telemetry, error, failure) = match &self.job.outcome {
             ReplayOutcome::Pending => (None, self.retry_error.clone(), None),
-            ReplayOutcome::Completed { telemetry } => (Some(telemetry.clone()), None, None),
+            ReplayOutcome::Completed { telemetry, .. } => (Some(telemetry.clone()), None, None),
             ReplayOutcome::Failed { kind, error } => (None, Some(error.clone()), Some(*kind)),
             ReplayOutcome::Expired => (None, Some("deadline expired while queued".into()), None),
         };
@@ -452,10 +500,14 @@ impl Inner {
     /// sink swallows the event and succeeds. Lock order is always state →
     /// audit (or audit alone); never take state while holding audit.
     fn append_event(&self, ev: &AuditEvent) -> std::io::Result<()> {
+        self.append_line(ev.to_json())
+    }
+
+    /// [`Inner::append_event`] for an already-rendered event line.
+    fn append_line(&self, mut line: String) -> std::io::Result<()> {
+        line.push('\n');
         let mut sink = self.audit.lock().expect("audit log");
         if let AuditSink::File(f) = &mut *sink {
-            let mut line = ev.to_json();
-            line.push('\n');
             f.write_all(line.as_bytes())?;
             f.flush()?;
         }
@@ -486,7 +538,10 @@ impl SortService {
     /// Start by replaying `audit.jsonl` in the config's root: terminal
     /// jobs come back with their recorded outcomes, accepted-but-
     /// unfinished jobs re-queue (in id order, with a fresh deadline
-    /// window), and the id counter resumes past every id ever issued.
+    /// window), and the id counter resumes past every id ever issued. A
+    /// completed job whose line logged an output digest gets its output
+    /// back by re-sorting its logged input; a rebuild that misses the
+    /// digest fails the recovery ([`RecoverError::OutputDigest`]).
     /// Replay is idempotent over any log prefix — recovering from a crash
     /// *during recovery* replays the same prefix plus whatever the first
     /// recovery appended, and lands in the same state. A missing log is an
@@ -529,7 +584,17 @@ impl SortService {
             ..State::default()
         };
         let now = Instant::now();
-        for (id, job) in rep.jobs {
+        for (id, mut job) in rep.jobs {
+            if let ReplayOutcome::Completed {
+                telemetry,
+                output_digest: Some(logged),
+            } = &job.outcome
+            {
+                job.outcome = ReplayOutcome::Completed {
+                    telemetry: rebuilt_telemetry(id, &job.request, telemetry, *logged)?,
+                    output_digest: None,
+                };
+            }
             st.stats.submitted += 1;
             let predicted = job.request.predict();
             // A re-queued staged job carries the fold of its durable
@@ -605,10 +670,14 @@ impl SortService {
     /// Admit or reject one job. Admission holds the job's predicted peak
     /// bytes against the budget until the job finishes, and — this is the
     /// WAL discipline — flushes the `accepted` audit event *before* the
-    /// job becomes visible to workers.
+    /// job becomes visible to workers. If that append fails the job is not
+    /// admitted ([`SubmitError::Unlogged`]).
     pub fn submit(&self, request: JobRequest) -> Result<JobId, SubmitError> {
         let predicted = request.predict();
         let need = predicted.peak_bytes();
+        // Render the request (the whole inline input) before taking the
+        // lock that workers and waiters share.
+        let request_json = request.to_json();
         let id = {
             let mut st = self.inner.state.lock().expect("service state");
             // A killed service must refuse work: its audit sink is dead, so
@@ -672,6 +741,16 @@ impl SortService {
                 }
             }
             let id = st.next_id;
+            // WAL ordering: the accepted record must be on disk before the
+            // job can run, or a crash could complete work the log never
+            // heard of — so nothing is recorded or held until it is. The
+            // audit lock nests inside the state lock here; that is the one
+            // sanctioned nesting (state → audit).
+            self.inner
+                .append_line(AuditEvent::accepted_line(id, need, &request_json))
+                .map_err(|e| SubmitError::Unlogged {
+                    error: e.to_string(),
+                })?;
             st.next_id += 1;
             let stats = &mut st.stats;
             stats.submitted += 1;
@@ -681,17 +760,8 @@ impl SortService {
             stats.peak_in_flight_io = stats.peak_in_flight_io.max(stats.in_flight_io);
             st.jobs.insert(
                 id,
-                JobEntry::new(ReplayJob::new(request.clone()), predicted, Instant::now()),
+                JobEntry::new(ReplayJob::new(request), predicted, Instant::now()),
             );
-            // WAL ordering: the accepted record must be on disk before the
-            // job can run, or a crash could complete work the log never
-            // heard of. The audit lock nests inside the state lock here;
-            // that is the one sanctioned nesting (state → audit).
-            self.inner.audit_event(&AuditEvent::Accepted {
-                id,
-                request,
-                predicted_bytes: need,
-            });
             st.queue.push_back(id);
             id
         };
@@ -1011,8 +1081,12 @@ fn worker_loop(inner: &Arc<Inner>) {
             // have advanced the epoch while we ran) moved the epoch
             // forward and are not billed against `max_attempts`.
             let effective_attempts = attempt.saturating_sub(entry.job.attempts_at_checkpoint);
+            let mut served = None;
             let event = match result {
-                Ok(telemetry) => AuditEvent::Completed { id, telemetry },
+                Ok(done) => {
+                    served = Some(done.served);
+                    done.logged
+                }
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
                     let shift = effective_attempts.saturating_sub(1).min(20);
                     AuditEvent::Retried {
@@ -1046,9 +1120,12 @@ fn worker_loop(inner: &Arc<Inner>) {
                         .push((Instant::now() + Duration::from_millis(backoff_ms), id));
                     None
                 }
-                AuditEvent::Completed { telemetry, .. } => {
+                AuditEvent::Completed { .. } => {
                     st.stats.completed += 1;
-                    Some(ReplayOutcome::Completed { telemetry })
+                    Some(ReplayOutcome::Completed {
+                        telemetry: served.take().expect("a completion is served"),
+                        output_digest: None,
+                    })
                 }
                 AuditEvent::Failed { kind, error, .. } => {
                     st.stats.failed += 1;
@@ -1099,6 +1176,15 @@ impl Checkpointer for ServiceCheckpointer {
     }
 }
 
+/// A successful attempt, rendered before the worker takes the state lock.
+struct Completion {
+    /// The telemetry the live service serves (with the output when the job
+    /// asked for it).
+    served: String,
+    /// The `completed` event the WAL logs ([`AuditEvent::completed`]).
+    logged: AuditEvent,
+}
+
 /// Run one attempt: materialize the input (inline payload, or regenerated
 /// from the named workload), point file-backed storage and
 /// the fault schedule at this attempt, sort, render telemetry. Staged
@@ -1111,7 +1197,7 @@ fn run_job(
     request: &JobRequest,
     failed_since_progress: u32,
     manifest: Option<CheckpointManifest>,
-) -> Result<String, JobFailure> {
+) -> Result<Completion, JobFailure> {
     let dir = if request.spec.backend() == Backend::File {
         let dir = inner.cfg.root_dir.join(format!("job-{id}"));
         // A transient filesystem hiccup here is as retryable as one
@@ -1149,12 +1235,7 @@ fn run_job(
         request.spec.clone()
     };
     // Inline payloads sort verbatim; generator jobs regenerate server-side.
-    let input = match &request.input {
-        Some(records) => records.clone(),
-        None => request
-            .workload
-            .generate(request.records, request.data_seed),
-    };
+    let input = request.input_records();
     let outcome = if request.checkpoint {
         // Staged path: resume from the folded durable manifests when they
         // still match this job (the digest ignores backend/file_dir/
@@ -1180,7 +1261,41 @@ fn run_job(
         },
         message: e.to_string(),
     })?;
-    Ok(outcome.to_json(request.include_output))
+    Ok(Completion {
+        served: outcome.to_json(request.include_output),
+        logged: AuditEvent::completed(id, &outcome, request.include_output),
+    })
+}
+
+/// The telemetry a completed job served live, rebuilt from the log: its
+/// input (inline, or regenerated) sorted in RAM, checked against the
+/// digest its `completed` line logged, and put back into the lean
+/// telemetry that line carries. `Record` orders by the whole
+/// `(key, payload)` pair, so every correct sort of an input has this one
+/// output.
+fn rebuilt_telemetry(
+    id: JobId,
+    request: &JobRequest,
+    lean: &str,
+    logged: u64,
+) -> Result<String, RecoverError> {
+    let mut output = request.input_records();
+    output.sort_unstable();
+    let rebuilt = records_digest(&output);
+    if rebuilt != logged {
+        return Err(RecoverError::OutputDigest {
+            id,
+            logged,
+            rebuilt,
+        });
+    }
+    let mut outcome = SortOutcome::from_json(lean).map_err(|e| {
+        RecoverError::Audit(AuditError::Malformed(format!(
+            "job {id}: completed outcome: {e}"
+        )))
+    })?;
+    outcome.output = output;
+    Ok(outcome.to_json(true))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -220,3 +220,35 @@ fn file_backend_jobs_get_isolated_directories() {
     service.drain();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The `accepted` line is the WAL write that makes a job the service's
+/// responsibility. When the log refuses it, the submission is refused
+/// too: no id is issued, nothing queues or runs, and no budget is held.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_refused_accepted_append_refuses_the_submission() {
+    let root = fresh_root("wal-full");
+    std::fs::create_dir_all(&root).expect("mkdir");
+    std::os::unix::fs::symlink("/dev/full", root.join("audit.jsonl")).expect("symlink");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+
+    let err = service
+        .submit(standard_job(3))
+        .expect_err("the log is full");
+    assert!(
+        matches!(err, SubmitError::Unlogged { ref error } if !error.is_empty()),
+        "{err:?}"
+    );
+    assert_eq!(SubmitError::from_json(&err.to_json()), Ok(err));
+    assert!(service.status(0).is_none(), "no job was recorded");
+    let stats = service.stats();
+    assert_eq!(
+        (stats.submitted, stats.queued, stats.active, stats.completed),
+        (0, 0, 0, 0)
+    );
+    assert_eq!((stats.in_flight_bytes, stats.in_flight_io), (0, 0));
+    service.drain();
+    assert!(service.status(0).is_none(), "nothing ran");
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}

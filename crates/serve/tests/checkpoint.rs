@@ -243,6 +243,7 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         AuditEvent::Completed {
             id: 0,
             telemetry: telemetry.clone(),
+            output_digest: None,
         },
         // A stale (older) manifest line landing after the terminal
         // outcome — replay must not resurrect the job or touch progress.
@@ -277,18 +278,42 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
 }
 
 /// A checkpoint the WAL refused is not durable, so it must fail its phase:
-/// with the audit log pointed at a full device, every attempt's first save
-/// fails with an I/O error, nothing is recorded as progress, and the job
-/// exhausts its retries and ends `Failed`.
+/// with every append after the `accepted` line refused, every attempt's
+/// first save fails with an I/O error, nothing is recorded as progress,
+/// and the job exhausts its retries and ends `Failed`.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_checkpoint_the_wal_refuses_fails_the_attempt() {
+    use std::io::BufRead;
     let root = fresh_root("wal-full");
     std::fs::create_dir_all(&root).expect("mkdir");
-    std::os::unix::fs::symlink("/dev/full", root.join("audit.jsonl")).expect("symlink");
+    // The log is a pipe whose reader takes the `accepted` line and hangs
+    // up: the job is admitted (a refused `accepted` line would refuse the
+    // submission), and every later append fails with a broken pipe.
+    let log = root.join("audit.jsonl");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&log)
+        .status()
+        .expect("run mkfifo");
+    assert!(made.success(), "mkfifo: {made}");
+    let reader = {
+        let log = log.clone();
+        std::thread::spawn(move || {
+            let pipe = std::fs::File::open(log).expect("open the pipe");
+            let mut line = String::new();
+            std::io::BufReader::new(pipe)
+                .read_line(&mut line)
+                .expect("read the accepted line");
+            line
+        })
+    };
     let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
     let service = SortService::start(cfg.clone()).expect("start");
+    service.hold();
     let id = service.submit(staged_job(2_000)).expect("admitted");
+    let accepted = reader.join().expect("pipe reader");
+    assert!(accepted.contains("\"event\": \"accepted\""), "{accepted}");
+    service.release();
     let done = service.wait(id).expect("known job");
     assert_eq!(
         done.state,

@@ -223,6 +223,31 @@ fn unmeetable_deadlines_are_refused_up_front_with_422() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A job the audit log refuses is not admitted: the front door answers
+/// 503 with the typed refusal, and the client decodes it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_submission_the_log_refuses_is_a_typed_503() {
+    let root = fresh_root("wal-full");
+    std::fs::create_dir_all(&root).expect("mkdir");
+    std::os::unix::fs::symlink("/dev/full", root.join("audit.jsonl")).expect("symlink");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let (code, body) = roundtrip(addr, "POST", "/jobs", SMALL_JOB).expect("submit");
+    assert_eq!(code, 503, "{body}");
+    assert!(
+        matches!(
+            client::submit(addr, &job(SMALL_JOB)),
+            Err(ClientError::Refused(SubmitError::Unlogged { .. }))
+        ),
+        "{body}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn oversized_request_bodies_get_a_typed_413_without_allocation() {
     let root = fresh_root("toolarge");

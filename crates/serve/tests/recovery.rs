@@ -1,14 +1,19 @@
 //! Crash recovery, pinned: kill a service mid-flight (queued and running
 //! jobs dropped on the floor, exactly like a power cut), recover from the
 //! audit log alone, and check that nothing audited is lost or duplicated,
-//! re-run jobs produce byte-identical outcomes, and the id counter
-//! resumes. Plus the prefix property: replaying *any* byte prefix of a
-//! real session's `audit.jsonl` yields a consistent state, and longer
-//! prefixes only ever add information.
+//! re-run and restored jobs serve byte-identical telemetry, and the id
+//! counter resumes. A restored job's output is rebuilt from its logged
+//! input and checked against the logged digest; v1 logs, which embed the
+//! output, still recover verbatim. Plus the prefix property: replaying
+//! *any* byte prefix of a real session's `audit.jsonl` yields a consistent
+//! state, and longer prefixes only ever add information.
 
-use asym_core::sort::{self, Algorithm, SortOutcome, SortSpec};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::workload::Workload;
-use asym_serve::{replay, JobRequest, JobState, ReplayOutcome, ServiceConfig, SortService};
+use asym_serve::{
+    replay, AuditEvent, JobRequest, JobState, RecoverError, ReplayOutcome, ServiceConfig,
+    SortService,
+};
 use em_sim::FaultSpec;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -34,6 +39,30 @@ fn job(data_seed: u64, records: usize) -> JobRequest {
         deadline_ms: None,
         checkpoint: false,
     }
+}
+
+/// A parallel sample sort job: its telemetry carries a `parallel` block.
+fn par_job(data_seed: u64, records: usize) -> JobRequest {
+    JobRequest {
+        spec: SortSpec::builder(Algorithm::ParSamplesort, 64, 8, 16)
+            .lanes(4)
+            .steal_charge(true)
+            .build()
+            .expect("valid spec"),
+        ..job(data_seed, records)
+    }
+}
+
+/// The served telemetry of job `id`, which must have completed.
+fn served(service: &SortService, id: u64) -> String {
+    let status = service.wait(id).expect("known job");
+    assert_eq!(
+        status.state,
+        JobState::Completed,
+        "{id}: {:?}",
+        status.error
+    );
+    status.telemetry.expect("telemetry")
 }
 
 #[test]
@@ -70,22 +99,19 @@ fn kill_and_recover_restores_queue_counters_and_results() {
     assert!(!report.torn_tail, "kill writes whole lines");
 
     // The id counter resumes past every id ever issued — no reuse.
-    let new_id = service.submit(job(6, 20_000)).expect("admitted");
+    let new_id = service.submit(par_job(6, 20_000)).expect("admitted");
     assert_eq!(new_id, 6);
 
-    // Every job — survivors, re-runs, and the new one — completes with
-    // output and stats byte-identical to a direct run of the same spec.
+    // Every job — restored survivors, re-runs, and the new one — serves
+    // telemetry byte-identical to a direct run of the same spec: output,
+    // stats, and the new job's `parallel` block.
+    let mut live = Vec::new();
     for id in 0..=6u64 {
-        let status = service.wait(id).expect("known job");
-        assert_eq!(
-            status.state,
-            JobState::Completed,
-            "{id}: {:?}",
-            status.error
-        );
-        let outcome =
-            SortOutcome::from_json(status.telemetry.as_ref().expect("telemetry")).expect("decode");
-        let request = job(id, if id == 6 { 20_000 } else { 60_000 });
+        let request = if id == 6 {
+            par_job(6, 20_000)
+        } else {
+            job(id, 60_000)
+        };
         let direct = sort::run(
             &request.spec,
             &request
@@ -93,13 +119,35 @@ fn kill_and_recover_restores_queue_counters_and_results() {
                 .generate(request.records, request.data_seed),
         )
         .expect("direct run");
-        assert_eq!(outcome.output, direct.output, "job {id}");
-        assert_eq!(outcome.stats, direct.stats, "job {id}");
+        let telemetry = served(&service, id);
+        assert!(
+            telemetry == direct.to_json(true),
+            "job {id}: served telemetry differs from a direct run"
+        );
+        if id == 6 {
+            assert!(telemetry.contains("\"parallel\""));
+        }
+        live.push(telemetry);
     }
     let stats = service.stats();
     assert_eq!(stats.completed, 7);
     service.drain();
     drop(service);
+
+    // The log holds no second copy of any output: each `completed` line
+    // is lean telemetry plus the output's digest.
+    let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
+    for line in text.lines() {
+        if let Ok(AuditEvent::Completed {
+            telemetry,
+            output_digest,
+            ..
+        }) = AuditEvent::from_json(line)
+        {
+            assert!(output_digest.is_some(), "{line}");
+            assert!(!telemetry.contains("\"output\""), "{line}");
+        }
+    }
 
     // The final log holds the whole story: 7 jobs, ids 0..=6, all terminal
     // exactly once — nothing audited was lost or duplicated.
@@ -119,11 +167,18 @@ fn kill_and_recover_restores_queue_counters_and_results() {
         .all(|j| matches!(j.outcome, ReplayOutcome::Completed { .. })));
 
     // Recovery is idempotent: recovering the already-clean log re-queues
-    // nothing and restores everything.
+    // nothing and restores everything, each job's output rebuilt from its
+    // logged request into the telemetry the live service served.
     let (service, report) = SortService::recover(cfg.clone()).expect("re-recover");
     assert_eq!(report.requeued, 0);
     assert_eq!(report.restored, 7);
     assert_eq!(report.next_id, 7);
+    for (id, telemetry) in live.iter().enumerate() {
+        assert!(
+            served(&service, id as u64) == *telemetry,
+            "job {id}: recovered telemetry differs from the live one"
+        );
+    }
     service.kill(); // leave the log exactly as it is
     drop(service);
 
@@ -191,6 +246,117 @@ fn an_unterminated_final_line_is_ended_before_the_next_append() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A log written before schema v2 embeds each output in its `completed`
+/// line. It still recovers, serving that telemetry byte for byte, and v2
+/// lines appended after it recover alongside.
+#[test]
+fn a_v1_completed_line_with_its_output_still_recovers_verbatim() {
+    let root = fresh_root("v1");
+    std::fs::create_dir_all(&root).expect("mkdir");
+    let request = job(4, 5_000);
+    let input = request
+        .workload
+        .generate(request.records, request.data_seed);
+    let telemetry = sort::run(&request.spec, &input)
+        .expect("direct run")
+        .to_json(true);
+    let log = format!(
+        "{{ \"v\": 1, \"event\": \"accepted\", \"id\": 0, \"predicted_bytes\": {}, \"request\": {} }}\n\
+         {{ \"v\": 1, \"event\": \"started\", \"id\": 0, \"attempt\": 1 }}\n\
+         {{ \"v\": 1, \"event\": \"completed\", \"id\": 0, \"outcome\": {telemetry} }}\n",
+        request.predict().peak_bytes(),
+        request.to_json()
+    );
+    std::fs::write(root.join("audit.jsonl"), &log).expect("write log");
+
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let (service, report) = SortService::recover(cfg.clone()).expect("a v1 log recovers");
+    assert_eq!((report.restored, report.requeued), (1, 0));
+    assert!(
+        served(&service, 0) == telemetry,
+        "v1 telemetry not verbatim"
+    );
+    let id = service.submit(job(5, 2_000)).expect("admitted");
+    let live = served(&service, id);
+    service.drain();
+    drop(service);
+
+    let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
+    assert!(text.starts_with(&log) && text.contains("{ \"v\": 2, "));
+    let (service, report) = SortService::recover(cfg).expect("a mixed log recovers");
+    assert_eq!((report.restored, report.requeued), (2, 0));
+    assert!(
+        served(&service, 0) == telemetry,
+        "v1 telemetry not verbatim"
+    );
+    assert!(served(&service, id) == live, "v2 telemetry not rebuilt");
+    service.kill();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A `completed` line whose digest does not match the output rebuilt from
+/// the logged input fails recovery with a typed error naming the job; it
+/// is never restored with the wrong output.
+#[test]
+fn a_tampered_output_digest_fails_recovery_naming_the_job() {
+    let root = fresh_root("tampered");
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let service = SortService::start(cfg.clone()).expect("start");
+    let first = service.submit(job(1, 2_000)).expect("admitted");
+    let input = Workload::Zipf.generate(3_000, 8);
+    let inline = service
+        .submit(JobRequest::inline(job(0, 0).spec, input))
+        .expect("admitted");
+    for id in [first, inline] {
+        served(&service, id);
+    }
+    service.drain();
+    drop(service);
+
+    let log = root.join("audit.jsonl");
+    let text = std::fs::read_to_string(&log).expect("audit");
+    let mut digest = None;
+    let tampered: String = text
+        .lines()
+        .map(|line| {
+            let line = match AuditEvent::from_json(line).expect("decodes") {
+                AuditEvent::Completed {
+                    id,
+                    telemetry,
+                    output_digest: Some(d),
+                } if id == inline => {
+                    digest = Some(d);
+                    AuditEvent::Completed {
+                        id,
+                        telemetry,
+                        output_digest: Some(d ^ 1),
+                    }
+                    .to_json()
+                }
+                _ => line.to_owned(),
+            };
+            line + "\n"
+        })
+        .collect();
+    let digest = digest.expect("the inline job logged a digest");
+    std::fs::write(&log, tampered).expect("tamper");
+
+    match SortService::recover(cfg) {
+        Err(RecoverError::OutputDigest {
+            id,
+            logged,
+            rebuilt,
+        }) => {
+            assert_eq!(id, inline);
+            assert_eq!((logged, rebuilt), (digest ^ 1, digest));
+        }
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a tampered digest recovered"),
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// One real service session whose audit log exercises every event type:
 /// completions, seeded-fault retries, a deterministic panic failure, a
 /// queue expiry, and a budget rejection. Generated once, replayed from
@@ -217,15 +383,6 @@ fn session_log() -> &'static str {
         cfg.backoff_cap_ms = 10;
         cfg.budget_bytes = job(0, 60_000).predict().peak_bytes() * 6;
         let service = SortService::start(cfg).expect("start");
-
-        // Every job here skips output telemetry: the exhaustive prefix
-        // test below replays O(len) prefixes of this log, so `completed`
-        // events must stay lean or the quadratic sweep crawls.
-        let job = |seed: u64, records: usize| {
-            let mut j = job(seed, records);
-            j.include_output = false;
-            j
-        };
 
         // Busy job pins the single worker. The queue is ETA-priority, not
         // FIFO, so wait until the worker actually picked it up — otherwise
@@ -289,7 +446,10 @@ fn session_log() -> &'static str {
         assert!(matches!(full.jobs[&1].outcome, ReplayOutcome::Expired));
         assert!(matches!(
             full.jobs[&2].outcome,
-            ReplayOutcome::Completed { .. }
+            ReplayOutcome::Completed {
+                output_digest: Some(_),
+                ..
+            }
         ));
         assert!(matches!(
             full.jobs[&3].outcome,
@@ -297,7 +457,10 @@ fn session_log() -> &'static str {
         ));
         assert!(matches!(
             full.jobs[&4].outcome,
-            ReplayOutcome::Completed { .. }
+            ReplayOutcome::Completed {
+                output_digest: Some(_),
+                ..
+            }
         ));
         assert!(
             full.jobs[&4].checkpoint_phase() > 0 && full.jobs[&4].manifest.is_some(),

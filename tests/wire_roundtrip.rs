@@ -167,7 +167,7 @@ proptest! {
         prop_assert_eq!(
             &line,
             &format!(
-                "{{ \"v\": 1, \"event\": \"checkpointed\", \"id\": {}, \"phase\": 1, \"manifest\": {manifest_ref} }}",
+                "{{ \"v\": 2, \"event\": \"checkpointed\", \"id\": {}, \"phase\": 1, \"manifest\": {manifest_ref} }}",
                 u64::MAX
             )
         );
