@@ -11,7 +11,10 @@
 //! * `e3-mergesort-k{1,4,16}` — the Algorithm 2 mergesort (exercises the
 //!   flat merge queue);
 //! * `e5-samplesort-k4` — the §4.2 distribution sort (exercises the bucket
-//!   writers).
+//!   writers);
+//! * `e6-heapsort-k4` — the §4.3 heapsort (exercises the buffer tree's run
+//!   cursors and the priority queue's β extraction, both on the Lemma 4.2
+//!   selection kernel).
 //!
 //! ```text
 //! cargo bench -p asym-bench --bench sim_throughput              # + BENCH_sim.json
@@ -57,6 +60,7 @@ fn cases(scale: Scale) -> Vec<Case> {
         cases.push(mergesort_case(k, n_sort));
     }
     cases.push(samplesort_case(4, n_sort));
+    cases.push(heapsort_case(4, n_sort));
     cases
 }
 
@@ -119,6 +123,21 @@ fn samplesort_case(k: usize, n: usize) -> Case {
         n,
         run: Box::new(move || {
             let outcome = sort::run(&spec, &input).expect("samplesort");
+            assert_eq!(outcome.output.len(), n);
+            outcome.stats
+        }),
+    }
+}
+
+fn heapsort_case(k: usize, n: usize) -> Case {
+    let input: Vec<Record> = Workload::UniformRandom.generate(n, 0xE6);
+    let spec = sort_spec(Algorithm::Heapsort, k, 0xE6);
+    Case {
+        id: "e6-heapsort-k4",
+        algorithm: Algorithm::Heapsort.name(),
+        n,
+        run: Box::new(move || {
+            let outcome = sort::run(&spec, &input).expect("heapsort");
             assert_eq!(outcome.output.len(), n);
             outcome.stats
         }),

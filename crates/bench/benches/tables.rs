@@ -1,5 +1,6 @@
 //! The experiment harness: regenerates every theorem-level table of the
-//! reproduction (DESIGN.md §3, EXPERIMENTS.md).
+//! reproduction, one `asym_bench` module per experiment (README
+//! "Benchmarks").
 //!
 //! ```text
 //! cargo bench -p asym-bench --bench tables                 # standard scale

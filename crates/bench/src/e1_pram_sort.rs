@@ -45,7 +45,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         last_report = Some((n, report));
     }
     sweep.note("writes/n flat + reads/(n lg n) flat = the Theorem 3.2 work bounds");
-    sweep.note("depth/(omega lg n) grows ~log n via the substitute sample sorter (DESIGN.md)");
+    sweep.note(
+        "depth/(omega lg n) grows ~log n via the substitute sample sorter \
+         (the Cole substitute, asym_core::pram module doc)",
+    );
 
     let (n, report) = last_report.expect("at least one row");
     let mut steps = Table::new(

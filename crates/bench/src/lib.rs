@@ -1,13 +1,14 @@
 //! # asym-bench — the experiment harness
 //!
-//! One module per experiment in DESIGN.md §3 (E0–E14); each reproduces one
-//! theorem, lemma, or figure of the paper as a measured table. The
-//! `tables` bench target (`cargo bench -p asym-bench --bench tables`) runs
-//! them all and prints the tables that EXPERIMENTS.md catalogs.
+//! One module per experiment (E0–E14); each reproduces one theorem, lemma,
+//! or figure of the paper as a measured table. The `tables` bench target
+//! (`cargo bench -p asym-bench --bench tables`, see README "Benchmarks")
+//! runs them all and prints their tables.
 //!
 //! Scale is controlled by `ASYM_BENCH_SCALE`:
 //! * `smoke` — seconds-fast sanity sizes;
-//! * `standard` (default) — the sizes recorded in EXPERIMENTS.md;
+//! * `standard` (default) — the reference sizes (the middle argument of
+//!   each experiment's [`Scale::pick`]);
 //! * `full` — larger sweeps for sharper asymptotics.
 //!
 //! Any other value panics, like the backend and thread selectors below.
@@ -50,7 +51,7 @@ pub mod e9_fft;
 pub enum Scale {
     /// Seconds-fast sanity sizes (CI).
     Smoke,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The reference sizes (the middle argument of [`Scale::pick`]).
     Standard,
     /// Larger sweeps for sharper asymptotics.
     Full,

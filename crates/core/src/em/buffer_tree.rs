@@ -24,13 +24,13 @@
 //! **Duplicate records.** Records need not be unique: routing is
 //! equal-goes-left (a record equal to a separator routes to the child left
 //! of it), separators may repeat when a duplicate-heavy run is chopped
-//! mid-twin, and the buffer selection sort keys candidates by
-//! `(Record, scan index)` so identical records survive multi-pass
-//! extraction. Every path is count-preserving.
+//! mid-twin, and the buffer selection sort is the shared Lemma 4.2 kernel
+//! ([`super::selection`]), whose scan-index tie-break keeps identical
+//! records through multi-pass extraction. Every path is count-preserving.
 
+use super::selection::selection_passes;
 use asym_model::{ModelError, Record, Result};
 use em_sim::{BlockId, EmMachine};
-use std::collections::BinaryHeap;
 
 /// A contiguous sequence of records stored in dense blocks (the last block
 /// may be partial). `sorted` records whether the run is known to be sorted.
@@ -350,7 +350,8 @@ impl BufferTree {
 
     /// Turn a buffer's runs into one or two sorted runs: the trailing sorted
     /// run (left by the most recent distribution) is kept as-is; everything
-    /// before it is selection-sorted (Lemma 4.2).
+    /// before it is selection-sorted (Lemma 4.2: ⌈n/M⌉ scan passes, one
+    /// write pass) into a single run.
     fn sort_runs(&mut self, mut runs: Vec<Run>) -> Result<Vec<Run>> {
         let suffix = match runs.last() {
             Some(r) if r.sorted && runs.len() > 1 => runs.pop(),
@@ -360,58 +361,25 @@ impl BufferTree {
             }
             _ => None,
         };
-        let prefix_sorted = self.selection_sort_runs(&runs)?;
+        let machine = &self.machine;
+        let n = runs.iter().map(Run::len).sum();
+        let _set_lease = machine.lease(machine.m())?;
+        let mut writer = RunWriter::new(machine);
+        let prefix: &[Run] = &runs;
+        let scan = || {
+            let mut reader = RunsReader::new(machine, prefix);
+            Ok(std::iter::from_fn(move || reader.next().transpose()))
+        };
+        selection_passes(machine.m(), n, scan, |r| writer.push(machine, r))?;
+        let prefix_sorted = writer.finish_on(machine, true);
         for r in runs {
-            r.free(&self.machine);
+            r.free(machine);
         }
         let mut out = vec![prefix_sorted];
         if let Some(s) = suffix {
             out.push(s);
         }
         Ok(out)
-    }
-
-    /// Lemma 4.2 selection sort over a set of runs (⌈n/M⌉ scan passes, one
-    /// write pass). Returns a single sorted run.
-    fn selection_sort_runs(&self, runs: &[Run]) -> Result<Run> {
-        let m = self.machine.m();
-        let n: usize = runs.iter().map(Run::len).sum();
-        let _set_lease = self.machine.lease(m)?;
-        let mut writer = RunWriter::new(&self.machine);
-        // Candidates are keyed `(Record, scan index)`: the scan order over
-        // the runs is identical every pass, so the index is a stable
-        // tie-break that keeps duplicate records distinguishable (raw-record
-        // comparisons would skip every twin of a written record and spin).
-        let mut last_written: Option<(Record, usize)> = None;
-        let mut remaining = n;
-        while remaining > 0 {
-            let mut heap: BinaryHeap<(Record, usize)> = BinaryHeap::with_capacity(m + 1);
-            let mut reader = RunsReader::new(&self.machine, runs);
-            let mut idx = 0usize;
-            while let Some(r) = reader.next()? {
-                let cand = (r, idx);
-                idx += 1;
-                if let Some(lw) = last_written {
-                    if cand <= lw {
-                        continue;
-                    }
-                }
-                if heap.len() < m {
-                    heap.push(cand);
-                } else if cand < *heap.peek().expect("non-empty") {
-                    heap.pop();
-                    heap.push(cand);
-                }
-            }
-            let batch = heap.into_sorted_vec();
-            debug_assert!(!batch.is_empty());
-            last_written = batch.last().copied();
-            remaining -= batch.len();
-            for (r, _) in batch {
-                writer.push(&self.machine, r);
-            }
-        }
-        Ok(writer.finish_on(&self.machine, true))
     }
 
     /// Phase 2 for one leaf: sort its buffer, merge into the resident data,

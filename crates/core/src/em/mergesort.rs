@@ -10,8 +10,7 @@
 //! every block is written exactly once per level — the read/write trade at
 //! the heart of the paper.
 //!
-//! Two deviations from the paper's pseudocode, documented in DESIGN.md and
-//! EXPERIMENTS.md:
+//! Two deviations from the paper's pseudocode:
 //!
 //! 1. `lastV` is updated on every append to the store buffer rather than
 //!    only when the buffer flushes (Algorithm 2 line 11). With flush-only

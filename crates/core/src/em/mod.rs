@@ -7,7 +7,9 @@
 //! EM counterpart, which is how the experiments produce their baselines.
 //!
 //! * [`selection`] — Lemma 4.2: sort n ≤ kM records in ≤ k⌈n/B⌉ reads and
-//!   ⌈n/B⌉ writes by k passes of in-memory selection.
+//!   ⌈n/B⌉ writes by k passes of in-memory selection. It is the one
+//!   selection kernel of §4: the base case here, and shared by the buffer
+//!   tree (sorting full buffers) and the priority queue (β extraction).
 //! * [`mergesort`] — Algorithm 2: l-way merge in rounds with an in-memory
 //!   priority queue.
 //! * [`samplesort`] — §4.2: l-way distribution in k rounds of M/B splitters.

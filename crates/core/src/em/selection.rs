@@ -10,10 +10,117 @@
 //! `M + 2B` capacity; the paper's statement allows `M + B` by folding the
 //! store buffer into the O(log M) output bookkeeping — we charge it
 //! explicitly and give the machine the extra block).
+//!
+//! This module is the one owner of the Lemma 4.2 rule for all of §4: the
+//! Algorithm 2 and §4.2 base cases call [`selection_sort`] and
+//! [`selection_sort_into`], the buffer tree sorts each full buffer with
+//! `selection_passes`, and the priority queue's β extraction (Lemma 4.8) is
+//! one `Smallest` scan.
+//!
+//! **Duplicate records.** Candidates are keyed `(Record, scan index)`: the
+//! scan order is the same every pass, so the index is a stable tie-break
+//! that keeps duplicate records distinguishable — comparing raw records
+//! would skip every twin of a written record (`r <= last_written`) and lose
+//! it. On unique inputs the index never decides a comparison.
+//!
+//! One implementation deviation (performance, not semantics): the candidate
+//! set is a `Smallest` — a batch cut back by linear-time selection
+//! (`select_nth_unstable`) whenever it doubles — rather than a bounded
+//! max-heap. Keys are unique, so both keep exactly the same M smallest and
+//! every pass emits the same records; the batch just does it in O(n)
+//! comparisons per scan instead of O(n log M). The batch is host scratch of
+//! at most 2M keys; the modeled lease stays M, and the transfer schedule
+//! (one scan per pass, one write per output block) is unchanged.
 
 use asym_model::{ModelError, Record, Result};
 use em_sim::{EmMachine, EmVec, EmWriter};
-use std::collections::BinaryHeap;
+
+/// A candidate: the record and its index in the scan, unique per scan.
+pub(crate) type Key = (Record, usize);
+
+/// The `cap` smallest of the distinct keys offered, in linear time.
+pub(crate) struct Smallest {
+    cap: usize,
+    batch: Vec<Key>,
+    /// The largest key kept by the last cut: nothing above it can be among
+    /// the `cap` smallest.
+    bound: Option<Key>,
+}
+
+impl Smallest {
+    pub(crate) fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            batch: Vec::with_capacity(2 * cap),
+            bound: None,
+        }
+    }
+
+    /// Offer a key: it is kept while it is among the `cap` smallest seen.
+    pub(crate) fn offer(&mut self, key: Key) {
+        if self.cap == 0 || self.bound.is_some_and(|b| key > b) {
+            return;
+        }
+        self.batch.push(key);
+        if self.batch.len() == 2 * self.cap {
+            self.cut();
+        }
+    }
+
+    /// Keep only the `cap` smallest of the batch.
+    fn cut(&mut self) {
+        let (_, &mut kth, _) = self.batch.select_nth_unstable(self.cap - 1);
+        self.bound = Some(kth);
+        self.batch.truncate(self.cap);
+    }
+
+    /// The kept keys in ascending order.
+    pub(crate) fn into_sorted(mut self) -> Vec<Key> {
+        if self.batch.len() > self.cap {
+            self.cut();
+        }
+        self.batch.sort_unstable();
+        self.batch
+    }
+}
+
+/// The Lemma 4.2 pass loop: sort the `n` records that `scan` yields (in the
+/// same order on every call) by repeated scans, each collecting the `m`
+/// smallest keys above the last one written and handing their records to
+/// `emit` in ascending order. The caller leases the `m`-record set.
+pub(crate) fn selection_passes<I>(
+    m: usize,
+    n: usize,
+    mut scan: impl FnMut() -> Result<I>,
+    mut emit: impl FnMut(Record),
+) -> Result<()>
+where
+    I: Iterator<Item = Result<Record>>,
+{
+    let mut last_written: Option<Key> = None;
+    let mut remaining = n;
+    while remaining > 0 {
+        let mut best = Smallest::new(m);
+        for (idx, r) in scan()?.enumerate() {
+            let key = (r?, idx);
+            if last_written.is_none_or(|lw| key > lw) {
+                best.offer(key);
+            }
+        }
+        let batch = best.into_sorted();
+        if batch.is_empty() {
+            return Err(ModelError::Invariant(format!(
+                "selection pass found none of {remaining} remaining records"
+            )));
+        }
+        last_written = batch.last().copied();
+        remaining -= batch.len();
+        for (r, _) in batch {
+            emit(r);
+        }
+    }
+    Ok(())
+}
 
 /// Sort `input` (n ≤ kM) with the Lemma 4.2 selection sort; `k` only bounds
 /// the permitted input size — the pass count is derived from n and M.
@@ -45,46 +152,11 @@ pub fn selection_sort_into(
     // The candidate set occupies M records of primary memory for the whole
     // sort; the reader and writer each lease a block themselves.
     let _set_lease = machine.lease(m)?;
-    // Candidates are keyed `(Record, scan index)`: the scan order is the
-    // same every pass, so the index is a stable tie-break that keeps
-    // duplicate records distinguishable — comparing raw records would skip
-    // every twin of a written record (`r <= last_written`) and lose it.
-    // On unique inputs the index never decides a comparison.
-    let mut last_written: Option<(Record, usize)> = None;
-    let mut remaining = n;
-
-    while remaining > 0 {
-        // One pass: collect the M smallest candidates above `last_written`.
-        // BinaryHeap is a max-heap: peek() is the current M-th smallest.
-        let mut heap: BinaryHeap<(Record, usize)> = BinaryHeap::with_capacity(m + 1);
+    let scan = || {
         let mut reader = input.reader(machine)?;
-        let mut idx = 0usize;
-        while let Some(r) = reader.next() {
-            let cand = (r, idx);
-            idx += 1;
-            if let Some(lw) = last_written {
-                if cand <= lw {
-                    continue;
-                }
-            }
-            if heap.len() < m {
-                heap.push(cand);
-            } else if cand < *heap.peek().expect("heap non-empty") {
-                heap.pop();
-                heap.push(cand);
-            }
-        }
-        drop(reader);
-        // Emit the pass's records in ascending order (in-memory sort is free).
-        let mut batch = heap.into_sorted_vec();
-        debug_assert!(!batch.is_empty(), "remaining records must be found");
-        last_written = batch.last().copied();
-        remaining -= batch.len();
-        for (r, _) in batch.drain(..) {
-            writer.push(r);
-        }
-    }
-    Ok(())
+        Ok(std::iter::from_fn(move || reader.next().map(Ok)))
+    };
+    selection_passes(m, n, scan, |r| writer.push(r))
 }
 
 #[cfg(test)]
@@ -93,6 +165,7 @@ mod tests {
     use asym_model::record::assert_sorted_permutation;
     use asym_model::workload::Workload;
     use em_sim::EmConfig;
+    use proptest::prelude::*;
 
     fn machine(m: usize, b: usize, omega: u64) -> EmMachine {
         // M-record candidate set + load buffer + store buffer.
@@ -171,6 +244,72 @@ mod tests {
             assert_sorted_permutation(&input, &out);
             sorted.free(&em);
             v.free(&em);
+        }
+    }
+
+    /// Records from a tiny space, so keys differ only by scan index.
+    fn small_records(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Record>> {
+        prop::collection::vec((0u64..8, 0u64..4).prop_map(|(k, p)| Record::new(k, p)), len)
+    }
+
+    /// All-identical streams, or 90%-duplicate ones (nine draws in ten
+    /// repeat one record).
+    fn duplicate_stream() -> impl Strategy<Value = Vec<Record>> {
+        (
+            any::<bool>(),
+            prop::collection::vec((0u64..10, 0u64..1000), 0..200),
+        )
+            .prop_map(|(identical, draws)| {
+                let pick = |(d, x)| {
+                    if identical || d < 9 {
+                        Record::new(5, 5)
+                    } else {
+                        Record::new(x, x % 3)
+                    }
+                };
+                draws.into_iter().map(pick).collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `Smallest` keeps exactly what a full sort would, for caps from
+        /// 0 past the stream length; a stream of ~10× a small cap cuts the
+        /// batch many times.
+        #[test]
+        fn smallest_matches_sort_and_truncate(
+            records in small_records(0..80),
+            pick in 0usize..5,
+        ) {
+            let n = records.len();
+            let cap = [0, 1, 7, n, n + 5][pick];
+            let keys: Vec<Key> = records.into_iter().zip(0..).collect();
+            let mut best = Smallest::new(cap);
+            for &key in &keys {
+                best.offer(key);
+            }
+            let mut expect = keys;
+            expect.sort_unstable();
+            expect.truncate(cap);
+            prop_assert_eq!(best.into_sorted(), expect);
+        }
+
+        /// The pass loop over a duplicate-heavy stream equals the stable
+        /// sort, loses no record, and scans exactly ⌈n/m⌉ times.
+        #[test]
+        fn passes_sort_duplicate_streams(stream in duplicate_stream(), m in 1usize..9) {
+            let mut scans = 0;
+            let mut out = Vec::new();
+            let scan = || {
+                scans += 1;
+                Ok(stream.iter().copied().map(Ok))
+            };
+            selection_passes(m, stream.len(), scan, |r| out.push(r)).unwrap();
+            let mut expect = stream.clone();
+            expect.sort();
+            prop_assert_eq!(out, expect);
+            prop_assert_eq!(scans, stream.len().div_ceil(m));
         }
     }
 

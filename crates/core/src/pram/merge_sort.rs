@@ -4,8 +4,8 @@
 //! chunks along the merge path (binary searches, done in parallel), then
 //! merges each chunk sequentially. Depth O(ω log² n), work O(n log n) reads
 //! and O(n log n) writes — used only on samples of size O(n / log n), where
-//! this is within the O(n) read/write budget the paper allots (§3, DESIGN.md
-//! substitution note).
+//! this is within the O(n) read/write budget the paper allots (§3; the
+//! substitution note is in the [`crate::pram`] module doc).
 
 use asym_model::Record;
 use wd_sim::Cost;

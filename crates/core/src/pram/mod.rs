@@ -10,7 +10,7 @@
 //! Cole's parallel mergesort — which the paper invokes as a black box for
 //! sorting o(n)-sized samples — is substituted by [`merge_sort`], a
 //! binary-search-split parallel mergesort with O(log² n) depth; the paper's
-//! read/write budget for those steps is unaffected (see DESIGN.md).
+//! read/write budget for those steps is unaffected (see [`merge_sort`]).
 
 pub mod merge_sort;
 pub mod partition;

@@ -342,7 +342,8 @@ mod tests {
         let r1 = ratio(1 << 12, 8);
         let r2 = ratio(1 << 14, 8);
         // The substitute sample sorter costs an extra log factor in depth
-        // (DESIGN.md); allow generous slack but catch quadratic blowups.
+        // (the Cole substitute in the `pram` module doc); allow generous
+        // slack but catch quadratic blowups.
         assert!(
             r2 / r1 < 4.0,
             "depth/(omega lg n) growing too fast: {r1:.1} -> {r2:.1}"
