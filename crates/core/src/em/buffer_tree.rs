@@ -172,11 +172,6 @@ impl BufferTree {
         self.len == 0
     }
 
-    /// The buffer-full / leaf-capacity threshold lB = kM.
-    pub fn capacity_threshold(&self) -> usize {
-        self.cap
-    }
-
     fn node(&self, id: NodeId) -> &Node {
         self.nodes[id].as_ref().expect("live node")
     }

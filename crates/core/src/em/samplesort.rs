@@ -18,7 +18,7 @@
 use super::mergesort::{aem_mergesort, mergesort_slack};
 use super::selection::selection_sort_into;
 use asym_model::{ModelError, Record, Result};
-use em_sim::{BlockId, EmMachine, EmVec, EmWriter};
+use em_sim::{EmMachine, EmVec, EmWriter};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -173,13 +173,6 @@ fn choose_splitters(
     Ok(writer.finish())
 }
 
-/// State of one output bucket while partitioning.
-struct BucketOut {
-    blocks: Vec<BlockId>,
-    buf: Vec<Record>,
-    len: usize,
-}
-
 /// Partition `input` into `splitters.len() + 1` buckets, processing the
 /// splitters in rounds of at most M/B each. Each round scans the whole
 /// input but writes only the records belonging to its own buckets.
@@ -215,14 +208,10 @@ fn partition(machine: &EmMachine, input: &EmVec, splitters: &EmVec) -> Result<Ve
             Some(read_one(machine, splitters, b_end - 1)?)
         };
         let cnt = b_end - b_start;
-        let _bucket_lease = machine.lease(cnt * b)?;
-        let mut outs: Vec<BucketOut> = (0..cnt)
-            .map(|_| BucketOut {
-                blocks: Vec::new(),
-                buf: Vec::with_capacity(b),
-                len: 0,
-            })
-            .collect();
+        // One writer (one leased block) per bucket of the round.
+        let mut outs = (0..cnt)
+            .map(|_| EmWriter::new(machine))
+            .collect::<Result<Vec<_>>>()?;
 
         let mut reader = input.reader(machine)?;
         while let Some(r) = reader.next() {
@@ -239,21 +228,10 @@ fn partition(machine: &EmMachine, input: &EmVec, splitters: &EmVec) -> Result<Ve
             // Bucket = index of the first splitter >= r; the overflow bucket
             // catches everything above the round's last splitter.
             let j = round_splitters.partition_point(|s| *s < r);
-            let out = &mut outs[j];
-            out.buf.push(r);
-            out.len += 1;
-            if out.buf.len() == b {
-                out.blocks.push(machine.append_block_from(&out.buf));
-                out.buf.clear();
-            }
+            outs[j].push(r);
         }
         drop(reader);
-        for mut out in outs {
-            if !out.buf.is_empty() {
-                out.blocks.push(machine.append_block_from(&out.buf));
-            }
-            buckets.push(EmVec::from_blocks(out.blocks, out.len));
-        }
+        buckets.extend(outs.into_iter().map(EmWriter::finish));
         if is_last_round {
             break;
         }

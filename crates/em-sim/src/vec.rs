@@ -56,12 +56,6 @@ impl EmVec {
         &self.blocks
     }
 
-    /// Assemble from explicit blocks (caller guarantees only the final block
-    /// may be partial).
-    pub fn from_blocks(blocks: Vec<BlockId>, len: usize) -> Self {
-        Self { blocks, len }
-    }
-
     /// Split into `parts` contiguous sub-arrays at block granularity
     /// (consumes the array; no I/O is charged — this is pointer bookkeeping).
     ///

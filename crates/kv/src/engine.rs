@@ -344,11 +344,6 @@ impl AsymKv {
         s.block_reads + self.cfg.omega * s.block_writes
     }
 
-    /// Records resident in the memtable right now.
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
-    }
-
     /// Runs per level, shallow to deep (diagnostics and tests).
     pub fn run_counts(&self) -> Vec<usize> {
         self.levels.iter().map(Vec::len).collect()

@@ -31,12 +31,21 @@
 //! worker calls the same [`ReplayJob`] transitions as [`Replay`] does, so
 //! the advance-only checkpoint rule and the first-terminal-wins rule each
 //! live in one place.
+//!
+//! The crate-private `AuditLog` owns the file: it opens, appends to,
+//! repairs (cutting a torn tail in place) and kills `audit.jsonl`. Appends
+//! are written, not synced: they survive a killed process, not a power cut.
 
 use crate::job::{FailureKind, JobId, JobRequest};
+use crate::service::RecoverError;
 use asym_core::sort::wire::records_digest;
 use asym_core::sort::{CheckpointManifest, SortOutcome};
 use asym_model::json::{self, Json, JsonObj};
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
+use std::path::Path;
+use std::sync::Mutex;
 
 /// The audit schema this build writes. It replays every version from 1 up
 /// to this one.
@@ -194,7 +203,7 @@ impl AuditEvent {
     /// for [`AuditEvent::Accepted`]. The service renders the (possibly
     /// large) request before it takes its state lock, and only this cheap
     /// splice of the assigned id runs under it.
-    pub(crate) fn accepted_line(id: JobId, predicted_bytes: u64, request: &str) -> String {
+    fn accepted_line(id: JobId, predicted_bytes: u64, request: &str) -> String {
         let mut o = JsonObj::new();
         o.u64("v", SCHEMA_VERSION)
             .str("event", "accepted")
@@ -630,6 +639,74 @@ pub fn replay(text: &str) -> Result<Replay, AuditError> {
     Ok(r)
 }
 
+/// `audit.jsonl` in a service root, as the service writes it. Each append
+/// is one line and its newline in one `write_all` under the log's lock, so
+/// lines never interleave and a crash cannot leave a whole line without
+/// its terminator. After [`AuditLog::kill`] appends vanish and succeed, as
+/// they would have after the real process died.
+pub(crate) struct AuditLog(Mutex<Option<File>>);
+
+impl AuditLog {
+    /// Open (or create) the log in `root`, and `root` itself, to append.
+    pub(crate) fn open(root: &Path) -> io::Result<AuditLog> {
+        Ok(AuditLog(Mutex::new(Some(open_in(root, false)?))))
+    }
+
+    /// Open the log in `root` once, [`replay`] it, and repair its tail in
+    /// place so the next append starts a line of its own: a torn final
+    /// line is cut at its first byte, and a whole final line missing its
+    /// newline gets one. Nothing before the tail is rewritten, so a crash
+    /// mid-repair leaves the log as it was or repaired.
+    pub(crate) fn recover(root: &Path) -> Result<(AuditLog, Replay), RecoverError> {
+        let mut file = open_in(root, true)?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        let rep = replay(&text).map_err(RecoverError::Audit)?;
+        if rep.torn_tail {
+            let body = text.strip_suffix('\n').unwrap_or(&text);
+            file.set_len(body.rfind('\n').map_or(0, |i| i + 1) as u64)?;
+        } else if !text.is_empty() && !text.ends_with('\n') {
+            file.write_all(b"\n")?;
+        }
+        Ok((AuditLog(Mutex::new(Some(file))), rep))
+    }
+
+    /// Append one event.
+    pub(crate) fn append(&self, ev: &AuditEvent) -> io::Result<()> {
+        self.write_line(ev.to_json())
+    }
+
+    /// Append the `accepted` event of a request rendered by [`JobRequest::to_json`].
+    pub(crate) fn append_accepted(&self, id: JobId, bytes: u64, request: &str) -> io::Result<()> {
+        self.write_line(AuditEvent::accepted_line(id, bytes, request))
+    }
+
+    /// The simulated crash: every later append vanishes.
+    pub(crate) fn kill(&self) {
+        *self.0.lock().expect("audit log") = None;
+    }
+
+    fn write_line(&self, mut line: String) -> io::Result<()> {
+        line.push('\n');
+        match &mut *self.0.lock().expect("audit log") {
+            Some(f) => f.write_all(line.as_bytes()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The log in `root`, opened to append (and to read, if `read`); `root`
+/// and the file are created as needed.
+fn open_in(root: &Path, read: bool) -> io::Result<File> {
+    std::fs::create_dir_all(root)?;
+    let path = root.join("audit.jsonl");
+    OpenOptions::new()
+        .read(read)
+        .append(true)
+        .create(true)
+        .open(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,6 +1060,54 @@ mod tests {
         // refuse than to recover a half-understood state.
         let log = format!("{}\n{future}\n", AuditEvent::Drained.to_json());
         assert_eq!(replay(&log), Err(AuditError::UnknownVersion(3)));
+    }
+
+    /// Recovery repairs a log cut at any byte to the cut's longest prefix
+    /// of whole lines, each ending in a newline, without rewriting it; and
+    /// the next append lands on a line of its own.
+    #[test]
+    fn recover_cuts_every_torn_tail_in_place() {
+        let log = log_of(&[
+            AuditEvent::Accepted {
+                id: 0,
+                request: request(),
+                predicted_bytes: 100,
+            },
+            AuditEvent::Started { id: 0, attempt: 1 },
+            checkpointed(0, &manifests()[0]),
+            AuditEvent::Drained,
+        ]);
+        // Where each whole line of the log ends, its newline included.
+        let ends: Vec<usize> = std::iter::once(0)
+            .chain(log.match_indices('\n').map(|(i, _)| i + 1))
+            .collect();
+        let next = AuditEvent::Started { id: 0, attempt: 2 };
+        let root = std::env::temp_dir().join(format!("asym-audit-repair-{}", std::process::id()));
+        let path = root.join("audit.jsonl");
+        std::fs::create_dir_all(&root).expect("root");
+        for cut in 0..=log.len() {
+            std::fs::write(&path, &log[..cut]).expect("write the cut log");
+            // The last line the cut holds whole, with or without its newline.
+            let end = *ends
+                .iter()
+                .rev()
+                .find(|&&e| e == 0 || e - 1 <= cut)
+                .expect("0 is an end");
+            let torn = cut != end && cut + 1 != end;
+
+            let (audit, rep) = AuditLog::recover(&root).expect("recovers");
+            assert_eq!(rep.torn_tail, torn, "cut at {cut}");
+            let repaired = std::fs::read_to_string(&path).expect("read");
+            assert_eq!(repaired, log[..end], "cut at {cut}");
+
+            audit.append(&next).expect("append");
+            let text = std::fs::read_to_string(&path).expect("read");
+            assert_eq!(text, log[..end].to_string() + &next.to_json() + "\n");
+            let after = replay(&text).expect("replays");
+            assert!(!after.torn_tail, "cut at {cut}");
+            assert_eq!(after.jobs.len(), usize::from(end > 0), "cut at {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

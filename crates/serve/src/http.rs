@@ -1,8 +1,9 @@
 //! The HTTP/1.1 front door: [`SortService`] over a `std::net::TcpListener`.
 //!
 //! Deliberately minimal — the same dependency-free discipline as the JSON
-//! codec. One request per connection (`Connection: close`), bodies framed
-//! by `Content-Length` and capped ([`MAX_BODY`] → typed `413` *before* any
+//! codec. One request per connection (`Connection: close`), the request
+//! line and headers capped at 8 KiB (past it: `400`), bodies framed by
+//! `Content-Length` and capped ([`MAX_BODY`] → typed `413` *before* any
 //! allocation), every response `application/json`. Routes:
 //!
 //! | Method | Path               | Meaning                                  |
@@ -40,6 +41,10 @@ use std::time::{Duration, Instant};
 /// without the body ever being read.
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Most bytes read of a request's head (request line and headers); a head
+/// this long or longer is a `400`.
+const MAX_HEAD: u64 = 8 << 10;
+
 /// `/jobs/<id>/wait` with no `timeout_ms` waits this long.
 const DEFAULT_WAIT_MS: u64 = 2_000;
 
@@ -54,9 +59,9 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// nothing, or stops reading, for this long loses its handler.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How long the accept thread reads and drops what a refused peer sent
-/// after answering it `503` busy.
-const BUSY_LINGER: Duration = Duration::from_millis(50);
+/// How long a refused peer's bytes are read and dropped after its answer
+/// (see [`refuse`]).
+const LINGER: Duration = Duration::from_millis(50);
 
 /// A running HTTP server wrapping a [`SortService`].
 pub struct ServerHandle {
@@ -139,7 +144,7 @@ fn accept_loop(listener: &TcpListener, addr: SocketAddr, service: &SortService, 
             }
             let Ok(stream) = conn else { continue };
             let Some(slot) = Slot::claim(&in_flight) else {
-                refuse_busy(&stream);
+                refuse(&stream, 503, "Service Unavailable", r#"{"error": "busy"}"#);
                 continue;
             };
             // Shared so the accept thread can still answer the peer when
@@ -157,7 +162,7 @@ fn accept_loop(listener: &TcpListener, addr: SocketAddr, service: &SortService, 
                     }
                 });
             if spawned.is_err() {
-                refuse_busy(&stream);
+                refuse(&stream, 503, "Service Unavailable", r#"{"error": "busy"}"#);
             }
         }
     });
@@ -181,17 +186,17 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// Answer `503` busy from the accept thread, then read and drop what the
-/// peer sent for at most about [`BUSY_LINGER`]: closing a socket over
-/// unread bytes resets the connection, which can discard the answer before
-/// the peer reads it.
-fn refuse_busy(mut stream: &TcpStream) {
-    respond(stream, 503, "Service Unavailable", r#"{"error": "busy"}"#);
+/// Answer a request that was not read whole, then read and drop what the
+/// peer sent for at most about [`LINGER`]: closing a socket over unread
+/// bytes resets the connection, which can discard the answer before the
+/// peer reads it.
+fn refuse(mut stream: &TcpStream, code: u16, reason: &str, body: &str) {
+    respond(stream, code, reason, body);
     let _ = stream.shutdown(Shutdown::Write);
-    if stream.set_read_timeout(Some(BUSY_LINGER)).is_err() {
+    if stream.set_read_timeout(Some(LINGER)).is_err() {
         return;
     }
-    let deadline = Instant::now() + BUSY_LINGER;
+    let deadline = Instant::now() + LINGER;
     let mut sink = [0u8; 4096];
     while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
@@ -211,11 +216,11 @@ fn handle(stream: &TcpStream, service: &SortService) -> HandleResult {
                 .u64("length", length as u64)
                 .u64("max", MAX_BODY as u64)
                 .str("message", "request body exceeds the accepted maximum");
-            respond(reader.into_inner(), 413, "Payload Too Large", &o.finish());
+            refuse(reader.into_inner(), 413, "Payload Too Large", &o.finish());
             return HandleResult::KeepServing;
         }
         Err(ReadError::Malformed) => {
-            respond(
+            refuse(
                 reader.into_inner(),
                 400,
                 "Bad Request",
@@ -299,24 +304,30 @@ fn handle(stream: &TcpStream, service: &SortService) -> HandleResult {
 
 /// `read_request` failure classification: a `413` is not a `400`.
 enum ReadError {
-    /// Unframeable request (bad request line, unparsable headers, short
-    /// body, non-UTF-8 payload).
+    /// Unframeable request (bad request line, unparsable headers, a head
+    /// of [`MAX_HEAD`] bytes or more, short body, non-UTF-8 payload).
     Malformed,
     /// `Content-Length` admits to more than [`MAX_BODY`]; the body was
     /// never read, let alone allocated.
     TooLarge { length: usize },
 }
 
-/// Parse one request: the request line, headers (only `Content-Length`
-/// matters), then exactly that many body bytes.
+/// Parse one request: the request line and headers (only
+/// `Content-Length` matters) within [`MAX_HEAD`] bytes, then exactly that
+/// many body bytes.
 fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<(String, String, String), ReadError> {
     let malformed = |_| ReadError::Malformed;
+    let mut head = reader.take(MAX_HEAD);
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(malformed)?;
+    head.read_line(&mut line).map_err(malformed)?;
+    let content_length = read_content_length(&mut head).map_err(malformed)?;
+    // A spent cap cut the head short, and the cut read as its end.
+    if head.limit() == 0 {
+        return Err(ReadError::Malformed);
+    }
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or(ReadError::Malformed)?.to_string();
     let path = parts.next().ok_or(ReadError::Malformed)?.to_string();
-    let content_length = read_content_length(reader).map_err(malformed)?;
     if content_length > MAX_BODY {
         return Err(ReadError::TooLarge {
             length: content_length,

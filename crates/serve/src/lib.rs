@@ -11,7 +11,7 @@
 //! front door on it, speaking the [`asym_core::sort::wire`] JSON formats,
 //! and [`client`] is the one client every caller uses to reach it.
 //!
-//! The service is built to survive its process: `audit.jsonl` is a
+//! The service is built to survive its process: the audit log is a
 //! versioned write-ahead log ([`audit`]), [`SortService::recover`] replays
 //! it after a crash (re-queueing unfinished jobs, restoring finished
 //! ones), transient I/O failures retry with bounded exponential backoff,

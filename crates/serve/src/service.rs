@@ -16,16 +16,19 @@
 //! a request whose modeled ETA already exceeds its `deadline_ms` is
 //! refused up front ([`SubmitError::DeadlineUnmeetable`]).
 //!
-//! `audit.jsonl` in the service root is a **write-ahead log**, not a
-//! diary: the `accepted` event (carrying the whole request) is flushed
-//! *before* the job becomes runnable, and a submission whose `accepted`
-//! line the log refuses is refused too ([`SubmitError::Unlogged`]). Every
-//! later transition appends its own versioned [`AuditEvent`]. That
-//! ordering is what makes [`SortService::recover`] sound — any job the
+//! The audit log in the service root ([`crate::audit`]) is a
+//! **write-ahead log**, not a diary: the `accepted` event (carrying the
+//! whole request) is written *before* the job becomes runnable, and a
+//! submission whose `accepted` line the log refuses is refused too
+//! ([`SubmitError::Unlogged`]). Every later transition appends its own
+//! versioned [`AuditEvent`]. That ordering is what makes
+//! [`SortService::recover`] sound against a killed process — any job the
 //! service ever owned is in the log, so replaying the log re-queues
 //! exactly the accepted-but-unfinished jobs, restores terminal results,
 //! and resumes the id counter. Replay tolerates a torn final line (the
-//! crash tore it mid-write) and is idempotent over prefixes.
+//! crash tore it mid-write) and is idempotent over prefixes. Appends are
+//! written, not synced (no `sync_data`), so a power cut can still lose
+//! the page cache's tail; the power-loss item in `ROADMAP.md` tracks it.
 //!
 //! A `completed` line carries the lean outcome telemetry, never the sorted
 //! records: for a job that asked for its output it logs their digest
@@ -42,9 +45,9 @@
 //! expire ([`JobState::Expired`]) without running. [`SortService::drain`]
 //! is the graceful shutdown; [`SortService::kill`] is the simulated crash
 //! the recovery tests lean on — it drops queued and running work on the
-//! floor exactly like a power cut.
+//! floor exactly like a killed process.
 
-use crate::audit::{replay, AuditError, AuditEvent, ReplayJob, ReplayOutcome};
+use crate::audit::{AuditError, AuditEvent, AuditLog, ReplayJob, ReplayOutcome};
 use crate::job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
 use asym_core::sort::wire::{records_digest, req_u64};
 use asym_core::sort::{
@@ -54,7 +57,6 @@ use asym_model::json::{self, Json, JsonObj};
 use asym_model::ModelError;
 use em_sim::Backend;
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,7 +69,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission budget: max summed predicted peak bytes in flight.
     pub budget_bytes: u64,
-    /// Service root: per-job file-backend directories and `audit.jsonl`
+    /// Service root: per-job file-backend directories and the audit log
     /// live here. Created if absent.
     pub root_dir: PathBuf,
     /// Attempt budget per job: a retryable failure re-queues the job until
@@ -475,11 +477,12 @@ struct State {
     killed: bool,
 }
 
-/// Where audit events go. `Dead` models the post-crash world: writes
-/// vanish, exactly as they would have after the real process died.
-enum AuditSink {
-    File(std::fs::File),
-    Dead,
+impl State {
+    /// The ids of every queued job: the queue, then the retry parking lot.
+    fn pending(&self) -> impl Iterator<Item = JobId> + '_ {
+        let parked = self.delayed.iter().map(|&(_, id)| id);
+        self.queue.iter().copied().chain(parked)
+    }
 }
 
 struct Inner {
@@ -490,34 +493,16 @@ struct Inner {
     work_ready: Condvar,
     /// Signals waiters: some job reached a terminal state.
     job_done: Condvar,
-    audit: Mutex<AuditSink>,
+    /// The WAL. Lock order is always state → audit (or audit alone);
+    /// never take state while holding audit.
+    audit: AuditLog,
 }
 
 impl Inner {
-    /// Append one event, flushed — the WAL write — and report a failed
-    /// write or flush. The line and its newline go down in one write, so
-    /// a crash cannot leave a whole line without its terminator. A `Dead`
-    /// sink swallows the event and succeeds. Lock order is always state →
-    /// audit (or audit alone); never take state while holding audit.
-    fn append_event(&self, ev: &AuditEvent) -> std::io::Result<()> {
-        self.append_line(ev.to_json())
-    }
-
-    /// [`Inner::append_event`] for an already-rendered event line.
-    fn append_line(&self, mut line: String) -> std::io::Result<()> {
-        line.push('\n');
-        let mut sink = self.audit.lock().expect("audit log");
-        if let AuditSink::File(f) = &mut *sink {
-            f.write_all(line.as_bytes())?;
-            f.flush()?;
-        }
-        Ok(())
-    }
-
-    /// [`Inner::append_event`], best-effort: audit faults must not take
-    /// down the data path once the file opened.
+    /// Append one event, best-effort: audit faults must not take down the
+    /// data path once the file opened.
     fn audit_event(&self, ev: &AuditEvent) {
-        let _ = self.append_event(ev);
+        let _ = self.audit.append(ev);
     }
 }
 
@@ -532,10 +517,11 @@ impl SortService {
     /// Start fresh: empty state, append to (or create) the audit log.
     /// Fails only on I/O (unwritable root directory).
     pub fn start(cfg: ServiceConfig) -> std::io::Result<SortService> {
-        SortService::boot(cfg, State::default(), None)
+        let audit = AuditLog::open(&cfg.root_dir)?;
+        Ok(SortService::boot(cfg, State::default(), audit, None))
     }
 
-    /// Start by replaying `audit.jsonl` in the config's root: terminal
+    /// Start by replaying the audit log in the config's root: terminal
     /// jobs come back with their recorded outcomes, accepted-but-
     /// unfinished jobs re-queue (in id order, with a fresh deadline
     /// window), and the id counter resumes past every id ever issued. A
@@ -545,35 +531,10 @@ impl SortService {
     /// Replay is idempotent over any log prefix — recovering from a crash
     /// *during recovery* replays the same prefix plus whatever the first
     /// recovery appended, and lands in the same state. A missing log is an
-    /// empty service, not an error.
+    /// empty service, not an error. A torn final line is cut from the log
+    /// before anything is appended ([`RecoveryReport::torn_tail`]).
     pub fn recover(cfg: ServiceConfig) -> Result<(SortService, RecoveryReport), RecoverError> {
-        let log = cfg.root_dir.join("audit.jsonl");
-        let text = match std::fs::read_to_string(&log) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(RecoverError::Io(e)),
-        };
-        let rep = replay(&text).map_err(RecoverError::Audit)?;
-        if rep.torn_tail {
-            // Truncate the torn final line before reopening for append, or
-            // the next event would glue onto the fragment and corrupt an
-            // *interior* line. Dropping an unparsable suffix is idempotent:
-            // a crash during this rewrite just leaves a shorter prefix.
-            let lines: Vec<&str> = text.lines().collect();
-            let mut keep = lines[..lines.len() - 1].join("\n");
-            if !keep.is_empty() {
-                keep.push('\n');
-            }
-            std::fs::write(&log, keep)?;
-        } else if !text.is_empty() && !text.ends_with('\n') {
-            // A whole final line whose newline never landed: end it, or
-            // the next event would glue onto it the same way.
-            std::fs::OpenOptions::new()
-                .append(true)
-                .open(&log)?
-                .write_all(b"\n")?;
-        }
-
+        let (audit, rep) = AuditLog::recover(&cfg.root_dir)?;
         let mut st = State {
             next_id: rep.next_id,
             stats: ServiceStats {
@@ -599,8 +560,7 @@ impl SortService {
             let predicted = job.request.predict();
             // A re-queued staged job carries the fold of its durable
             // manifests: the next attempt resumes from it instead of
-            // restarting, and
-            // its retry clock restarts at the manifest's progress epoch.
+            // restarting, and its retry clock restarts at the manifest's.
             match job.outcome {
                 ReplayOutcome::Pending => {
                     st.stats.in_flight_bytes += predicted.peak_bytes();
@@ -623,27 +583,22 @@ impl SortService {
             torn_tail: rep.torn_tail,
         };
 
-        let service = SortService::boot(cfg, st, Some(report))?;
-        Ok((service, report))
+        Ok((SortService::boot(cfg, st, audit, Some(report)), report))
     }
 
     fn boot(
         cfg: ServiceConfig,
         state: State,
+        audit: AuditLog,
         recovered: Option<RecoveryReport>,
-    ) -> std::io::Result<SortService> {
-        std::fs::create_dir_all(&cfg.root_dir)?;
-        let audit = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(cfg.root_dir.join("audit.jsonl"))?;
+    ) -> SortService {
         let workers = cfg.workers.max(1);
         let inner = Arc::new(Inner {
             cfg,
             state: Mutex::new(state),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
-            audit: Mutex::new(AuditSink::File(audit)),
+            audit,
         });
         if let Some(r) = recovered {
             inner.audit_event(&AuditEvent::Recovered {
@@ -661,15 +616,15 @@ impl SortService {
                     .expect("spawn worker")
             })
             .collect();
-        Ok(SortService {
+        SortService {
             inner,
             workers: Mutex::new(handles),
-        })
+        }
     }
 
     /// Admit or reject one job. Admission holds the job's predicted peak
     /// bytes against the budget until the job finishes, and — this is the
-    /// WAL discipline — flushes the `accepted` audit event *before* the
+    /// WAL discipline — writes the `accepted` audit event *before* the
     /// job becomes visible to workers. If that append fails the job is not
     /// admitted ([`SubmitError::Unlogged`]).
     pub fn submit(&self, request: JobRequest) -> Result<JobId, SubmitError> {
@@ -680,7 +635,7 @@ impl SortService {
         let request_json = request.to_json();
         let id = {
             let mut st = self.inner.state.lock().expect("service state");
-            // A killed service must refuse work: its audit sink is dead, so
+            // A killed service must refuse work: its audit log is dead, so
             // an acceptance here would be a job the log never heard of.
             if st.draining || st.killed {
                 return Err(SubmitError::Draining);
@@ -747,7 +702,8 @@ impl SortService {
             // audit lock nests inside the state lock here; that is the one
             // sanctioned nesting (state → audit).
             self.inner
-                .append_line(AuditEvent::accepted_line(id, need, &request_json))
+                .audit
+                .append_accepted(id, need, &request_json)
                 .map_err(|e| SubmitError::Unlogged {
                     error: e.to_string(),
                 })?;
@@ -846,8 +802,8 @@ impl SortService {
     }
 
     /// Graceful shutdown: refuse new submissions, let every admitted job
-    /// finish (including parked retries), join the workers, and flush the
-    /// audit log. Idempotent; a no-op after [`kill`](SortService::kill).
+    /// finish (including parked retries), join the workers, and log the
+    /// drain. Idempotent; a no-op after [`kill`](SortService::kill).
     pub fn drain(&self) {
         {
             let mut st = self.inner.state.lock().expect("service state");
@@ -878,25 +834,15 @@ impl SortService {
         }
         self.join_workers();
         self.inner.audit_event(&AuditEvent::Drained);
-        if let AuditSink::File(f) = &mut *self.inner.audit.lock().expect("audit log") {
-            let _ = f.flush();
-        }
     }
 
-    /// Simulated crash, for recovery and chaos tests: flush what the log
-    /// already has, then make every *later* audit write vanish (as it
-    /// would have in a real crash), abandon queued and running jobs, and
-    /// join the workers. The on-disk log is left exactly as a power cut
-    /// would leave it; [`recover`](SortService::recover) picks up from
-    /// there.
+    /// Simulated crash, for recovery and chaos tests: make every *later*
+    /// audit write vanish (as it would have in a real crash), abandon
+    /// queued and running jobs, and join the workers. The on-disk log is
+    /// left exactly as a killed process would leave it;
+    /// [`recover`](SortService::recover) picks up from there.
     pub fn kill(&self) {
-        {
-            let mut sink = self.inner.audit.lock().expect("audit log");
-            if let AuditSink::File(f) = &mut *sink {
-                let _ = f.flush();
-            }
-            *sink = AuditSink::Dead;
-        }
+        self.inner.audit.kill();
         {
             let mut st = self.inner.state.lock().expect("service state");
             st.killed = true;
@@ -929,20 +875,19 @@ impl Drop for SortService {
 /// state lock from every observer path and from the worker loop, so a
 /// dedicated timer thread is unnecessary. Running jobs are never expired
 /// — they already consumed a worker; killing them mid-sort buys nothing.
+/// Only the pending jobs are walked: a job is queued exactly when it sits
+/// in `st.queue` or `st.delayed`.
 fn expire_overdue(inner: &Inner, st: &mut State) {
     let now = Instant::now();
-    let overdue: Vec<JobId> = st
-        .jobs
-        .iter()
-        .filter(|(_, e)| e.state() == JobState::Queued && e.expires_at.is_some_and(|t| t <= now))
-        .map(|(&id, _)| id)
-        .collect();
+    let jobs = &st.jobs;
+    let lapsed = |id: JobId| jobs[&id].expires_at.is_some_and(|t| t <= now);
+    let overdue: Vec<JobId> = st.pending().filter(|&id| lapsed(id)).collect();
     if overdue.is_empty() {
         return;
     }
+    st.queue.retain(|&id| !lapsed(id));
+    st.delayed.retain(|&(_, id)| !lapsed(id));
     for &id in &overdue {
-        st.queue.retain(|&q| q != id);
-        st.delayed.retain(|&(_, d)| d != id);
         let e = st.jobs.get_mut(&id).expect("overdue job exists");
         e.job.terminalize(ReplayOutcome::Expired);
         st.stats.in_flight_bytes -= e.predicted.peak_bytes();
@@ -1011,17 +956,14 @@ fn worker_loop(inner: &Arc<Inner>) {
                 }
                 // Sleep until the earliest reason to wake: a due retry, a
                 // queued job's expiry, or (bounded) a notification.
-                let mut step = Duration::from_millis(500);
-                for &(due, _) in &st.delayed {
-                    step = step.min(due.saturating_duration_since(now));
-                }
-                for e in st.jobs.values() {
-                    if e.state() == JobState::Queued {
-                        if let Some(t) = e.expires_at {
-                            step = step.min(t.saturating_duration_since(now));
-                        }
-                    }
-                }
+                let expiries = st.pending().filter_map(|id| st.jobs[&id].expires_at);
+                let step = st
+                    .delayed
+                    .iter()
+                    .map(|&(due, _)| due)
+                    .chain(expiries)
+                    .map(|t| t.saturating_duration_since(now))
+                    .fold(Duration::from_millis(500), Duration::min);
                 let (guard, _) = inner
                     .work_ready
                     .wait_timeout(st, step.max(Duration::from_millis(1)))
@@ -1081,57 +1023,50 @@ fn worker_loop(inner: &Arc<Inner>) {
             // have advanced the epoch while we ran) moved the epoch
             // forward and are not billed against `max_attempts`.
             let effective_attempts = attempt.saturating_sub(entry.job.attempts_at_checkpoint);
-            let mut served = None;
-            let event = match result {
+            st.active -= 1;
+            // Each arm logs the attempt's event first, then applies it.
+            let outcome = match result {
                 Ok(done) => {
-                    served = Some(done.served);
-                    done.logged
+                    inner.audit_event(&done.logged);
+                    st.stats.completed += 1;
+                    Some(ReplayOutcome::Completed {
+                        telemetry: done.served,
+                        output_digest: None,
+                    })
                 }
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
                     let shift = effective_attempts.saturating_sub(1).min(20);
-                    AuditEvent::Retried {
+                    let backoff_ms = inner
+                        .cfg
+                        .backoff_base_ms
+                        .saturating_mul(1u64 << shift)
+                        .min(inner.cfg.backoff_cap_ms);
+                    inner.audit_event(&AuditEvent::Retried {
                         id,
                         attempt,
-                        backoff_ms: inner
-                            .cfg
-                            .backoff_base_ms
-                            .saturating_mul(1u64 << shift)
-                            .min(inner.cfg.backoff_cap_ms),
-                        error: f.message,
-                    }
-                }
-                Err(f) => AuditEvent::Failed {
-                    id,
-                    kind: f.kind,
-                    error: f.message,
-                },
-            };
-            inner.audit_event(&event);
-            st.active -= 1;
-            let outcome = match event {
-                AuditEvent::Retried {
-                    backoff_ms, error, ..
-                } => {
+                        backoff_ms,
+                        error: f.message.clone(),
+                    });
                     // The budgets stay held: the job is still the
                     // service's responsibility, just parked.
-                    entry.retry_error = Some(error);
+                    entry.retry_error = Some(f.message);
                     st.stats.retried += 1;
                     st.delayed
                         .push((Instant::now() + Duration::from_millis(backoff_ms), id));
                     None
                 }
-                AuditEvent::Completed { .. } => {
-                    st.stats.completed += 1;
-                    Some(ReplayOutcome::Completed {
-                        telemetry: served.take().expect("a completion is served"),
-                        output_digest: None,
+                Err(f) => {
+                    inner.audit_event(&AuditEvent::Failed {
+                        id,
+                        kind: f.kind,
+                        error: f.message.clone(),
+                    });
+                    st.stats.failed += 1;
+                    Some(ReplayOutcome::Failed {
+                        kind: f.kind,
+                        error: f.message,
                     })
                 }
-                AuditEvent::Failed { kind, error, .. } => {
-                    st.stats.failed += 1;
-                    Some(ReplayOutcome::Failed { kind, error })
-                }
-                _ => unreachable!("an attempt ends completed, retried or failed"),
             };
             if let Some(outcome) = outcome {
                 entry.job.terminalize(outcome);
@@ -1163,7 +1098,8 @@ impl Checkpointer for ServiceCheckpointer {
             manifest: manifest.clone(),
         };
         self.inner
-            .append_event(&event)
+            .audit
+            .append(&event)
             .map_err(|e| ModelError::Io(format!("checkpoint append: {e}")))?;
         let mut st = self.inner.state.lock().expect("service state");
         st.stats.checkpoints += 1;

@@ -279,6 +279,33 @@ fn oversized_request_bodies_get_a_typed_413_without_allocation() {
 }
 
 #[test]
+fn an_endless_request_line_gets_a_400_and_the_server_keeps_serving() {
+    let root = fresh_root("long-head");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // A 1 MiB request line: the server stops reading at its head cap,
+    // answers, and reads out the rest so the answer is not reset away.
+    let path = format!("/{}", "a".repeat(1 << 20));
+    let (code, body) =
+        roundtrip_within(addr, "GET", &path, "", Duration::from_secs(5)).expect("answered");
+    assert_eq!(code, 400, "{body}");
+    assert_eq!(
+        Json::parse(&body)
+            .expect("parses")
+            .get("error")
+            .and_then(Json::as_str),
+        Some("malformed")
+    );
+
+    let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(code, 200);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn a_wait_route_without_an_id_is_a_404_and_the_server_keeps_serving() {
     let root = fresh_root("wait-no-id");
     let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
