@@ -12,7 +12,7 @@ use asym_model::workload::Workload;
 use asym_model::{CostModel, MemCounter};
 
 /// Run E0.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let max_exp = scale.pick(12u32, 17, 19);
     let omega = 16u64;
     let model = CostModel::new(omega);

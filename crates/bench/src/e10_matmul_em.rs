@@ -8,7 +8,7 @@ use cache_sim::{CacheConfig, PolicyChoice, SimArray, Tracker};
 use rand::{Rng, SeedableRng};
 
 /// Run E10.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let (m, b) = (2048usize, 16usize);
     // Block-aligned tile dividing every n below (3 tiles of 16² cells = 768
     // cells resident, within M); misaligned tiles would double-write the

@@ -10,7 +10,7 @@ use cache_sim::{CacheConfig, PolicyChoice, SimArray, Tracker};
 use rand::{Rng, SeedableRng};
 
 /// Run E11.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let (m, b) = (2048usize, 16usize);
     let n = scale.pick(64usize, 128, 256);
     let omega = 16usize;

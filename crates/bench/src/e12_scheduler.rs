@@ -11,7 +11,7 @@ use wd_sim::sched::simulate_pdf;
 use wd_sim::{simulate_work_stealing, Task};
 
 /// Run E12.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let leaves = scale.pick(128usize, 512, 2048);
     let leaf_work = 64u64;
     let task = Task::balanced(leaves, leaf_work, 2);

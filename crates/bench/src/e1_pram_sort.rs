@@ -11,7 +11,7 @@ use asym_model::workload::Workload;
 use rand::SeedableRng;
 
 /// Run E1.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let omega = 8u64;
     let max_exp = scale.pick(12u32, 16, 18);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xE1);

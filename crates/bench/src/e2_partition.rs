@@ -7,7 +7,7 @@ use asym_model::table::{f3, Table};
 use asym_model::workload::Workload;
 
 /// Run E2.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let omega = 8u64;
     let max_exp = scale.pick(12u32, 16, 18);
     let mut t = Table::new(

@@ -28,7 +28,7 @@ fn measure(
 }
 
 /// Run E3.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let (m, b) = (64usize, 8usize);
     let n = scale.pick(4_000usize, 40_000, 200_000);
     let input = Workload::UniformRandom.generate(n, 0xE3);

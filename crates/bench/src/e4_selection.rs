@@ -9,7 +9,7 @@ use asym_model::workload::Workload;
 use em_sim::{EmConfig, EmVec};
 
 /// Run E4.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let mut t = Table::new(
         "E4: Lemma 4.2 exact bounds (reads <= passes*(n/B), writes == n/B)",
         &[

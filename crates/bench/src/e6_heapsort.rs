@@ -25,7 +25,7 @@ fn measure(
 }
 
 /// Run E6.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let (m, b) = (32usize, 4usize);
     let n = scale.pick(3_000usize, 20_000, 60_000);
 

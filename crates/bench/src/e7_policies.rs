@@ -50,7 +50,7 @@ fn replay(
 }
 
 /// Run E7.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let omega = 8u64;
     let m_i = 8usize; // ideal-cache capacity in blocks
     let m_l = 2 * m_i; // per-pool capacity of the online policies

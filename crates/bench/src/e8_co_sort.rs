@@ -12,7 +12,7 @@ use asym_model::workload::Workload;
 use cache_sim::{CacheConfig, PolicyChoice, SimArray, Tracker};
 
 /// Run E8.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     // A small cache makes the level counts genuinely differ across omega
     // (with M large relative to n both variants need the same number of
     // levels and the write counts tie).

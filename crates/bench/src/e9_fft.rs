@@ -8,7 +8,7 @@ use asym_model::table::{f2, Table};
 use cache_sim::{CacheConfig, PolicyChoice, SimArray, Tracker};
 
 /// Run E9.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
     let (m, b) = (256usize, 8usize);
     let base = 64usize;
     let mut t = Table::new(

@@ -30,21 +30,21 @@ use em_sim::{Backend, EmConfig, EmMachine};
 
 pub mod json;
 
-pub mod e0_ram_sort;
-pub mod e10_matmul_em;
-pub mod e11_matmul_co;
-pub mod e12_scheduler;
+mod e0_ram_sort;
+mod e10_matmul_em;
+mod e11_matmul_co;
+mod e12_scheduler;
 pub mod e13_par_sort;
 pub mod e14_kv;
-pub mod e1_pram_sort;
-pub mod e2_partition;
-pub mod e3_mergesort;
-pub mod e4_selection;
-pub mod e5_samplesort;
-pub mod e6_heapsort;
-pub mod e7_policies;
-pub mod e8_co_sort;
-pub mod e9_fft;
+mod e1_pram_sort;
+mod e2_partition;
+mod e3_mergesort;
+mod e4_selection;
+mod e5_samplesort;
+mod e6_heapsort;
+mod e7_policies;
+mod e8_co_sort;
+mod e9_fft;
 
 /// Experiment sweep sizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

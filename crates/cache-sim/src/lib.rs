@@ -20,7 +20,7 @@
 //!     separate equal-sized read and write pools;
 //!   * trace recording for offline policies;
 //!   * `Null` — no accounting (fast correctness runs).
-//! * [`min`] — offline Belady MIN simulation on a recorded trace (the
+//! * [`simulate_min`] — offline Belady MIN simulation on a recorded trace (the
 //!   stand-in bracket for the ideal policy), in classic and clean-first
 //!   variants.
 //!
@@ -28,12 +28,12 @@
 //! include an explicit end-of-run [`Tracker::flush`] so algorithms that leave
 //! their output dirty in cache are charged for materializing it.
 
-pub mod array;
-pub mod lru;
-pub mod min;
+mod array;
+mod lru;
+mod min;
 pub mod policy;
-pub mod stats;
-pub mod tracker;
+mod stats;
+mod tracker;
 
 pub use array::SimArray;
 pub use min::{simulate_min, MinVariant};

@@ -5,11 +5,11 @@
 //! the owning policy so the read-write policy can keep one map per pool.
 
 /// Sentinel for "no slot / no link".
-pub const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// A fixed-capacity LRU pool over block ids.
 #[derive(Debug)]
-pub struct LruPool {
+pub(crate) struct LruPool {
     cap: usize,
     block: Vec<u32>,
     dirty: Vec<bool>,
@@ -23,7 +23,7 @@ pub struct LruPool {
 
 impl LruPool {
     /// A pool that can hold up to `cap` blocks (cap >= 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         assert!(cap >= 1, "cache pool needs at least one block");
         Self {
             cap,
@@ -39,32 +39,36 @@ impl LruPool {
     }
 
     /// Number of resident blocks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the pool holds no blocks.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether the pool is at capacity.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.len == self.cap
     }
 
     /// The block stored in `slot`.
-    pub fn block_at(&self, slot: u32) -> u32 {
+    #[cfg(test)]
+    fn block_at(&self, slot: u32) -> u32 {
         self.block[slot as usize]
     }
 
     /// Whether `slot` holds a dirty block.
-    pub fn is_dirty(&self, slot: u32) -> bool {
+    #[cfg(test)]
+    fn is_dirty(&self, slot: u32) -> bool {
         self.dirty[slot as usize]
     }
 
     /// Mark `slot` dirty.
-    pub fn set_dirty(&mut self, slot: u32) {
+    pub(crate) fn set_dirty(&mut self, slot: u32) {
         self.dirty[slot as usize] = true;
     }
 
@@ -95,7 +99,7 @@ impl LruPool {
     }
 
     /// Move `slot` to the MRU position.
-    pub fn touch(&mut self, slot: u32) {
+    pub(crate) fn touch(&mut self, slot: u32) {
         if self.head == slot {
             return;
         }
@@ -104,7 +108,7 @@ impl LruPool {
     }
 
     /// Evict the LRU block, returning `(block, was_dirty)`.
-    pub fn evict_lru(&mut self) -> (u32, bool) {
+    pub(crate) fn evict_lru(&mut self) -> (u32, bool) {
         let slot = self.tail;
         assert_ne!(slot, NIL, "evict from empty pool");
         let blk = self.block[slot as usize];
@@ -113,14 +117,9 @@ impl LruPool {
         (blk, dirty)
     }
 
-    /// The slot currently at the LRU position (NIL if empty).
-    pub fn lru_slot(&self) -> u32 {
-        self.tail
-    }
-
     /// Insert `block` at the MRU position; the pool must not be full.
     /// Returns the slot used.
-    pub fn insert_mru(&mut self, block: u32, dirty: bool) -> u32 {
+    pub(crate) fn insert_mru(&mut self, block: u32, dirty: bool) -> u32 {
         let slot = self.free.pop().expect("insert into full pool");
         self.block[slot as usize] = block;
         self.dirty[slot as usize] = dirty;
@@ -130,7 +129,7 @@ impl LruPool {
     }
 
     /// Remove `slot` from the pool, returning `(block, was_dirty)`.
-    pub fn remove(&mut self, slot: u32) -> (u32, bool) {
+    pub(crate) fn remove(&mut self, slot: u32) -> (u32, bool) {
         self.unlink(slot);
         let blk = self.block[slot as usize];
         let dirty = self.dirty[slot as usize];
@@ -143,7 +142,7 @@ impl LruPool {
 
     /// Drain all resident blocks, returning `(block, was_dirty)` pairs
     /// (used by flush).
-    pub fn drain(&mut self) -> Vec<(u32, bool)> {
+    pub(crate) fn drain(&mut self) -> Vec<(u32, bool)> {
         let mut out = Vec::with_capacity(self.len);
         while self.tail != NIL {
             out.push(self.evict_lru());
@@ -219,14 +218,5 @@ mod tests {
         let s2 = p.insert_mru(2, false);
         p.touch(s2);
         assert_eq!(p.evict_lru().0, 1);
-    }
-
-    #[test]
-    fn lru_slot_tracks_tail() {
-        let mut p = LruPool::new(2);
-        assert_eq!(p.lru_slot(), NIL);
-        let s1 = p.insert_mru(1, false);
-        p.insert_mru(2, false);
-        assert_eq!(p.lru_slot(), s1);
     }
 }

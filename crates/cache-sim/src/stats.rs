@@ -21,15 +21,6 @@ impl CacheStats {
         self.loads + omega * self.writebacks
     }
 
-    /// Miss rate over all accesses (0 when nothing was accessed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            (self.accesses - self.hits) as f64 / self.accesses as f64
-        }
-    }
-
     /// As a [`CostReport`] with loads as reads and writebacks as writes.
     pub fn report(&self, omega: u64) -> CostReport {
         CostReport::new(self.loads, self.writebacks, omega)
@@ -69,7 +60,6 @@ mod tests {
             writebacks: 3,
         };
         assert_eq!(s.cost(8), 10 + 24);
-        assert!((s.miss_rate() - 0.1).abs() < 1e-12);
         let r = s.report(8);
         assert_eq!(r.reads, 10);
         assert_eq!(r.writes, 3);
@@ -77,7 +67,6 @@ mod tests {
 
     #[test]
     fn empty_stats_have_zero_miss_rate() {
-        assert_eq!(CacheStats::default().miss_rate(), 0.0);
         assert_eq!(CacheStats::default().cost(4), 0);
     }
 

@@ -1,6 +1,5 @@
 //! The access tracker: address allocation + policy dispatch.
 
-use crate::min::{simulate_min, MinVariant};
 use crate::policy::{LruCache, RwLruCache};
 use crate::stats::CacheStats;
 use std::cell::RefCell;
@@ -30,12 +29,6 @@ impl CacheConfig {
     pub fn capacity_blocks(&self) -> usize {
         self.m / self.b
     }
-
-    /// Whether the tall-cache assumption M = Ω(B²) holds (the paper assumes
-    /// it; experiments print a warning when violated).
-    pub fn is_tall(&self) -> bool {
-        self.m >= self.b * self.b
-    }
 }
 
 /// Which replacement policy a [`Tracker`] drives.
@@ -46,7 +39,8 @@ pub enum PolicyChoice {
     /// The paper's read-write LRU: two pools of `M/B` blocks **each**
     /// (Lemma 2.1's M_L is the per-pool size).
     RwLru,
-    /// Record the block trace; replay it later through [`simulate_min`].
+    /// Record the block trace; replay it later through
+    /// [`simulate_min`](crate::simulate_min).
     Record,
     /// No accounting at all (fast correctness mode).
     Null,
@@ -164,17 +158,12 @@ impl Tracker {
             _ => panic!("take_trace on a non-recording tracker"),
         }
     }
-
-    /// Replay a recorded trace through offline MIN at this tracker's
-    /// capacity.
-    pub fn simulate_min_on(&self, trace: &[(u32, bool)], variant: MinVariant) -> CacheStats {
-        simulate_min(trace, self.cfg().capacity_blocks(), variant)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::min::{simulate_min, MinVariant};
 
     #[test]
     fn alloc_is_block_aligned() {
@@ -246,12 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn tall_cache_predicate() {
-        assert!(CacheConfig::new(64, 8, 2).is_tall());
-        assert!(!CacheConfig::new(32, 8, 2).is_tall());
-    }
-
-    #[test]
     fn min_replay_through_tracker() {
         let t = Tracker::new(CacheConfig::new(8, 4, 2), PolicyChoice::Record);
         let base = t.alloc(16);
@@ -261,7 +244,7 @@ mod tests {
             }
         }
         let trace = t.take_trace();
-        let s = t.simulate_min_on(&trace, MinVariant::Classic);
+        let s = simulate_min(&trace, t.cfg().capacity_blocks(), MinVariant::Classic);
         assert!(s.loads >= 4, "4 distinct blocks must each load once");
         assert!(s.loads < 12, "MIN should retain some blocks across rounds");
     }

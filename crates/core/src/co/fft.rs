@@ -56,7 +56,8 @@ impl Cplx {
     }
 
     /// |self - o| (test tolerance helper).
-    pub fn dist(self, o: Cplx) -> f64 {
+    #[cfg(test)]
+    fn dist(self, o: Cplx) -> f64 {
         ((self.re - o.re).powi(2) + (self.im - o.im).powi(2)).sqrt()
     }
 }
@@ -227,7 +228,7 @@ fn host_fft(data: &mut SimArray<Cplx>, lo: usize, n: usize) {
 }
 
 /// Plain iterative Cooley–Tukey on a host slice (free arithmetic).
-pub fn host_fft_slice(a: &mut [Cplx]) {
+fn host_fft_slice(a: &mut [Cplx]) {
     let n = a.len();
     if n <= 1 {
         return;

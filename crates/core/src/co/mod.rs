@@ -6,13 +6,13 @@
 //! is *measured* under LRU / read-write-LRU / offline-MIN policies rather
 //! than derived.
 //!
-//! * [`transpose`] — recursive blocked matrix transpose, O(nm/B) I/Os.
-//! * [`prefix`] — scan-based prefix sums (sequential scans are I/O-optimal
+//! * [`co_transpose`] — recursive blocked matrix transpose, O(nm/B) I/Os.
+//! * [`co_prefix_sums`] — scan-based prefix sums (sequential scans are I/O-optimal
 //!   and oblivious; the low-depth variant matters only for depth, which the
 //!   PRAM module measures).
-//! * [`mergesort`] — classic cache-oblivious mergesort, the symmetric
+//! * [`co_mergesort`] — classic cache-oblivious mergesort, the symmetric
 //!   baseline and the sample-sorting subroutine.
-//! * [`sort`] — §5.1 / Figure 1: the low-depth sort with √(nω) subarrays,
+//! * [`co_asym_sort`] — §5.1 / Figure 1: the low-depth sort with √(nω) subarrays,
 //!   √(n/ω) buckets and ω-round sub-bucket partitioning. ω = 1 recovers the
 //!   original BGS algorithm exactly (the second baseline).
 //! * [`fft`](mod@fft) — §5.2: six-step FFT; the asymmetric variant brute-forces
@@ -22,10 +22,10 @@
 
 pub mod fft;
 pub mod matmul;
-pub mod mergesort;
-pub mod prefix;
-pub mod sort;
-pub mod transpose;
+mod mergesort;
+mod prefix;
+mod sort;
+mod transpose;
 
 pub use fft::{fft, naive_dft, Cplx, FftVariant};
 pub use matmul::{mm_co_4way, mm_co_asym, mm_em_blocked, mm_naive};

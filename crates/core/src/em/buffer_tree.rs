@@ -25,7 +25,7 @@
 //! equal-goes-left (a record equal to a separator routes to the child left
 //! of it), separators may repeat when a duplicate-heavy run is chopped
 //! mid-twin, and the buffer selection sort is the shared Lemma 4.2 kernel
-//! ([`super::selection`]), whose scan-index tie-break keeps identical
+//! (`em/selection.rs`), whose scan-index tie-break keeps identical
 //! records through multi-pass extraction. Every path is count-preserving.
 
 use super::selection::selection_passes;
@@ -821,13 +821,15 @@ impl BufferTree {
 
     /// Uncharged: collect every record in the tree (buffers + leaves),
     /// unsorted. Test oracle only.
-    pub fn collect_all_uncharged(&self) -> Vec<Record> {
+    #[cfg(test)]
+    fn collect_all_uncharged(&self) -> Vec<Record> {
         let mut out = Vec::with_capacity(self.len);
         out.extend_from_slice(&self.root_tail);
         self.collect_rec(self.root, &mut out);
         out
     }
 
+    #[cfg(test)]
     fn collect_rec(&self, x: NodeId, out: &mut Vec<Record>) {
         let node = self.node(x);
         for run in &node.buffer.runs {

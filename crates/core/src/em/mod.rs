@@ -6,7 +6,7 @@
 //! Θ(1 + log k / log(M/B)). With k = 1 each algorithm is exactly its classic
 //! EM counterpart, which is how the experiments produce their baselines.
 //!
-//! * [`selection`] — Lemma 4.2: sort n ≤ kM records in ≤ k⌈n/B⌉ reads and
+//! * [`selection_sort`] — Lemma 4.2: sort n ≤ kM records in ≤ k⌈n/B⌉ reads and
 //!   ⌈n/B⌉ writes by k passes of in-memory selection. It is the one
 //!   selection kernel of §4: the base case here, and shared by the buffer
 //!   tree (sorting full buffers) and the priority queue (β extraction).
@@ -15,15 +15,15 @@
 //! * [`samplesort`] — §4.2: l-way distribution in k rounds of M/B splitters.
 //! * [`buffer_tree`] — §4.3.1–2: the (l/4, l) buffer tree.
 //! * [`pq`] — §4.3.3: the priority queue with α/β working sets.
-//! * [`heapsort`] — sorting by n inserts + n delete-mins on [`pq`].
+//! * [`aem_heapsort`] — sorting by n inserts + n delete-mins on [`pq`].
 
 pub mod buffer_tree;
-pub mod heapsort;
-pub mod merge_queue;
+mod heapsort;
+mod merge_queue;
 pub mod mergesort;
 pub mod pq;
 pub mod samplesort;
-pub mod selection;
+mod selection;
 
 pub use heapsort::aem_heapsort;
 pub use merge_queue::FlatMergeQueue;

@@ -136,7 +136,7 @@ pub fn selection_sort(machine: &EmMachine, input: &EmVec, k: usize) -> Result<Em
 /// [`selection_sort`] variant streaming the sorted records into an existing
 /// writer (used by the sample sort so bucket outputs concatenate without
 /// partial-block seams).
-pub fn selection_sort_into(
+pub(crate) fn selection_sort_into(
     machine: &EmMachine,
     input: &EmVec,
     k: usize,

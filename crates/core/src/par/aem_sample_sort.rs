@@ -102,7 +102,8 @@ pub struct ParSortRun {
 
 impl ParSortRun {
     /// Modeled parallel time lower bound `max(work/p, span)` for `p` lanes.
-    pub fn greedy_lower_bound(&self, omega: u64, lanes: usize) -> u64 {
+    #[cfg(test)]
+    fn greedy_lower_bound(&self, omega: u64, lanes: usize) -> u64 {
         (self.cost.work(omega) / lanes as u64).max(self.cost.depth)
     }
 }

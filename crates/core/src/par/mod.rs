@@ -17,12 +17,12 @@
 //!   count — is what makes the paper's write bounds meaningful under
 //!   parallel execution.
 //!
-//! Both reduce their sorted sample through [`splitters`], so they bucket
-//! identically given the same sample.
+//! Both reduce their sorted sample through one splitter kernel
+//! (`par/splitters.rs`), so they bucket identically given the same sample.
 
-pub mod aem_sample_sort;
-pub mod sample_sort;
-pub mod splitters;
+mod aem_sample_sort;
+mod sample_sort;
+mod splitters;
 
 pub use aem_sample_sort::{par_aem_sample_sort, par_samplesort_slack, ParSortRun};
 pub use sample_sort::par_sample_sort;

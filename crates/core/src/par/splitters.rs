@@ -18,7 +18,7 @@ use asym_model::Record;
 /// Exposed separately so the modeled sort can *stream* the sorted sample
 /// off disk and keep only these positions, instead of holding the whole
 /// sample in primary memory.
-pub fn splitter_positions(len: usize, buckets: usize) -> Vec<usize> {
+pub(crate) fn splitter_positions(len: usize, buckets: usize) -> Vec<usize> {
     if len == 0 || buckets < 2 {
         return Vec::new();
     }
@@ -29,7 +29,7 @@ pub fn splitter_positions(len: usize, buckets: usize) -> Vec<usize> {
 
 /// Collapse equal picks into strictly increasing splitters (heavily skewed
 /// samples yield fewer, coarser buckets instead of empty ones).
-pub fn dedup_splitters(mut picks: Vec<Record>) -> Vec<Record> {
+pub(crate) fn dedup_splitters(mut picks: Vec<Record>) -> Vec<Record> {
     debug_assert!(picks.windows(2).all(|w| w[0] <= w[1]), "picks not sorted");
     picks.dedup();
     picks
@@ -37,7 +37,7 @@ pub fn dedup_splitters(mut picks: Vec<Record>) -> Vec<Record> {
 
 /// Reduce a **sorted** sample to at most `buckets − 1` strictly increasing
 /// splitters ([`splitter_positions`] then [`dedup_splitters`]).
-pub fn splitters_from_sorted_sample(sample: &[Record], buckets: usize) -> Vec<Record> {
+pub(crate) fn splitters_from_sorted_sample(sample: &[Record], buckets: usize) -> Vec<Record> {
     debug_assert!(sample.windows(2).all(|w| w[0] <= w[1]), "sample not sorted");
     dedup_splitters(
         splitter_positions(sample.len(), buckets)
@@ -51,7 +51,7 @@ pub fn splitters_from_sorted_sample(sample: &[Record], buckets: usize) -> Vec<Re
 /// `≥ r`, so bucket `j` holds keys in `(S[j−1], S[j]]` with the overflow
 /// bucket above the last splitter. The same rule the serial AEM sample sort
 /// uses.
-pub fn bucket_of(splitters: &[Record], r: Record) -> usize {
+pub(crate) fn bucket_of(splitters: &[Record], r: Record) -> usize {
     splitters.partition_point(|s| *s < r)
 }
 
@@ -59,7 +59,7 @@ pub fn bucket_of(splitters: &[Record], r: Record) -> usize {
 /// `target` of `n` records in expectation. Deterministic in
 /// `(seed, index)` alone — chunking the scan across lanes cannot change the
 /// sample — and exactly all-in when `target ≥ n`.
-pub fn sampled(seed: u64, index: u64, n: u64, target: u64) -> bool {
+pub(crate) fn sampled(seed: u64, index: u64, n: u64, target: u64) -> bool {
     if target >= n {
         return true;
     }

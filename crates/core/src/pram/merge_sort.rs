@@ -46,7 +46,7 @@ fn base_sort(input: &[Record], omega: u64) -> (Vec<Record>, Cost) {
 
 /// Parallel merge: chunk the output by binary-search splits of the combined
 /// sequence, then merge chunks independently.
-pub fn par_merge(a: &[Record], b: &[Record], omega: u64) -> (Vec<Record>, Cost) {
+fn par_merge(a: &[Record], b: &[Record], omega: u64) -> (Vec<Record>, Cost) {
     let total = a.len() + b.len();
     if total == 0 {
         return (Vec::new(), Cost::ZERO);

@@ -8,15 +8,15 @@
 //! the computation.
 //!
 //! Cole's parallel mergesort — which the paper invokes as a black box for
-//! sorting o(n)-sized samples — is substituted by [`merge_sort`], a
+//! sorting o(n)-sized samples — is substituted by [`pram_merge_sort`], a
 //! binary-search-split parallel mergesort with O(log² n) depth; the paper's
-//! read/write budget for those steps is unaffected (see [`merge_sort`]).
+//! read/write budget for those steps is unaffected (see [`pram_merge_sort`]).
 
-pub mod merge_sort;
-pub mod partition;
-pub mod prefix;
-pub mod radix;
-pub mod sample_sort;
+mod merge_sort;
+mod partition;
+mod prefix;
+mod radix;
+mod sample_sort;
 
 pub use merge_sort::pram_merge_sort;
 pub use partition::{lemma31_partition, PartitionStats};

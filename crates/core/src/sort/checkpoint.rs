@@ -428,7 +428,7 @@ impl CheckpointManifest {
 /// the mergesort's `2B + kM/B` footprint if that is larger (a
 /// non-mergesort spec's slack may not cover the merge's queue + buffers +
 /// run pointers).
-pub fn staged_slack(spec: &SortSpec) -> usize {
+fn staged_slack(spec: &SortSpec) -> usize {
     spec.slack()
         .max(mergesort_slack(spec.m(), spec.b(), spec.k()))
 }
@@ -438,7 +438,7 @@ pub fn staged_slack(spec: &SortSpec) -> usize {
 /// envelopes ([`SortSpec::predict`]); each merge round adds the Lemma 4.1
 /// envelope `(k+1)` reads and one write per staged block (staging a run
 /// rounds up to a block, hence the `+ chunk count` term); the peak-memory
-/// bound accounts for the merge machine's [`staged_slack`].
+/// bound accounts for the merge machine's slack (`staged_slack`).
 pub fn predict_staged(spec: &SortSpec, n: usize) -> CostEstimate {
     let plan = StagePlan::new(spec, n);
     let mut reads = 0u64;

@@ -48,7 +48,7 @@
 //! );
 //! ```
 
-pub mod adapters;
+mod adapters;
 pub mod checkpoint;
 pub mod predict;
 pub mod spec;

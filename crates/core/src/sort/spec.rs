@@ -59,7 +59,7 @@ impl Algorithm {
     /// The slack (extra primary memory beyond `M`, in records) the paper
     /// budgets for this algorithm at write-saving factor `k` — the default a
     /// [`SortSpec`] is built with unless overridden.
-    pub fn default_slack(self, m: usize, b: usize, k: usize) -> usize {
+    fn default_slack(self, m: usize, b: usize, k: usize) -> usize {
         match self {
             Algorithm::Mergesort => mergesort_slack(m, b, k),
             Algorithm::Samplesort => samplesort_slack(m, b, k),
@@ -349,7 +349,7 @@ impl SortSpec {
     }
 
     /// The machine configuration this spec resolves to.
-    pub fn em_config(&self) -> EmConfig {
+    fn em_config(&self) -> EmConfig {
         EmConfig::new(self.m, self.b, self.omega).with_slack(self.slack)
     }
 
@@ -446,7 +446,7 @@ impl SortSpecBuilder {
     }
 
     /// Override the paper's slack allowance (default: the algorithm's
-    /// published footprint via [`Algorithm::default_slack`]).
+    /// published footprint at factor `k`).
     pub fn slack(mut self, slack: usize) -> Self {
         self.slack = Some(slack);
         self

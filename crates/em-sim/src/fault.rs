@@ -104,11 +104,6 @@ impl FaultSpec {
         }
     }
 
-    /// Whether this spec can ever fire.
-    pub fn is_noop(&self) -> bool {
-        self.read_permille == 0 && self.write_permille == 0 && self.panic_permille == 0
-    }
-
     /// The spec a retry should run under: `retry` is how many attempts
     /// already failed (0 = first attempt, identity). Each retry re-seeds
     /// the stream *and halves the rates* — the modeled analogue of a
@@ -212,7 +207,7 @@ impl FaultPlan {
 
 /// A [`BlockStore`] that interposes on any inner store and injects faults
 /// per a [`FaultPlan`] (deterministic) and a [`FaultSpec`] (seeded
-/// probabilistic). See the [module docs](self) for the fault taxonomy.
+/// probabilistic). The fault taxonomy is documented in `em-sim/src/fault.rs`.
 pub struct FaultStore {
     inner: Box<dyn BlockStore>,
     spec: FaultSpec,
@@ -437,7 +432,15 @@ mod tests {
         assert_eq!(once.read_permille, 500);
         assert_ne!(once.seed, f.seed);
         let spent = f.for_attempt(10);
-        assert!(spent.is_noop(), "even certain faults die within 10 retries");
+        assert_eq!(
+            (
+                spent.read_permille,
+                spent.write_permille,
+                spent.panic_permille
+            ),
+            (0, 0, 0),
+            "even certain faults die within 10 retries"
+        );
         // A no-op spec injects nothing at all.
         let mut store = FaultStore::new(Box::new(MemStore::new(4)), spent);
         let fp = fault_fingerprint(&mut store);

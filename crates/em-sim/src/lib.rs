@@ -36,13 +36,13 @@
 //! `Interrupted` errors, short transfers, simulated crashes) so callers can
 //! chaos-test their error paths without leaving the model.
 
-pub mod disk;
-pub mod fault;
+mod disk;
+mod fault;
 pub mod file;
-pub mod machine;
-pub mod par;
+mod machine;
+mod par;
 pub mod store;
-pub mod vec;
+mod vec;
 
 pub use disk::MemStore;
 pub use fault::{FaultCounts, FaultPlan, FaultSpec, FaultStore, StoreIoPanic};

@@ -4,7 +4,7 @@
 use crate::disk::MemStore;
 use crate::file::FileStore;
 use crate::store::{Backend, BlockId, BlockStore};
-use asym_model::{CostModel, CostReport, ModelError, Record, Result};
+use asym_model::{CostReport, ModelError, Record, Result};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -50,11 +50,6 @@ impl EmConfig {
     /// Total records the machine will allow in primary memory.
     pub fn capacity(&self) -> usize {
         self.m + self.slack
-    }
-
-    /// The asymmetric cost model for this machine.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::new(self.omega)
     }
 }
 
@@ -466,7 +461,7 @@ mod tests {
     #[test]
     fn cost_model_matches_omega() {
         let cfg = EmConfig::new(8, 2, 16);
-        assert_eq!(cfg.cost_model().omega, 16);
+        assert_eq!(cfg.omega, 16);
         assert_eq!(cfg.capacity(), 8);
     }
 

@@ -2,7 +2,7 @@
 //! a sorted array with counted record moves, and the one shared
 //! binary-search charging rule.
 //!
-//! The rule ([`binary_search_reads`]): searching `len` sorted records
+//! The rule (`binary_search_reads`): searching `len` sorted records
 //! costs `ilog2(len) + 1` reads — and **0 when `len == 0`**, because a
 //! search that inspects nothing reads nothing. The old in-example store
 //! charged `(len.max(1)).ilog2() + 1`, i.e. 1 read on an empty store,
@@ -15,7 +15,7 @@ use asym_model::MemCounter;
 
 /// Reads charged for one binary search over `len` sorted records:
 /// `ilog2(len) + 1` probes, except an empty store costs nothing.
-pub fn binary_search_reads(len: usize) -> u64 {
+fn binary_search_reads(len: usize) -> u64 {
     if len == 0 {
         0
     } else {

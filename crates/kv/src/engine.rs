@@ -345,7 +345,8 @@ impl AsymKv {
     }
 
     /// Runs per level, shallow to deep (diagnostics and tests).
-    pub fn run_counts(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn run_counts(&self) -> Vec<usize> {
         self.levels.iter().map(Vec::len).collect()
     }
 

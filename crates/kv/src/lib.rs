@@ -34,9 +34,9 @@
 //! ```
 
 pub mod baseline;
-pub mod engine;
+mod engine;
 pub mod policy;
-pub mod submit;
+mod submit;
 
 pub use engine::{AsymKv, CompactionRecord, KvConfig};
 pub use policy::{choose, modeled_cost, CompactionStyle, Policy, PolicyInputs};

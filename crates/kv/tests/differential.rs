@@ -283,10 +283,12 @@ fn oversized_compactions_are_rejected_with_both_sides() {
         }
     }
     match err {
-        Some(asym_kv::KvError::Rejected(asym_serve::SubmitError::Rejected {
-            predicted,
-            available,
-        })) => {
+        Some(asym_kv::KvError::Rejected(asym_serve::SubmitError::Rejected(
+            asym_serve::Refusal::Budget {
+                predicted,
+                available,
+            },
+        ))) => {
             assert!(predicted > 16, "predicted {predicted} B cannot fit");
             assert!(available <= 16);
         }

@@ -77,27 +77,9 @@ impl CostReport {
         }
     }
 
-    /// Build a report from a counter under `model`.
-    pub fn from_counter(counter: &MemCounter, model: CostModel) -> Self {
-        Self {
-            reads: counter.reads(),
-            writes: counter.writes(),
-            omega: model.omega,
-        }
-    }
-
     /// The ω-weighted total cost `reads + omega * writes`.
     pub fn total(&self) -> u64 {
         self.reads + self.omega * self.writes
-    }
-
-    /// Reads per write; `inf` rendered as `f64::INFINITY` when writes = 0.
-    pub fn read_write_ratio(&self) -> f64 {
-        if self.writes == 0 {
-            f64::INFINITY
-        } else {
-            self.reads as f64 / self.writes as f64
-        }
     }
 
     /// Element-wise sum of two reports (their ω must agree).
@@ -156,9 +138,6 @@ mod tests {
     fn report_totals_and_ratio() {
         let r = CostReport::new(100, 10, 4);
         assert_eq!(r.total(), 140);
-        assert!((r.read_write_ratio() - 10.0).abs() < 1e-12);
-        let zero_writes = CostReport::new(5, 0, 4);
-        assert!(zero_writes.read_write_ratio().is_infinite());
     }
 
     #[test]
@@ -181,14 +160,5 @@ mod tests {
         assert!(s.contains("reads=3"));
         assert!(s.contains("writes=4"));
         assert!(s.contains("total=23"));
-    }
-
-    #[test]
-    fn report_from_counter_copies_tallies() {
-        let c = MemCounter::new();
-        c.add_reads(9);
-        c.add_writes(1);
-        let r = CostReport::from_counter(&c, CostModel::new(6));
-        assert_eq!((r.reads, r.writes, r.omega), (9, 1, 6));
     }
 }

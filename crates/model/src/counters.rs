@@ -89,11 +89,6 @@ impl MemCounter {
         (self.reads(), self.writes())
     }
 
-    /// Reads and writes performed since an earlier [`snapshot`](Self::snapshot).
-    pub fn delta_since(&self, snap: (u64, u64)) -> (u64, u64) {
-        (self.reads() - snap.0, self.writes() - snap.1)
-    }
-
     /// Fold another counter's tallies into this one (used by the parallel
     /// executor when joining per-thread counters).
     pub fn absorb(&self, other: &MemCounter) {
@@ -270,9 +265,6 @@ mod tests {
         c.add_writes(2);
         assert_eq!(c.reads(), 5);
         assert_eq!(c.writes(), 3);
-        let snap = c.snapshot();
-        c.read();
-        assert_eq!(c.delta_since(snap), (1, 0));
         c.reset();
         assert_eq!(c.snapshot(), (0, 0));
     }

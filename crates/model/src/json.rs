@@ -10,7 +10,7 @@
 //!
 //! Bulk record data — sort inputs, sorted outputs, checkpoint runs — is a
 //! `[[key, payload], ...]` array, and it is most of every large document.
-//! It gets a fast path both ways: [`write_records`] prints digits straight
+//! It gets a fast path both ways: `write_records` prints digits straight
 //! into the output buffer, and the parser reads an array of exact
 //! `[u64, u64]` pairs in one pass into a [`Json::Records`] node instead of
 //! a tree node per number. [`records`] decodes either form. Neither changes
@@ -111,7 +111,7 @@ impl Json {
 
     /// The numeric value, if this is a number (exact integers included,
     /// rounded into `f64` range).
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
             Json::Int(n) => Some(*n as f64),
@@ -214,11 +214,6 @@ pub fn get_u64(obj: &[(String, Json)], key: &str) -> Option<u64> {
         Json::Num(x) => Some(x.round().max(0.0) as u64),
         _ => None,
     }
-}
-
-/// A numeric field, rounded to `usize`.
-pub fn get_usize(obj: &[(String, Json)], key: &str) -> Option<usize> {
-    get_u64(obj, key).map(|x| x as usize)
 }
 
 /// A boolean field's value.
@@ -537,7 +532,7 @@ fn push_u64(out: &mut String, mut n: u64) {
 /// Append `recs` as a `[[key, payload], ...]` array (`[]` when empty): the
 /// one writer of bulk record data. Byte-identical to building the array
 /// with [`JsonArr`] from `format!("[{}, {}]", key, payload)` items.
-pub fn write_records(out: &mut String, recs: &[Record]) {
+fn write_records(out: &mut String, recs: &[Record]) {
     if recs.is_empty() {
         out.push_str("[]");
         return;
@@ -609,7 +604,7 @@ impl JsonObj {
     }
 
     /// Append a `[[key, payload], ...]` record array field
-    /// ([`write_records`]).
+    /// (`write_records`).
     pub fn records(&mut self, key: &str, recs: &[Record]) -> &mut Self {
         write_records(self.key(key), recs);
         self
@@ -674,7 +669,7 @@ impl JsonArr {
     }
 
     /// Append a `[[key, payload], ...]` record array item
-    /// ([`write_records`]).
+    /// (`write_records`).
     pub fn records(&mut self, recs: &[Record]) -> &mut Self {
         write_records(self.item(), recs);
         self
@@ -928,7 +923,6 @@ mod tests {
         let v = Json::parse(r#"{ "n": 3.6, "s": "x", "b": false }"#).unwrap();
         let obj = v.as_obj().unwrap();
         assert_eq!(get_u64(obj, "n"), Some(4));
-        assert_eq!(get_usize(obj, "n"), Some(4));
         assert_eq!(get_f64(obj, "n"), Some(3.6));
         assert_eq!(get_bool(obj, "b"), Some(false));
         assert_eq!(get_str(obj, "n"), None, "type-mismatched reads are None");

@@ -5,8 +5,8 @@
 //!
 //! * [`CostModel`] — the single parameter of the paper's models: an integer
 //!   charge `omega > 1` per write, with unit-cost reads.
-//! * [`counters`] — cheap instrumentation counters ([`MemCounter`]) and counted
-//!   memory cells so algorithms can tally the reads and writes they perform.
+//! * [`MemCounter`] — cheap instrumentation counters, and counted memory
+//!   cells ([`CountedVec`], [`CountedSlice`], [`CountedCell`]) so algorithms can tally the reads and writes they perform.
 //! * [`record`] — the record type being sorted (a `u64` key plus payload).
 //! * [`workload`] — deterministic input generators (uniform, sorted, reversed,
 //!   nearly sorted, few-distinct, Zipf, organ pipe).
@@ -21,8 +21,8 @@
 //! and the PRAM work-depth framework in `wd-sim`. All of them express their
 //! tallies as [`CostReport`]s so experiments can compare across models.
 
-pub mod cost;
-pub mod counters;
+mod cost;
+mod counters;
 pub mod json;
 pub mod record;
 pub mod stats;

@@ -41,21 +41,6 @@ impl Record {
     pub fn keyed(key: u64) -> Self {
         Self { key, payload: key }
     }
-
-    /// The +infinity sentinel: compares greater than every generated record.
-    #[inline]
-    pub fn max_sentinel() -> Self {
-        Self {
-            key: u64::MAX,
-            payload: u64::MAX,
-        }
-    }
-
-    /// The -infinity sentinel: compares less than every generated record.
-    #[inline]
-    pub fn min_sentinel() -> Self {
-        Self { key: 0, payload: 0 }
-    }
 }
 
 impl PartialOrd for Record {
@@ -87,7 +72,7 @@ pub fn is_sorted(data: &[Record]) -> bool {
 ///
 /// O(n log n); used as the second half of the "sorting = sorted permutation of
 /// the input" oracle in tests.
-pub fn is_permutation(expected: &[Record], actual: &[Record]) -> bool {
+fn is_permutation(expected: &[Record], actual: &[Record]) -> bool {
     if expected.len() != actual.len() {
         return false;
     }
@@ -130,14 +115,6 @@ mod tests {
         assert!(a < c);
         assert!(c < b);
         assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
-    }
-
-    #[test]
-    fn sentinels_bracket_generated_keys() {
-        let lo = Record::min_sentinel();
-        let hi = Record::max_sentinel();
-        let mid = Record::new(MAX_KEY, 0);
-        assert!(lo <= mid && mid < hi);
     }
 
     #[test]

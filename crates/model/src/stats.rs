@@ -15,7 +15,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population standard deviation of a sample.
-pub fn stddev(xs: &[f64]) -> f64 {
+fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -53,7 +53,7 @@ pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
 }
 
 /// Least-squares slope of y against x.
-pub fn linear_slope(points: &[(f64, f64)]) -> f64 {
+fn linear_slope(points: &[(f64, f64)]) -> f64 {
     let n = points.len() as f64;
     if points.len() < 2 {
         return 0.0;

@@ -94,7 +94,7 @@ impl Workload {
     /// True for the [`Workload::ALL`] generators, whose records are made
     /// distinct by rewriting payloads to positions; false for the duplicate
     /// adversaries, which keep their repeated records.
-    pub fn unique_records(&self) -> bool {
+    fn unique_records(&self) -> bool {
         !matches!(self, Workload::AllIdentical | Workload::DuplicateHeavy)
     }
 

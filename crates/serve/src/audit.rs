@@ -37,7 +37,7 @@
 //! are written, not synced: they survive a killed process, not a power cut.
 
 use crate::job::{FailureKind, JobId, JobRequest};
-use crate::service::RecoverError;
+use crate::service::{RecoverError, Refusal};
 use asym_core::sort::wire::records_digest;
 use asym_core::sort::{CheckpointManifest, SortOutcome};
 use asym_model::json::{self, Json, JsonObj};
@@ -89,28 +89,8 @@ pub enum AuditEvent {
         /// The admission-time [`peak_bytes`](asym_core::sort::CostEstimate::peak_bytes).
         predicted_bytes: u64,
     },
-    /// Turned away by the memory budget. Not a job; replay only counts it.
-    RejectedBudget {
-        /// The submission's predicted peak bytes.
-        predicted: u64,
-        /// What the budget had left.
-        available: u64,
-    },
-    /// Turned away because the modeled ETA cannot meet the deadline.
-    RejectedDeadline {
-        /// Modeled time to run the job on an idle service.
-        eta_ms: u64,
-        /// What the client asked for.
-        deadline_ms: u64,
-    },
-    /// Turned away by the I/O-cost budget (`reads + ω·writes`), the
-    /// second admission axis beside peak bytes.
-    RejectedIo {
-        /// The submission's predicted I/O cost.
-        predicted: u64,
-        /// What the I/O budget had left.
-        available: u64,
-    },
+    /// Turned away by admission control. Not a job; replay only counts it.
+    Rejected(Refusal),
     /// A worker began attempt `attempt` (1-based).
     Started {
         /// The job.
@@ -217,9 +197,7 @@ impl AuditEvent {
     pub fn name(&self) -> &'static str {
         match self {
             AuditEvent::Accepted { .. } => "accepted",
-            AuditEvent::RejectedBudget { .. }
-            | AuditEvent::RejectedDeadline { .. }
-            | AuditEvent::RejectedIo { .. } => "rejected",
+            AuditEvent::Rejected(_) => "rejected",
             AuditEvent::Started { .. } => "started",
             AuditEvent::Checkpointed { .. } => "checkpointed",
             AuditEvent::Retried { .. } => "retried",
@@ -243,29 +221,16 @@ impl AuditEvent {
             } => {
                 return AuditEvent::accepted_line(*id, *predicted_bytes, &request.to_json());
             }
-            AuditEvent::RejectedBudget {
-                predicted,
-                available,
-            } => {
-                o.str("reason", "budget")
-                    .u64("predicted", *predicted)
-                    .u64("available", *available);
-            }
-            AuditEvent::RejectedDeadline {
-                eta_ms,
-                deadline_ms,
-            } => {
-                o.str("reason", "deadline")
-                    .u64("eta_ms", *eta_ms)
-                    .u64("deadline_ms", *deadline_ms);
-            }
-            AuditEvent::RejectedIo {
-                predicted,
-                available,
-            } => {
-                o.str("reason", "io_budget")
-                    .u64("predicted", *predicted)
-                    .u64("available", *available);
+            AuditEvent::Rejected(refusal) => {
+                o.str(
+                    "reason",
+                    match refusal {
+                        Refusal::Budget { .. } => "budget",
+                        Refusal::Io { .. } => "io_budget",
+                        Refusal::Deadline { .. } => "deadline",
+                    },
+                );
+                refusal.write_fields(&mut o);
             }
             AuditEvent::Started { id, attempt } => {
                 o.u64("id", *id).u64("attempt", *attempt as u64);
@@ -356,21 +321,23 @@ impl AuditEvent {
             }
             "rejected" => {
                 let reason = json::get_str(obj, "reason").unwrap_or_else(|| "budget".into());
-                match reason.as_str() {
-                    "budget" => Ok(AuditEvent::RejectedBudget {
-                        predicted: json::get_u64(obj, "predicted").unwrap_or(0),
-                        available: json::get_u64(obj, "available").unwrap_or(0),
-                    }),
-                    "deadline" => Ok(AuditEvent::RejectedDeadline {
-                        eta_ms: json::get_u64(obj, "eta_ms").unwrap_or(0),
-                        deadline_ms: json::get_u64(obj, "deadline_ms").unwrap_or(0),
-                    }),
-                    "io_budget" => Ok(AuditEvent::RejectedIo {
-                        predicted: json::get_u64(obj, "predicted").unwrap_or(0),
-                        available: json::get_u64(obj, "available").unwrap_or(0),
-                    }),
-                    other => Err(bad(format!("unknown rejection reason {other:?}"))),
-                }
+                let num = |key| json::get_u64(obj, key).unwrap_or(0);
+                let refusal = match reason.as_str() {
+                    "budget" => Refusal::Budget {
+                        predicted: num("predicted"),
+                        available: num("available"),
+                    },
+                    "io_budget" => Refusal::Io {
+                        predicted: num("predicted"),
+                        available: num("available"),
+                    },
+                    "deadline" => Refusal::Deadline {
+                        eta_ms: num("eta_ms"),
+                        deadline_ms: num("deadline_ms"),
+                    },
+                    other => return Err(bad(format!("unknown rejection reason {other:?}"))),
+                };
+                Ok(AuditEvent::Rejected(refusal))
             }
             "started" => Ok(AuditEvent::Started {
                 id: id()?,
@@ -541,7 +508,7 @@ pub struct Replay {
     pub jobs: BTreeMap<JobId, ReplayJob>,
     /// Where the id counter must resume (max accepted id + 1).
     pub next_id: JobId,
-    /// Rejections seen (both reasons).
+    /// Rejections seen (every reason).
     pub rejected: u64,
     /// Retry events seen.
     pub retries: u64,
@@ -567,9 +534,7 @@ impl Replay {
                 // prefix twice) cannot double a job.
                 self.jobs.entry(id).or_insert(ReplayJob::new(request));
             }
-            AuditEvent::RejectedBudget { .. }
-            | AuditEvent::RejectedDeadline { .. }
-            | AuditEvent::RejectedIo { .. } => {
+            AuditEvent::Rejected(_) => {
                 self.rejected += 1;
             }
             AuditEvent::Started { id, attempt } => {
@@ -767,14 +732,14 @@ mod tests {
                 request: request(),
                 predicted_bytes: 4096,
             },
-            AuditEvent::RejectedBudget {
+            AuditEvent::Rejected(Refusal::Budget {
                 predicted: 10,
                 available: 4,
-            },
-            AuditEvent::RejectedDeadline {
+            }),
+            AuditEvent::Rejected(Refusal::Deadline {
                 eta_ms: 100,
                 deadline_ms: 10,
-            },
+            }),
             AuditEvent::Started { id: 3, attempt: 1 },
             AuditEvent::Retried {
                 id: 3,
@@ -859,11 +824,53 @@ mod tests {
     }
 
     #[test]
+    fn rejected_lines_are_pinned_byte_for_byte() {
+        let cases = [
+            (
+                Refusal::Budget {
+                    predicted: 10,
+                    available: 4,
+                },
+                r#"{ "v": 2, "event": "rejected", "reason": "budget", "predicted": 10, "available": 4 }"#,
+            ),
+            (
+                Refusal::Io {
+                    predicted: 5_000,
+                    available: 300,
+                },
+                r#"{ "v": 2, "event": "rejected", "reason": "io_budget", "predicted": 5000, "available": 300 }"#,
+            ),
+            (
+                Refusal::Deadline {
+                    eta_ms: 100,
+                    deadline_ms: 10,
+                },
+                r#"{ "v": 2, "event": "rejected", "reason": "deadline", "eta_ms": 100, "deadline_ms": 10 }"#,
+            ),
+        ];
+        for (refusal, line) in cases {
+            let ev = AuditEvent::Rejected(refusal);
+            assert_eq!(ev.to_json(), line);
+            assert_eq!(AuditEvent::from_json(line), Ok(ev));
+        }
+        // A line with no reason predates the other axes: a budget refusal.
+        assert_eq!(
+            AuditEvent::from_json(
+                r#"{"v": 1, "event": "rejected", "predicted": 9, "available": 1}"#
+            ),
+            Ok(AuditEvent::Rejected(Refusal::Budget {
+                predicted: 9,
+                available: 1,
+            }))
+        );
+    }
+
+    #[test]
     fn checkpoint_and_io_rejection_events_round_trip() {
-        let io = AuditEvent::RejectedIo {
+        let io = AuditEvent::Rejected(Refusal::Io {
             predicted: 5_000,
             available: 300,
-        };
+        });
         let line = io.to_json();
         assert!(line.contains("\"io_budget\""), "{line}");
         assert_eq!(AuditEvent::from_json(&line), Ok(io));
@@ -1137,10 +1144,10 @@ mod tests {
                 telemetry: r#"{"reads": 7}"#.into(),
                 output_digest: None,
             },
-            AuditEvent::RejectedBudget {
+            AuditEvent::Rejected(Refusal::Budget {
                 predicted: 9,
                 available: 1,
-            },
+            }),
         ]);
         log.push_str(r#"{"v": 1, "event": "acc"#); // the crash tore this line
 

@@ -6,7 +6,7 @@
 use asym_core::sort::SortOutcome;
 use asym_model::json::Json;
 use asym_serve::client::{self, roundtrip, ClientError};
-use asym_serve::{serve, JobRequest, JobState, ServiceConfig, SortService, SubmitError};
+use asym_serve::{serve, JobRequest, JobState, Refusal, ServiceConfig, SortService, SubmitError};
 
 const ACCEPTED_JOB: &str = r#"{
     "spec": {"algorithm": "par-aem-samplesort", "m": 64, "b": 8, "omega": 16, "k": 2, "lanes": 4},
@@ -35,10 +35,10 @@ fn main() {
 
     // ...and one whose predicted peak no budget this size can hold.
     let (predicted, available) = match client::submit(addr, &job(OVERSIZED_JOB)) {
-        Err(ClientError::Refused(SubmitError::Rejected {
+        Err(ClientError::Refused(SubmitError::Rejected(Refusal::Budget {
             predicted,
             available,
-        })) => (predicted, available),
+        }))) => (predicted, available),
         other => panic!("oversized submit must be a memory rejection: {other:?}"),
     };
     assert!(predicted > available, "rejection must be a real shortfall");

@@ -29,7 +29,7 @@
 //! returns once every handler has ended.
 
 use crate::job::{JobRequest, JobState};
-use crate::service::{SortService, SubmitError};
+use crate::service::{Refusal, SortService, SubmitError};
 use asym_model::json::JsonObj;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -253,11 +253,11 @@ fn handle(stream: &TcpStream, service: &SortService) -> HandleResult {
                     o.u64("id", id).raw("status", &status.to_json());
                     respond(stream, 202, "Accepted", &o.finish());
                 }
-                Err(e @ (SubmitError::Rejected { .. } | SubmitError::RejectedIo { .. })) => {
-                    respond(stream, 429, "Too Many Requests", &e.to_json());
-                }
-                Err(e @ SubmitError::DeadlineUnmeetable { .. }) => {
+                Err(e @ SubmitError::Rejected(Refusal::Deadline { .. })) => {
                     respond(stream, 422, "Unprocessable Entity", &e.to_json());
+                }
+                Err(e @ SubmitError::Rejected(_)) => {
+                    respond(stream, 429, "Too Many Requests", &e.to_json());
                 }
                 Err(e) => respond(stream, 503, "Service Unavailable", &e.to_json()),
             },
@@ -338,13 +338,17 @@ fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<(String, String, S
 }
 
 /// Read header lines through the blank line that ends them and return the
-/// `Content-Length` (0 when absent). Both directions frame bodies with it:
-/// [`read_request`] here, and [`crate::client`] for responses.
+/// `Content-Length` (0 when absent). End of stream before that blank line
+/// is `UnexpectedEof`: a cut-off head is not a complete one. Both
+/// directions frame bodies with it: [`read_request`] here, and
+/// [`crate::client`] for responses.
 pub(crate) fn read_content_length(reader: &mut impl BufRead) -> std::io::Result<usize> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        reader.read_line(&mut header)?;
+        if reader.read_line(&mut header)? == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
         let header = header.trim_end();
         if header.is_empty() {
             return Ok(content_length);

@@ -560,20 +560,20 @@ mod tests {
 
     #[test]
     fn submit_errors_round_trip() {
-        use crate::SubmitError;
+        use crate::{Refusal, SubmitError};
         for e in [
-            SubmitError::Rejected {
+            SubmitError::Rejected(Refusal::Budget {
                 predicted: 4096,
                 available: 1024,
-            },
-            SubmitError::RejectedIo {
+            }),
+            SubmitError::Rejected(Refusal::Io {
                 predicted: 68,
                 available: 1,
-            },
-            SubmitError::DeadlineUnmeetable {
+            }),
+            SubmitError::Rejected(Refusal::Deadline {
                 eta_ms: 90,
                 deadline_ms: 1,
-            },
+            }),
             SubmitError::Draining,
             SubmitError::Unlogged {
                 error: "No space left on device (os error 28)".into(),

@@ -6,13 +6,13 @@
 //! multi-tenant job server: [`SortService`] runs submitted
 //! [`JobRequest`]s on a fixed worker pool and admits them against a
 //! predicted-peak-memory budget, so an over-committed machine is refused at
-//! submission time ([`SubmitError::Rejected`]) instead of discovered by
+//! submission time ([`Refusal::Budget`]) instead of discovered by
 //! thrashing at run time. [`http::serve`] puts a dependency-free HTTP/1.1
 //! front door on it, speaking the [`asym_core::sort::wire`] JSON formats,
 //! and [`client`] is the one client every caller uses to reach it.
 //!
 //! The service is built to survive its process: the audit log is a
-//! versioned write-ahead log ([`audit`]), [`SortService::recover`] replays
+//! versioned write-ahead log ([`AuditEvent`], [`replay`]), [`SortService::recover`] replays
 //! it after a crash (re-queueing unfinished jobs, restoring finished
 //! ones), transient I/O failures retry with bounded exponential backoff,
 //! panicking sorters are caught per-attempt, and deadlines are enforced
@@ -31,7 +31,7 @@
 //! never re-billed. The queue itself is ETA-priority ordered (smallest
 //! predicted remaining I/O first, with an aging credit so bulk jobs
 //! cannot starve), and admission budgets both predicted peak bytes and
-//! predicted I/O cost ([`SubmitError::RejectedIo`]).
+//! predicted I/O cost ([`Refusal::Io`]).
 //!
 //! ```
 //! use asym_core::sort::{Algorithm, SortSpec};
@@ -60,15 +60,15 @@
 //! [`SortSpec::predict`]: asym_core::sort::SortSpec::predict
 //! [`SortSpec`]: asym_core::sort::SortSpec
 
-pub mod audit;
+mod audit;
 pub mod client;
 pub mod http;
-pub mod job;
-pub mod service;
+mod job;
+mod service;
 
 pub use audit::{replay, AuditError, AuditEvent, Replay, ReplayJob, ReplayOutcome, SCHEMA_VERSION};
 pub use http::{serve, ServerHandle};
 pub use job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
 pub use service::{
-    RecoverError, RecoveryReport, ServiceConfig, ServiceStats, SortService, SubmitError,
+    RecoverError, RecoveryReport, Refusal, ServiceConfig, ServiceStats, SortService, SubmitError,
 };

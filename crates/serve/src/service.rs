@@ -6,7 +6,7 @@
 //! [`CostEstimate::peak_bytes`] of every admitted-but-unfinished job and
 //! rejects any submission that would push the total over
 //! [`ServiceConfig::budget_bytes`] — with a typed
-//! [`SubmitError::Rejected`] carrying both the job's predicted bytes and
+//! [`Refusal::Budget`] carrying both the job's predicted bytes and
 //! the bytes currently available, so clients can resize or retry. Because
 //! the peak-memory prediction is a hard bound (each lane's leases are
 //! capped at `M + slack`; see `tests/predict_bounds.rs`), the invariant is
@@ -14,7 +14,7 @@
 //! budget either. When the service has a configured I/O rate
 //! ([`ServiceConfig::io_per_ms`]), the same prediction also prices *time*:
 //! a request whose modeled ETA already exceeds its `deadline_ms` is
-//! refused up front ([`SubmitError::DeadlineUnmeetable`]).
+//! refused up front ([`Refusal::Deadline`]).
 //!
 //! The audit log in the service root ([`crate::audit`]) is a
 //! **write-ahead log**, not a diary: the `accepted` event (carrying the
@@ -86,7 +86,7 @@ pub struct ServiceConfig {
     pub io_per_ms: u64,
     /// Second admission axis: max summed predicted I/O cost
     /// (`reads + ω·writes`, [`CostEstimate::io_cost`]) in flight. A
-    /// submission over this line is a typed [`SubmitError::RejectedIo`],
+    /// submission over this line is a typed [`Refusal::Io`],
     /// distinct from the memory rejection. `0` (the default): unlimited.
     pub io_budget: u64,
     /// Aging rate of the ETA-priority queue: every millisecond a job
@@ -97,8 +97,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with the fault-tolerance knobs at their defaults
-    /// (3 attempts, 10 ms base / 1 s cap backoff, no ETA check).
+    /// A config with the other knobs at their defaults: 3 attempts,
+    /// 10 ms base / 1 s cap backoff, no ETA check (`io_per_ms: 0`), no I/O
+    /// budget (`io_budget: 0`) and aging at `aging_io_per_ms: 16`.
     pub fn new(workers: usize, budget_bytes: u64, root_dir: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             workers,
@@ -114,21 +115,21 @@ impl ServiceConfig {
     }
 }
 
-/// Why a submission was not admitted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SubmitError {
+/// Why admission turned a submission away. [`SubmitError::Rejected`]
+/// carries it to the client and [`AuditEvent::Rejected`] to the log.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
     /// Admitting this job would exceed the memory budget. Both sides of
     /// the comparison are returned so the client can resize or wait.
-    Rejected {
+    Budget {
         /// The job's predicted peak bytes ([`CostEstimate::peak_bytes`]).
         predicted: u64,
         /// Budget minus bytes currently in flight.
         available: u64,
     },
     /// Admitting this job would exceed the I/O-cost budget
-    /// (`reads + ω·writes`) — the second admission axis. Typed apart from
-    /// [`SubmitError::Rejected`] so clients know *which* budget refused.
-    RejectedIo {
+    /// (`reads + ω·writes`), the second admission axis beside peak bytes.
+    Io {
         /// The job's predicted I/O cost ([`CostEstimate::io_cost`]).
         predicted: u64,
         /// I/O budget minus cost currently in flight.
@@ -136,13 +137,45 @@ pub enum SubmitError {
     },
     /// The modeled ETA on an otherwise idle service already exceeds the
     /// request's deadline; running it would only waste the queue's time.
-    DeadlineUnmeetable {
+    Deadline {
         /// Modeled milliseconds to run the job ([`CostEstimate::io_cost`]
         /// over [`ServiceConfig::io_per_ms`]).
         eta_ms: u64,
         /// What the request asked for.
         deadline_ms: u64,
     },
+}
+
+impl Refusal {
+    /// Append the refusal's two numbers, as both the audit log and the
+    /// submit-error payload name them.
+    pub(crate) fn write_fields(&self, o: &mut JsonObj) {
+        match *self {
+            Refusal::Budget {
+                predicted,
+                available,
+            }
+            | Refusal::Io {
+                predicted,
+                available,
+            } => {
+                o.u64("predicted", predicted).u64("available", available);
+            }
+            Refusal::Deadline {
+                eta_ms,
+                deadline_ms,
+            } => {
+                o.u64("eta_ms", eta_ms).u64("deadline_ms", deadline_ms);
+            }
+        }
+    }
+}
+
+/// Why a submission was not admitted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// Admission control refused the job; nothing was queued or held.
+    Rejected(Refusal),
     /// The service is draining and takes no new work.
     Draining,
     /// The audit log refused the job's `accepted` line, so the service did
@@ -159,38 +192,24 @@ impl SubmitError {
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
         match self {
-            SubmitError::Rejected {
-                predicted,
-                available,
-            } => {
-                o.str("error", "rejected")
-                    .u64("predicted", *predicted)
-                    .u64("available", *available)
-                    .str(
-                        "message",
+            SubmitError::Rejected(refusal) => {
+                let (error, message) = match refusal {
+                    Refusal::Budget { .. } => (
+                        "rejected",
                         "predicted peak memory exceeds the available budget",
-                    );
-            }
-            SubmitError::RejectedIo {
-                predicted,
-                available,
-            } => {
-                o.str("error", "rejected_io")
-                    .u64("predicted", *predicted)
-                    .u64("available", *available)
-                    .str(
-                        "message",
+                    ),
+                    Refusal::Io { .. } => (
+                        "rejected_io",
                         "predicted I/O cost exceeds the available I/O budget",
-                    );
-            }
-            SubmitError::DeadlineUnmeetable {
-                eta_ms,
-                deadline_ms,
-            } => {
-                o.str("error", "deadline_unmeetable")
-                    .u64("eta_ms", *eta_ms)
-                    .u64("deadline_ms", *deadline_ms)
-                    .str("message", "modeled ETA exceeds the requested deadline");
+                    ),
+                    Refusal::Deadline { .. } => (
+                        "deadline_unmeetable",
+                        "modeled ETA exceeds the requested deadline",
+                    ),
+                };
+                o.str("error", error);
+                refusal.write_fields(&mut o);
+                o.str("message", message);
             }
             SubmitError::Draining => {
                 o.str("error", "draining")
@@ -213,19 +232,20 @@ impl SubmitError {
         let obj = v
             .as_obj()
             .ok_or_else(|| WireError::Malformed("submit error must be a JSON object".into()))?;
+        let num = |key| req_u64(obj, key);
         match json::get_str(obj, "error").as_deref() {
-            Some("rejected") => Ok(SubmitError::Rejected {
-                predicted: req_u64(obj, "predicted")?,
-                available: req_u64(obj, "available")?,
-            }),
-            Some("rejected_io") => Ok(SubmitError::RejectedIo {
-                predicted: req_u64(obj, "predicted")?,
-                available: req_u64(obj, "available")?,
-            }),
-            Some("deadline_unmeetable") => Ok(SubmitError::DeadlineUnmeetable {
-                eta_ms: req_u64(obj, "eta_ms")?,
-                deadline_ms: req_u64(obj, "deadline_ms")?,
-            }),
+            Some("rejected") => Ok(SubmitError::Rejected(Refusal::Budget {
+                predicted: num("predicted")?,
+                available: num("available")?,
+            })),
+            Some("rejected_io") => Ok(SubmitError::Rejected(Refusal::Io {
+                predicted: num("predicted")?,
+                available: num("available")?,
+            })),
+            Some("deadline_unmeetable") => Ok(SubmitError::Rejected(Refusal::Deadline {
+                eta_ms: num("eta_ms")?,
+                deadline_ms: num("deadline_ms")?,
+            })),
             Some("draining") => Ok(SubmitError::Draining),
             Some("unlogged") => Ok(SubmitError::Unlogged {
                 error: json::get_str(obj, "write_error").ok_or_else(|| {
@@ -242,24 +262,24 @@ impl SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Rejected {
+            SubmitError::Rejected(Refusal::Budget {
                 predicted,
                 available,
-            } => write!(
+            }) => write!(
                 f,
                 "rejected: predicted peak {predicted} B exceeds available {available} B"
             ),
-            SubmitError::RejectedIo {
+            SubmitError::Rejected(Refusal::Io {
                 predicted,
                 available,
-            } => write!(
+            }) => write!(
                 f,
                 "rejected: predicted I/O cost {predicted} exceeds available {available}"
             ),
-            SubmitError::DeadlineUnmeetable {
+            SubmitError::Rejected(Refusal::Deadline {
                 eta_ms,
                 deadline_ms,
-            } => write!(
+            }) => write!(
                 f,
                 "deadline unmeetable: modeled ETA {eta_ms} ms exceeds deadline {deadline_ms} ms"
             ),
@@ -335,7 +355,8 @@ pub struct RecoveryReport {
 pub struct ServiceStats {
     /// Jobs admitted over the service lifetime.
     pub submitted: u64,
-    /// Submissions turned away by admission control (budget or deadline).
+    /// Submissions turned away by admission control (memory budget, I/O
+    /// budget or deadline).
     pub rejected: u64,
     /// Jobs finished successfully.
     pub completed: u64,
@@ -506,7 +527,7 @@ impl Inner {
     }
 }
 
-/// The in-process sort server. See the [module docs](self) for semantics;
+/// The in-process sort server. See the [crate docs](crate) for semantics;
 /// [`crate::http`] puts an HTTP/1.1 front door on it.
 pub struct SortService {
     inner: Arc<Inner>,
@@ -630,6 +651,7 @@ impl SortService {
     pub fn submit(&self, request: JobRequest) -> Result<JobId, SubmitError> {
         let predicted = request.predict();
         let need = predicted.peak_bytes();
+        let need_io = predicted.io_cost();
         // Render the request (the whole inline input) before taking the
         // lock that workers and waiters share.
         let request_json = request.to_json();
@@ -641,59 +663,13 @@ impl SortService {
                 return Err(SubmitError::Draining);
             }
             expire_overdue(&self.inner, &mut st);
-            let available = self
-                .inner
-                .cfg
-                .budget_bytes
-                .saturating_sub(st.stats.in_flight_bytes);
-            if need > available {
+            if let Some(refusal) =
+                refusal(&self.inner.cfg, &st.stats, &predicted, request.deadline_ms)
+            {
                 st.stats.rejected += 1;
                 drop(st);
-                self.inner.audit_event(&AuditEvent::RejectedBudget {
-                    predicted: need,
-                    available,
-                });
-                return Err(SubmitError::Rejected {
-                    predicted: need,
-                    available,
-                });
-            }
-            let need_io = predicted.io_cost();
-            if self.inner.cfg.io_budget > 0 {
-                let available = self
-                    .inner
-                    .cfg
-                    .io_budget
-                    .saturating_sub(st.stats.in_flight_io);
-                if need_io > available {
-                    st.stats.rejected += 1;
-                    drop(st);
-                    self.inner.audit_event(&AuditEvent::RejectedIo {
-                        predicted: need_io,
-                        available,
-                    });
-                    return Err(SubmitError::RejectedIo {
-                        predicted: need_io,
-                        available,
-                    });
-                }
-            }
-            if let (Some(deadline_ms), rate) = (request.deadline_ms, self.inner.cfg.io_per_ms) {
-                if rate > 0 {
-                    let eta_ms = predicted.io_cost().div_ceil(rate);
-                    if eta_ms > deadline_ms {
-                        st.stats.rejected += 1;
-                        drop(st);
-                        self.inner.audit_event(&AuditEvent::RejectedDeadline {
-                            eta_ms,
-                            deadline_ms,
-                        });
-                        return Err(SubmitError::DeadlineUnmeetable {
-                            eta_ms,
-                            deadline_ms,
-                        });
-                    }
-                }
+                self.inner.audit_event(&AuditEvent::Rejected(refusal));
+                return Err(SubmitError::Rejected(refusal));
             }
             let id = st.next_id;
             // WAL ordering: the accepted record must be on disk before the
@@ -868,6 +844,43 @@ impl SortService {
 impl Drop for SortService {
     fn drop(&mut self) {
         self.drain();
+    }
+}
+
+/// Admission control: the first budget that cannot hold a job predicted
+/// at `predicted` — peak bytes, then I/O cost (when `io_budget` is set),
+/// then the deadline (when `io_per_ms` prices an ETA) — or `None` to admit.
+fn refusal(
+    cfg: &ServiceConfig,
+    stats: &ServiceStats,
+    predicted: &CostEstimate,
+    deadline_ms: Option<u64>,
+) -> Option<Refusal> {
+    let need = predicted.peak_bytes();
+    let available = cfg.budget_bytes.saturating_sub(stats.in_flight_bytes);
+    if need > available {
+        return Some(Refusal::Budget {
+            predicted: need,
+            available,
+        });
+    }
+    let need_io = predicted.io_cost();
+    let available = cfg.io_budget.saturating_sub(stats.in_flight_io);
+    if cfg.io_budget > 0 && need_io > available {
+        return Some(Refusal::Io {
+            predicted: need_io,
+            available,
+        });
+    }
+    match deadline_ms {
+        Some(deadline_ms) if cfg.io_per_ms > 0 => {
+            let eta_ms = need_io.div_ceil(cfg.io_per_ms);
+            (eta_ms > deadline_ms).then_some(Refusal::Deadline {
+                eta_ms,
+                deadline_ms,
+            })
+        }
+        _ => None,
     }
 }
 

@@ -9,7 +9,7 @@
 use asym_core::sort::{self, Algorithm, SortOutcome, SortSpec};
 use asym_model::json::Json;
 use asym_model::workload::Workload;
-use asym_serve::{JobRequest, JobState, ServiceConfig, SortService, SubmitError};
+use asym_serve::{JobRequest, JobState, Refusal, ServiceConfig, SortService, SubmitError};
 use std::path::PathBuf;
 
 fn fresh_root(name: &str) -> PathBuf {
@@ -75,10 +75,10 @@ fn six_concurrent_jobs_against_a_two_job_budget() {
     assert_eq!(rejected.len(), 4);
     for err in rejected {
         match err {
-            SubmitError::Rejected {
+            SubmitError::Rejected(Refusal::Budget {
                 predicted,
                 available,
-            } => {
+            }) => {
                 assert_eq!(*predicted, per_job);
                 assert!(*available < per_job, "rejection implies shortfall");
                 let payload = Json::parse(&err.to_json()).expect("payload parses");
@@ -163,10 +163,10 @@ fn oversized_jobs_are_rejected_deterministically() {
     let err = service.submit(job).expect_err("cannot fit");
     assert_eq!(
         err,
-        SubmitError::Rejected {
+        SubmitError::Rejected(Refusal::Budget {
             predicted,
             available: 1024,
-        }
+        })
     );
     service.drain();
     let _ = std::fs::remove_dir_all(&root);

@@ -7,7 +7,9 @@ use asym_core::sort::SortOutcome;
 use asym_model::json::Json;
 use asym_serve::client::{self, read_response, roundtrip, ClientError};
 use asym_serve::http::MAX_CONNECTIONS;
-use asym_serve::{serve, JobRequest, JobState, JobStatus, ServiceConfig, SortService, SubmitError};
+use asym_serve::{
+    serve, JobRequest, JobState, JobStatus, Refusal, ServiceConfig, SortService, SubmitError,
+};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -64,7 +66,7 @@ fn full_session_over_loopback() {
     assert!(
         matches!(
             SubmitError::from_json(&body),
-            Ok(SubmitError::Rejected { predicted, .. }) if predicted > 1 << 20
+            Ok(SubmitError::Rejected(Refusal::Budget { predicted, .. })) if predicted > 1 << 20
         ),
         "{body}"
     );
@@ -212,7 +214,7 @@ fn unmeetable_deadlines_are_refused_up_front_with_422() {
     assert!(
         matches!(
             SubmitError::from_json(&body),
-            Ok(SubmitError::DeadlineUnmeetable { eta_ms, deadline_ms: 1 }) if eta_ms > 1
+            Ok(SubmitError::Rejected(Refusal::Deadline { eta_ms, deadline_ms: 1 })) if eta_ms > 1
         ),
         "{body}"
     );
@@ -513,6 +515,35 @@ fn a_body_shorter_than_its_content_length_is_a_400() {
     );
 
     assert_healthz_is_prompt(addr);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_head_cut_off_before_its_blank_line_is_a_400_not_a_request() {
+    let root = fresh_root("short-head");
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, root.clone())).expect("start");
+    let mut server = serve(service, "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    // The request line of a shutdown, then end of stream: no headers, no
+    // blank line. Running it would drain the server.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(stream, "POST /shutdown HTTP/1.1\r\n").expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let (code, body) = read_response(stream).expect("receive");
+    assert_eq!(code, 400, "{body}");
+    assert_eq!(
+        Json::parse(&body)
+            .expect("parses")
+            .get("error")
+            .and_then(Json::as_str),
+        Some("malformed")
+    );
+
+    let (code, _) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(code, 200);
+    client::submit(addr, &job(SMALL_JOB)).expect("still admitting");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -430,7 +430,10 @@ fn session_log() -> &'static str {
             .build()
             .expect("valid spec");
         let err = service.submit(monster).expect_err("over budget");
-        assert!(matches!(err, asym_serve::SubmitError::Rejected { .. }));
+        assert!(matches!(
+            err,
+            asym_serve::SubmitError::Rejected(asym_serve::Refusal::Budget { .. })
+        ));
 
         service.drain();
         drop(service);

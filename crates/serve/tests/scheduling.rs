@@ -8,7 +8,9 @@
 
 use asym_core::sort::{Algorithm, SortSpec};
 use asym_model::workload::Workload;
-use asym_serve::{AuditEvent, JobRequest, JobState, ServiceConfig, SortService, SubmitError};
+use asym_serve::{
+    AuditEvent, JobRequest, JobState, Refusal, ServiceConfig, SortService, SubmitError,
+};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -115,10 +117,10 @@ fn io_budget_is_a_second_typed_admission_axis() {
         .submit(job(20_000))
         .expect_err("over the I/O budget");
     match err {
-        SubmitError::RejectedIo {
+        SubmitError::Rejected(Refusal::Io {
             predicted,
             available,
-        } => {
+        }) => {
             assert_eq!(predicted, one.io_cost());
             assert_eq!(available, cfg_available(&one));
             // The wire payload names the axis, distinct from the memory

@@ -14,15 +14,6 @@ pub fn time_on(c: Cost, p: u64, omega: u64) -> u64 {
     (omega * c.writes + c.reads).div_ceil(p) + c.depth
 }
 
-/// The smallest processor count at which the span term dominates the work
-/// term (the "linear speedup limit"): p such that work/p <= depth.
-pub fn linear_speedup_limit(c: Cost, omega: u64) -> u64 {
-    if c.depth == 0 {
-        return 1;
-    }
-    (c.work(omega)).div_ceil(c.depth).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,17 +46,6 @@ mod tests {
         let t16 = time_on(c, 16, 8);
         assert!(t1 > t4 && t4 > t16);
         assert!(t16 >= c.depth);
-    }
-
-    #[test]
-    fn speedup_limit_is_work_over_depth() {
-        let c = Cost {
-            reads: 1000,
-            writes: 0,
-            depth: 10,
-        };
-        assert_eq!(linear_speedup_limit(c, 1), 100);
-        assert_eq!(linear_speedup_limit(Cost::ZERO, 4), 1);
     }
 
     #[test]

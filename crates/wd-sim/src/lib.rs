@@ -9,14 +9,14 @@
 //!   PRAM algorithms in `asym-core` compute their costs with it while they
 //!   compute their results, so the reported depth is *measured from the
 //!   actual dependence structure*, not transcribed from the paper.
-//! * [`brent`] — Brent's-theorem time bounds `T(n,p) = (ω·w + r)/p + d`.
+//! * [`time_on`] — Brent's-theorem time bounds `T(n,p) = (ω·w + r)/p + d`.
 //! * [`sched`] — fork-join task trees and a randomized work-stealing
 //!   scheduler simulation, used to check the §2 scheduler bounds
 //!   (`Qp ≤ Q1 + O(p·D·M/B)` rests on "#steals = O(pD) w.h.p.", which is the
 //!   quantity the simulation measures).
 
-pub mod brent;
-pub mod cost;
+mod brent;
+mod cost;
 pub mod sched;
 
 pub use brent::time_on;

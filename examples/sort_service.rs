@@ -13,7 +13,7 @@
 
 use asym_core::sort::{Algorithm, SortSpec};
 use asym_model::workload::Workload;
-use asym_serve::{serve, JobRequest, JobState, ServiceConfig, SortService, SubmitError};
+use asym_serve::{serve, JobRequest, JobState, Refusal, ServiceConfig, SortService, SubmitError};
 use em_sim::Backend;
 
 fn main() {
@@ -111,7 +111,7 @@ fn main() {
                 println!("{name:<28}{predicted:>16}{:>12}", format!("job {id}"));
                 admitted.push((name, id));
             }
-            Err(SubmitError::Rejected { available, .. }) => {
+            Err(SubmitError::Rejected(Refusal::Budget { available, .. })) => {
                 println!(
                     "{name:<28}{predicted:>16}{:>12}  (only {available} B free — deferred)",
                     "REJECTED"
