@@ -9,7 +9,7 @@
 //! * `raw-stream` — stage → `EmReader` → `EmWriter` copy (pure simulator
 //!   overhead, no algorithm);
 //! * `e3-mergesort-k{1,4,16}` — the Algorithm 2 mergesort (exercises the
-//!   flat merge queue);
+//!   slice merge queue and its phase-1 selection);
 //! * `e5-samplesort-k4` — the §4.2 distribution sort (exercises the bucket
 //!   writers);
 //! * `e6-heapsort-k4` — the §4.3 heapsort (exercises the buffer tree's run

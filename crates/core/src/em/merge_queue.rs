@@ -1,451 +1,580 @@
-//! The bounded flat merge queue backing Algorithm 2's in-memory priority
-//! queue.
+//! Algorithm 2's queue Q, stored in the one shape it ever has.
 //!
-//! Each merge round needs four operations on the set of ≤ M candidate
-//! records: *peek-max* (to reject phase-1 records that cannot matter this
-//! round), *pop-max* (to eject the largest entry when a smaller one arrives
-//! into a full queue), *push*, and *pop-min* (the phase-2 drain). The seed
-//! implementation used a `BTreeMap<Record, Mark>`, which allocates a node
-//! per insert and chases pointers on every operation — and dominated the
-//! simulator's wall-clock. This module replaces it with an **interval heap**
-//! (a min-max heap) laid out flat in one `Vec`: pairs of adjacent slots form
-//! nodes whose low ends are a min-heap and high ends a max-heap, giving O(1)
-//! peeks at both extremes and O(log n) pushes and pops of either end with no
-//! per-entry allocation.
+//! Q is never a general priority queue: for each run it holds an ascending
+//! contiguous slice of that run's *current* block. Q is empty when a round
+//! starts; a run's next block is loaded only when its block-final record is
+//! popped as the minimum (so the run's slice is empty then); pops take a
+//! run's prefix and ejections take a run's suffix. So each run keeps the
+//! block it holds, the slice bounds within it, and whether the slice still
+//! ends the block, and two winner trees over the l runs give the smallest
+//! head and the largest tail. Peek-max is O(1); pop-min and pop-max replay
+//! one tree path, O(log l) comparisons of `(Record, run)`. A record's
+//! provenance is implicit (its run is the tree leaf, its offset the slice
+//! position), and "last in block" means the slice ended the block and is now
+//! empty.
 //!
-//! The queue stores `(K, T)` entries ordered by the key `K` alone, and the
-//! key must be a **strict total order**: equal keys would make drain and
-//! ejection decisions ambiguous. Callers with potentially-duplicate records
-//! make the key unique by pairing the record with a provenance sequence —
-//! the mergesort uses `(Record, Seq)` where `Seq` is the record's
-//! `(run, offset)` origin (see `em::mergesort`), so truly identical records
-//! get distinct keys and drain in stable run order instead of being dropped.
-//! On unique-record inputs the sequence never decides a comparison, so every
-//! modeled block transfer is identical to keying on the record alone.
+//! Phase 1 is one selection rather than a stream of bounded inserts: with Q
+//! empty and no bar, inserting the candidates one by one leaves Q holding
+//! the M smallest keys above `lastV` and sets the bar to the smallest key
+//! it did not keep — the (M+1)-th smallest, or none. (A key the bar skips
+//! or the full queue rejects already has M smaller keys queued; an ejected
+//! key likewise; so the queue keeps the M smallest and the smallest key it
+//! turns away is the (M+1)-th.) [`SliceQueue::fill`] therefore finds that
+//! cutoff with the Lemma 4.2 kernel (`selection::Smallest` with cap M+1)
+//! and slices each run's block at `lastV` and the bar. Phase 2's per-record
+//! insert, bar and eject logic is sequential, as in the paper. Every
+//! decision, and so every block transfer, lease and output record of the
+//! merge, is the one a record-by-record queue makes. Host scratch beyond
+//! the modeled leases: the l current blocks (l·B = kM records) and the
+//! selection's 2(M+1) keys.
 
-/// A bounded double-ended priority queue over `(K, T)` entries, laid out as
-/// a flat interval heap. Keys must be unique (a strict total order over the
-/// live entries); payloads travel with their keys.
-///
-/// Invariants on the backing array: slots `2i` and `2i+1` form node `i` with
-/// `entries[2i] <= entries[2i+1]`; the even (low) slots form a min-heap and
-/// the odd (high) slots a max-heap; every node's interval is contained in
-/// its parent's. The final node may hold a single entry.
-#[derive(Debug)]
-pub struct FlatMergeQueue<K, T> {
-    entries: Vec<(K, T)>,
-    cap: usize,
+use super::selection::{Key, Smallest};
+use asym_model::Record;
+use std::cmp::Reverse;
+
+/// The merge keys a record by the Lemma 4.2 kernel's [`Key`], tie-broken
+/// by its provenance packed as `run << RUN_SHIFT | offset`, which keeps the
+/// order of `(Record, run, offset)` (see `em/mergesort.rs`).
+pub(super) const RUN_SHIFT: u32 = 40;
+
+fn merge_key(rec: Record, run: usize, offset: usize) -> Key {
+    (rec, run << RUN_SHIFT | offset)
 }
 
-impl<K: Ord + Copy, T: Copy> FlatMergeQueue<K, T> {
-    /// An empty queue that will hold at most `cap` entries. The backing
-    /// storage is allocated once, up front.
-    pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap >= 1, "queue capacity must be positive");
-        Self {
-            entries: Vec::with_capacity(cap),
-            cap,
-        }
-    }
+/// One run's share of Q: `recs[head..]`, an ascending slice of the run's
+/// current block, whose record `recs[i]` sits at offset `base + i` in the
+/// run.
+#[derive(Default)]
+struct Slice {
+    recs: Vec<Record>,
+    head: usize,
+    base: usize,
+    /// The slice still reaches the end of the block (no suffix of it was
+    /// ejected), so popping its last record moves the run to its next block.
+    ends_block: bool,
+}
 
-    /// Entries currently queued.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The fixed capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The smallest key, in O(1).
-    pub fn peek_min(&self) -> Option<K> {
-        self.entries.first().map(|e| e.0)
-    }
-
-    /// The largest key, in O(1).
-    pub fn peek_max(&self) -> Option<K> {
-        match self.entries.len() {
-            0 => None,
-            1 => Some(self.entries[0].0),
-            _ => Some(self.entries[1].0),
-        }
-    }
-
-    /// Insert an entry. Panics if the queue is full (Algorithm 2 always
-    /// ejects before inserting into a full queue).
-    pub fn push(&mut self, key: K, payload: T) {
-        assert!(self.entries.len() < self.cap, "merge queue overfull");
-        self.entries.push((key, payload));
-        let i = self.entries.len() - 1;
-        if i == 0 {
-            return;
-        }
-        if i % 2 == 1 {
-            // Completes node i/2: order the pair, then repair whichever side
-            // the new entry may have pushed out of its parent's interval.
-            if self.entries[i - 1].0 > self.entries[i].0 {
-                self.entries.swap(i - 1, i);
+impl Slice {
+    /// The first index of the block whose key fails `below`, which holds on
+    /// a prefix of the (ascending) block.
+    fn first(&self, run: usize, below: impl Fn(Key) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.recs.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if below(merge_key(self.recs[mid], run, self.base + mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            self.sift_up_min(i - 1);
-            self.sift_up_max(i);
+        }
+        lo
+    }
+}
+
+/// A winner tree over a power-of-two number of leaves: `win[1]` is the leaf
+/// with the smallest key, `win[v]` the winner of node v's subtree, and leaf
+/// i sits at node `leaves + i`.
+struct WinnerTree {
+    win: Vec<u32>,
+}
+
+impl WinnerTree {
+    fn new(leaves: usize) -> Self {
+        let win = (0..2 * leaves).map(|v| v.saturating_sub(leaves) as u32);
+        Self { win: win.collect() }
+    }
+
+    fn top(&self) -> usize {
+        self.win[1] as usize
+    }
+
+    /// The winner of node `v`'s two children.
+    fn play<K: Ord>(&self, keys: &[K], v: usize) -> u32 {
+        let (a, b) = (self.win[2 * v], self.win[2 * v + 1]);
+        if keys[b as usize] < keys[a as usize] {
+            b
         } else {
-            // New singleton node: it acts as both ends of its own interval.
-            self.sift_up_min(i);
-            self.sift_up_max(i);
+            a
         }
     }
 
-    /// Remove and return the smallest entry.
-    pub fn pop_min(&mut self) -> Option<(K, T)> {
-        let n = self.entries.len();
-        if n == 0 {
-            return None;
+    /// Replay leaf `i`'s path to the root after its key changed.
+    fn update<K: Ord>(&mut self, keys: &[K], i: usize) {
+        let mut v = (keys.len() + i) / 2;
+        while v > 0 {
+            self.win[v] = self.play(keys, v);
+            v /= 2;
         }
-        if n <= 2 {
-            // A single node: slot 0 is the minimum; slot 1 (if any) shifts
-            // down into it.
-            return Some(self.entries.swap_remove(0));
-        }
-        let min = self.entries[0];
-        let mut x = self.entries.pop().expect("non-empty");
-        let n = self.entries.len();
-        // Trickle the displaced last entry down the min (even) layer: at
-        // each node the smaller child low end moves up into the hole; if the
-        // in-hand entry exceeds that child's high end, they swap and the old
-        // high end continues down in hand.
-        let mut hole = 0usize;
-        loop {
-            let node = hole / 2;
-            let left_lo = 2 * (2 * node + 1);
-            let right_lo = 2 * (2 * node + 2);
-            if left_lo >= n {
-                break;
-            }
-            let mut c_lo = left_lo;
-            if right_lo < n && self.entries[right_lo].0 < self.entries[left_lo].0 {
-                c_lo = right_lo;
-            }
-            if x.0 <= self.entries[c_lo].0 {
-                break;
-            }
-            self.entries[hole] = self.entries[c_lo];
-            hole = c_lo;
-            if hole + 1 < n && x.0 > self.entries[hole + 1].0 {
-                std::mem::swap(&mut x, &mut self.entries[hole + 1]);
-            }
-        }
-        self.entries[hole] = x;
-        Some(min)
     }
 
-    /// Remove and return the largest entry.
-    pub fn pop_max(&mut self) -> Option<(K, T)> {
-        let n = self.entries.len();
-        if n <= 2 {
-            // The maximum is the last slot (slot 1 of node 0, or the lone
-            // entry).
-            return self.entries.pop();
+    /// Replay every node after many keys changed.
+    fn rebuild<K: Ord>(&mut self, keys: &[K]) {
+        for v in (1..keys.len()).rev() {
+            self.win[v] = self.play(keys, v);
         }
-        let max = self.entries[1];
-        let mut x = self.entries.pop().expect("non-empty");
-        let n = self.entries.len();
-        // Trickle the displaced last entry down the max (odd) layer; a child
-        // node's maximum is its high slot, or its lone entry for a singleton.
-        // Symmetric to `pop_min`: the larger child maximum moves up into the
-        // hole, and if the in-hand entry is below that child's low end they
-        // swap and the old low end continues down in hand.
-        let mut hole = 1usize;
-        loop {
-            let node = hole / 2;
-            let (l, r) = (2 * node + 1, 2 * node + 2);
-            let l_max = Self::node_max_slot(l, n);
-            let r_max = Self::node_max_slot(r, n);
-            let c_max = match (l_max, r_max) {
-                (None, None) => break,
-                (Some(i), None) => i,
-                (None, Some(i)) => i,
-                (Some(i), Some(j)) => {
-                    if self.entries[i].0 >= self.entries[j].0 {
-                        i
-                    } else {
-                        j
+    }
+}
+
+/// The tree keys of an empty slice (or a padding leaf): the min tree's is
+/// above every live `(record, run)`, the max tree's below every live
+/// `(record, run + 1)`.
+const EMPTY_HEAD: (Record, u32) = (
+    Record {
+        key: u64::MAX,
+        payload: u64::MAX,
+    },
+    u32::MAX,
+);
+const EMPTY_TAIL: Reverse<(Record, u32)> = Reverse((Record { key: 0, payload: 0 }, 0));
+
+/// Algorithm 2's queue Q (see the module docs): one [`Slice`] per run,
+/// under a min tree over the slices' heads and a max tree over their tails.
+/// The head and tail records are cached flat so the trees compare without
+/// chasing into the slices.
+pub(super) struct SliceQueue {
+    slices: Vec<Slice>,
+    /// `(head record, run)` per leaf.
+    heads: Vec<(Record, u32)>,
+    /// `(tail record, run + 1)` per leaf, reversed so that the tree's
+    /// smallest key is the largest tail.
+    tails: Vec<Reverse<(Record, u32)>>,
+    min: WinnerTree,
+    max: WinnerTree,
+    len: usize,
+}
+
+impl SliceQueue {
+    pub(super) fn new(runs: usize) -> Self {
+        let leaves = runs.next_power_of_two();
+        Self {
+            slices: (0..runs).map(|_| Slice::default()).collect(),
+            heads: vec![EMPTY_HEAD; leaves],
+            tails: vec![EMPTY_TAIL; leaves],
+            min: WinnerTree::new(leaves),
+            max: WinnerTree::new(leaves),
+            len: 0,
+        }
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Run `r`'s buffer, emptied, to read the block at run offset `base`
+    /// into. The run's slice must be empty; the block joins Q through
+    /// [`Self::fill`] or [`Self::insert_block`].
+    pub(super) fn block_mut(&mut self, r: usize, base: usize) -> &mut Vec<Record> {
+        let s = &mut self.slices[r];
+        s.recs.clear();
+        s.head = 0;
+        s.base = base;
+        &mut s.recs
+    }
+
+    /// Queue `recs[lo..hi]` of run `r`'s block and refresh its cached head
+    /// and tail; the trees are the caller's to replay.
+    fn keep(&mut self, r: usize, lo: usize, hi: usize) {
+        let s = &mut self.slices[r];
+        s.ends_block = hi == s.recs.len();
+        s.recs.truncate(hi);
+        s.head = lo;
+        self.len += hi - lo;
+        self.cache(r);
+    }
+
+    fn cache(&mut self, r: usize) {
+        let s = &self.slices[r];
+        match (s.recs.get(s.head), s.recs.last()) {
+            (Some(&head), Some(&tail)) => {
+                self.heads[r] = (head, r as u32);
+                self.tails[r] = Reverse((tail, r as u32 + 1));
+            }
+            _ => {
+                self.heads[r] = EMPTY_HEAD;
+                self.tails[r] = EMPTY_TAIL;
+            }
+        }
+    }
+
+    fn update(&mut self, r: usize) {
+        self.min.update(&self.heads, r);
+        self.max.update(&self.tails, r);
+    }
+
+    /// Phase 1, once every run's current block is loaded into the empty
+    /// queue (an exhausted run's buffer is empty): keep the `m` smallest
+    /// keys above `last_v` and return the bar, the smallest key not kept.
+    pub(super) fn fill(&mut self, m: usize, last_v: Option<Key>) -> Option<Key> {
+        debug_assert!(self.is_empty(), "a round starts with Q empty");
+        let mut candidates = 0;
+        for (r, s) in self.slices.iter_mut().enumerate() {
+            s.head = s.first(r, |key| last_v.is_some_and(|lv| key <= lv));
+            candidates += s.recs.len() - s.head;
+        }
+        let bar = if candidates > m {
+            let mut best = Smallest::new(m + 1);
+            for (r, s) in self.slices.iter().enumerate() {
+                for (i, &rec) in s.recs.iter().enumerate().skip(s.head) {
+                    best.offer(merge_key(rec, r, s.base + i));
+                }
+            }
+            best.cutoff()
+        } else {
+            None
+        };
+        for r in 0..self.slices.len() {
+            let s = &self.slices[r];
+            let hi = s.first(r, |key| bar.is_none_or(|b| key < b));
+            self.keep(r, s.head, hi);
+        }
+        self.min.rebuild(&self.heads);
+        self.max.rebuild(&self.tails);
+        bar
+    }
+
+    /// Phase 2's insert of run `r`'s freshly loaded block, record by record
+    /// as in the paper: skip keys up to `last_v`, stop at the bar, and into
+    /// a full queue of capacity `m` either eject the maximum or reject the
+    /// key; the key turned away becomes the bar.
+    pub(super) fn insert_block(&mut self, r: usize, m: usize, last_v: Key, bar: &mut Option<Key>) {
+        let s = &self.slices[r];
+        let lo = s.first(r, |key| key <= last_v);
+        let mut hi = lo;
+        while let Some(&rec) = self.slices[r].recs.get(hi) {
+            let key = merge_key(rec, r, self.slices[r].base + hi);
+            if bar.is_some_and(|b| key >= b) {
+                break;
+            }
+            if self.len + (hi - lo) >= m {
+                // The block's records queued so far are below `key`, so Q's
+                // maximum is the other runs' when that is above `key`. Q lies
+                // below the bar, so whatever is turned away is the new bar.
+                match self.peek_max() {
+                    Some(qmax) if key < qmax => {
+                        self.pop_max();
+                        *bar = Some(qmax);
+                    }
+                    _ => {
+                        *bar = Some(key);
+                        break;
                     }
                 }
-            };
-            if x.0 >= self.entries[c_max].0 {
-                break;
             }
-            self.entries[hole] = self.entries[c_max];
-            hole = c_max;
-            if hole % 2 == 1 && x.0 < self.entries[hole - 1].0 {
-                std::mem::swap(&mut x, &mut self.entries[hole - 1]);
-            }
+            hi += 1;
         }
-        self.entries[hole] = x;
-        Some(max)
+        self.keep(r, lo, hi);
+        self.update(r);
     }
 
-    /// The slot index of node `node`'s maximum, if the node exists: its high
-    /// slot, or its lone low slot for a trailing singleton.
-    fn node_max_slot(node: usize, n: usize) -> Option<usize> {
-        let lo = 2 * node;
-        if lo >= n {
-            None
-        } else if lo + 1 < n {
-            Some(lo + 1)
+    /// Pop the smallest key, and whether it was the last record of its
+    /// block.
+    pub(super) fn pop_min(&mut self) -> Option<(Key, bool)> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let r = self.min.top();
+        let s = &mut self.slices[r];
+        let key = merge_key(s.recs[s.head], r, s.base + s.head);
+        s.head += 1;
+        if let Some(&next) = s.recs.get(s.head) {
+            self.heads[r] = (next, r as u32);
+            self.min.update(&self.heads, r);
+            Some((key, false))
         } else {
-            Some(lo)
+            let last_in_block = s.ends_block;
+            self.cache(r);
+            self.update(r);
+            Some((key, last_in_block))
         }
     }
 
-    /// Bubble the entry at (even or singleton) slot `idx` up the min layer.
-    fn sift_up_min(&mut self, mut idx: usize) {
-        while idx >= 2 {
-            let node = idx / 2;
-            let parent_lo = 2 * ((node - 1) / 2);
-            if self.entries[idx].0 < self.entries[parent_lo].0 {
-                self.entries.swap(idx, parent_lo);
-                idx = parent_lo;
-            } else {
-                break;
-            }
-        }
+    fn peek_max(&self) -> Option<Key> {
+        (self.len > 0).then(|| {
+            let r = self.max.top();
+            let s = &self.slices[r];
+            let i = s.recs.len() - 1;
+            merge_key(s.recs[i], r, s.base + i)
+        })
     }
 
-    /// Bubble the entry at (odd or singleton) slot `idx` up the max layer.
-    fn sift_up_max(&mut self, mut idx: usize) {
-        while idx >= 2 {
-            let node = idx / 2;
-            let parent_hi = 2 * ((node - 1) / 2) + 1;
-            if self.entries[idx].0 > self.entries[parent_hi].0 {
-                self.entries.swap(idx, parent_hi);
-                idx = parent_hi;
-            } else {
-                break;
+    fn pop_max(&mut self) -> Option<Key> {
+        let key = self.peek_max()?;
+        self.len -= 1;
+        let r = self.max.top();
+        let s = &mut self.slices[r];
+        s.recs.pop();
+        s.ends_block = false;
+        match s.recs.last() {
+            Some(&tail) if s.head < s.recs.len() => {
+                self.tails[r] = Reverse((tail, r as u32 + 1));
+                self.max.update(&self.tails, r);
+            }
+            _ => {
+                self.cache(r);
+                self.update(r);
             }
         }
-    }
-
-    /// Check the interval-heap invariants (test oracle).
-    #[cfg(test)]
-    fn validate(&self) {
-        let n = self.entries.len();
-        for node in 0.. {
-            let lo = 2 * node;
-            if lo >= n {
-                break;
-            }
-            let hi = if lo + 1 < n { lo + 1 } else { lo };
-            assert!(
-                self.entries[lo].0 <= self.entries[hi].0,
-                "node {node} interval inverted"
-            );
-            if node > 0 {
-                let p = (node - 1) / 2;
-                let p_lo = 2 * p;
-                let p_hi = 2 * p + 1;
-                assert!(
-                    self.entries[p_lo].0 <= self.entries[lo].0,
-                    "min-heap violated at node {node}"
-                );
-                assert!(
-                    self.entries[hi].0 <= self.entries[p_hi].0,
-                    "max-heap violated at node {node}"
-                );
-            }
-        }
+        Some(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_model::Record;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    fn rec(k: u64) -> Record {
-        Record::keyed(k)
+    type Reference = BTreeMap<(Record, usize, usize), bool>;
+
+    fn unpack(key: Key) -> (Record, usize, usize) {
+        (key.0, key.1 >> RUN_SHIFT, key.1 & ((1 << RUN_SHIFT) - 1))
+    }
+
+    /// `stream` dealt round-robin into `l` runs, each sorted.
+    fn runs_of(stream: &[Record], l: usize) -> Vec<Vec<Record>> {
+        let mut runs = vec![Vec::new(); l];
+        for (i, &r) in stream.iter().enumerate() {
+            runs[i % l].push(r);
+        }
+        for run in &mut runs {
+            run.sort();
+        }
+        runs
+    }
+
+    /// Records from a tiny space when `dup` (4 keys × 3 payloads, so most
+    /// are duplicates of one another), distinct records otherwise.
+    fn stream(dup: bool) -> impl Strategy<Value = Vec<Record>> {
+        prop::collection::vec((0u64..1000, 0u64..3), 0..600).prop_map(move |draws| {
+            let record = |(i, (k, p)): (usize, (u64, u64))| {
+                if dup {
+                    Record::new(k % 4, p)
+                } else {
+                    Record::new(k, i as u64)
+                }
+            };
+            draws.into_iter().enumerate().map(record).collect()
+        })
+    }
+
+    /// A queue over `runs` split into blocks of `b`, with every run's first
+    /// block queued whole, and the `BTreeMap` reference holding the same
+    /// keys, each mapped to whether it ends its block.
+    fn queue_and_reference(runs: &[Vec<Record>], b: usize) -> (SliceQueue, Reference) {
+        let mut queue = SliceQueue::new(runs.len());
+        let mut reference = BTreeMap::new();
+        for (r, run) in runs.iter().enumerate() {
+            let block = &run[..run.len().min(b)];
+            queue.block_mut(r, 0).extend_from_slice(block);
+            for (i, &rec) in block.iter().enumerate() {
+                reference.insert((rec, r, i), i + 1 == block.len());
+            }
+        }
+        assert_eq!(queue.fill(usize::MAX, None), None);
+        (queue, reference)
+    }
+
+    /// Load run `r`'s block at `base` after its block-final record popped:
+    /// into the queue through the phase-2 insert (capacity never binds), and
+    /// into the reference.
+    fn load_next(
+        queue: &mut SliceQueue,
+        reference: &mut Reference,
+        run: &[Record],
+        (r, b, base): (usize, usize, usize),
+        last_v: Key,
+    ) {
+        let block = &run[base.min(run.len())..(base + b).min(run.len())];
+        queue.block_mut(r, base).extend_from_slice(block);
+        let mut bar = None;
+        queue.insert_block(r, usize::MAX, last_v, &mut bar);
+        assert_eq!(bar, None);
+        for (i, &rec) in block.iter().enumerate() {
+            reference.insert((rec, r, base + i), i + 1 == block.len());
+        }
+    }
+
+    /// Random interleavings of pop-min, pop-max and peek-max (`ops`, cycled)
+    /// agree with the reference's pop_first, pop_last and last key, and lose
+    /// no record: what is popped plus what is left is every record loaded.
+    fn interleave(runs: &[Vec<Record>], b: usize, ops: &[u8]) {
+        let (mut q, mut reference) = queue_and_reference(runs, b);
+        let (mut loaded, mut popped) = (reference.len(), 0);
+        let total: usize = runs.iter().map(Vec::len).sum();
+        for op in ops.iter().cycle().take(2 * total + 1) {
+            match op {
+                0 => {
+                    let got = q.pop_min();
+                    let want = reference.pop_first();
+                    prop_assert_eq!(got.map(|(k, last)| (unpack(k), last)), want);
+                    if let Some((key, last)) = got {
+                        popped += 1;
+                        if last {
+                            let (_, r, offset) = unpack(key);
+                            let before = reference.len();
+                            let at = (r, b, offset + 1);
+                            load_next(&mut q, &mut reference, &runs[r], at, key);
+                            loaded += reference.len() - before;
+                        }
+                    }
+                }
+                1 => {
+                    let got = q.pop_max();
+                    prop_assert_eq!(got.map(unpack), reference.pop_last().map(|(k, _)| k));
+                    popped += usize::from(got.is_some());
+                }
+                _ => {
+                    let want = reference.last_key_value().map(|(&k, _)| k);
+                    prop_assert_eq!(q.peek_max().map(unpack), want);
+                }
+            }
+            prop_assert_eq!(q.len, reference.len());
+        }
+        prop_assert_eq!(loaded, popped + q.len);
     }
 
     #[test]
     fn min_and_max_of_small_queues() {
-        let mut q: FlatMergeQueue<Record, u32> = FlatMergeQueue::with_capacity(8);
-        assert_eq!(q.peek_min(), None);
-        assert_eq!(q.peek_max(), None);
-        assert_eq!(q.pop_min(), None);
-        assert_eq!(q.pop_max(), None);
-        q.push(rec(5), 0);
-        assert_eq!(q.peek_min(), Some(rec(5)));
-        assert_eq!(q.peek_max(), Some(rec(5)));
-        q.push(rec(3), 1);
-        assert_eq!(q.peek_min(), Some(rec(3)));
-        assert_eq!(q.peek_max(), Some(rec(5)));
-        assert_eq!(q.pop_max(), Some((rec(5), 0)));
-        assert_eq!(q.pop_min(), Some((rec(3), 1)));
+        let rec = Record::keyed;
+        let runs = vec![vec![rec(2), rec(5)], vec![], vec![rec(1), rec(5), rec(9)]];
+        let (mut q, _) = queue_and_reference(&runs, 4);
+        assert_eq!(q.len, 5);
+        assert_eq!(q.peek_max(), Some(merge_key(rec(9), 2, 2)));
+        assert_eq!(q.pop_max(), Some(merge_key(rec(9), 2, 2)));
+        // Equal records: the higher run is the larger key.
+        assert_eq!(q.pop_max(), Some(merge_key(rec(5), 2, 1)));
+        // Run 2 lost its block's tail, so its last record no longer ends
+        // the block; run 0's still does.
+        assert_eq!(q.pop_min(), Some((merge_key(rec(1), 2, 0), false)));
+        assert_eq!(q.pop_min(), Some((merge_key(rec(2), 0, 0), false)));
+        assert_eq!(q.pop_min(), Some((merge_key(rec(5), 0, 1), true)));
         assert!(q.is_empty());
+        assert_eq!((q.pop_min(), q.peek_max(), q.pop_max()), (None, None, None));
     }
 
-    #[test]
-    fn ascending_drain_matches_sorted_input() {
-        let mut q: FlatMergeQueue<Record, usize> = FlatMergeQueue::with_capacity(64);
-        let keys = [9u64, 2, 40, 17, 1, 33, 25, 8, 16, 4];
-        for (i, &k) in keys.iter().enumerate() {
-            q.push(rec(k), i);
-            q.validate();
-        }
-        let mut drained = Vec::new();
-        while let Some((r, _)) = q.pop_min() {
-            q.validate();
-            drained.push(r.key);
-        }
-        let mut expect = keys.to_vec();
-        expect.sort_unstable();
-        assert_eq!(drained, expect);
-    }
-
+    /// Pop-max over the first blocks of three runs yields exactly the
+    /// queued records, largest first, and then leaves nothing to pop-min.
     #[test]
     fn descending_drain_matches_reverse_sorted_input() {
-        let mut q: FlatMergeQueue<Record, usize> = FlatMergeQueue::with_capacity(64);
         let keys = [9u64, 2, 40, 17, 1, 33, 25, 8, 16, 4];
-        for (i, &k) in keys.iter().enumerate() {
-            q.push(rec(k), i);
+        let stream: Vec<Record> = keys.iter().map(|&k| Record::keyed(k)).collect();
+        let runs = runs_of(&stream, 3);
+        for b in [1, 2, 4] {
+            let (mut q, _) = queue_and_reference(&runs, b);
+            let mut expect: Vec<u64> = runs
+                .iter()
+                .flat_map(|run| &run[..b.min(run.len())])
+                .map(|r| r.key)
+                .collect();
+            expect.sort_unstable_by(|x, y| y.cmp(x));
+            let mut drained = Vec::new();
+            while let Some(key) = q.pop_max() {
+                drained.push(key.0.key);
+            }
+            assert_eq!(drained, expect, "b={b}");
+            assert_eq!(q.pop_min(), None);
         }
-        let mut drained = Vec::new();
-        while let Some((r, _)) = q.pop_max() {
-            q.validate();
-            drained.push(r.key);
-        }
-        let mut expect = keys.to_vec();
-        expect.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(drained, expect);
     }
 
+    /// Every popped key's implicit provenance (run, offset) names the slot
+    /// its record came from, and a pop-min flags the last record of a block
+    /// only at a block end — never once an ejection cut the block's tail.
     #[test]
     fn payloads_travel_with_their_records() {
-        let mut q: FlatMergeQueue<Record, &'static str> = FlatMergeQueue::with_capacity(4);
-        q.push(rec(2), "two");
-        q.push(rec(1), "one");
-        q.push(rec(3), "three");
-        assert_eq!(q.pop_min(), Some((rec(1), "one")));
-        assert_eq!(q.pop_max(), Some((rec(3), "three")));
-        assert_eq!(q.pop_min(), Some((rec(2), "two")));
-    }
-
-    #[test]
-    #[should_panic(expected = "overfull")]
-    fn push_beyond_capacity_panics() {
-        let mut q: FlatMergeQueue<Record, u32> = FlatMergeQueue::with_capacity(2);
-        q.push(rec(1), 0);
-        q.push(rec(2), 0);
-        q.push(rec(3), 0);
-    }
-
-    /// Differential test against the `BTreeMap` the queue replaced: random
-    /// interleavings of push / pop-min / pop-max / peeks over unique records
-    /// must agree operation-for-operation.
-    #[test]
-    fn matches_btreemap_reference_under_random_interleavings() {
-        let mut rng = StdRng::seed_from_u64(0xF1A7);
-        for case in 0..200 {
-            let cap = rng.gen_range(1usize..48);
-            let mut q: FlatMergeQueue<Record, u64> = FlatMergeQueue::with_capacity(cap);
-            let mut reference: BTreeMap<Record, u64> = BTreeMap::new();
-            let mut next_payload = 0u64;
-            for step in 0..400 {
-                let op = rng.gen_range(0u8..6);
-                match op {
-                    0 | 1 if reference.len() < cap => {
-                        // Unique records: random key, payload tie-break.
-                        let r = Record::new(rng.gen_range(0..1000), next_payload);
-                        next_payload += 1;
-                        if reference.contains_key(&r) {
-                            continue;
-                        }
-                        q.push(r, r.payload);
-                        reference.insert(r, r.payload);
-                    }
-                    2 => {
-                        let expect = reference.pop_first();
-                        assert_eq!(q.pop_min(), expect, "case {case} step {step} pop_min");
-                    }
-                    3 => {
-                        let expect = reference.pop_last();
-                        assert_eq!(q.pop_max(), expect, "case {case} step {step} pop_max");
-                    }
-                    4 => {
-                        assert_eq!(q.peek_min(), reference.first_key_value().map(|(r, _)| *r));
-                    }
-                    _ => {
-                        assert_eq!(q.peek_max(), reference.last_key_value().map(|(r, _)| *r));
-                    }
-                }
-                assert_eq!(q.len(), reference.len());
-                q.validate();
+        let b = 4;
+        let runs: Vec<Vec<Record>> = (0..3)
+            .map(|r| {
+                let mut run: Vec<Record> = (0..10)
+                    .map(|i| Record::new((7 * i + 3 * r) % 13, 100 * r + i))
+                    .collect();
+                run.sort();
+                run
+            })
+            .collect();
+        let (mut q, mut reference) = queue_and_reference(&runs, b);
+        let mut ejected = [false; 3];
+        for step in 0.. {
+            let (key, last) = if step % 3 == 2 {
+                let Some(key) = q.pop_max() else { break };
+                ejected[unpack(key).1] = true;
+                (key, false)
+            } else {
+                let Some(popped) = q.pop_min() else { break };
+                popped
+            };
+            let (rec, r, offset) = unpack(key);
+            assert_eq!(runs[r][offset], rec, "step {step}: provenance");
+            let block_end = (offset + 1) % b == 0 || offset + 1 == runs[r].len();
+            assert_eq!(
+                last,
+                block_end && !ejected[r],
+                "step {step}: last-in-block of {rec:?}"
+            );
+            if last {
+                ejected[r] = false;
+                load_next(&mut q, &mut reference, &runs[r], (r, b, offset + 1), key);
             }
         }
     }
 
-    /// The duplicate-record discipline: keys are `(Record, seq)` pairs where
-    /// the sequence is assigned at push time, exactly as the mergesort tags
-    /// provenance. Heavily duplicated records (keys drawn from a tiny range)
-    /// must drain identically to the `BTreeMap` reference and never lose an
-    /// entry — the invariant the old record-only ordering violated.
-    #[test]
-    fn duplicate_records_with_seq_keys_match_btreemap_reference() {
-        let mut rng = StdRng::seed_from_u64(0xD0_9E);
-        for case in 0..200 {
-            let cap = rng.gen_range(1usize..48);
-            let mut q: FlatMergeQueue<(Record, u64), u64> = FlatMergeQueue::with_capacity(cap);
-            let mut reference: BTreeMap<(Record, u64), u64> = BTreeMap::new();
-            let mut next_seq = 0u64;
-            let mut pushed = 0u64;
-            let mut drained = 0u64;
-            for step in 0..400 {
-                let op = rng.gen_range(0u8..6);
-                match op {
-                    0 | 1 if reference.len() < cap => {
-                        // Keys from a range of 4: nearly every record is a
-                        // duplicate of a live one.
-                        let r = Record::new(rng.gen_range(0..4), 0);
-                        let key = (r, next_seq);
-                        next_seq += 1;
-                        pushed += 1;
-                        q.push(key, key.1);
-                        reference.insert(key, key.1);
-                    }
-                    2 => {
-                        let expect = reference.pop_first();
-                        let got = q.pop_min();
-                        assert_eq!(got, expect, "case {case} step {step} pop_min");
-                        drained += u64::from(got.is_some());
-                    }
-                    3 => {
-                        let expect = reference.pop_last();
-                        let got = q.pop_max();
-                        assert_eq!(got, expect, "case {case} step {step} pop_max");
-                        drained += u64::from(got.is_some());
-                    }
-                    4 => {
-                        assert_eq!(q.peek_min(), reference.first_key_value().map(|(k, _)| *k));
-                    }
-                    _ => {
-                        assert_eq!(q.peek_max(), reference.last_key_value().map(|(k, _)| *k));
-                    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Draining mins pops the reference's keys in order — the stable
+        /// sort — and flags exactly the block-final records, loading each
+        /// run's next block on them, until every record is out.
+        #[test]
+        fn ascending_drain_matches_sorted_input(
+            dup in any::<bool>(),
+            distinct in stream(false),
+            geom in (1usize..9, 1usize..9),
+        ) {
+            let (l, b) = geom;
+            let stream: Vec<Record> = if dup {
+                distinct.iter().map(|r| Record::new(r.key % 4, r.key / 4 % 3)).collect()
+            } else {
+                distinct
+            };
+            let runs = runs_of(&stream, l);
+            let (mut q, mut reference) = queue_and_reference(&runs, b);
+            let mut drained = Vec::new();
+            while let Some((key, last)) = q.pop_min() {
+                let (want, want_last) = reference.pop_first().expect("reference non-empty");
+                prop_assert_eq!((unpack(key), last), (want, want_last));
+                drained.push(key.0);
+                if last {
+                    let (_, r, offset) = unpack(key);
+                    load_next(&mut q, &mut reference, &runs[r], (r, b, offset + 1), key);
                 }
-                assert_eq!(q.len(), reference.len());
-                q.validate();
             }
-            // Length preservation: every pushed entry is still queued or was
-            // drained — duplicates are never silently dropped.
-            assert_eq!(pushed, drained + q.len() as u64, "case {case} lost entries");
+            prop_assert!(reference.is_empty());
+            let mut expect = stream.clone();
+            expect.sort();
+            prop_assert_eq!(drained, expect);
+        }
+
+        /// Distinct records: the queue agrees with the `BTreeMap` reference
+        /// operation for operation.
+        #[test]
+        fn matches_btreemap_reference_under_random_interleavings(
+            stream in stream(false),
+            ops in prop::collection::vec(0u8..3, 1..600),
+            geom in (1usize..9, 1usize..9),
+        ) {
+            interleave(&runs_of(&stream, geom.0), geom.1, &ops);
+        }
+
+        /// Duplicate-heavy records: only the implicit `(run, offset)` keeps
+        /// the keys distinct, and the queue still agrees with the reference
+        /// and loses no record.
+        #[test]
+        fn duplicate_records_with_seq_keys_match_btreemap_reference(
+            stream in stream(true),
+            ops in prop::collection::vec(0u8..3, 1..600),
+            geom in (1usize..9, 1usize..9),
+        ) {
+            interleave(&runs_of(&stream, geom.0), geom.1, &ops);
         }
     }
 }

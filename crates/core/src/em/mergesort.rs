@@ -36,26 +36,27 @@
 //! requirement: `lastV`, the bar, and the queue all compared raw records,
 //! so a truly identical record was `<= lastV` the moment its twin was
 //! written and got silently skipped — records were lost. The merge now keys
-//! every candidate by `(Record, Seq)` where `Seq` is the record's
-//! provenance — (source-run index, offset within the run) — which is unique
-//! by construction. Runs are sorted, so the composite key is strictly
-//! increasing within a run; across runs the run index breaks ties. Equal
-//! records therefore drain in stable run order and none is ever dropped.
-//! On unique-record inputs the provenance never decides a comparison, so
-//! every insertion, ejection, and drain decision — and hence every modeled
-//! block transfer — is bit-identical to the old record-only ordering
-//! (`tests/cost_golden.rs` and the committed `BENCH_*.json` baselines pin
-//! this).
+//! every candidate by `(Record, provenance)`, where the provenance is the
+//! record's (source-run index, offset within the run), packed as
+//! `run << 40 | offset` — unique by construction. Runs are sorted, so the
+//! composite key is strictly increasing within a run; across runs the run
+//! index breaks ties. Equal records therefore drain in stable run order and
+//! none is ever dropped. On unique-record inputs the provenance never
+//! decides a comparison, so every insertion, ejection, and drain decision —
+//! and hence every modeled block transfer — is bit-identical to the old
+//! record-only ordering (`tests/cost_golden.rs` and the committed
+//! `BENCH_*.json` baselines pin this).
 //!
-//! One implementation deviation (performance, not semantics): the paper's
-//! priority queue Q is realized as a [`FlatMergeQueue`] — a bounded flat
-//! interval heap — rather than the `BTreeMap` the seed used. Both expose
-//! peek-max / pop-max / push / pop-min over the same strict-total-order
-//! keys, so every decision is identical; the flat heap just does it without
-//! allocating a node per record.
+//! **Implementation.** Q is a slice of each run's current block under two
+//! winner trees, and phase 1 is one selection; `em/merge_queue.rs` shows
+//! that every decision is the one record-by-record inserts make.
+//!
+//! The slices need sorted runs, so a block that is not sorted, or a round
+//! that finds nothing to write (a run that descends across a block
+//! boundary), is a `ModelError::Invariant`.
 
-use super::merge_queue::FlatMergeQueue;
-use super::selection::selection_sort;
+use super::merge_queue::{SliceQueue, RUN_SHIFT};
+use super::selection::{selection_sort, Key};
 use asym_model::{ModelError, Record, Result};
 use em_sim::{EmMachine, EmVec, EmWriter};
 
@@ -127,28 +128,26 @@ pub(crate) fn merge_sorted_runs(machine: &EmMachine, runs: &[EmVec], k: usize) -
     merge_runs(machine, runs, k, MergeOpts::default())
 }
 
-/// Queue entry bookkeeping: which run a record came from, and whether it was
-/// the last record of its block (the paper's "mark").
-#[derive(Clone, Copy, Debug)]
-struct Mark {
-    run: u32,
-    last_in_block: bool,
+/// Read block `bi` of run `r` into `buf`; `false` once the run is
+/// exhausted.
+fn load_block(
+    machine: &EmMachine,
+    runs: &[EmVec],
+    r: usize,
+    bi: usize,
+    buf: &mut Vec<Record>,
+) -> Result<bool> {
+    let Some(&id) = runs[r].block_ids().get(bi) else {
+        return Ok(false);
+    };
+    machine.read_block_into(id, buf)?;
+    if !buf.is_sorted() {
+        return Err(ModelError::Invariant(format!(
+            "merge input run {r} is not sorted (block {bi})"
+        )));
+    }
+    Ok(true)
 }
-
-/// Provenance of a merge candidate: the index of its source run within the
-/// current merge and its offset within that run. Pairing a record with its
-/// provenance gives the merge a strict total order even when records are
-/// duplicated (see the module docs): within a run offsets increase, across
-/// runs the run index breaks ties, so equal records drain in stable run
-/// order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Seq {
-    run: u32,
-    offset: u64,
-}
-
-/// The merge's comparison key: the record itself, tie-broken by provenance.
-type MergeKey = (Record, Seq);
 
 /// Merge l sorted runs (Lemma 4.1): at most (k+1)⌈n/B⌉ reads, ⌈n/B⌉ writes
 /// (plus one pointer-block write per consumed block when
@@ -159,10 +158,16 @@ fn merge_runs(machine: &EmMachine, runs: &[EmVec], k: usize, opts: MergeOpts) ->
     let l = runs.len();
     debug_assert!(l <= k * m / b, "too many runs for one merge");
     let total: usize = runs.iter().map(EmVec::len).sum();
+    if l >= 1 << (usize::BITS - RUN_SHIFT) || total >= 1 << RUN_SHIFT {
+        return Err(ModelError::Invariant(format!(
+            "{l} runs of {total} records overflow the merge's packed keys"
+        )));
+    }
 
-    // Primary-memory leases: the queue (M records), the shared load buffer
-    // (one block), and pointer/mark state (≤ kM/B records' worth) — unless
-    // the pointers live on disk; the writer leases its own block.
+    // Primary-memory leases: the queue (M records), the load buffer (one
+    // block: of a block read, only the slice Q keeps stays in memory), and
+    // pointer/mark state (≤ kM/B records' worth) — unless the pointers live
+    // on disk; the writer leases its own block.
     let _queue_lease = machine.lease(m)?;
     let _load_lease = machine.lease(b)?;
     let _pointer_lease = if opts.pointers_on_disk {
@@ -172,123 +177,45 @@ fn merge_runs(machine: &EmMachine, runs: &[EmVec], k: usize, opts: MergeOpts) ->
     };
     let mut writer = EmWriter::new(machine)?;
 
-    // In-memory priority queue: a bounded flat interval heap of capacity M
-    // (see the module docs). In-memory operations are free in the model;
-    // only block transfers are charged.
-    let mut queue: FlatMergeQueue<MergeKey, Mark> = FlatMergeQueue::with_capacity(m);
+    // In-memory operations are free in the model; only block transfers are
+    // charged.
+    let mut queue = SliceQueue::new(l);
     // Per-run cursor: index of the current (not fully consumed) block.
     let mut next_block: Vec<usize> = vec![0; l];
-    // The shared load buffer, reused for every block read of the merge.
-    let mut load_buf: Vec<Record> = Vec::with_capacity(b);
-    let mut last_v: Option<MergeKey> = None;
+    let mut last_v: Option<Key> = None;
     let mut written = 0usize;
-
-    // Load the current block of run `i` (into the shared, reused load
-    // buffer) and insert its eligible records into the queue.
-    #[allow(clippy::too_many_arguments)]
-    fn do_process_block(
-        machine: &EmMachine,
-        runs: &[EmVec],
-        queue: &mut FlatMergeQueue<MergeKey, Mark>,
-        next_block: &mut [usize],
-        load_buf: &mut Vec<Record>,
-        last_v: &Option<MergeKey>,
-        bar: &mut Option<MergeKey>,
-        i: usize,
-    ) -> Result<()> {
-        let run = &runs[i];
-        let bi = next_block[i];
-        if bi >= run.num_blocks() {
-            return Ok(());
-        }
-        let block_cap = machine.b();
-        machine.read_block_into(run.block_ids()[bi], load_buf)?;
-        let last_idx = load_buf.len() - 1;
-        for (j, &e) in load_buf.iter().enumerate() {
-            // Every full block holds exactly B records, so the record's
-            // run-relative offset is recoverable from its block position.
-            let key: MergeKey = (
-                e,
-                Seq {
-                    run: i as u32,
-                    offset: (bi * block_cap + j) as u64,
-                },
-            );
-            if let Some(lv) = last_v {
-                if key <= *lv {
-                    continue; // already written in an earlier round
-                }
-            }
-            // Round bar: nothing at or above a key the round has already
-            // turned away may enter (see module docs, deviation 2).
-            if let Some(bk) = bar {
-                if key >= *bk {
-                    continue;
-                }
-            }
-            if queue.len() >= queue.capacity() {
-                let qmax = queue.peek_max().expect("non-empty");
-                if key >= qmax {
-                    *bar = Some(bar.map_or(key, |bk| bk.min(key)));
-                    continue;
-                }
-                let (ejected, _) = queue.pop_max().expect("non-empty");
-                *bar = Some(bar.map_or(ejected, |bk| bk.min(ejected)));
-            }
-            queue.push(
-                key,
-                Mark {
-                    run: i as u32,
-                    last_in_block: j == last_idx,
-                },
-            );
-        }
-        Ok(())
-    }
 
     while written < total {
         // Phase 1: scan the current block of every run. The bar resets each
         // round: records above it become eligible again.
-        let mut bar: Option<MergeKey> = None;
-        for i in 0..l {
-            do_process_block(
-                machine,
-                runs,
-                &mut queue,
-                &mut next_block,
-                &mut load_buf,
-                &last_v,
-                &mut bar,
-                i,
-            )?;
+        for (r, &bi) in next_block.iter().enumerate() {
+            load_block(machine, runs, r, bi, queue.block_mut(r, bi * b))?;
         }
-        debug_assert!(
-            written + queue.len() >= total || !queue.is_empty(),
-            "phase 1 must make progress"
-        );
+        let mut bar = queue.fill(m, last_v);
+        if queue.is_empty() {
+            return Err(ModelError::Invariant(format!(
+                "merge round found none of the {} unwritten records: \
+                 an input run is not sorted",
+                total - written
+            )));
+        }
         // Phase 2: drain the queue, chasing block boundaries.
-        while let Some((key, mark)) = queue.pop_min() {
+        while let Some((key, last_in_block)) = queue.pop_min() {
             writer.push(key.0);
             written += 1;
             last_v = Some(key);
-            if mark.last_in_block {
-                let i = mark.run as usize;
-                next_block[i] += 1;
+            if last_in_block {
+                let r = key.1 >> RUN_SHIFT;
+                next_block[r] += 1;
                 if opts.pointers_on_disk {
-                    // Persist the updated pointer I_i (one block write; the
-                    // re-read cost is folded into the next process-block).
+                    // Persist the updated pointer I_r (one block write; the
+                    // re-read cost is folded into the next block load).
                     machine.charge_writes(1);
                 }
-                do_process_block(
-                    machine,
-                    runs,
-                    &mut queue,
-                    &mut next_block,
-                    &mut load_buf,
-                    &last_v,
-                    &mut bar,
-                    i,
-                )?;
+                let bi = next_block[r];
+                if load_block(machine, runs, r, bi, queue.block_mut(r, bi * b))? {
+                    queue.insert_block(r, m, key, &mut bar);
+                }
             }
         }
     }
@@ -302,6 +229,8 @@ mod tests {
     use asym_model::stats::ceil_log_base;
     use asym_model::workload::Workload;
     use em_sim::EmConfig;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn machine(m: usize, b: usize, omega: u64, k: usize) -> EmMachine {
         EmMachine::new(EmConfig::new(m, b, omega).with_slack(mergesort_slack(m, b, k)))
@@ -430,5 +359,179 @@ mod tests {
         // One selection pass: ceil(10/4) reads and writes.
         assert_eq!(em.stats().block_reads, 3);
         assert_eq!(em.stats().block_writes, 3);
+    }
+
+    /// The seed's merge, kept as the oracle: Q is a `BTreeMap` keyed by
+    /// `(record, run, offset)`, filled record by record under the same bar
+    /// and `lastV` rules (module docs), with the same leases.
+    fn reference_merge(
+        machine: &EmMachine,
+        runs: &[EmVec],
+        k: usize,
+        opts: MergeOpts,
+    ) -> Result<EmVec> {
+        type RefKey = (Record, usize, usize);
+        let (m, b, l) = (machine.m(), machine.b(), runs.len());
+        let total: usize = runs.iter().map(EmVec::len).sum();
+        let _queue_lease = machine.lease(m)?;
+        let _load_lease = machine.lease(b)?;
+        let _pointer_lease = if opts.pointers_on_disk {
+            None
+        } else {
+            Some(machine.lease(l.min((k * m) / b))?)
+        };
+        let mut writer = EmWriter::new(machine)?;
+        // Key → whether it is the last record of its block.
+        let mut queue: BTreeMap<RefKey, bool> = BTreeMap::new();
+        let mut next_block = vec![0; l];
+        let mut buf = Vec::new();
+        let mut last_v: Option<RefKey> = None;
+        let mut written = 0;
+        let process = |queue: &mut BTreeMap<RefKey, bool>,
+                       buf: &mut Vec<Record>,
+                       bi: usize,
+                       last_v: Option<RefKey>,
+                       bar: &mut Option<RefKey>,
+                       i: usize|
+         -> Result<()> {
+            let Some(&id) = runs[i].block_ids().get(bi) else {
+                return Ok(());
+            };
+            machine.read_block_into(id, buf)?;
+            let last = buf.len() - 1;
+            for (j, &e) in buf.iter().enumerate() {
+                let key = (e, i, bi * b + j);
+                if last_v.is_some_and(|lv| key <= lv) || bar.is_some_and(|bk| key >= bk) {
+                    continue;
+                }
+                if queue.len() >= m {
+                    let (&qmax, _) = queue.last_key_value().expect("full");
+                    let turned = if key >= qmax {
+                        key
+                    } else {
+                        queue.pop_last();
+                        qmax
+                    };
+                    *bar = Some(bar.map_or(turned, |bk| bk.min(turned)));
+                    if turned == key {
+                        continue;
+                    }
+                }
+                queue.insert(key, j == last);
+            }
+            Ok(())
+        };
+        while written < total {
+            let mut bar = None;
+            for (i, &bi) in next_block.iter().enumerate() {
+                process(&mut queue, &mut buf, bi, last_v, &mut bar, i)?;
+            }
+            assert!(!queue.is_empty(), "the reference merge made no progress");
+            while let Some((key, last)) = queue.pop_first() {
+                writer.push(key.0);
+                written += 1;
+                last_v = Some(key);
+                if last {
+                    let i = key.1;
+                    next_block[i] += 1;
+                    if opts.pointers_on_disk {
+                        machine.charge_writes(1);
+                    }
+                    process(&mut queue, &mut buf, next_block[i], last_v, &mut bar, i)?;
+                }
+            }
+        }
+        Ok(writer.finish())
+    }
+
+    /// Sorted runs of the given lengths, from xorshift draws: duplicate-heavy
+    /// records (4 keys × 3 payloads) when `dup`, near-unique ones otherwise.
+    fn sorted_runs(lens: &[usize], seed: u64, dup: bool) -> Vec<Vec<Record>> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut id = 0;
+        lens.iter()
+            .map(|&len| {
+                let mut run: Vec<Record> = (0..len)
+                    .map(|_| {
+                        id += 1;
+                        let d = next();
+                        if dup {
+                            Record::new(d % 4, d / 4 % 3)
+                        } else {
+                            Record::new(d % 1_000_000, id)
+                        }
+                    })
+                    .collect();
+                run.sort();
+                run
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Merge output and every modeled count — block reads, block writes
+        /// and peak memory — equal the `BTreeMap` oracle's, over random
+        /// geometries (k ≥ 2 with l·B > M takes the ejection path; l is
+        /// rarely a power of two), duplicate-heavy runs and pointers on disk.
+        #[test]
+        fn merge_matches_btreemap_reference(
+            geom in (0usize..3, 1usize..7, 1usize..5, 0usize..64),
+            lens in prop::collection::vec(0usize..60, 24..25),
+            seed in 0u64..u64::MAX,
+            dup in any::<bool>(),
+            pointers_on_disk in any::<bool>(),
+        ) {
+            let b = [2, 4, 8][geom.0];
+            let (m, k) = (b * geom.1, geom.2);
+            let l = 1 + geom.3 % (k * m / b);
+            let runs = sorted_runs(&lens[..l], seed, dup);
+            let opts = MergeOpts { pointers_on_disk };
+            let merge = |f: fn(&EmMachine, &[EmVec], usize, MergeOpts) -> Result<EmVec>| {
+                let em = machine(m, b, 8, k);
+                let staged: Vec<EmVec> = runs.iter().map(|r| EmVec::stage(&em, r)).collect();
+                let out = f(&em, &staged, k, opts).expect("merge");
+                (out.read_all_uncharged(&em), em.stats())
+            };
+            let (got, got_stats) = merge(merge_runs);
+            let (want, want_stats) = merge(reference_merge);
+            let mut sorted: Vec<Record> = runs.concat();
+            sorted.sort();
+            prop_assert_eq!(&want, &sorted);
+            prop_assert_eq!(got, want, "(m={}, b={}, k={}, l={})", m, b, k, l);
+            prop_assert_eq!(got_stats, want_stats, "(m={}, b={}, k={}, l={})", m, b, k, l);
+        }
+    }
+
+    /// An unsorted run must end the merge with an error. Blocks [1,2],[0,3]
+    /// are each sorted, but 0 is below the 2 already written, so the second
+    /// round finds nothing to write; a within-block disorder is caught on
+    /// load. The merge runs on a thread so a spin fails the test instead of
+    /// hanging it.
+    #[test]
+    fn unsorted_runs_are_an_error_not_a_spin() {
+        for keys in [[1u64, 2, 0, 3], [2, 1, 3, 4]] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let em = machine(4, 2, 8, 1);
+                let run: Vec<Record> = keys.iter().map(|&k| Record::keyed(k)).collect();
+                let runs = [EmVec::stage(&em, &run)];
+                let _ = tx.send(merge_runs(&em, &runs, 1, MergeOpts::default()).map(|v| v.len()));
+            });
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("the merge must return, not spin or panic");
+            assert!(
+                matches!(got, Err(ModelError::Invariant(_))),
+                "{keys:?}: {got:?}"
+            );
+        }
     }
 }

@@ -8,10 +8,13 @@
 //!
 //! * [`selection_sort`] — Lemma 4.2: sort n ≤ kM records in ≤ k⌈n/B⌉ reads and
 //!   ⌈n/B⌉ writes by k passes of in-memory selection. It is the one
-//!   selection kernel of §4: the base case here, and shared by the buffer
-//!   tree (sorting full buffers) and the priority queue (β extraction).
-//! * [`mergesort`] — Algorithm 2: l-way merge in rounds with an in-memory
-//!   priority queue.
+//!   selection kernel of §4: the base case here, and shared by Algorithm
+//!   2's phase 1, the buffer tree (sorting full buffers) and the priority
+//!   queue (β extraction).
+//! * [`mergesort`] — Algorithm 2: l-way merge in rounds. Its queue
+//!   (`merge_queue`) is a slice of each run's current block under two
+//!   winner trees, and each round's first phase is one selection of the M
+//!   smallest candidates.
 //! * [`samplesort`] — §4.2: l-way distribution in k rounds of M/B splitters.
 //! * [`buffer_tree`] — §4.3.1–2: the (l/4, l) buffer tree.
 //! * [`pq`] — §4.3.3: the priority queue with α/β working sets.
@@ -26,7 +29,6 @@ pub mod samplesort;
 mod selection;
 
 pub use heapsort::aem_heapsort;
-pub use merge_queue::FlatMergeQueue;
 pub use mergesort::{aem_mergesort, mergesort_slack};
 pub use pq::AemPriorityQueue;
 pub use samplesort::{aem_samplesort, samplesort_slack};

@@ -14,8 +14,9 @@
 //! This module is the one owner of the Lemma 4.2 rule for all of §4: the
 //! Algorithm 2 and §4.2 base cases call [`selection_sort`] and
 //! [`selection_sort_into`], the buffer tree sorts each full buffer with
-//! `selection_passes`, and the priority queue's β extraction (Lemma 4.8) is
-//! one `Smallest` scan.
+//! `selection_passes`, and the priority queue's β extraction (Lemma 4.8)
+//! and Algorithm 2's phase 1 (the (M+1)-th smallest candidate, via
+//! `Smallest::cutoff`) are one `Smallest` scan each.
 //!
 //! **Duplicate records.** Candidates are keyed `(Record, scan index)`: the
 //! scan order is the same every pass, so the index is a stable tie-break
@@ -72,6 +73,16 @@ impl Smallest {
         let (_, &mut kth, _) = self.batch.select_nth_unstable(self.cap - 1);
         self.bound = Some(kth);
         self.batch.truncate(self.cap);
+    }
+
+    /// The `cap`-th smallest key offered (the largest kept), or `None` if
+    /// fewer than `cap` were offered.
+    pub(crate) fn cutoff(mut self) -> Option<Key> {
+        if self.cap == 0 || self.batch.len() < self.cap {
+            return None;
+        }
+        self.cut();
+        self.bound
     }
 
     /// The kept keys in ascending order.
@@ -293,6 +304,25 @@ mod tests {
             expect.sort_unstable();
             expect.truncate(cap);
             prop_assert_eq!(best.into_sorted(), expect);
+        }
+
+        /// `Smallest::cutoff` is the `cap`-th smallest key, or `None` when
+        /// fewer than `cap` keys were offered.
+        #[test]
+        fn cutoff_is_the_cap_th_smallest_key(
+            records in small_records(0..80),
+            pick in 0usize..5,
+        ) {
+            let n = records.len();
+            let cap = [0, 1, 7, n, n + 5][pick];
+            let mut keys: Vec<Key> = records.into_iter().zip(0..).collect();
+            let mut best = Smallest::new(cap);
+            for &key in &keys {
+                best.offer(key);
+            }
+            keys.sort_unstable();
+            let expect = cap.checked_sub(1).and_then(|i| keys.get(i).copied());
+            prop_assert_eq!(best.cutoff(), expect);
         }
 
         /// The pass loop over a duplicate-heavy stream equals the stable

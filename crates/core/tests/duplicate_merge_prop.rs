@@ -1,9 +1,9 @@
 //! Property battery for duplicate-safe merging: random streams with
 //! arbitrary duplication (tiny key/payload spaces force heavy repetition)
-//! must sort identically under the `(Record, seq)`-keyed [`FlatMergeQueue`]
-//! discipline and a stable RAM reference, preserving every record.
+//! must sort identically under the AEM mergesort's provenance-keyed merge
+//! and a stable RAM reference, preserving every record. (The merge queue's
+//! own duplicate-key properties are unit tests in `em/merge_queue.rs`.)
 
-use asym_core::em::FlatMergeQueue;
 use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::Record;
 use proptest::prelude::*;
@@ -17,60 +17,47 @@ fn duplicate_stream() -> impl Strategy<Value = Vec<Record>> {
     )
 }
 
+/// Sort `stream` with the AEM mergesort on an M = `fan`·B machine.
+fn mergesort(stream: &[Record], b: usize, fan: usize, k: usize) -> Vec<Record> {
+    let spec = SortSpec::builder(Algorithm::Mergesort, fan * b, b, 8)
+        .k(k)
+        .seed(0)
+        .build()
+        .expect("valid spec");
+    sort::run(&spec, stream).expect("mergesort").output
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tagging each stream element with its position gives the queue a
-    /// strict total order; draining mins must reproduce the stable sort
-    /// (equal records in stream order) without losing a single record.
+    /// k = 1: the l = M/B runs' current blocks never overfill the queue, so
+    /// each merge round drains it by pop-min alone. Over duplicate-heavy
+    /// streams and several block sizes that drain is the stable sort, with
+    /// every record kept.
     #[test]
-    fn queue_drain_matches_stable_sort(stream in duplicate_stream()) {
-        let cap = stream.len().max(1);
-        let mut q: FlatMergeQueue<(Record, u64), u32> = FlatMergeQueue::with_capacity(cap);
-        for (i, &r) in stream.iter().enumerate() {
-            q.push((r, i as u64), 0);
-        }
-        let mut drained = Vec::with_capacity(stream.len());
-        while let Some(((r, _), _)) = q.pop_min() {
-            drained.push(r);
-        }
+    fn queue_drain_matches_stable_sort(stream in duplicate_stream(), b in 0u32..3, fan in 2usize..6) {
+        let out = mergesort(&stream, 1 << b, fan, 1);
         let mut expect = stream.clone();
         expect.sort(); // std stable sort: the reference
-        prop_assert_eq!(drained.len(), stream.len(), "records lost in the queue");
-        prop_assert_eq!(drained, expect);
+        prop_assert_eq!(out.len(), stream.len(), "records lost in the merge");
+        prop_assert_eq!(out, expect);
     }
 
-    /// Draining from both ends must still account for every record and
-    /// reassemble into the same stable order.
+    /// k ≥ 2: the l = kM/B runs' blocks exceed the queue's M, so the full
+    /// queue ejects its maximum or rejects and raises the bar — Q is drained
+    /// from both ends. Every record must still come out, in stable order.
     #[test]
     fn two_ended_drain_preserves_every_record(
         stream in duplicate_stream(),
-        take_max in prop::collection::vec(any::<bool>(), 0..600),
+        b in 0u32..3,
+        fan in 2usize..6,
+        k in 2usize..5,
     ) {
-        let cap = stream.len().max(1);
-        let mut q: FlatMergeQueue<(Record, u64), u32> = FlatMergeQueue::with_capacity(cap);
-        for (i, &r) in stream.iter().enumerate() {
-            q.push((r, i as u64), 0);
-        }
-        let mut lo = Vec::new();
-        let mut hi = Vec::new();
-        let mut flips = take_max.iter().cycle();
-        while !q.is_empty() {
-            if *flips.next().expect("cycle") && !q.is_empty() {
-                hi.push(q.pop_max().expect("non-empty").0);
-            } else {
-                lo.push(q.pop_min().expect("non-empty").0);
-            }
-        }
-        hi.reverse();
-        lo.extend(hi);
-        let keys: Vec<(Record, u64)> = lo;
-        prop_assert_eq!(keys.len(), stream.len(), "records lost in the queue");
-        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "drain must be strictly ordered");
+        let out = mergesort(&stream, 1 << b, fan, k);
         let mut expect = stream.clone();
         expect.sort();
-        let recs: Vec<Record> = keys.into_iter().map(|(r, _)| r).collect();
-        prop_assert_eq!(recs, expect);
+        prop_assert_eq!(out.len(), stream.len(), "records lost in the merge");
+        prop_assert_eq!(out, expect);
     }
 
     /// End-to-end: the full AEM mergesort (rounds of the bounded queue with
