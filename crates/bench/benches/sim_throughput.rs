@@ -23,17 +23,17 @@
 //! ```
 //!
 //! Each run emits a `BENCH_sim.json` bench report (see `asym_bench::json`)
-//! with one records/sec entry per workload, which CI uploads as an artifact
-//! so the perf trajectory of the simulator is tracked per commit.
+//! with one records/sec entry per workload — the median of several timed
+//! runs — which CI uploads as an artifact so the perf trajectory of the
+//! simulator is tracked per commit.
 
 use asym_bench::json::{json_path_from_args, BenchReport};
 use asym_bench::Scale;
 use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::workload::Workload;
 use asym_model::Record;
-use criterion::{BenchmarkId, Criterion};
 use em_sim::{EmConfig, EmStats, EmVec, EmWriter};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Machine geometry shared by every workload (matches the E3 tables).
 const M: usize = 64;
@@ -150,32 +150,33 @@ fn main() {
     // dir), so `BENCH_sim.json` lands next to README.md unless overridden.
     let default_json = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
     let json_path = json_path_from_args(std::env::args().skip(1), default_json);
-    let cases = cases(scale);
+    let samples = scale.pick(3, 9, 5);
 
-    // Criterion wall-clock display (min/mean/max per run).
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("sim-throughput");
-        group
-            .sample_size(scale.pick(3, 5, 5))
-            .warm_up_time(Duration::from_millis(scale.pick(50, 300, 300)));
-        for case in &cases {
-            group.bench_with_input(BenchmarkId::new(case.id, case.n), &(), |b, ()| {
-                b.iter(|| (case.run)())
-            });
-        }
-        group.finish();
-    }
-
-    // One clean timed run per workload feeds the JSON report. The modeled
-    // stats ride along so the CI regression gate can pin them exactly.
+    // Each row's seconds are the median of `samples` timed runs after one
+    // warm-up run: a single run can land anywhere in a ±30% band on a
+    // shared host. The modeled stats ride along (identical on every run)
+    // so the CI regression gate can pin them exactly.
     let mut report = BenchReport::new("sim-throughput", scale.name())
         .with_backend(asym_bench::backend_from_env().name());
-    for case in &cases {
-        let start = Instant::now();
+    for case in cases(scale) {
         let stats = (case.run)();
-        let secs = start.elapsed().as_secs_f64();
-        report.push_sort(case.id, case.algorithm, case.n as u64, secs, stats);
+        let mut secs: Vec<f64> = (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!((case.run)(), stats, "{}: modeled stats moved", case.id);
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        secs.sort_by(f64::total_cmp);
+        let median = secs[samples / 2];
+        println!(
+            "sim-throughput/{:<18} min {:>9.4}s   median {:>9.4}s   max {:>9.4}s",
+            case.id,
+            secs[0],
+            median,
+            secs[samples - 1]
+        );
+        report.push_sort(case.id, case.algorithm, case.n as u64, median, stats);
     }
     report.write_to(&json_path).expect("write bench json");
     println!("wrote bench report to {}", json_path.display());

@@ -21,6 +21,14 @@
 //! held in host memory and their transfers charged explicitly at ⌈c/B⌉
 //! blocks per load/store, matching the model's accounting.
 //!
+//! The record loops (the full-buffer scan, the distribution, the leaf merge
+//! and the chop) read runs a block at a time: `RunsReader` exposes the
+//! unread rest of the current block as a slice, and each loop writes
+//! through one `RunWriter` whose store buffer serves every run it emits.
+//! Their reads, writes and releases come in the same order as a
+//! record-at-a-time loop's (kept as a test oracle in `em/oracle.rs`).
+//! Dropping the tree releases every block it still holds.
+//!
 //! **Duplicate records.** Records need not be unique: routing is
 //! equal-goes-left (a record equal to a separator routes to the child left
 //! of it), separators may repeat when a duplicate-heavy run is chopped
@@ -280,44 +288,20 @@ impl BufferTree {
         };
         self.charge_routing(children.len(), false);
         // Distribute, merging the (≤ 2) sorted runs on the fly: records
-        // ≤ seps[i] go to children[i].
+        // ≤ seps[i] go to children[i]. One writer serves every child in turn.
+        let machine = &self.machine;
         let mut per_child: Vec<Run> = Vec::with_capacity(children.len());
-        let mut child_idx = 0usize;
-        let mut cur = RunWriter::new(&self.machine);
-        let mut readers: Vec<RunsReader> = merged
-            .iter()
-            .map(|r| RunsReader::new(&self.machine, std::slice::from_ref(r)))
-            .collect();
-        let mut heads: Vec<Option<Record>> = Vec::with_capacity(readers.len());
-        for rd in &mut readers {
-            heads.push(rd.next()?);
-        }
-        loop {
-            let mut best: Option<(usize, Record)> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if let Some(r) = h {
-                    if best.is_none_or(|(_, b)| *r < b) {
-                        best = Some((i, *r));
-                    }
-                }
+        let mut writer = RunWriter::new(machine);
+        merge_sorted(machine, &merged, true, |r| {
+            while seps.get(per_child.len()).is_some_and(|sep| r > *sep) {
+                per_child.push(writer.take_run(machine));
             }
-            let (src, r) = match best {
-                None => break,
-                Some(x) => x,
-            };
-            heads[src] = readers[src].next()?;
-            while child_idx < seps.len() && r > seps[child_idx] {
-                per_child.push(cur.finish_on(&self.machine, true));
-                cur = RunWriter::new(&self.machine);
-                child_idx += 1;
-            }
-            cur.push(&self.machine, r);
-        }
-        per_child.push(cur.finish_on(&self.machine, true));
+            writer.push(machine, r);
+        })?;
+        per_child.push(writer.take_run(machine));
         while per_child.len() < children.len() {
             per_child.push(Run::empty());
         }
-        drop(readers);
         for run in merged {
             run.free(&self.machine);
         }
@@ -361,12 +345,21 @@ impl BufferTree {
         let _set_lease = machine.lease(machine.m())?;
         let mut writer = RunWriter::new(machine);
         let prefix: &[Run] = &runs;
-        let scan = || {
+        let scan = |visit: &mut dyn FnMut(&[Record])| {
             let mut reader = RunsReader::new(machine, prefix);
-            Ok(std::iter::from_fn(move || reader.next().transpose()))
+            loop {
+                let block = reader.fill()?;
+                if block.is_empty() {
+                    return Ok(());
+                }
+                visit(block);
+                reader.pos += block.len();
+            }
         };
-        selection_passes(machine.m(), n, scan, |r| writer.push(machine, r))?;
-        let prefix_sorted = writer.finish_on(machine, true);
+        selection_passes(machine.m(), n, scan, |sorted| {
+            writer.extend(machine, sorted)
+        })?;
+        let prefix_sorted = writer.take_run(machine);
         for r in runs {
             r.free(machine);
         }
@@ -409,34 +402,11 @@ impl BufferTree {
     /// K-way merge of sorted runs into one run (streams one block per run;
     /// run counts here are ≤ 3, well within memory).
     fn merge_runs(&self, runs: &[Run]) -> Result<Run> {
-        let _lease = self.machine.lease(runs.len() * self.machine.b())?;
-        let mut readers: Vec<RunsReader> = runs
-            .iter()
-            .map(|r| RunsReader::new(&self.machine, std::slice::from_ref(r)))
-            .collect();
-        let mut heads: Vec<Option<Record>> = Vec::with_capacity(readers.len());
-        for r in &mut readers {
-            heads.push(r.next()?);
-        }
-        let mut writer = RunWriter::new(&self.machine);
-        loop {
-            let mut best: Option<(usize, Record)> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if let Some(r) = h {
-                    if best.is_none_or(|(_, b)| *r < b) {
-                        best = Some((i, *r));
-                    }
-                }
-            }
-            match best {
-                None => break,
-                Some((i, r)) => {
-                    writer.push(&self.machine, r);
-                    heads[i] = readers[i].next()?;
-                }
-            }
-        }
-        Ok(writer.finish_on(&self.machine, true))
+        let machine = &self.machine;
+        let _lease = machine.lease(runs.len() * machine.b())?;
+        let mut writer = RunWriter::new(machine);
+        merge_sorted(machine, runs, false, |r| writer.push(machine, r))?;
+        Ok(writer.take_run(machine))
     }
 
     /// Split an over-full leaf into pieces of ≈ lB/2 records and insert the
@@ -473,21 +443,23 @@ impl BufferTree {
         let num = total.div_ceil(half).max(2);
         let base = total / num;
         let extra = total % num;
+        let machine = &self.machine;
         let mut out = Vec::with_capacity(num);
-        let mut reader = RunsReader::new(&self.machine, std::slice::from_ref(&merged));
+        let mut reader = RunsReader::new(machine, std::slice::from_ref(&merged));
+        let mut writer = RunWriter::new(machine);
         for i in 0..num {
-            let size = base + usize::from(i < extra);
-            let mut w = RunWriter::new(&self.machine);
+            let mut need = base + usize::from(i < extra);
             let mut last = None;
-            for _ in 0..size {
-                let r = reader.next()?.expect("size accounting");
-                last = Some(r);
-                w.push(&self.machine, r);
+            while need > 0 {
+                let block = reader.fill()?;
+                let take = need.min(block.len());
+                assert!(take > 0, "size accounting");
+                writer.extend(machine, &block[..take]);
+                last = Some(block[take - 1]);
+                reader.pos += take;
+                need -= take;
             }
-            out.push((
-                last.expect("non-empty piece"),
-                w.finish_on(&self.machine, true),
-            ));
+            out.push((last.expect("non-empty piece"), writer.take_run(machine)));
         }
         drop(reader);
         merged.free(&self.machine);
@@ -926,66 +898,125 @@ impl BufferTree {
     }
 }
 
+/// Dropping the tree releases every block its buffers and leaves still
+/// hold. Releasing moves no data, so modeled costs do not change.
+impl Drop for BufferTree {
+    fn drop(&mut self) {
+        for node in self.nodes.iter_mut().flatten() {
+            let leaf = match &mut node.kind {
+                NodeKind::Leaf { data } => Some(std::mem::take(data)),
+                NodeKind::Internal { .. } => None,
+            };
+            for run in node.buffer.take().into_iter().chain(leaf) {
+                run.free(&self.machine);
+            }
+        }
+    }
+}
+
 // ---- streaming helpers ----------------------------------------------------------
 
-/// Sequential charged reader over a list of runs.
+/// Sequential charged reader over a list of runs, one block at a time:
+/// `fill` exposes the unread rest of the current block as a slice.
 struct RunsReader<'a> {
-    machine: EmMachine,
+    machine: &'a EmMachine,
     runs: &'a [Run],
     run_idx: usize,
     block_idx: usize,
+    /// Records of the current run not yet loaded into `buf`.
+    unloaded: usize,
     buf: Vec<Record>,
-    buf_pos: usize,
-    remaining_in_run: usize,
+    /// Records of `buf` already consumed.
+    pos: usize,
 }
 
 impl<'a> RunsReader<'a> {
-    fn new(machine: &EmMachine, runs: &'a [Run]) -> Self {
+    fn new(machine: &'a EmMachine, runs: &'a [Run]) -> Self {
         Self {
-            machine: machine.clone(),
+            machine,
             runs,
             run_idx: 0,
             block_idx: 0,
+            unloaded: runs.first().map_or(0, Run::len),
             buf: Vec::with_capacity(machine.b()),
-            buf_pos: 0,
-            remaining_in_run: runs.first().map_or(0, Run::len),
+            pos: 0,
         }
     }
 
-    fn next(&mut self) -> Result<Option<Record>> {
-        loop {
-            if self.remaining_in_run == 0 {
+    /// The unread rest of the current block, loading the next block (one
+    /// charged read) when the current one is used up; empty at the end.
+    fn fill(&mut self) -> Result<&[Record]> {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+            while self.unloaded == 0 {
                 self.run_idx += 1;
-                if self.run_idx >= self.runs.len() {
-                    return Ok(None);
-                }
+                let Some(run) = self.runs.get(self.run_idx) else {
+                    return Ok(&[]);
+                };
                 self.block_idx = 0;
-                self.buf.clear();
-                self.buf_pos = 0;
-                self.remaining_in_run = self.runs[self.run_idx].len;
-                continue;
+                self.unloaded = run.len;
             }
-            if self.buf_pos == self.buf.len() {
-                let run = &self.runs[self.run_idx];
-                self.machine
-                    .read_block_into(run.blocks[self.block_idx], &mut self.buf)?;
-                self.block_idx += 1;
-                self.buf_pos = 0;
+            let run = &self.runs[self.run_idx];
+            self.machine
+                .read_block_into(run.blocks[self.block_idx], &mut self.buf)?;
+            self.block_idx += 1;
+            self.buf.truncate(self.unloaded);
+            self.unloaded -= self.buf.len();
+        }
+        Ok(&self.buf[self.pos..])
+    }
+}
+
+/// Merge sorted runs, handing `sink` each record in merged order; ties go
+/// to the earlier run. A run's next block is read as soon as its current
+/// one is used up: before the record that used it up reaches `sink` if
+/// `read_first`, else just after.
+fn merge_sorted(
+    machine: &EmMachine,
+    runs: &[Run],
+    read_first: bool,
+    mut sink: impl FnMut(Record),
+) -> Result<()> {
+    let mut readers: Vec<RunsReader> = runs
+        .iter()
+        .map(|r| RunsReader::new(machine, std::slice::from_ref(r)))
+        .collect();
+    for rd in &mut readers {
+        rd.fill()?;
+    }
+    loop {
+        let mut src: Option<(usize, Record)> = None;
+        for (i, rd) in readers.iter().enumerate() {
+            if let Some(&h) = rd.buf.get(rd.pos) {
+                if src.is_none_or(|(_, s)| h < s) {
+                    src = Some((i, h));
+                }
             }
-            let r = self.buf[self.buf_pos];
-            self.buf_pos += 1;
-            self.remaining_in_run -= 1;
-            return Ok(Some(r));
+        }
+        let Some((i, r)) = src else {
+            return Ok(());
+        };
+        let rd = &mut readers[i];
+        rd.pos += 1;
+        let used_up = rd.pos == rd.buf.len();
+        if used_up && read_first {
+            rd.fill()?;
+        }
+        sink(r);
+        if used_up && !read_first {
+            readers[i].fill()?;
         }
     }
 }
 
-/// Buffered run writer (one block write per filled block).
+/// Buffered run writer (one block write per filled block). `take_run`
+/// hands back what was written since the last take, and the store buffer
+/// is reused for the next run.
 struct RunWriter {
     blocks: Vec<BlockId>,
     buf: Vec<Record>,
     len: usize,
-    b: usize,
 }
 
 impl RunWriter {
@@ -994,27 +1025,45 @@ impl RunWriter {
             blocks: Vec::new(),
             buf: Vec::with_capacity(machine.b()),
             len: 0,
-            b: machine.b(),
+        }
+    }
+
+    fn extend(&mut self, machine: &EmMachine, mut records: &[Record]) {
+        while !records.is_empty() {
+            let take = (machine.b() - self.buf.len()).min(records.len());
+            self.buf.extend_from_slice(&records[..take]);
+            records = &records[take..];
+            self.len += take;
+            if self.buf.len() == machine.b() {
+                self.flush(machine);
+            }
         }
     }
 
     fn push(&mut self, machine: &EmMachine, r: Record) {
         self.buf.push(r);
         self.len += 1;
-        if self.buf.len() == self.b {
-            self.blocks.push(machine.append_block_from(&self.buf));
-            self.buf.clear();
+        if self.buf.len() == machine.b() {
+            self.flush(machine);
         }
     }
 
-    fn finish_on(mut self, machine: &EmMachine, sorted: bool) -> Run {
+    /// Write the store buffer out as one block.
+    fn flush(&mut self, machine: &EmMachine) {
+        self.blocks.push(machine.append_block_from(&self.buf));
+        self.buf.clear();
+    }
+
+    /// Flush the partial block and return the (sorted) run written since
+    /// the last take.
+    fn take_run(&mut self, machine: &EmMachine) -> Run {
         if !self.buf.is_empty() {
-            self.blocks.push(machine.append_block_from(&self.buf));
+            self.flush(machine);
         }
         Run {
             blocks: std::mem::take(&mut self.blocks),
-            len: self.len,
-            sorted,
+            len: std::mem::take(&mut self.len),
+            sorted: true,
         }
     }
 }

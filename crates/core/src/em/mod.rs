@@ -24,6 +24,8 @@ pub mod buffer_tree;
 mod heapsort;
 mod merge_queue;
 pub mod mergesort;
+#[cfg(test)]
+mod oracle;
 pub mod pq;
 pub mod samplesort;
 mod selection;

@@ -19,20 +19,27 @@
 //! Order invariant maintained throughout: max(α) ≤ min(valid β) ≤ max(valid
 //! β) ≤ min(tree), so delete-min = pop(α).
 //!
-//! **Duplicate records.** Records need not be unique. α is keyed
-//! `(Record, seq)` with a fresh per-insertion sequence so a `BTreeSet` can
-//! hold identical records without collapsing them. β extraction is the
-//! shared Lemma 4.2 kernel (`selection::Smallest`) keyed by
-//! `(Record, append-index)`, and the implicit deletions compare the same
-//! unique composite keys, so an extraction's invalidation pair deletes
-//! *exactly* the extracted copies and never an unextracted twin. On
-//! unique-record inputs neither tie-break ever decides a comparison.
+//! α is a sorted `VecDeque<Record>`. A refill arrives sorted into an empty
+//! α, delete-min pops the front, eviction pops the back, and the rare
+//! insert below max(α) goes in by binary search. Dropping the queue
+//! releases β's blocks and the tree's runs.
+//!
+//! **Duplicate records.** Records need not be unique. α needs no
+//! tie-break: equal records cannot be told apart, so which copy α pops or
+//! evicts changes nothing. β extraction is the shared Lemma 4.2 kernel
+//! (`selection::Smallest`) keyed by `(Record, append-index)`, and the
+//! implicit deletions compare the same unique composite keys, so an
+//! extraction's invalidation pair deletes *exactly* the extracted copies
+//! and never an unextracted twin. On unique-record inputs the tie-break
+//! never decides a comparison. A test copy of the queue with a `BTreeSet`
+//! α keyed `(Record, seq)` and record-at-a-time tree loops
+//! (`em/oracle.rs`) pins every answer and modeled count of this one.
 
 use super::buffer_tree::BufferTree;
 use super::selection::Smallest;
 use asym_model::{Record, Result};
 use em_sim::{BlockId, EmMachine, MemLease};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Extra primary memory the priority queue needs beyond M: the α set (M/4),
 /// the β tail block, the root-buffer tail block, and the buffer tree's
@@ -45,11 +52,9 @@ pub fn pq_slack(m: usize, b: usize, k: usize) -> usize {
 pub struct AemPriorityQueue {
     machine: EmMachine,
     k: usize,
-    /// The α set, keyed `(Record, seq)`: the per-insertion sequence keeps
-    /// duplicate records distinct inside the set (it carries no meaning
-    /// beyond uniqueness and never leaves the structure).
-    alpha: BTreeSet<(Record, u64)>,
-    alpha_seq: u64,
+    /// The α set, in ascending order: delete-min pops the front, eviction
+    /// the back, and a refill arrives sorted into an empty α.
+    alpha: VecDeque<Record>,
     alpha_cap: usize,
     beta: BetaSet,
     tree: BufferTree,
@@ -94,15 +99,6 @@ impl BetaSet {
         })
     }
 
-    /// Is the record at append-index `idx` still valid?
-    fn is_valid(&self, idx: usize, rec: Record) -> bool {
-        // First pair with i >= idx has the largest x among applicable pairs.
-        match self.pairs.iter().find(|&&(i, _)| i >= idx) {
-            Some(&(_, x)) => (rec, idx) > x,
-            None => true,
-        }
-    }
-
     /// Append a record (cost: 1/B amortized writes via the tail block).
     fn append(&mut self, machine: &EmMachine, r: Record) {
         self.tail.push(r);
@@ -119,22 +115,29 @@ impl BetaSet {
     /// calls `f(idx, record)` for each valid record. One load buffer is
     /// reused across the scanned blocks.
     fn scan_valid(&self, machine: &EmMachine, mut f: impl FnMut(usize, Record)) -> Result<()> {
+        // The record at append-index idx is valid unless the first pair
+        // with i ≥ idx (the largest x among the pairs that apply) covers
+        // it; idx only grows, so that pair is tracked, not searched for.
+        let mut pair = 0;
+        let mut visit = |idx: usize, r: Record| {
+            while self.pairs.get(pair).is_some_and(|&(i, _)| i < idx) {
+                pair += 1;
+            }
+            if self.pairs.get(pair).is_none_or(|&(_, x)| (r, idx) > x) {
+                f(idx, r);
+            }
+        };
         let b = machine.b();
         let mut block = Vec::with_capacity(b);
         for (bi, &blk) in self.blocks.iter().enumerate() {
             machine.read_block_into(blk, &mut block)?;
             for (j, &r) in block.iter().enumerate() {
-                let idx = bi * b + j;
-                if self.is_valid(idx, r) {
-                    f(idx, r);
-                }
+                visit(bi * b + j, r);
             }
         }
         let base = self.blocks.len() * b;
         for (j, &r) in self.tail.iter().enumerate() {
-            if self.is_valid(base + j, r) {
-                f(base + j, r);
-            }
+            visit(base + j, r);
         }
         Ok(())
     }
@@ -219,22 +222,13 @@ impl AemPriorityQueue {
         Ok(Self {
             machine,
             k,
-            alpha: BTreeSet::new(),
-            alpha_seq: 0,
+            alpha: VecDeque::with_capacity(alpha_cap + 1),
             alpha_cap,
             beta,
             tree,
             len: 0,
             _alpha_lease: alpha_lease,
         })
-    }
-
-    /// Insert into α under a fresh sequence (duplicate records stay
-    /// distinct; the sequence never leaves the set).
-    fn alpha_insert(&mut self, r: Record) {
-        let seq = self.alpha_seq;
-        self.alpha_seq += 1;
-        self.alpha.insert((r, seq));
     }
 
     /// Records currently queued.
@@ -256,15 +250,16 @@ impl AemPriorityQueue {
     /// O((1/B)(1+log_{kM/B} n)) writes, Theorem 4.10).
     pub fn insert(&mut self, r: Record) -> Result<()> {
         self.len += 1;
-        let alpha_max = self.alpha.last().map(|&(rec, _)| rec);
+        let alpha_max = self.alpha.back().copied();
         let everything_small = self.beta.valid == 0 && self.tree.is_empty();
         if alpha_max.map_or(everything_small, |am| r < am)
             || (everything_small && !self.alpha_is_full())
         {
             // r belongs in (or below) the α range.
-            self.alpha_insert(r);
+            let at = self.alpha.partition_point(|&x| x <= r);
+            self.alpha.insert(at, r);
             if self.alpha.len() > self.alpha_cap {
-                let (evicted, _) = self.alpha.pop_last().expect("non-empty");
+                let evicted = self.alpha.pop_back().expect("non-empty");
                 self.beta_insert(evicted)?;
             }
             return Ok(());
@@ -315,7 +310,7 @@ impl AemPriorityQueue {
 
     /// Remove and return the smallest record.
     pub fn delete_min(&mut self) -> Result<Option<Record>> {
-        if let Some((min, _)) = self.alpha.pop_first() {
+        if let Some(min) = self.alpha.pop_front() {
             self.len -= 1;
             return Ok(Some(min));
         }
@@ -329,15 +324,13 @@ impl AemPriorityQueue {
             let count = self.alpha_cap.min(self.beta.valid);
             let lease = self.machine.m() / 4;
             let batch = self.beta.extract_smallest(&self.machine, count, lease)?;
-            for r in batch {
-                self.alpha_insert(r);
-            }
+            self.alpha.extend(batch);
             if self.beta.extractions >= self.k {
                 self.beta.rebuild(&self.machine)?;
             }
         }
-        match self.alpha.pop_first() {
-            Some((min, _)) => {
+        match self.alpha.pop_front() {
+            Some(min) => {
                 self.len -= 1;
                 Ok(Some(min))
             }
@@ -354,19 +347,31 @@ impl AemPriorityQueue {
         if self.alpha.is_empty() && self.len > 0 {
             // Force a refill by borrowing delete-min's machinery.
             if let Some(min) = self.delete_min()? {
-                self.alpha_insert(min);
+                self.alpha.push_front(min);
                 self.len += 1;
             }
         }
-        Ok(self.alpha.first().map(|&(rec, _)| rec))
+        Ok(self.alpha.front().copied())
+    }
+}
+
+/// Dropping the queue releases β's blocks (the buffer tree releases its
+/// own). Releasing moves no data, so modeled costs do not change.
+impl Drop for AemPriorityQueue {
+    fn drop(&mut self) {
+        for blk in self.beta.blocks.drain(..) {
+            self.machine.release_block(blk).expect("live β block");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::em::oracle::AemPriorityQueue as OracleQueue;
     use asym_model::workload::Workload;
     use em_sim::EmConfig;
+    use proptest::prelude::*;
 
     fn machine(m: usize, b: usize, k: usize) -> EmMachine {
         EmMachine::new(EmConfig::new(m, b, 8).with_slack(pq_slack(m, b, k)))
@@ -522,6 +527,98 @@ mod tests {
         assert_eq!(pq.len(), 300);
         assert_eq!(pq.delete_min().unwrap(), Some(min));
         assert_eq!(pq.len(), 299);
+    }
+
+    /// One step of a queue workload.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Insert(Record),
+        DeleteMin,
+        PeekMin,
+    }
+
+    /// Interleaved steps (13 inserts : 5 delete-mins : 2 peek-mins) over
+    /// unique-ish, duplicate-heavy (16 distinct records) or all-identical
+    /// streams.
+    fn workload() -> impl Strategy<Value = Vec<Op>> {
+        (
+            0u8..3,
+            prop::collection::vec((0u8..20, 0u64..1_000_000), 0..2500),
+        )
+            .prop_map(|(shape, draws)| {
+                let record = |x: u64| match shape {
+                    0 => Record::new(x, x % 7),
+                    1 => Record::new(x % 8, x % 2),
+                    _ => Record::new(3, 3),
+                };
+                let op = |(pick, x)| match pick {
+                    0..13 => Op::Insert(record(x)),
+                    13..18 => Op::DeleteMin,
+                    _ => Op::PeekMin,
+                };
+                draws.into_iter().map(op).collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The queue answers every step exactly as the record-at-a-time
+        /// oracle does and ends on the same (reads, writes, peak_memory),
+        /// over random M, B, k and n.
+        #[test]
+        fn matches_record_at_a_time_oracle(
+            geometry in 0usize..5,
+            k in 1usize..5,
+            ops in workload(),
+        ) {
+            let (m, b) = [(16, 2), (32, 4), (64, 8), (32, 2), (64, 4)][geometry];
+            let (em, oracle_em) = (machine(m, b, k), machine(m, b, k));
+            let mut pq = AemPriorityQueue::new(em.clone(), k).unwrap();
+            let mut oracle = OracleQueue::new(oracle_em.clone(), k).unwrap();
+            for op in ops {
+                match op {
+                    Op::Insert(r) => {
+                        pq.insert(r).unwrap();
+                        oracle.insert(r).unwrap();
+                    }
+                    Op::DeleteMin => {
+                        prop_assert_eq!(pq.delete_min().unwrap(), oracle.delete_min().unwrap());
+                    }
+                    Op::PeekMin => {
+                        prop_assert_eq!(pq.peek_min().unwrap(), oracle.peek_min().unwrap());
+                    }
+                }
+                prop_assert_eq!(pq.len(), oracle.len());
+            }
+            loop {
+                let got = pq.delete_min().unwrap();
+                prop_assert_eq!(got, oracle.delete_min().unwrap());
+                if got.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(em.stats(), oracle_em.stats());
+        }
+    }
+
+    #[test]
+    fn dropping_the_queue_releases_every_block() {
+        // β keeps invalidated blocks until its next rebuild, and at k > 1
+        // a drained queue can stop short of one; the tree keeps its
+        // emptied leaf. Dropping the queue must release all of them.
+        for k in [1, 2, 4] {
+            let em = machine(16, 2, k);
+            let mut pq = AemPriorityQueue::new(em.clone(), k).unwrap();
+            for &r in &Workload::UniformRandom.generate(3000, 9) {
+                pq.insert(r).unwrap();
+            }
+            for _ in 0..1700 {
+                pq.delete_min().unwrap();
+            }
+            drop(pq);
+            assert_eq!(em.live_blocks(), 0, "k={k}: blocks leaked");
+        }
     }
 
     #[test]

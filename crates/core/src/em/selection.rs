@@ -18,11 +18,19 @@
 //! and Algorithm 2's phase 1 (the (M+1)-th smallest candidate, via
 //! `Smallest::cutoff`) are one `Smallest` scan each.
 //!
-//! **Duplicate records.** Candidates are keyed `(Record, scan index)`: the
-//! scan order is the same every pass, so the index is a stable tie-break
-//! that keeps duplicate records distinguishable — comparing raw records
-//! would skip every twin of a written record (`r <= last_written`) and lose
-//! it. On unique inputs the index never decides a comparison.
+//! Scans hand the kernel block slices, not single records. When n ≤ M the
+//! sort is one pass that collects the records and sorts them with
+//! `sort_unstable` — most of the buffer tree's full-buffer sorts and every
+//! k = 1 base case.
+//!
+//! **Duplicate records.** In a multi-pass sort candidates are keyed
+//! `(Record, scan index)`: the scan order is the same every pass, so the
+//! index is a stable tie-break that keeps duplicate records
+//! distinguishable — comparing raw records would skip every twin of a
+//! written record (`r <= last_written`) and lose it. A single pass has no
+//! last-written key, and equal records cannot be told apart in its output,
+//! so it sorts plain 16-byte records. On unique inputs the index never
+//! decides a comparison.
 //!
 //! One implementation deviation (performance, not semantics): the candidate
 //! set is a `Smallest` — a batch cut back by linear-time selection
@@ -95,29 +103,50 @@ impl Smallest {
     }
 }
 
-/// The Lemma 4.2 pass loop: sort the `n` records that `scan` yields (in the
-/// same order on every call) by repeated scans, each collecting the `m`
-/// smallest keys above the last one written and handing their records to
-/// `emit` in ascending order. The caller leases the `m`-record set.
-pub(crate) fn selection_passes<I>(
+/// The Lemma 4.2 pass loop: sort the `n` records that `scan` hands to its
+/// visitor, a block slice at a time and in the same order on every call, by
+/// repeated scans, each collecting the `m` smallest keys above the last one
+/// written and handing their records to `emit` in ascending order. When
+/// `n ≤ m` the one pass sorts plain records: equal records cannot be told
+/// apart, so the scan-index tie-break would decide nothing. The caller
+/// leases the `m`-record set.
+pub(crate) fn selection_passes(
     m: usize,
     n: usize,
-    mut scan: impl FnMut() -> Result<I>,
-    mut emit: impl FnMut(Record),
-) -> Result<()>
-where
-    I: Iterator<Item = Result<Record>>,
-{
+    mut scan: impl FnMut(&mut dyn FnMut(&[Record])) -> Result<()>,
+    mut emit: impl FnMut(&[Record]),
+) -> Result<()> {
+    if n == 0 {
+        return Ok(());
+    }
+    if n <= m {
+        let mut all = Vec::with_capacity(n);
+        scan(&mut |block| all.extend_from_slice(block))?;
+        if all.len() != n {
+            return Err(ModelError::Invariant(format!(
+                "selection pass found {} of {n} records",
+                all.len()
+            )));
+        }
+        all.sort_unstable();
+        emit(&all);
+        return Ok(());
+    }
     let mut last_written: Option<Key> = None;
     let mut remaining = n;
+    let mut out = Vec::with_capacity(m);
     while remaining > 0 {
         let mut best = Smallest::new(m);
-        for (idx, r) in scan()?.enumerate() {
-            let key = (r?, idx);
-            if last_written.is_none_or(|lw| key > lw) {
-                best.offer(key);
+        let mut idx = 0;
+        scan(&mut |block| {
+            for &r in block {
+                let key = (r, idx);
+                idx += 1;
+                if last_written.is_none_or(|lw| key > lw) {
+                    best.offer(key);
+                }
             }
-        }
+        })?;
         let batch = best.into_sorted();
         if batch.is_empty() {
             return Err(ModelError::Invariant(format!(
@@ -126,9 +155,9 @@ where
         }
         last_written = batch.last().copied();
         remaining -= batch.len();
-        for (r, _) in batch {
-            emit(r);
-        }
+        out.clear();
+        out.extend(batch.into_iter().map(|(r, _)| r));
+        emit(&out);
     }
     Ok(())
 }
@@ -163,11 +192,14 @@ pub(crate) fn selection_sort_into(
     // The candidate set occupies M records of primary memory for the whole
     // sort; the reader and writer each lease a block themselves.
     let _set_lease = machine.lease(m)?;
-    let scan = || {
+    let scan = |visit: &mut dyn FnMut(&[Record])| {
         let mut reader = input.reader(machine)?;
-        Ok(std::iter::from_fn(move || reader.next().map(Ok)))
+        while let Some(block) = reader.next_slice() {
+            visit(block);
+        }
+        Ok(())
     };
-    selection_passes(m, n, scan, |r| writer.push(r))
+    selection_passes(m, n, scan, |sorted| writer.extend(sorted.iter().copied()))
 }
 
 #[cfg(test)]
@@ -331,11 +363,12 @@ mod tests {
         fn passes_sort_duplicate_streams(stream in duplicate_stream(), m in 1usize..9) {
             let mut scans = 0;
             let mut out = Vec::new();
-            let scan = || {
+            let scan = |visit: &mut dyn FnMut(&[Record])| {
                 scans += 1;
-                Ok(stream.iter().copied().map(Ok))
+                stream.chunks(3).for_each(visit);
+                Ok(())
             };
-            selection_passes(m, stream.len(), scan, |r| out.push(r)).unwrap();
+            selection_passes(m, stream.len(), scan, |r| out.extend_from_slice(r)).unwrap();
             let mut expect = stream.clone();
             expect.sort();
             prop_assert_eq!(out, expect);

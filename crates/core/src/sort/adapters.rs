@@ -69,15 +69,12 @@ pub struct ParData {
 }
 
 /// Shared sequential plumbing: build the spec's machine, stage the input
-/// (uncharged), run the engine, gather the output, and leave the store
-/// exactly as clean as the engine left it. `expect_clean` asserts a
-/// fully-released store after the output is freed — the mergesort and
-/// sample sort guarantee it; the heapsort's drained priority queue retains
-/// empty structural blocks, so it opts out.
+/// (uncharged), run the engine, gather the output, and assert that freeing
+/// the output leaves the store fully released — every engine frees what
+/// it allocates.
 fn run_serial(
     spec: &SortSpec,
     input: &[Record],
-    expect_clean: bool,
     engine: impl FnOnce(&EmMachine, EmVec) -> Result<EmVec>,
 ) -> Result<SortOutcome> {
     let em = spec.machine()?;
@@ -85,9 +82,7 @@ fn run_serial(
     let sorted = engine(&em, staged)?;
     let output = sorted.read_all_uncharged(&em);
     sorted.free(&em);
-    if expect_clean {
-        assert_eq!(em.live_blocks(), 0, "engine leaked disk blocks");
-    }
+    assert_eq!(em.live_blocks(), 0, "engine leaked disk blocks");
     let stats = em.stats();
     Ok(SortOutcome {
         output,
@@ -106,13 +101,13 @@ fn run_serial(
 pub fn run(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
     let k = spec.k();
     match spec.algorithm() {
-        Algorithm::Mergesort => run_serial(spec, input, true, |em, v| aem_mergesort(em, v, k)),
+        Algorithm::Mergesort => run_serial(spec, input, |em, v| aem_mergesort(em, v, k)),
         // The spec's seed drives the splitter sampling, so runs are
         // deterministic in the spec.
-        Algorithm::Samplesort => run_serial(spec, input, true, |em, v| {
+        Algorithm::Samplesort => run_serial(spec, input, |em, v| {
             aem_samplesort(em, v, k, &mut StdRng::seed_from_u64(spec.seed()))
         }),
-        Algorithm::Heapsort => run_serial(spec, input, false, |em, v| aem_heapsort(em, v, k)),
+        Algorithm::Heapsort => run_serial(spec, input, |em, v| aem_heapsort(em, v, k)),
         Algorithm::ParSamplesort => {
             let par = spec.par_machine()?;
             let (run, steal_warmup) =

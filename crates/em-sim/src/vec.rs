@@ -169,6 +169,17 @@ impl<'a> EmReader<'a> {
         Some(r)
     }
 
+    /// Consume and return the rest of the current block (loading the next
+    /// one first if the current is used up), so scans can work a block
+    /// slice at a time. Charges exactly the reads `next` would.
+    pub fn next_slice(&mut self) -> Option<&[Record]> {
+        self.peek()?;
+        let end = self.buf.len().min(self.buf_pos + self.remaining());
+        let start = std::mem::replace(&mut self.buf_pos, end);
+        self.consumed += end - start;
+        Some(&self.buf[start..end])
+    }
+
     /// Drain everything left into a vector (charges the remaining block reads;
     /// caller is responsible for having leased space for the result).
     pub fn drain(mut self) -> Vec<Record> {
@@ -285,6 +296,23 @@ mod tests {
         assert_eq!(got, data);
         assert_eq!(em.stats().block_reads, 3); // ceil(10/4)
         assert_eq!(em.stats().block_writes, 0);
+    }
+
+    #[test]
+    fn next_slice_hands_out_the_rest_of_each_block() {
+        let em = machine();
+        let data = recs(10);
+        let v = EmVec::stage(&em, &data);
+        let mut r = v.reader(&em).unwrap();
+        assert_eq!(r.next(), Some(data[0]));
+        let mut slices = Vec::new();
+        while let Some(s) = r.next_slice() {
+            slices.push(s.to_vec());
+        }
+        let expect = [&data[1..4], &data[4..8], &data[8..]].map(<[Record]>::to_vec);
+        assert_eq!(slices, expect);
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(em.stats().block_reads, 3, "the same reads as `next`");
     }
 
     #[test]

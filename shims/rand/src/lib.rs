@@ -47,21 +47,26 @@ pub trait SampleRange<T> {
     fn sample_single<G: RngCore + ?Sized>(self, rng: &mut G) -> T;
 }
 
+// Every integer type here is at most 64 bits wide, so a span is below 2^64
+// except for an inclusive range over a whole 64-bit type, whose span wraps
+// to 0 in u64 and takes the draw unreduced. The draw is `x mod span` either
+// way, computed in u64 instead of u128.
 macro_rules! int_sample_range {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
             fn sample_single<G: RngCore + ?Sized>(self, rng: &mut G) -> $t {
                 assert!(self.start < self.end, "empty range in gen_range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128);
-                self.start.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                self.start.wrapping_add((rng.next_u64() % span) as $t)
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
             fn sample_single<G: RngCore + ?Sized>(self, rng: &mut G) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "empty range in gen_range");
-                let span = (end as u128).wrapping_sub(start as u128) + 1;
-                start.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                let span = (end as u64).wrapping_sub(start as u64).wrapping_add(1);
+                let x = rng.next_u64();
+                start.wrapping_add(x.checked_rem(span).unwrap_or(x) as $t)
             }
         }
     )*};
@@ -193,7 +198,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_for_seed() {
@@ -222,6 +227,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
             let _ = rng.gen_range(0..u64::MAX);
+        }
+    }
+
+    #[test]
+    fn draws_match_the_u128_reduction() {
+        // The u64 reduction must give the draws the u128 one always gave,
+        // so every seeded workload stays byte-identical.
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = StdRng::seed_from_u64(11);
+        for i in 0..2_000u64 {
+            let x = b.next_u64();
+            assert_eq!(
+                a.gen_range(3..1_000 + i),
+                3 + (x as u128 % (997 + i) as u128) as u64
+            );
+            let x = b.next_u64();
+            assert_eq!(a.gen_range(0..=u64::MAX), x);
+            let x = b.next_u64();
+            let expect = -7 + (x as u128 % 20) as i64;
+            assert_eq!(a.gen_range(-7i64..13), expect);
+            let x = b.next_u64();
+            assert_eq!(
+                a.gen_range(i64::MIN..=i64::MAX),
+                i64::MIN.wrapping_add(x as i64)
+            );
+            let x = b.next_u64();
+            assert_eq!(
+                a.gen_range(0..=u64::MAX - 1),
+                (x as u128 % u64::MAX as u128) as u64
+            );
         }
     }
 

@@ -77,12 +77,11 @@ fn adversarial_workloads_are_backend_invariant() {
     }
 }
 
-// The heapsort's drained priority queue retains empty structural blocks,
-// so `sort::run` (which owns its machine) cannot assert a clean
-// store for it. This check runs the engine's free function on a visible
-// machine instead: the *count* of residual blocks must be identical across
-// backends — a FileStore alloc/release accounting bug that diverges
-// without corrupting bytes or modeled stats would surface here.
+// The heapsort's priority queue releases its β blocks and tree runs when
+// it is dropped. This check runs the engine's free function on a visible
+// machine: after the output is freed, neither backend may hold a block — a
+// FileStore alloc/release accounting bug that diverges without corrupting
+// bytes or modeled stats would surface here.
 #[test]
 fn heapsort_residual_blocks_match_across_backends() {
     use asym_core::em::aem_heapsort;
@@ -101,10 +100,7 @@ fn heapsort_residual_blocks_match_across_backends() {
             em.live_blocks()
         })
         .collect();
-    assert_eq!(
-        residual[0], residual[1],
-        "live-block accounting differs across backends"
-    );
+    assert_eq!(residual, [0, 0], "residual blocks on [mem, file]");
 }
 
 // The job server runs file-backed jobs concurrently, each in its own

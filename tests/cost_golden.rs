@@ -2,8 +2,8 @@
 //! peak_memory)` counts for small fixed E3/E5/E6 configurations.
 //!
 //! The modeled costs are the *scientific output* of this repo — simulator
-//! performance work (arena storage, buffer reuse, the flat merge queue) must
-//! never change them. The golden triples below were captured from the seed
+//! performance work (arena storage, buffer reuse, the slice merge queue,
+//! the block-slice buffer-tree loops) must never change them. The golden triples below were captured from the seed
 //! implementation (clone-per-I/O disk, BTreeMap merge queue); any drift is a
 //! model regression, not a tuning knob.
 
