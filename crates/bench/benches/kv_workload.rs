@@ -20,11 +20,9 @@
 //! — `bench_check` fails CI on any drift — while wall clock gets the usual
 //! tolerance.
 
-use asym_bench::e14_kv::{measure, ops_for, KvMeasurement, OMEGAS, STYLE_POINTS};
+use asym_bench::e14_kv::{measure, ops_for, OMEGAS, STYLE_POINTS};
 use asym_bench::json::{json_path_from_args, BenchReport};
 use asym_bench::Scale;
-use criterion::{BenchmarkId, Criterion};
-use std::time::{Duration, Instant};
 
 fn main() {
     let scale = Scale::from_env();
@@ -32,35 +30,18 @@ fn main() {
     let default_json = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv.json");
     let json_path = json_path_from_args(std::env::args().skip(1), default_json);
     let ops = ops_for(scale);
+    let samples = scale.pick(3, 5, 5);
 
-    // Criterion wall-clock display (min/mean/max per cell), ω=8 column only
-    // — the physical schedule is ω-invariant (pinned fan-in), so timing one
-    // ω keeps the bench fast without losing coverage.
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("kv-workload");
-        group
-            .sample_size(scale.pick(3, 5, 5))
-            .warm_up_time(Duration::from_millis(scale.pick(50, 300, 300)));
-        for (style, t) in STYLE_POINTS {
-            let id = format!("{}-t{t}", style.name());
-            group.bench_with_input(BenchmarkId::new(id, ops), &(), |b, ()| {
-                b.iter(|| measure(style, t, 8, ops))
-            });
-        }
-        group.finish();
-    }
-
-    // One clean timed run per (style, T, ω) cell feeds the JSON report.
+    // Each (style, T, ω) cell's seconds are the median of `samples` timed
+    // runs, each on a fresh engine.
     let mut report = BenchReport::new("kv-workload", scale.name())
         .with_backend(asym_bench::backend_from_env().name());
     for omega in OMEGAS {
         for (style, t) in STYLE_POINTS {
-            let start = Instant::now();
-            let m: KvMeasurement = measure(style, t, omega, ops);
-            let secs = start.elapsed().as_secs_f64();
             let id = format!("kv-{}-t{t}-omega{omega}", style.name());
-            report.push_with_stats(id, m.ops, secs, m.stats);
+            let (secs, stats) =
+                asym_bench::time_row(&id, samples, || measure(style, t, omega, ops).stats);
+            report.push_with_stats(id, ops, secs, stats);
         }
     }
     report.write_to(&json_path).expect("write bench json");

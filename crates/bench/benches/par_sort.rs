@@ -21,8 +21,6 @@ use asym_bench::e13_par_sort;
 use asym_bench::json::{json_path_from_args, BenchReport};
 use asym_bench::Scale;
 use asym_core::sort::Algorithm;
-use criterion::{BenchmarkId, Criterion};
-use std::time::{Duration, Instant};
 
 /// The ω sweep: the write-asymmetric half of the E13 grid (the table also
 /// tabulates ω ∈ {1, 2}; the JSON gate pins the costlier configurations).
@@ -33,6 +31,7 @@ fn main() {
     let n = scale.pick(4_000usize, 40_000, 200_000);
     let default_json = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_par.json");
     let json_path = json_path_from_args(std::env::args().skip(1), default_json);
+    let samples = scale.pick(3, 5, 5);
     let lanes = e13_par_sort::lane_counts();
     // The input is generated once and each configuration's spec is built
     // before its timer starts. The steal-charging knob stays off here so
@@ -43,47 +42,21 @@ fn main() {
     // the CI gate run) a fresh lane bank is a few arena headers, far below
     // the timer's noise floor; on ASYM_BENCH_BACKEND=file it additionally
     // creates one temp file per lane per run, so file-matrix numbers are
-    // job-level timings (consistent with wallclock_file), not pure sort
-    // kernels.
+    // job-level timings (as in sim_throughput on the file backend), not
+    // pure sort kernels.
     let input = e13_par_sort::input_for(n);
 
-    // Criterion wall-clock display (min/mean/max per configuration).
-    let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("par-sort");
-        group
-            .sample_size(scale.pick(3, 5, 5))
-            .warm_up_time(Duration::from_millis(scale.pick(50, 300, 300)));
-        for &omega in &OMEGAS {
-            for &p in &lanes {
-                let spec = e13_par_sort::spec(omega, p, false);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("e13-par-sort-w{omega}-l{p}"), n),
-                    &(),
-                    |b, ()| b.iter(|| e13_par_sort::run_spec(&spec, &input)),
-                );
-            }
-        }
-        group.finish();
-    }
-
-    // One clean timed run per configuration feeds the JSON report; modeled
+    // Each row's seconds are the median of `samples` timed runs; modeled
     // stats ride along so the CI regression gate can pin them exactly.
     let mut report = BenchReport::new("par-sort", scale.name())
         .with_backend(asym_bench::backend_from_env().name());
     for &omega in &OMEGAS {
         for &p in &lanes {
             let spec = e13_par_sort::spec(omega, p, false);
-            let start = Instant::now();
-            let outcome = e13_par_sort::run_spec(&spec, &input);
-            let secs = start.elapsed().as_secs_f64();
-            report.push_sort(
-                format!("e13-par-sort-w{omega}-l{p}"),
-                Algorithm::ParSamplesort.name(),
-                n as u64,
-                secs,
-                outcome.stats,
-            );
+            let id = format!("e13-par-sort-w{omega}-l{p}");
+            let (secs, stats) =
+                asym_bench::time_row(&id, samples, || e13_par_sort::run_spec(&spec, &input).stats);
+            report.push_sort(id, Algorithm::ParSamplesort.name(), n as u64, secs, stats);
         }
     }
     report.write_to(&json_path).expect("write bench json");

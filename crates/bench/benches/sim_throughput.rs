@@ -20,25 +20,38 @@
 //! cargo bench -p asym-bench --bench sim_throughput              # + BENCH_sim.json
 //! cargo bench -p asym-bench --bench sim_throughput -- --json out.json
 //! ASYM_BENCH_SCALE=smoke cargo bench -p asym-bench --bench sim_throughput
+//! ASYM_BENCH_BACKEND=file cargo bench -p asym-bench --bench sim_throughput -- --json f.json
 //! ```
 //!
 //! Each run emits a `BENCH_sim.json` bench report (see `asym_bench::json`)
 //! with one records/sec entry per workload — the median of several timed
-//! runs — which CI uploads as an artifact so the perf trajectory of the
-//! simulator is tracked per commit.
+//! runs (`asym_bench::time_row`) — which CI uploads as an artifact so the
+//! perf trajectory of the simulator is tracked per commit. On
+//! `ASYM_BENCH_BACKEND=file` the same rows run the modeled transfer
+//! schedule as real file I/O, with the same modeled counts.
 
 use asym_bench::json::{json_path_from_args, BenchReport};
 use asym_bench::Scale;
-use asym_core::sort::{self, Algorithm, SortSpec};
+use asym_core::sort::{self, Algorithm};
 use asym_model::workload::Workload;
 use asym_model::Record;
 use em_sim::{EmConfig, EmStats, EmVec, EmWriter};
-use std::time::Instant;
 
 /// Machine geometry shared by every workload (matches the E3 tables).
 const M: usize = 64;
 const B: usize = 8;
 const OMEGA: u64 = 8;
+
+/// The sort rows: id, algorithm, fan-in `k`, and the seed of both the
+/// input and the splitter schedule (the experiment's, so counts stay
+/// frozen).
+const SORTS: [(&str, Algorithm, usize, u64); 5] = [
+    ("e3-mergesort-k1", Algorithm::Mergesort, 1, 0xE3),
+    ("e3-mergesort-k4", Algorithm::Mergesort, 4, 0xE3),
+    ("e3-mergesort-k16", Algorithm::Mergesort, 16, 0xE3),
+    ("e5-samplesort-k4", Algorithm::Samplesort, 4, 0xE5),
+    ("e6-heapsort-k4", Algorithm::Heapsort, 4, 0xE6),
+];
 
 /// One simulator workload: stable id, the algorithm tag for the JSON
 /// report (empty for non-sort workloads), records per run, and a runner
@@ -56,11 +69,9 @@ fn cases(scale: Scale) -> Vec<Case> {
     let n_raw = scale.pick(100_000usize, 2_000_000, 10_000_000);
     let n_sort = scale.pick(20_000usize, 200_000, 1_000_000);
     let mut cases = vec![raw_stream_case(n_raw)];
-    for k in [1usize, 4, 16] {
-        cases.push(mergesort_case(k, n_sort));
+    for (id, algorithm, k, seed) in SORTS {
+        cases.push(sort_case(id, algorithm, k, seed, n_sort));
     }
-    cases.push(samplesort_case(4, n_sort));
-    cases.push(heapsort_case(4, n_sort));
     cases
 }
 
@@ -87,57 +98,16 @@ fn raw_stream_case(n: usize) -> Case {
     }
 }
 
-/// The job description a sort case runs (backend from `ASYM_BENCH_BACKEND`,
-/// seed matching the workload's so the splitter schedule is frozen).
-fn sort_spec(algorithm: Algorithm, k: usize, seed: u64) -> SortSpec {
-    asym_bench::sort_spec(algorithm, M, B, OMEGA, k, seed)
-}
-
-fn mergesort_case(k: usize, n: usize) -> Case {
-    let input: Vec<Record> = Workload::UniformRandom.generate(n, 0xE3);
-    let id: &'static str = match k {
-        1 => "e3-mergesort-k1",
-        4 => "e3-mergesort-k4",
-        16 => "e3-mergesort-k16",
-        _ => unreachable!("fixed k sweep"),
-    };
-    let spec = sort_spec(Algorithm::Mergesort, k, 0xE3);
+/// One `sort::run` of n uniform records on the env-selected backend.
+fn sort_case(id: &'static str, algorithm: Algorithm, k: usize, seed: u64, n: usize) -> Case {
+    let input: Vec<Record> = Workload::UniformRandom.generate(n, seed);
+    let spec = asym_bench::sort_spec(algorithm, M, B, OMEGA, k, seed);
     Case {
         id,
-        algorithm: Algorithm::Mergesort.name(),
+        algorithm: algorithm.name(),
         n,
         run: Box::new(move || {
-            let outcome = sort::run(&spec, &input).expect("mergesort");
-            assert_eq!(outcome.output.len(), n);
-            outcome.stats
-        }),
-    }
-}
-
-fn samplesort_case(k: usize, n: usize) -> Case {
-    let input: Vec<Record> = Workload::UniformRandom.generate(n, 0xE5);
-    let spec = sort_spec(Algorithm::Samplesort, k, 0xE5);
-    Case {
-        id: "e5-samplesort-k4",
-        algorithm: Algorithm::Samplesort.name(),
-        n,
-        run: Box::new(move || {
-            let outcome = sort::run(&spec, &input).expect("samplesort");
-            assert_eq!(outcome.output.len(), n);
-            outcome.stats
-        }),
-    }
-}
-
-fn heapsort_case(k: usize, n: usize) -> Case {
-    let input: Vec<Record> = Workload::UniformRandom.generate(n, 0xE6);
-    let spec = sort_spec(Algorithm::Heapsort, k, 0xE6);
-    Case {
-        id: "e6-heapsort-k4",
-        algorithm: Algorithm::Heapsort.name(),
-        n,
-        run: Box::new(move || {
-            let outcome = sort::run(&spec, &input).expect("heapsort");
+            let outcome = sort::run(&spec, &input).unwrap_or_else(|e| panic!("{id}: {e}"));
             assert_eq!(outcome.output.len(), n);
             outcome.stats
         }),
@@ -152,31 +122,14 @@ fn main() {
     let json_path = json_path_from_args(std::env::args().skip(1), default_json);
     let samples = scale.pick(3, 9, 5);
 
-    // Each row's seconds are the median of `samples` timed runs after one
-    // warm-up run: a single run can land anywhere in a ±30% band on a
-    // shared host. The modeled stats ride along (identical on every run)
-    // so the CI regression gate can pin them exactly.
+    // The modeled stats ride along (identical on every run) so the CI
+    // regression gate can pin them exactly.
     let mut report = BenchReport::new("sim-throughput", scale.name())
         .with_backend(asym_bench::backend_from_env().name());
     for case in cases(scale) {
-        let stats = (case.run)();
-        let mut secs: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                assert_eq!((case.run)(), stats, "{}: modeled stats moved", case.id);
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_by(f64::total_cmp);
-        let median = secs[samples / 2];
-        println!(
-            "sim-throughput/{:<18} min {:>9.4}s   median {:>9.4}s   max {:>9.4}s",
-            case.id,
-            secs[0],
-            median,
-            secs[samples - 1]
-        );
-        report.push_sort(case.id, case.algorithm, case.n as u64, median, stats);
+        let (secs, stats) =
+            asym_bench::time_row(&format!("sim-throughput/{}", case.id), samples, &case.run);
+        report.push_sort(case.id, case.algorithm, case.n as u64, secs, stats);
     }
     report.write_to(&json_path).expect("write bench json");
     println!("wrote bench report to {}", json_path.display());

@@ -1,69 +1,62 @@
-//! Criterion wall-clock benchmarks of the *real* (non-simulated)
-//! implementations: the RAM tree sort, the threaded sample sort, and the
-//! std-library sort as the reference point. The simulated-model experiments
-//! live in the `tables` bench; these numbers are about implementation
-//! overhead, not model costs.
+//! Wall-clock timings of the *real* (non-simulated) implementations: the
+//! RAM tree sort, the threaded sample sort, and the std-library sort as the
+//! reference point. The simulated-model experiments live in the `tables`
+//! bench; these numbers are about implementation overhead, not model
+//! costs. Each row prints the min/median/max of its timed runs through
+//! `asym_bench::time_row`; no JSON report is written.
+//!
+//! ```text
+//! cargo bench -p asym-bench --bench wallclock
+//! ```
 
+use asym_bench::time_row;
 use asym_core::par::par_sample_sort;
+use asym_core::ram::pq::RamPriorityQueue;
 use asym_core::ram::tree_sort::tree_sort;
 use asym_model::workload::Workload;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use asym_model::MemCounter;
+use em_sim::EmStats;
+use std::hint::black_box;
 
-fn bench_sorts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sort-wallclock");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for &n in &[1usize << 14, 1 << 16] {
+/// Timed runs per row.
+const SAMPLES: usize = 10;
+
+fn main() {
+    // These implementations model no block transfers, so every row
+    // reports default stats.
+    for n in [1usize << 14, 1 << 16] {
         let input = Workload::UniformRandom.generate(n, 1);
-        group.bench_with_input(BenchmarkId::new("std-sort", n), &input, |b, input| {
-            b.iter(|| {
-                let mut v = input.clone();
-                v.sort_unstable();
-                v
-            })
+        time_row(&format!("sort-wallclock/std-sort/{n}"), SAMPLES, || {
+            let mut v = input.clone();
+            v.sort_unstable();
+            black_box(v);
+            EmStats::default()
         });
-        group.bench_with_input(BenchmarkId::new("tree-sort", n), &input, |b, input| {
-            b.iter(|| tree_sort(input))
+        time_row(&format!("sort-wallclock/tree-sort/{n}"), SAMPLES, || {
+            black_box(tree_sort(&input));
+            EmStats::default()
         });
         for threads in [1usize, 2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("par-sample-sort-t{threads}"), n),
-                &input,
-                |b, input| b.iter(|| par_sample_sort(input, threads, 7)),
-            );
+            let id = format!("sort-wallclock/par-sample-sort-t{threads}/{n}");
+            time_row(&id, SAMPLES, || {
+                black_box(par_sample_sort(&input, threads, 7));
+                EmStats::default()
+            });
         }
     }
-    group.finish();
-}
 
-fn bench_pq(c: &mut Criterion) {
-    use asym_core::ram::pq::RamPriorityQueue;
-    use asym_model::MemCounter;
-    let mut group = c.benchmark_group("pq-wallclock");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
     let n = 1usize << 14;
     let input = Workload::UniformRandom.generate(n, 2);
-    group.bench_function("ram-pq-insert-drain", |b| {
-        b.iter(|| {
-            let mut pq = RamPriorityQueue::new(MemCounter::new());
-            for &r in &input {
-                pq.insert(r);
-            }
-            let mut out = Vec::with_capacity(n);
-            while let Some(r) = pq.delete_min() {
-                out.push(r);
-            }
-            out
-        })
+    time_row("pq-wallclock/ram-pq-insert-drain", SAMPLES, || {
+        let mut pq = RamPriorityQueue::new(MemCounter::new());
+        for &r in &input {
+            pq.insert(r);
+        }
+        let mut out = Vec::with_capacity(n);
+        while let Some(r) = pq.delete_min() {
+            out.push(r);
+        }
+        black_box(out);
+        EmStats::default()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_sorts, bench_pq);
-criterion_main!(benches);

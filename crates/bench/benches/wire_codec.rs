@@ -17,9 +17,10 @@
 //! cargo bench -p asym-bench --bench wire_codec -- --json out.json
 //! ```
 //!
-//! Each row's time is the median over repetitions. The outcome and
-//! manifest rows carry the modeled stats of the sort that produced them,
-//! so `bench_check` pins those counts exactly; the request rows carry none.
+//! Each row's time is the median over repetitions (`asym_bench::time_row`).
+//! The outcome and manifest rows carry the modeled stats of the sort that
+//! produced them, so `bench_check` pins those counts exactly; the request
+//! rows carry none.
 
 use asym_bench::json::{json_path_from_args, BenchReport};
 use asym_bench::Scale;
@@ -29,7 +30,6 @@ use asym_model::Record;
 use asym_serve::JobRequest;
 use em_sim::EmStats;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Records per job: the inline compaction size the service is tuned for.
 const N: usize = 16_384;
@@ -50,19 +50,6 @@ fn compaction_input() -> Vec<Record> {
         rec.payload = i as u64;
     }
     input
-}
-
-/// Median wall time in seconds of `reps` calls of `f`.
-fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut secs: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    secs.sort_by(f64::total_cmp);
-    secs[reps / 2]
 }
 
 fn main() {
@@ -94,39 +81,37 @@ fn main() {
 
     let mut report = BenchReport::new("wire-codec", scale.name());
     let none = EmStats::default();
-    for (id, stats, secs) in [
-        (
-            "codec-request-encode",
-            none,
-            median_secs(reps, || request.to_json()),
-        ),
-        (
-            "codec-request-decode",
-            none,
-            median_secs(reps, || JobRequest::from_json(&request_text)),
-        ),
-        (
-            "codec-outcome-encode",
-            outcome.stats,
-            median_secs(reps, || outcome.to_json(true)),
-        ),
-        (
-            "codec-outcome-decode",
-            outcome.stats,
-            median_secs(reps, || SortOutcome::from_json(&outcome_text)),
-        ),
-        (
-            "codec-manifest-render",
-            staged.stats,
-            median_secs(reps, || {
+    // `black_box` keeps each call's work alive. The codec models no
+    // transfers, so a row carries the stats of the sort behind its document.
+    let rows: [(&str, EmStats, &dyn Fn()); 5] = [
+        ("codec-request-encode", none, &|| {
+            black_box(request.to_json());
+        }),
+        ("codec-request-decode", none, &|| {
+            let _ = black_box(JobRequest::from_json(&request_text));
+        }),
+        ("codec-outcome-encode", outcome.stats, &|| {
+            black_box(outcome.to_json(true));
+        }),
+        ("codec-outcome-decode", outcome.stats, &|| {
+            let _ = black_box(SortOutcome::from_json(&outcome_text));
+        }),
+        ("codec-manifest-render", staged.stats, &|| {
+            black_box(
                 sink.manifests
                     .iter()
                     .map(|m| m.to_json().len())
-                    .sum::<usize>()
-            }),
-        ),
-    ] {
-        report.push_with_stats(format!("{id}-16k"), N as u64, secs, stats);
+                    .sum::<usize>(),
+            );
+        }),
+    ];
+    for (id, stats, run) in rows {
+        let id = format!("{id}-16k");
+        let (secs, _) = asym_bench::time_row(&id, reps, || {
+            run();
+            none
+        });
+        report.push_with_stats(id, N as u64, secs, stats);
     }
     report.write_to(&json_path).expect("write bench json");
     println!("wrote bench report to {}", json_path.display());

@@ -26,7 +26,8 @@
 use asym_core::sort::{Algorithm, SortSpec};
 use asym_model::table::Table;
 use asym_model::Record;
-use em_sim::{Backend, EmConfig, EmMachine};
+use em_sim::{Backend, EmConfig, EmMachine, EmStats};
+use std::time::Instant;
 
 pub mod json;
 
@@ -157,6 +158,38 @@ pub fn sort_spec(
         .unwrap_or_else(|e| panic!("{algorithm} bench spec: {e}"))
 }
 
+/// Time one bench row — the one timing loop every bench target shares.
+///
+/// Makes one untimed warm-up call of `run`, then `samples` timed calls,
+/// prints min/median/max under `id`, and returns the median seconds with
+/// the warm-up's modeled stats. A single run can land anywhere in a ±30%
+/// band on a shared host; the median of several moves less. `run` returns
+/// the row's modeled [`EmStats`] (`EmStats::default()` for rows that model
+/// none), and every timed call must return exactly the warm-up's: modeled
+/// counts are deterministic, so a call that moves them panics naming `id`.
+pub fn time_row(id: &str, samples: usize, mut run: impl FnMut() -> EmStats) -> (f64, EmStats) {
+    assert!(samples > 0, "{id}: a row needs at least one timed sample");
+    let stats = run();
+    let mut secs: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            let moved = run();
+            let elapsed = start.elapsed().as_secs_f64();
+            assert_eq!(moved, stats, "{id}: modeled stats moved");
+            elapsed
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let median = secs[samples / 2];
+    println!(
+        "{id:<40} min {:>9.4}s   median {:>9.4}s   max {:>9.4}s",
+        secs[0],
+        median,
+        secs[samples - 1]
+    );
+    (median, stats)
+}
+
 /// Run `spec` through `sort::run`, assert record conservation, and
 /// return the three numbers every sort table tabulates:
 /// `(reads, writes, io_cost)`.
@@ -278,6 +311,48 @@ mod tests {
             let err = Scale::parse(Some(typo)).unwrap_err();
             assert!(err.contains("ASYM_BENCH_SCALE"), "{err}");
         }
+    }
+
+    /// A row that sleeps `plan[i]` ms on call `i` (call 0 is the warm-up)
+    /// and models nothing; returns its median seconds and its call count.
+    fn sleepy_row(samples: usize, plan: &[u64]) -> (f64, usize) {
+        let mut calls = 0;
+        let (secs, stats) = time_row("sleepy", samples, || {
+            std::thread::sleep(std::time::Duration::from_millis(plan[calls]));
+            calls += 1;
+            EmStats::default()
+        });
+        assert_eq!(stats, EmStats::default());
+        (secs, calls)
+    }
+
+    #[test]
+    fn time_row_leaves_the_warm_up_untimed() {
+        let (secs, calls) = sleepy_row(1, &[300, 0]);
+        assert_eq!(calls, 2, "one warm-up plus one timed call");
+        assert!(secs < 0.3, "the warm-up's 300 ms leaked into {secs}s");
+    }
+
+    #[test]
+    fn time_row_returns_the_median_sample() {
+        // Samples of ~200, ~0 and ~20 ms: the median is the 20 ms call,
+        // where the mean (~73 ms), min or max would each be far off.
+        let (secs, calls) = sleepy_row(3, &[0, 200, 0, 20]);
+        assert_eq!(calls, 4);
+        assert!((0.02..0.2).contains(&secs), "median {secs}s");
+    }
+
+    #[test]
+    #[should_panic(expected = "drifting-row: modeled stats moved")]
+    fn time_row_panics_naming_a_row_whose_stats_move() {
+        let mut reads = 0;
+        time_row("drifting-row", 3, || {
+            reads += 1;
+            EmStats {
+                block_reads: reads,
+                ..EmStats::default()
+            }
+        });
     }
 
     #[test]

@@ -138,7 +138,11 @@ pub struct BufferTree {
     free_ids: Vec<NodeId>,
     root: NodeId,
     len: usize,
-    /// In-memory tail of the root buffer (≤ B records; leased).
+    /// In-memory tail of the root buffer: fewer than B records between
+    /// calls. It takes no lease; its one block is budgeted by `pq_slack`.
+    /// An insert that fills it flushes it to the root buffer before any
+    /// cascade, and `pop_leftmost_leaf` flushes it first, so it is empty
+    /// whenever a buffer is emptied.
     root_tail: Vec<Record>,
 }
 

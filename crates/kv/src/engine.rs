@@ -42,7 +42,7 @@
 //!   every compaction job's stats.
 
 use crate::policy::{CompactionStyle, Policy};
-use crate::submit::CompactionService;
+use crate::submit::{CompactionService, ServiceRoot};
 use crate::KvError;
 use asym_core::sort::{Algorithm, CostEstimate, SortSpec};
 use asym_model::{Record, MAX_KEY};
@@ -73,13 +73,6 @@ pub struct KvConfig {
     /// Merge fan-in for compaction jobs; `None` derives `k = min(ω, M/B)`
     /// (the paper's ω-balanced choice, clamped to the geometry).
     pub sort_k: Option<usize>,
-    /// Route compactions through the service's checkpointed (staged)
-    /// execution path: every completed phase lands in the WAL as a
-    /// resumable manifest, so a crashed compaction never re-pays its
-    /// ω-weighted writes. Off by default — the staged path's modeled
-    /// costs include the per-phase envelope, so benchmarks pinning exact
-    /// counts should leave this off.
-    pub checkpoint_compactions: bool,
 }
 
 impl KvConfig {
@@ -96,7 +89,6 @@ impl KvConfig {
             backend: Backend::Mem,
             service_budget_bytes: 64 << 20,
             sort_k: None,
-            checkpoint_compactions: false,
         }
     }
 
@@ -192,18 +184,27 @@ pub struct AsymKv {
     /// `levels[i]` = runs at level i, oldest first.
     levels: Vec<Vec<Run>>,
     service: CompactionService,
+    /// The embedded service's temp root, when the engine started that
+    /// service itself. Declared after `service`, so it is removed only
+    /// once the service has drained.
+    _service_root: Option<ServiceRoot>,
     compactions: Vec<CompactionRecord>,
 }
 
 impl AsymKv {
-    /// Open an engine with an embedded, single-worker sort service.
+    /// Open an engine with an embedded, single-worker sort service on a
+    /// temp root that is removed when the engine drops.
     pub fn new(cfg: KvConfig) -> Result<AsymKv, KvError> {
-        let service = CompactionService::in_process(cfg.service_budget_bytes)?;
-        AsymKv::with_service(cfg, service)
+        let (service, root) = CompactionService::in_process(cfg.service_budget_bytes)?;
+        // On an error the service drops inside `with_service`, before its root.
+        let mut kv = AsymKv::with_service(cfg, service)?;
+        kv._service_root = Some(root);
+        Ok(kv)
     }
 
     /// Open an engine whose compactions go to `service` — in particular
-    /// [`CompactionService::http`] for a remote sort server.
+    /// [`CompactionService::http`] for a remote sort server. A
+    /// [`CompactionService::Local`] service keeps its root directory.
     pub fn with_service(cfg: KvConfig, service: CompactionService) -> Result<AsymKv, KvError> {
         cfg.validate()?;
         let machine = EmMachine::with_backend(EmConfig::new(cfg.m, cfg.b, cfg.omega), cfg.backend)
@@ -217,6 +218,7 @@ impl AsymKv {
             values: Vec::new(),
             levels: Vec::new(),
             service,
+            _service_root: None,
             compactions: Vec::new(),
         })
     }
@@ -438,8 +440,7 @@ impl AsymKv {
             return Ok(None);
         }
         let input_records = input.len();
-        let request = JobRequest::inline(self.compaction_spec()?, input)
-            .checkpointed(self.cfg.checkpoint_compactions);
+        let request = JobRequest::inline(self.compaction_spec()?, input);
         let predicted = request.predict();
         let result = self.service.submit_and_wait(request)?;
 

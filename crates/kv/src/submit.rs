@@ -3,8 +3,10 @@
 //!
 //! Two transports share one contract:
 //!
-//! - [`CompactionService::in_process`] — an embedded [`SortService`]
-//!   (the default; no sockets, deterministic, still admission-controlled).
+//! - [`CompactionService::Local`] — an embedded [`SortService`] (the
+//!   default: `AsymKv::new` starts one on a temp root it removes again
+//!   when the engine drops; no sockets, deterministic, still
+//!   admission-controlled).
 //! - [`CompactionService::http`] — `POST /jobs` + long-poll
 //!   `GET /jobs/<id>/wait` through [`asym_serve::client`], for an engine
 //!   pointed at a remote sort server (see `asym_serve::serve`).
@@ -43,13 +45,16 @@ static SERVICE_DIRS: AtomicU64 = AtomicU64::new(0);
 
 impl CompactionService {
     /// Start an embedded single-worker service with the given admission
-    /// budget. One worker keeps compactions strictly ordered, so modeled
+    /// budget, on a fresh temp root that the returned [`ServiceRoot`]
+    /// removes. One worker keeps compactions strictly ordered, so modeled
     /// totals are reproducible run to run.
-    pub fn in_process(budget_bytes: u64) -> Result<CompactionService, KvError> {
-        let dir = service_dir()?;
-        let service = SortService::start(ServiceConfig::new(1, budget_bytes, dir))
+    pub(crate) fn in_process(
+        budget_bytes: u64,
+    ) -> Result<(CompactionService, ServiceRoot), KvError> {
+        let root = ServiceRoot::create()?;
+        let service = SortService::start(ServiceConfig::new(1, budget_bytes, &root.0))
             .map_err(|e| KvError::Service(format!("start service: {e}")))?;
-        Ok(CompactionService::Local(service))
+        Ok((CompactionService::Local(service), root))
     }
 
     /// Point compactions at a running sort server.
@@ -100,16 +105,30 @@ impl Drop for CompactionService {
     }
 }
 
-/// A fresh, collision-free root directory for an embedded service's audit
-/// log and per-job file storage.
-fn service_dir() -> Result<PathBuf, KvError> {
-    let dir = std::env::temp_dir().join(format!(
-        "asym-kv-svc-{}-{}",
-        std::process::id(),
-        SERVICE_DIRS.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| KvError::Service(format!("service dir: {e}")))?;
-    Ok(dir)
+/// The root directory of an embedded service this crate started itself,
+/// removed on drop. Its owner must drop it after the service, so the
+/// service has drained and joined its workers first. A service handed in
+/// by a caller keeps its root: the caller may still read its audit log.
+pub(crate) struct ServiceRoot(PathBuf);
+
+impl ServiceRoot {
+    /// A fresh, collision-free temp directory for an embedded service's
+    /// audit log and per-job file storage.
+    fn create() -> Result<ServiceRoot, KvError> {
+        let dir = std::env::temp_dir().join(format!(
+            "asym-kv-svc-{}-{}",
+            std::process::id(),
+            SERVICE_DIRS.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).map_err(|e| KvError::Service(format!("service dir: {e}")))?;
+        Ok(ServiceRoot(dir))
+    }
+}
+
+impl Drop for ServiceRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn client_error(e: ClientError) -> KvError {

@@ -210,64 +210,6 @@ fn http_compactions_match_in_process() {
     server.shutdown();
 }
 
-/// Checkpointed compactions: with `checkpoint_compactions` on, every
-/// compaction runs through the service's staged path (resumable manifests
-/// in the WAL) — and the store's answers are byte-identical to the plain
-/// engine's, with measured stats still inside the (staged) admission
-/// envelope. The modeled cost of the staged path differs from the
-/// single-shot path by design, so only answers are compared across the
-/// two engines, not totals.
-#[test]
-fn checkpointed_compactions_answer_identically() {
-    let mut plain = AsymKv::new(small_cfg(CompactionStyle::Leveling, 2, 8)).expect("engine");
-    let mut staged_cfg = small_cfg(CompactionStyle::Leveling, 2, 8);
-    staged_cfg.checkpoint_compactions = true;
-    let mut staged = AsymKv::new(staged_cfg).expect("engine");
-    let mut model = BTreeMap::new();
-
-    let mut x = 0xC0FFEE_u64;
-    for _ in 0..1_000 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let key = x % 71;
-        match x % 6 {
-            0 => {
-                plain.delete(key).expect("delete");
-                staged.delete(key).expect("delete");
-                model.remove(&key);
-            }
-            _ => {
-                plain.put(key, x).expect("put");
-                staged.put(key, x).expect("put");
-                model.insert(key, x);
-            }
-        }
-    }
-    assert!(
-        !staged.compactions().is_empty(),
-        "the stream must have compacted through the staged path"
-    );
-    for key in 0..71u64 {
-        let want = model.get(&key).copied();
-        assert_eq!(plain.get(key).expect("get"), want, "plain, key {key}");
-        assert_eq!(staged.get(key).expect("get"), want, "staged, key {key}");
-    }
-    assert_eq!(
-        plain.scan(0, u64::MAX - 1).expect("scan"),
-        staged.scan(0, u64::MAX - 1).expect("scan"),
-        "checkpointing compactions must not change a single answer"
-    );
-    // Same merges, same records in, same records out — phase boundaries
-    // are invisible to the merged output.
-    assert_eq!(plain.compactions().len(), staged.compactions().len());
-    for (a, b) in plain.compactions().iter().zip(staged.compactions()) {
-        assert_eq!(a.input_records, b.input_records);
-        assert_eq!(a.output_records, b.output_records);
-    }
-    assert_envelopes(&staged, "checkpointed");
-}
-
 /// A compaction bigger than the service budget must surface as a typed
 /// rejection, not a hang or a silent skip.
 #[test]
