@@ -296,7 +296,7 @@ impl BufferTree {
         let machine = &self.machine;
         let mut per_child: Vec<Run> = Vec::with_capacity(children.len());
         let mut writer = RunWriter::new(machine);
-        merge_sorted(machine, &merged, true, |r| {
+        merge_sorted(machine, &merged, |r| {
             while seps.get(per_child.len()).is_some_and(|sep| r > *sep) {
                 per_child.push(writer.take_run(machine));
             }
@@ -409,7 +409,7 @@ impl BufferTree {
         let machine = &self.machine;
         let _lease = machine.lease(runs.len() * machine.b())?;
         let mut writer = RunWriter::new(machine);
-        merge_sorted(machine, runs, false, |r| writer.push(machine, r))?;
+        merge_sorted(machine, runs, |r| writer.push(machine, r))?;
         Ok(writer.take_run(machine))
     }
 
@@ -973,15 +973,9 @@ impl<'a> RunsReader<'a> {
 }
 
 /// Merge sorted runs, handing `sink` each record in merged order; ties go
-/// to the earlier run. A run's next block is read as soon as its current
-/// one is used up: before the record that used it up reaches `sink` if
-/// `read_first`, else just after.
-fn merge_sorted(
-    machine: &EmMachine,
-    runs: &[Run],
-    read_first: bool,
-    mut sink: impl FnMut(Record),
-) -> Result<()> {
+/// to the earlier run. A run's next block is read just after the record
+/// that used up its current block reaches `sink`.
+fn merge_sorted(machine: &EmMachine, runs: &[Run], mut sink: impl FnMut(Record)) -> Result<()> {
     let mut readers: Vec<RunsReader> = runs
         .iter()
         .map(|r| RunsReader::new(machine, std::slice::from_ref(r)))
@@ -1004,12 +998,9 @@ fn merge_sorted(
         let rd = &mut readers[i];
         rd.pos += 1;
         let used_up = rd.pos == rd.buf.len();
-        if used_up && read_first {
-            rd.fill()?;
-        }
         sink(r);
-        if used_up && !read_first {
-            readers[i].fill()?;
+        if used_up {
+            rd.fill()?;
         }
     }
 }

@@ -18,7 +18,7 @@
 //! * [`co`] — §5 cache-oblivious algorithms on the Asymmetric Ideal-Cache:
 //!   the low-depth sort (Figure 1), FFT, and matrix multiplication, with
 //!   their symmetric counterparts as baselines.
-//! * [`par`] — a real multi-threaded sample sort (crossbeam scoped threads)
+//! * [`par`] — a real multi-threaded sample sort (`std::thread::scope`)
 //!   for wall-clock benchmarking.
 //! * [`sort`] — the unified job API: a validated [`sort::SortSpec`]
 //!   description, [`sort::Algorithm::ALL`] naming every AEM sort, and

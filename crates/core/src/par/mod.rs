@@ -5,9 +5,10 @@
 //! with measured work-depth costs; this module holds the two executable
 //! counterparts of the parallel story:
 //!
-//! * [`par_sample_sort`] — real crossbeam threads for wall-clock
+//! * [`par_sample_sort`] — real scoped threads for wall-clock
 //!   benchmarking: splitter-based bucketing with per-thread counting, a
-//!   shared prefix, and parallel per-bucket sorts.
+//!   scatter into disjoint per-(bucket, thread) slices, and parallel
+//!   per-bucket sorts.
 //! * [`par_aem_sample_sort`] — the *modeled* parallel AEM sort: the same
 //!   splitter discipline run against a sharded
 //!   [`ParMachine`](em_sim::ParMachine), charging block reads and ω-cost

@@ -16,9 +16,10 @@ use rand::SeedableRng;
 /// Sort `input` using `threads` worker threads.
 ///
 /// Phases: (1) oversample and pick `threads − 1` splitters; (2) each worker
-/// counts its chunk's records per bucket; (3) a prefix over the
-/// threads × buckets count matrix assigns disjoint output slices; (4) each
-/// worker scatters its chunk; (5) workers sort the buckets in parallel.
+/// counts its chunk's records per bucket; (3) the threads × buckets count
+/// matrix cuts the output, bucket-major, into one disjoint slice per
+/// (bucket, worker); (4) each worker scatters its chunk into its slices;
+/// (5) workers sort the buckets in parallel.
 pub fn par_sample_sort(input: &[Record], threads: usize, seed: u64) -> Vec<Record> {
     let n = input.len();
     let p = threads.max(1);
@@ -39,92 +40,66 @@ pub fn par_sample_sort(input: &[Record], threads: usize, seed: u64) -> Vec<Recor
     let buckets = splitters.len() + 1;
 
     // Phase 2: per-worker bucket counts.
-    let chunk = n.div_ceil(p);
-    let chunks: Vec<&[Record]> = input.chunks(chunk).collect();
-    let workers = chunks.len();
-    let mut counts: Vec<Vec<usize>> = vec![vec![0; buckets]; workers];
-    crossbeam::scope(|s| {
-        for (w, (my_chunk, my_counts)) in chunks.iter().zip(counts.iter_mut()).enumerate() {
+    let chunks: Vec<&[Record]> = input.chunks(n.div_ceil(p)).collect();
+    let mut counts: Vec<Vec<usize>> = vec![vec![0; buckets]; chunks.len()];
+    std::thread::scope(|s| {
+        for (my_chunk, my_counts) in chunks.iter().zip(counts.iter_mut()) {
             let splitters = &splitters;
-            let _ = w;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for r in *my_chunk {
                     my_counts[bucket_of(splitters, *r)] += 1;
                 }
             });
         }
-    })
-    .expect("counting workers");
+    });
 
-    // Phase 3: bucket-major prefix assigns each (bucket, worker) a slice.
-    let mut offsets: Vec<Vec<usize>> = vec![vec![0; buckets]; workers];
-    let mut acc = 0usize;
-    let mut bucket_bounds: Vec<usize> = Vec::with_capacity(buckets + 1);
-    for b in 0..buckets {
-        bucket_bounds.push(acc);
-        for w in 0..workers {
-            offsets[w][b] = acc;
-            acc += counts[w][b];
-        }
-    }
-    bucket_bounds.push(acc);
-    debug_assert_eq!(acc, n);
-
-    // Phase 4: parallel scatter into disjoint slices of one output vector.
+    // Phase 3: cut the output into buckets, then each bucket into one
+    // slice per worker, in worker order.
     let mut output: Vec<Record> = vec![Record::default(); n];
-    {
-        // Split the output into raw disjoint cells via unsafe-free approach:
-        // each worker owns a set of (start, len) ranges; use split_at_mut
-        // repeatedly is awkward for interleaved ranges, so scatter via a
-        // shared UnsafeCell-free fallback: sequential scatter per worker is
-        // still parallel across workers through chunk ownership of *source*;
-        // the destination ranges are disjoint by construction, so we use
-        // pointer arithmetic guarded by that invariant.
-        struct SendPtr(*mut Record);
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        let base = SendPtr(output.as_mut_ptr());
-        let base_ref = &base;
-        crossbeam::scope(|s| {
-            for (my_chunk, my_offsets) in chunks.iter().zip(offsets.iter()) {
-                let splitters = &splitters;
-                let mut cursors = my_offsets.clone();
-                s.spawn(move |_| {
-                    for r in *my_chunk {
-                        let b = bucket_of(splitters, *r);
-                        // SAFETY: cursor ranges [offsets[w][b],
-                        // offsets[w][b]+counts[w][b]) are pairwise disjoint
-                        // across workers and buckets by the phase-3 prefix.
-                        unsafe {
-                            *base_ref.0.add(cursors[b]) = *r;
-                        }
-                        cursors[b] += 1;
-                    }
-                });
-            }
-        })
-        .expect("scatter workers");
+    let bucket_lens = (0..buckets).map(|b| counts.iter().map(|c| c[b]).sum());
+    let mut bucket_slices = split_lens(&mut output, bucket_lens);
+    let mut dests: Vec<Vec<std::slice::IterMut<Record>>> =
+        chunks.iter().map(|_| Vec::with_capacity(buckets)).collect();
+    for (b, bucket) in bucket_slices.iter_mut().enumerate() {
+        let pieces = split_lens(bucket, counts.iter().map(|c| c[b]));
+        for (dest, piece) in dests.iter_mut().zip(pieces) {
+            dest.push(piece.iter_mut());
+        }
     }
 
-    // Phase 5: sort buckets in parallel (disjoint slices via split_at_mut).
-    {
-        let mut rest: &mut [Record] = &mut output;
-        let mut slices: Vec<&mut [Record]> = Vec::with_capacity(buckets);
-        let mut prev = 0usize;
-        for &bound in &bucket_bounds[1..=buckets] {
-            let (head, tail) = rest.split_at_mut(bound - prev);
-            slices.push(head);
-            rest = tail;
-            prev = bound;
+    // Phase 4: parallel scatter, each worker into its own slices.
+    std::thread::scope(|s| {
+        for (my_chunk, mut my_dests) in chunks.iter().zip(dests) {
+            let splitters = &splitters;
+            s.spawn(move || {
+                for r in *my_chunk {
+                    let slot = my_dests[bucket_of(splitters, *r)]
+                        .next()
+                        .expect("phase 2 counted this record");
+                    *slot = *r;
+                }
+            });
         }
-        crossbeam::scope(|s| {
-            for slice in slices {
-                s.spawn(move |_| slice.sort_unstable());
-            }
-        })
-        .expect("bucket sort workers");
-    }
+    });
+
+    // Phase 5: sort the buckets in parallel.
+    std::thread::scope(|s| {
+        for slice in bucket_slices {
+            s.spawn(move || slice.sort_unstable());
+        }
+    });
     output
+}
+
+/// Cut `rest` into consecutive slices of the given lengths (which must sum
+/// to at most `rest.len()`).
+fn split_lens(mut rest: &mut [Record], lens: impl Iterator<Item = usize>) -> Vec<&mut [Record]> {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        head
+    })
+    .collect()
 }
 
 #[cfg(test)]

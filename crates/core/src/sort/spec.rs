@@ -365,25 +365,16 @@ impl SortSpec {
     /// independently rather than in lockstep.
     fn machine_salted(&self, lane: u64) -> asym_model::Result<EmMachine> {
         let cfg = self.em_config();
-        let Some(fault) = self.fault else {
-            return match (&self.backend, &self.file_dir) {
-                (Backend::File, Some(dir)) => {
-                    let store: Box<dyn BlockStore> = Box::new(FileStore::new_in(dir, cfg.b)?);
-                    Ok(EmMachine::with_store(cfg, store))
-                }
-                _ => EmMachine::with_backend(cfg, self.backend),
-            };
-        };
-        let inner: Box<dyn BlockStore> = match (&self.backend, &self.file_dir) {
+        let mut store: Box<dyn BlockStore> = match (self.backend, &self.file_dir) {
+            (Backend::Mem, _) => Box::new(MemStore::new(cfg.b)),
             (Backend::File, Some(dir)) => Box::new(FileStore::new_in(dir, cfg.b)?),
             (Backend::File, None) => Box::new(FileStore::new(cfg.b)?),
-            _ => Box::new(MemStore::new(cfg.b)),
         };
-        let fault = if lane == 0 { fault } else { fault.salted(lane) };
-        Ok(EmMachine::with_store(
-            cfg,
-            Box::new(FaultStore::new(inner, fault)),
-        ))
+        if let Some(fault) = self.fault {
+            let fault = if lane == 0 { fault } else { fault.salted(lane) };
+            store = Box::new(FaultStore::new(store, fault));
+        }
+        Ok(EmMachine::with_store(cfg, store))
     }
 
     /// Build the lane-sharded machine bank per the spec (same failure mode

@@ -164,8 +164,7 @@ impl SortSpec {
 
     /// Decode a job description, validating through the normal builder.
     /// Required fields: `algorithm`, `m`, `b`, `omega`; everything else
-    /// defaults like [`SortSpec::builder`]. [`Backend::Custom`] is not
-    /// wire-nameable (custom stores are constructed in code).
+    /// defaults like [`SortSpec::builder`].
     pub fn from_json(text: &str) -> Result<SortSpec, WireError> {
         let v = Json::parse(text).map_err(WireError::Malformed)?;
         Self::from_json_value(&v)

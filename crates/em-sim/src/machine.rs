@@ -128,7 +128,6 @@ pub struct EmMachine {
 
 struct MachineInner {
     cfg: EmConfig,
-    backend: Backend,
     disk: RefCell<Box<dyn BlockStore>>,
     block_reads: Cell<u64>,
     block_writes: Cell<u64>,
@@ -139,7 +138,7 @@ struct MachineInner {
 impl EmMachine {
     /// Build a machine from a configuration, on the default in-memory store.
     pub fn new(cfg: EmConfig) -> Self {
-        Self::from_parts(cfg, Backend::Mem, Box::new(MemStore::new(cfg.b)))
+        Self::with_store(cfg, Box::new(MemStore::new(cfg.b)))
     }
 
     /// Build a machine on the given [`Backend`]. The file backend can fail
@@ -148,24 +147,14 @@ impl EmMachine {
         let store: Box<dyn BlockStore> = match backend {
             Backend::Mem => Box::new(MemStore::new(cfg.b)),
             Backend::File => Box::new(FileStore::new(cfg.b)?),
-            Backend::Custom => {
-                return Err(ModelError::Invariant(
-                    "custom stores are built with EmMachine::with_store, not by name".into(),
-                ))
-            }
         };
-        Ok(Self::from_parts(cfg, backend, store))
+        Ok(Self::with_store(cfg, store))
     }
 
-    /// Build a machine on a caller-supplied [`BlockStore`] implementation
-    /// (reported as [`Backend::Custom`]). This is the extension point for
-    /// out-of-tree backends — and for fault-injection wrappers in tests,
-    /// which interpose on a real store to exercise the error paths.
+    /// Build a machine on a caller-supplied [`BlockStore`]: a file store in
+    /// a chosen directory, a fault-injection wrapper around a real store,
+    /// or an out-of-tree backend. Every constructor ends here.
     pub fn with_store(cfg: EmConfig, store: Box<dyn BlockStore>) -> Self {
-        Self::from_parts(cfg, Backend::Custom, store)
-    }
-
-    fn from_parts(cfg: EmConfig, backend: Backend, store: Box<dyn BlockStore>) -> Self {
         assert_eq!(
             store.block_size(),
             cfg.b,
@@ -174,7 +163,6 @@ impl EmMachine {
         Self {
             inner: Rc::new(MachineInner {
                 cfg,
-                backend,
                 disk: RefCell::new(store),
                 block_reads: Cell::new(0),
                 block_writes: Cell::new(0),
@@ -187,11 +175,6 @@ impl EmMachine {
     /// This machine's configuration.
     pub fn cfg(&self) -> EmConfig {
         self.inner.cfg
-    }
-
-    /// Which [`Backend`] this machine's secondary memory runs on.
-    pub fn backend(&self) -> Backend {
-        self.inner.backend
     }
 
     /// Block size `B` in records.
@@ -476,8 +459,6 @@ mod tests {
         let cfg = EmConfig::new(16, 4, 8);
         let mem = EmMachine::new(cfg);
         let file = EmMachine::with_backend(cfg, Backend::File).expect("temp file");
-        assert_eq!(mem.backend(), Backend::Mem);
-        assert_eq!(file.backend(), Backend::File);
         for em in [&mem, &file] {
             let id = em.append_block_from(&recs(&[1, 2]));
             let mut buf = Vec::new();

@@ -88,11 +88,6 @@ impl ParMachine {
         self.lanes[0].cfg()
     }
 
-    /// The backend every lane's secondary memory runs on.
-    pub fn backend(&self) -> Backend {
-        self.lanes[0].backend()
-    }
-
     /// Write cost ω (shared by all lanes).
     pub fn omega(&self) -> u64 {
         self.lanes[0].omega()
@@ -177,7 +172,6 @@ mod tests {
     fn file_backend_builds_one_store_per_lane() {
         let cfg = EmConfig::new(16, 4, 4);
         let par = ParMachine::with_backend(cfg, 2, Backend::File).expect("temp files");
-        assert_eq!(par.backend(), Backend::File);
         assert_eq!(par.lanes(), 2);
         for i in 0..2 {
             let id = par.lane(i).append_block_from(&recs(&[i as u64]));

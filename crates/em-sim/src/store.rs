@@ -164,11 +164,6 @@ pub enum Backend {
     Mem,
     /// A real temp file ([`crate::FileStore`]).
     File,
-    /// A caller-supplied store handed to [`crate::EmMachine::with_store`]
-    /// (out-of-tree backends and fault-injection wrappers). Not selectable
-    /// via [`Backend::parse`] / [`BACKEND_ENV`] — custom stores are
-    /// constructed in code, not named on a command line.
-    Custom,
 }
 
 /// The environment variable naming a [`Backend`] (`mem` or `file`), honored
@@ -193,7 +188,6 @@ impl Backend {
         match self {
             Backend::Mem => "mem",
             Backend::File => "file",
-            Backend::Custom => "custom",
         }
     }
 }
@@ -239,9 +233,6 @@ mod tests {
             assert_eq!(b.to_string(), b.name());
         }
         assert_eq!(Backend::parse("nvme"), None);
-        // Custom stores are constructed in code, never named on a CLI.
-        assert_eq!(Backend::parse("custom"), None);
-        assert_eq!(Backend::Custom.name(), "custom");
         assert_eq!(Backend::default(), Backend::Mem);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! * [`CostModel`] — the single parameter of the paper's models: an integer
 //!   charge `omega > 1` per write, with unit-cost reads.
-//! * [`MemCounter`] — cheap instrumentation counters, and counted memory
-//!   cells ([`CountedVec`], [`CountedSlice`], [`CountedCell`]) so algorithms can tally the reads and writes they perform.
+//! * [`MemCounter`] — a cheap shared read/write tally, so algorithms can
+//!   count the reads and writes they perform.
 //! * [`record`] — the record type being sorted (a `u64` key plus payload).
 //! * [`workload`] — deterministic input generators (uniform, sorted, reversed,
 //!   nearly sorted, few-distinct, Zipf, organ pipe).
@@ -30,7 +30,7 @@ pub mod table;
 pub mod workload;
 
 pub use cost::{CostModel, CostReport};
-pub use counters::{CountedCell, CountedSlice, CountedVec, MemCounter};
+pub use counters::MemCounter;
 pub use record::{Record, MAX_KEY};
 
 /// Crate-wide result alias (used by substrates that can fault, e.g. when an

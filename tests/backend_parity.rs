@@ -178,3 +178,53 @@ fn slot_reuse_schedule_matches_across_backends() {
     // Same allocation history => same slot arithmetic on both backends.
     assert_eq!(mem.live_blocks(), file.live_blocks());
 }
+
+// Every machine of a spec comes from one store builder: the backend's store
+// (in `file_dir` when one is given), wrapped per lane in a salted
+// `FaultStore` when the spec names a fault. A zero-rate fault never fires,
+// so on every store the faulted spec must sort exactly like the plain one —
+// for a single machine and for each lane of a parallel one.
+#[test]
+fn zero_rate_faults_are_transparent_on_every_store() {
+    use em_sim::FaultSpec;
+    let base = std::env::temp_dir().join(format!("asym-parity-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("file dir");
+    let stores = [
+        (Backend::Mem, None),
+        (Backend::File, None),
+        (Backend::File, Some(base.clone())),
+    ];
+    for algorithm in [Algorithm::Mergesort, Algorithm::ParSamplesort] {
+        let (m, b, n, _) = geometry(algorithm);
+        let input = Workload::UniformRandom.generate(n, 0xFA17);
+        for (backend, dir) in &stores {
+            let spec = |fault: Option<FaultSpec>| {
+                let mut builder = SortSpec::builder(algorithm, m, b, 8)
+                    .k(2)
+                    .lanes(if algorithm == Algorithm::ParSamplesort {
+                        2
+                    } else {
+                        1
+                    })
+                    .seed(0xE5)
+                    .backend(*backend)
+                    .fault(fault);
+                if let Some(dir) = dir {
+                    builder = builder.file_dir(dir.clone());
+                }
+                builder.build().expect("valid spec")
+            };
+            let plain = sort::run(&spec(None), &input).expect("plain run");
+            let faulted = sort::run(&spec(Some(FaultSpec::new(7))), &input).expect("faulted run");
+            let label = format!("{algorithm} on {backend} (file_dir {dir:?})");
+            assert_sorted_permutation(&input, &faulted.output);
+            assert_eq!(
+                plain.output, faulted.output,
+                "{label}: sorted output differs"
+            );
+            assert_eq!(plain.stats, faulted.stats, "{label}: EmStats differ");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -12,9 +12,7 @@
 //! second handle.
 
 use asym_model::{ModelError, Record};
-use em_sim::{
-    Backend, BlockStore, EmConfig, EmMachine, EmVec, FaultPlan, FaultSpec, FaultStore, FileStore,
-};
+use em_sim::{BlockStore, EmConfig, EmMachine, EmVec, FaultPlan, FaultSpec, FaultStore, FileStore};
 
 fn recs(keys: &[u64]) -> Vec<Record> {
     keys.iter().map(|&k| Record::keyed(k)).collect()
@@ -34,9 +32,7 @@ fn faulty_machine_cfg(cfg: EmConfig) -> (EmMachine, FaultPlan) {
         FaultSpec::new(0),
     );
     let plan = store.plan();
-    let em = EmMachine::with_store(cfg, Box::new(store));
-    assert_eq!(em.backend(), Backend::Custom);
-    (em, plan)
+    (EmMachine::with_store(cfg, Box::new(store)), plan)
 }
 
 #[test]
