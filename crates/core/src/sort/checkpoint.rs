@@ -5,17 +5,23 @@
 //! cut into block-aligned chunks, each chunk phase sorts one chunk with
 //! the spec's algorithm through [`super::run`], then merge-round phases fold the sorted
 //! runs `l = kM/B` at a time with the Lemma 4.1 merge until one run
-//! survives. After every completed phase the executor hands a versioned
-//! [`CheckpointManifest`] — phase counter, cumulative [`EmStats`], input
-//! digest, and the runs *that phase produced* — to a [`Checkpointer`]
-//! sink; `asym-serve` appends it to its audit WAL as a `checkpointed`
-//! event, so the manifest is durable the moment the phase's writes are.
+//! survives. After every completed phase but the last the executor hands a
+//! versioned [`CheckpointManifest`] — phase counter, cumulative
+//! [`EmStats`], input digest, and the runs *that phase produced* — to a
+//! [`Checkpointer`] sink; `asym-serve` appends it to its audit WAL as a
+//! `checkpointed` event, so the manifest is durable the moment the phase's
+//! writes are. The last phase's manifest would carry the whole sorted
+//! output, which the caller gets back anyway (and `asym-serve` rebuilds
+//! from the logged input on recovery), so it is never saved: a crash
+//! before the job's outcome is durable redoes only the final phase.
 //!
 //! Manifests are deltas, so each run is written once per level, as the
 //! sorts themselves write each block: a chunk phase carries its one
 //! sorted chunk and keeps the `base` runs before it, a merge round
-//! carries its outputs and keeps nothing (`base` 0). A staged run's
-//! manifests carry `n·(1 + rounds)` records in all.
+//! carries its outputs and keeps nothing (`base` 0). The unsaved last
+//! phase would carry all `n` records (the final merge round, or a
+//! one-chunk plan's lone chunk), so a staged run's manifests carry
+//! `n·rounds` records in all.
 //! [`CheckpointManifest::fold`] rebuilds the full layout from the deltas;
 //! it is the one fold the live service, WAL replay and the tests share.
 //!
@@ -57,9 +63,8 @@ pub const MANIFEST_VERSION: u64 = 2;
 const TARGET_CHUNKS: usize = 8;
 
 /// Where checkpoint manifests go. The executor calls [`save`] after every
-/// completed phase (the final one included — a complete manifest makes
-/// resume idempotent and gives write-accounting one event per phase
-/// execution). A failed save fails the phase: a checkpoint the sink never
+/// completed phase but the last, whose outcome the caller receives
+/// directly. A failed save fails the phase: a checkpoint the sink never
 /// accepted must not be assumed durable.
 ///
 /// [`save`]: Checkpointer::save
@@ -463,8 +468,8 @@ pub fn predict_staged(spec: &SortSpec, n: usize) -> CostEstimate {
 }
 
 /// Run the job as a staged, checkpointable sequence of phases, saving a
-/// manifest to `sink` after each. Output is identical to [`super::run`];
-/// modeled costs follow [`predict_staged`].
+/// manifest to `sink` after each but the last. Output is identical to
+/// [`super::run`]; modeled costs follow [`predict_staged`].
 pub fn run_staged(
     spec: &SortSpec,
     input: &[Record],
@@ -476,7 +481,8 @@ pub fn run_staged(
 
 /// Continue a staged run from the full (folded) `manifest`: verify it
 /// against `(spec, input)`, restage the surviving runs, and execute the
-/// remaining phases.
+/// remaining phases. A complete manifest (`phases_done == total_phases`,
+/// as builds that also saved the last phase logged) runs no phase.
 /// The returned outcome — output *and* cumulative stats — is bit-identical
 /// to an uninterrupted [`run_staged`]. A manifest that fails validation is
 /// a [`ModelError::Invariant`] (callers that can should pre-check with
@@ -505,7 +511,8 @@ pub fn resume_from(
 /// The phase interpreter both entry points share. `start` phases are
 /// already done, their surviving runs are `runs` and their cumulative
 /// stats `cum` — zero/empty for a fresh run. Each phase's delta manifest
-/// carries the runs it produced, which then move into `runs` uncopied.
+/// carries the runs it produced, which then move into `runs` uncopied; the
+/// last phase's is not saved.
 fn execute(
     spec: &SortSpec,
     input: &[Record],
@@ -544,7 +551,9 @@ fn execute(
             stats: cum,
             runs: produced,
         };
-        sink.save(&delta)?;
+        if phase + 1 < total {
+            sink.save(&delta)?;
+        }
         // `runs` already holds exactly the `base` kept runs.
         runs.extend(delta.runs);
     }
@@ -643,8 +652,8 @@ mod tests {
             assert_eq!(staged.output, plain.output, "{algorithm}");
             assert_eq!(
                 sink.manifests.len(),
-                StagePlan::new(&spec, input.len()).total_phases(),
-                "one manifest per phase"
+                StagePlan::new(&spec, input.len()).total_phases() - 1,
+                "one manifest per phase but the last"
             );
             let est = predict_staged(&spec, input.len());
             assert!(staged.stats.block_reads <= est.reads, "{algorithm}");

@@ -151,7 +151,8 @@ fn long_stream_compacts_within_envelopes_under_both_styles() {
 fn http_compactions_match_in_process() {
     let dir = std::env::temp_dir().join(format!("asym-kv-http-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("server dir");
-    let service = SortService::start(ServiceConfig::new(1, 64 << 20, dir)).expect("service");
+    let service =
+        SortService::start(ServiceConfig::new(1, 64 << 20, dir.clone())).expect("service");
     let mut server = serve(service, "127.0.0.1:0").expect("bind loopback");
 
     let cfg = || small_cfg(CompactionStyle::Tiering, 2, 8);
@@ -208,6 +209,9 @@ fn http_compactions_match_in_process() {
     );
     assert_envelopes(&remote, "http");
     server.shutdown();
+    drop(server);
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    assert!(!dir.exists(), "the server root outlived the test");
 }
 
 /// A compaction bigger than the service budget must surface as a typed

@@ -8,9 +8,10 @@
 //!    (some phase done, more to go), then recovered. Every job must land
 //!    `completed` with modeled stats bit-identical to a fault-free staged
 //!    run, the per-job phase stream across the whole log must be exactly
-//!    `1..=total` with no duplicates (a completed phase is never re-run),
-//!    its delta manifests must carry exactly `n·(1 + rounds)` records
-//!    (each record written once per level), and the resumed job's total
+//!    `1..total` with no duplicates (a completed phase is never re-run;
+//!    the last phase saves no manifest), its delta manifests must carry
+//!    exactly `n·rounds` records (each record written once per level but
+//!    the last), and the resumed job's total
 //!    paid writes — fault-free total plus the one interrupted phase it can
 //!    have re-started — must stay strictly under 2× the fault-free run.
 //!
@@ -18,19 +19,20 @@
 //!    faults (reads and writes, torn and clean, no panics). Retries keep
 //!    whatever phases checkpointed — the phase stream stays
 //!    duplicate-free even across `started` attempt boundaries, so the
-//!    manifest volume is exactly `n·(1 + rounds)` here too — and the
+//!    manifest volume is exactly `n·rounds` here too — and the
 //!    final telemetry is still bit-identical to the fault-free reference.
 //!
 //! 3. **Inline WAL volume.** Compaction-shaped inline jobs that ask for
 //!    their output, one staged and one not. Each serves exactly its
 //!    sorted input, and its WAL bytes are at most its `accepted` line plus
 //!    its manifests plus 1 KB: the output is logged as a digest, not a
-//!    second copy. A recovery rebuilds the outputs into the telemetry the
-//!    live service served.
+//!    second copy. The staged job's manifests carry exactly `n·rounds`
+//!    records: no manifest copies the output either. A recovery rebuilds
+//!    the outputs into the telemetry the live service served.
 //!
 //! In every wave, every `completed` line carries zero records.
 //!
-//! Artifacts (audit logs + every job's folded final manifest) land in
+//! Artifacts (audit logs + every job's folded last manifest) land in
 //! `CHECKPOINT_CHAOS_DIR` when set, a temp dir otherwise.
 
 use asym_core::sort::{
@@ -75,8 +77,9 @@ fn job(records: usize, data_seed: u64, fault: Option<FaultSpec>) -> JobRequest {
 }
 
 /// Fault-free staged reference for a request: final outcome plus the
-/// manifest at every phase (faults are stripped — modeled costs are
-/// fault-invariant, so this is exactly what a surviving job must report).
+/// manifest at every phase but the last (faults are stripped — modeled
+/// costs are fault-invariant, so this is exactly what a surviving job must
+/// report).
 fn reference(request: &JobRequest) -> (SortOutcome, Vec<CheckpointManifest>) {
     let clean = JobRequest {
         spec: spec(None),
@@ -113,33 +116,39 @@ fn phase_streams(log: &str) -> BTreeMap<u64, Stream> {
     streams
 }
 
-/// Assert `stream` ran every phase of `request`'s plan exactly once, and
-/// that its deltas wrote each record once per level: `n·(1 + rounds)`.
+/// Assert `stream` logged every phase of `request`'s plan but the last
+/// exactly once, and that its deltas wrote each record once per level but
+/// the last: `n·rounds`.
 fn assert_stream(stream: &Stream, request: &JobRequest, id: u64, label: &str) {
     let plan = StagePlan::new(&request.spec, request.records);
     let mut sorted = stream.phases.clone();
     sorted.sort_unstable();
     assert_eq!(
         sorted,
-        (1..=plan.total_phases() as u64).collect::<Vec<_>>(),
+        (1..plan.total_phases() as u64).collect::<Vec<_>>(),
         "{label}: job {id}: phase stream has duplicates or holes: {:?}",
         stream.phases
     );
-    let want = (request.records * (1 + plan.rounds())) as u64;
+    let want = (request.records * plan.rounds()) as u64;
     assert_eq!(
         stream.records, want,
-        "{label}: job {id}: manifests carried {} records, want n·(1 + rounds) = {want}",
+        "{label}: job {id}: manifests carried {} records, want n·rounds = {want}",
         stream.records
     );
 }
 
-/// The per-phase *write* deltas of a reference manifest stream.
-fn write_deltas(manifests: &[CheckpointManifest]) -> Vec<u64> {
-    let mut deltas = Vec::with_capacity(manifests.len());
+/// The per-phase *write* deltas of a reference run: its manifests give
+/// every phase's but the last, and the outcome's total gives the last.
+fn write_deltas(outcome: &SortOutcome, manifests: &[CheckpointManifest]) -> Vec<u64> {
+    let mut deltas = Vec::with_capacity(manifests.len() + 1);
     let mut prev = 0u64;
-    for m in manifests {
-        deltas.push(m.stats.block_writes - prev);
-        prev = m.stats.block_writes;
+    for writes in manifests
+        .iter()
+        .map(|m| m.stats.block_writes)
+        .chain([outcome.stats.block_writes])
+    {
+        deltas.push(writes - prev);
+        prev = writes;
     }
     deltas
 }
@@ -179,7 +188,7 @@ fn assert_lean_completions(log: &str, label: &str) {
     assert!(completions > 0, "{label}: no completed lines");
 }
 
-/// Dump every job's folded final manifest (decoded, folded and
+/// Dump every job's folded last manifest (decoded, folded and
 /// re-rendered, proving it parses) next to the audit log, as CI evidence.
 fn dump_manifests(root: &Path, log: &str) {
     let dir = root.join("manifests");
@@ -187,7 +196,7 @@ fn dump_manifests(root: &Path, log: &str) {
     for (id, stream) in phase_streams(log) {
         let m = stream
             .folded
-            .expect("a checkpointed job has a final manifest");
+            .expect("a job with a checkpointed line has a fold");
         std::fs::write(dir.join(format!("job-{id}.json")), m.to_json()).expect("write manifest");
     }
 }
@@ -206,8 +215,12 @@ fn kill_recover_wave(root: &Path) {
     ];
     let refs: Vec<(SortOutcome, Vec<CheckpointManifest>)> =
         requests.iter().map(reference).collect();
-    let totals: Vec<u64> = refs.iter().map(|(_, m)| m.len() as u64).collect();
-    assert!(totals.iter().all(|&t| t >= 3), "jobs must be multi-phase");
+    assert!(
+        requests
+            .iter()
+            .all(|r| StagePlan::new(&r.spec, r.records).total_phases() >= 3),
+        "jobs must be multi-phase"
+    );
 
     let service = SortService::start(cfg.clone()).expect("start");
     let ids: Vec<u64> = requests
@@ -220,13 +233,10 @@ fn kill_recover_wave(root: &Path) {
     loop {
         let log = std::fs::read_to_string(root.join("audit.jsonl")).unwrap_or_default();
         let streams = phase_streams(&log);
-        let mid_flight = ids.iter().enumerate().any(|(i, id)| {
-            streams.get(id).is_some_and(|s| {
-                let max = s.phases.iter().copied().max().unwrap_or(0);
-                max >= 1
-                    && max < totals[i]
-                    && !service.status(*id).expect("known").state.is_terminal()
-            })
+        // The last phase logs no manifest: a job with a logged phase that
+        // is not terminal has more to go.
+        let mid_flight = ids.iter().any(|id| {
+            streams.contains_key(id) && !service.status(*id).expect("known").state.is_terminal()
         });
         if mid_flight {
             break;
@@ -270,9 +280,9 @@ fn kill_recover_wave(root: &Path) {
     service.drain();
     drop(service);
 
-    // Whole-log phase accounting: exactly 1..=total per job, no phase
+    // Whole-log phase accounting: exactly 1..total per job, no phase
     // ever re-run — the WAL-visible form of "resume starts at k+1" — and
-    // each record written once per level.
+    // each record written once per level but the last.
     let log = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     let streams = phase_streams(&log);
     for (i, id) in ids.iter().enumerate() {
@@ -285,7 +295,7 @@ fn kill_recover_wave(root: &Path) {
     for id in &killed {
         let i = ids.iter().position(|x| x == id).expect("known id");
         let fault_free = refs[i].0.stats.block_writes;
-        let deltas = write_deltas(&refs[i].1);
+        let deltas = write_deltas(&refs[i].0, &refs[i].1);
         let interrupted = pre.jobs[id].checkpoint_phase() as usize; // died in phase k+1
         let paid_bound = fault_free + deltas[interrupted];
         assert!(
@@ -407,14 +417,15 @@ fn inline_wave(root: &Path) {
         .build()
         .expect("valid inline spec");
     let inputs = [compaction_input(301), compaction_input(302)];
-    let service = SortService::start(cfg.clone()).expect("start");
-    let ids: Vec<u64> = inputs
+    let requests: Vec<JobRequest> = inputs
         .iter()
         .zip([true, false])
-        .map(|(input, staged)| {
-            let request = JobRequest::inline(spec.clone(), input.clone()).checkpointed(staged);
-            service.submit(request).expect("admitted")
-        })
+        .map(|(input, staged)| JobRequest::inline(spec.clone(), input.clone()).checkpointed(staged))
+        .collect();
+    let service = SortService::start(cfg.clone()).expect("start");
+    let ids: Vec<u64> = requests
+        .iter()
+        .map(|r| service.submit(r.clone()).expect("admitted"))
         .collect();
     let mut live = Vec::new();
     for (input, id) in inputs.iter().zip(&ids) {
@@ -432,6 +443,12 @@ fn inline_wave(root: &Path) {
 
     let log = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     assert_lean_completions(&log, "wave 3");
+    let streams = phase_streams(&log);
+    assert_stream(&streams[&ids[0]], &requests[0], ids[0], "wave 3");
+    assert!(
+        !streams.contains_key(&ids[1]),
+        "wave 3: the unstaged job logged a manifest"
+    );
     for id in &ids {
         let bytes = job_wal_bytes(&log, *id);
         let total: usize = bytes.values().sum();

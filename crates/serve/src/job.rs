@@ -55,9 +55,10 @@ pub struct JobRequest {
     /// [`JobState::Expired`] without running. `None`: no deadline.
     pub deadline_ms: Option<u64>,
     /// Run the job as a staged, checkpointable sequence of phases
-    /// ([`checkpoint::run_staged`]): every completed phase is persisted to
-    /// the audit WAL as a `checkpointed` event, and a crashed or killed
-    /// attempt resumes from the fold of its manifests instead of restarting.
+    /// ([`checkpoint::run_staged`]): every completed phase but the last is
+    /// persisted to the audit WAL as a `checkpointed` event, and a crashed
+    /// or killed attempt resumes from the fold of its manifests instead of
+    /// restarting (one killed after its last phase redoes only that phase).
     /// Output is identical to the single-shot path; modeled costs follow
     /// the staged envelope ([`checkpoint::predict_staged`]), which is what
     /// `predict()` prices when this is set.

@@ -22,10 +22,11 @@
 //!
 //! Long jobs can opt into *checkpointed* execution
 //! ([`JobRequest::checkpoint`]): the sort runs as a staged sequence of
-//! phases, every completed phase lands in the WAL as a `checkpointed`
-//! delta manifest (the runs that phase produced), and a crashed, killed,
-//! or retried attempt resumes from the fold of its deltas instead of
-//! restarting — recovery re-queues unfinished jobs *with* their folded
+//! phases, every completed phase but the last lands in the WAL as a
+//! `checkpointed` delta manifest (the runs that phase produced; the last
+//! phase's would copy the output), and a crashed, killed, or retried
+//! attempt resumes from the fold of its deltas instead of restarting —
+//! recovery re-queues unfinished jobs *with* their folded
 //! manifests, and the retry/backoff/fault-decay clocks
 //! key off attempts-since-last-progress so work that checkpointed is
 //! never re-billed. The queue itself is ETA-priority ordered (smallest

@@ -1,12 +1,16 @@
 //! Checkpointed jobs through the whole service lifecycle: a job killed
 //! after phase k resumes from phase k+1 (never re-running a paid phase),
 //! with output byte-identical and modeled stats bit-identical to an
-//! uninterrupted staged run; a torn `checkpointed` line is tolerated and
+//! uninterrupted staged run; a job killed after its last checkpoint but
+//! before `completed` redoes only the final phase; a log that ends in a
+//! complete final-phase manifest (as older builds wrote) recovers without
+//! running a phase; a torn `checkpointed` line is tolerated and
 //! truncated; a stale manifest after the terminal outcome is ignored;
 //! recovery is idempotent; and a manifest the WAL refuses fails its attempt.
 
 use asym_core::sort::{
-    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec,
+    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec, StagePlan,
+    MANIFEST_VERSION,
 };
 use asym_model::workload::Workload;
 use asym_serve::{
@@ -53,7 +57,8 @@ fn checkpointed_phases(root: &Path, id: u64) -> Vec<u64> {
 }
 
 /// The fault-free staged reference for a request: output, stats, and the
-/// delta manifest stream an uninterrupted run produces.
+/// delta manifest stream an uninterrupted run saves (every phase but the
+/// last).
 fn reference(request: &JobRequest) -> (SortOutcome, MemCheckpointer) {
     let input = request
         .workload
@@ -69,8 +74,9 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
     let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
     let request = staged_job(150_000);
     let (want, full) = reference(&request);
-    let total = full.manifests.len() as u64;
+    let total = StagePlan::new(&request.spec, request.records).total_phases() as u64;
     assert!(total >= 3, "need a multi-phase job to kill mid-flight");
+    assert_eq!(full.manifests.len() as u64, total - 1);
 
     // Run until the WAL shows real mid-job progress, then pull the plug.
     let service = SortService::start(cfg.clone()).expect("start");
@@ -124,19 +130,20 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
     drop(service);
 
     // The resume picked up at phase k+1: across the whole log every phase
-    // appears exactly once — completed phases were never re-run, which is
-    // the "never redo paid writes" property in WAL form.
+    // but the last (which saves no manifest) appears exactly once —
+    // completed phases were never re-run, which is the "never redo paid
+    // writes" property in WAL form.
     let phases = checkpointed_phases(&root, id);
     let mut sorted = phases.clone();
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(
         sorted,
-        (1..=total).collect::<Vec<_>>(),
+        (1..total).collect::<Vec<_>>(),
         "phase stream with duplicates or holes: {phases:?}"
     );
     // And the durable deltas agree bit-for-bit with the uninterrupted
-    // reference stream at every phase.
+    // reference stream at every logged phase.
     let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         if let Ok(AuditEvent::Checkpointed { id: jid, manifest }) = AuditEvent::from_json(line) {
@@ -150,6 +157,141 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The log a crash between a job's last phase and its `completed` line
+/// leaves: `log` without `id`'s `completed` line.
+fn without_completion(log: &str, id: u64) -> String {
+    log.lines()
+        .filter(|l| {
+            !matches!(AuditEvent::from_json(l),
+                Ok(AuditEvent::Completed { id: jid, .. }) if jid == id)
+        })
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Recover the service at `root`, which must re-queue exactly job `id`,
+/// and return its outcome.
+fn recover_one(root: &Path, id: u64) -> SortOutcome {
+    let (service, report) =
+        SortService::recover(ServiceConfig::new(1, u64::MAX, root.to_path_buf())).expect("recover");
+    assert_eq!(report.requeued, 1);
+    let done = service.wait(id).expect("known job");
+    assert_eq!(done.state, JobState::Completed, "{:?}", done.error);
+    assert_eq!(
+        service.stats().checkpoints,
+        0,
+        "the recovered attempt runs only the final phase, which saves nothing"
+    );
+    let got = SortOutcome::from_json(done.telemetry.as_ref().expect("telemetry")).expect("decode");
+    service.drain();
+    got
+}
+
+/// The last phase saves no manifest, so a job killed after it but before
+/// its `completed` line is durable resumes from phase `total − 1` and
+/// redoes only the final round: same output and stats as an uninterrupted
+/// run, and the log holds phases `1..total`, each exactly once.
+#[test]
+fn job_killed_before_completed_redoes_only_the_final_phase() {
+    let root = fresh_root("kill-final");
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let request = staged_job(2_000);
+    let (want, _) = reference(&request);
+    let total = StagePlan::new(&request.spec, request.records).total_phases() as u64;
+    assert!(total >= 3, "a multi-phase job");
+
+    let service = SortService::start(cfg).expect("start");
+    let id = service.submit(request).expect("admitted");
+    assert_eq!(service.wait(id).expect("known").state, JobState::Completed);
+    assert_eq!(service.stats().checkpoints, total - 1);
+    service.drain();
+    drop(service);
+    assert_eq!(
+        checkpointed_phases(&root, id),
+        (1..total).collect::<Vec<_>>(),
+        "the live run logs every phase but the last"
+    );
+
+    // Crash between the final phase and `completed`.
+    let log = root.join("audit.jsonl");
+    let crashed = without_completion(&std::fs::read_to_string(&log).expect("audit"), id);
+    std::fs::write(&log, &crashed).expect("rewrite log");
+    let pre = replay(&crashed).expect("replays");
+    assert_eq!(pre.jobs[&id].outcome, ReplayOutcome::Pending);
+    assert_eq!(pre.jobs[&id].checkpoint_phase(), total - 1);
+
+    let got = recover_one(&root, id);
+    assert_eq!(got.output, want.output, "resumed output diverged");
+    assert_eq!(got.stats, want.stats, "resumed modeled stats diverged");
+    assert_eq!(
+        checkpointed_phases(&root, id),
+        (1..total).collect::<Vec<_>>(),
+        "the recovered attempt logged a manifest"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Builds that also saved the last phase left logs whose final line for
+/// an unfinished job is a complete manifest (`phases_done ==
+/// total_phases`, `base` 0, the output as its one run). Replay folds it,
+/// and recovery completes the job from it with no phase run and no new
+/// manifest, bit-identical to an uninterrupted run.
+#[test]
+fn a_complete_final_manifest_recovers_with_no_phase_run() {
+    let root = fresh_root("complete-manifest");
+    std::fs::create_dir_all(&root).expect("mkdir");
+    let request = staged_job(2_000);
+    let (want, full) = reference(&request);
+    let input = request
+        .workload
+        .generate(request.records, request.data_seed);
+    let total = StagePlan::new(&request.spec, request.records).total_phases() as u64;
+    let complete = CheckpointManifest {
+        version: MANIFEST_VERSION,
+        digest: sort::input_digest(&request.spec, &input),
+        n: input.len() as u64,
+        phases_done: total,
+        total_phases: total,
+        base: 0,
+        stats: want.stats,
+        runs: vec![want.output.clone()],
+    };
+
+    let mut events = vec![
+        AuditEvent::Accepted {
+            id: 0,
+            request: request.clone(),
+            predicted_bytes: request.predict().peak_bytes(),
+        },
+        AuditEvent::Started { id: 0, attempt: 1 },
+    ];
+    events.extend(
+        full.manifests
+            .iter()
+            .chain([&complete])
+            .map(|m| AuditEvent::Checkpointed {
+                id: 0,
+                manifest: m.clone(),
+            }),
+    );
+    let log: String = events.iter().map(|ev| ev.to_json() + "\n").collect();
+    std::fs::write(root.join("audit.jsonl"), &log).expect("write log");
+
+    let rep = replay(&log).expect("replays");
+    assert_eq!(rep.jobs[&0].outcome, ReplayOutcome::Pending);
+    assert_eq!(rep.jobs[&0].manifest.as_ref(), Some(&complete));
+
+    let got = recover_one(&root, 0);
+    assert_eq!(got.output, want.output);
+    assert_eq!(got.stats, want.stats, "a phase ran again");
+    assert_eq!(
+        checkpointed_phases(&root, 0),
+        (1..=total).collect::<Vec<_>>(),
+        "recovery logged a manifest"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

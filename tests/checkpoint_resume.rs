@@ -4,12 +4,12 @@
 //! cumulative modeled stats (`resume ⊕ prefix == uninterrupted`). This is
 //! the core guarantee the serve-layer recovery path and the chaos
 //! harness's "never redo paid writes" gate are built on. The deltas
-//! themselves write each record once per level: `n·(1 + rounds)` records
-//! per staged run.
+//! themselves write each record once per level but the last, whose
+//! manifest is never saved: `n·rounds` records per staged run.
 
 use asym_core::sort::checkpoint::{
     input_digest, predict_staged, resume_from, run_staged, CheckpointManifest, MemCheckpointer,
-    StagePlan,
+    StagePlan, MANIFEST_VERSION,
 };
 use asym_core::sort::{run, Algorithm, SortSpec};
 use asym_model::workload::Workload;
@@ -39,7 +39,9 @@ fn folded(deltas: &[CheckpointManifest]) -> CheckpointManifest {
 /// Folding every prefix of a run's deltas gives the layout the plan
 /// dictates, and resuming from that fold reproduces the uninterrupted run
 /// exactly: same output, same cumulative stats, and the deltas the resume
-/// emits equal the suffix the prefix would have emitted.
+/// emits equal the suffix the prefix would have emitted. The last cut is
+/// after phase `total − 1`: the final phase saves no manifest, so that
+/// resume redoes only the final round and emits nothing.
 #[test]
 fn resume_after_every_phase_is_bit_identical() {
     let input = Workload::Zipf.generate(1_500, 0xC0FFEE);
@@ -53,7 +55,7 @@ fn resume_after_every_phase_is_bit_identical() {
             "{algorithm}: want a multi-phase plan, got {} phases",
             plan.total_phases()
         );
-        assert_eq!(full.manifests.len(), plan.total_phases());
+        assert_eq!(full.manifests.len(), plan.total_phases() - 1);
 
         let mut held = None;
         for (cut, delta) in full.manifests.iter().enumerate() {
@@ -88,8 +90,9 @@ fn resume_after_every_phase_is_bit_identical() {
 }
 
 /// Each staged run's deltas carry every record once per level: once when
-/// its chunk is sorted and once per merge round, `n·(1 + rounds)` in all
-/// — not every surviving run again at every phase.
+/// its chunk is sorted and once per merge round but the last (whose
+/// manifest is never saved), `n·rounds` in all — not every surviving run
+/// again at every phase.
 #[test]
 fn manifests_carry_each_record_once_per_level() {
     let fan_in_two = SortSpec::builder(Algorithm::Mergesort, 8, 4, 8)
@@ -113,7 +116,7 @@ fn manifests_carry_each_record_once_per_level() {
                 .sum();
             assert_eq!(
                 carried,
-                n * (1 + plan.rounds()),
+                n * plan.rounds(),
                 "{} n={n}: {} phases, {} rounds",
                 spec.algorithm(),
                 plan.total_phases(),
@@ -191,18 +194,33 @@ fn manifest_json_round_trip_preserves_resume() {
     assert_eq!(resumed.stats, uninterrupted.stats);
 }
 
-/// Resuming from the final fold runs zero phases — the outcome is
-/// already in the manifest. Resume is idempotent at every cut.
+/// Builds that also saved the last phase logged a complete manifest
+/// (`phases_done == total_phases`, `base` 0, the output as its one run).
+/// It still folds onto the saved prefix, and resuming from it runs zero
+/// phases and saves nothing: the outcome is already in the manifest.
 #[test]
 fn resume_from_complete_manifest_is_a_no_op() {
     let spec = spec_for(Algorithm::Mergesort);
     let input = Workload::Reversed.generate(600, 13);
     let mut sink = MemCheckpointer::default();
     let uninterrupted = run_staged(&spec, &input, &mut sink).expect("staged run");
-    let last = folded(&sink.manifests);
-    assert_eq!(last.phases_done, last.total_phases);
+    let plan = StagePlan::new(&spec, input.len());
+    assert_eq!(sink.manifests.len(), plan.total_phases() - 1);
+    let complete = CheckpointManifest {
+        version: MANIFEST_VERSION,
+        digest: input_digest(&spec, &input),
+        n: input.len() as u64,
+        phases_done: plan.total_phases() as u64,
+        total_phases: plan.total_phases() as u64,
+        base: 0,
+        stats: uninterrupted.stats,
+        runs: vec![uninterrupted.output.clone()],
+    };
+    let mut held = Some(folded(&sink.manifests));
+    assert!(CheckpointManifest::fold(&mut held, complete.clone()));
+    assert_eq!(held.as_ref(), Some(&complete));
     let mut tail = MemCheckpointer::default();
-    let resumed = resume_from(&spec, &input, &last, &mut tail).expect("resume");
+    let resumed = resume_from(&spec, &input, &complete, &mut tail).expect("resume");
     assert_eq!(resumed.output, uninterrupted.output);
     assert_eq!(resumed.stats, uninterrupted.stats);
     assert!(tail.manifests.is_empty(), "no phases left, no checkpoints");
