@@ -26,7 +26,7 @@
 //! unread rest of the current block as a slice, and each loop writes
 //! through one `RunWriter` whose store buffer serves every run it emits.
 //! Their reads, writes and releases come in the same order as a
-//! record-at-a-time loop's (kept as a test oracle in `em/oracle.rs`).
+//! record-at-a-time loop's; `tests/trace_golden.rs` pins that order.
 //! Dropping the tree releases every block it still holds.
 //!
 //! **Duplicate records.** Records need not be unique: routing is

@@ -39,8 +39,8 @@
 //! use asym_model::workload::Workload;
 //! use asym_serve::{JobRequest, ServiceConfig, SortService};
 //!
-//! let dir = std::env::temp_dir().join("asym-serve-doc");
-//! let service = SortService::start(ServiceConfig::new(2, 1 << 20, dir)).expect("start");
+//! let dir = std::env::temp_dir().join(format!("asym-serve-doc-{}", std::process::id()));
+//! let service = SortService::start(ServiceConfig::new(2, 1 << 20, dir.clone())).expect("start");
 //! let id = service
 //!     .submit(JobRequest {
 //!         spec: SortSpec::builder(Algorithm::Mergesort, 64, 8, 16).build().unwrap(),
@@ -56,6 +56,7 @@
 //! let done = service.wait(id).expect("known job");
 //! assert_eq!(done.state, asym_serve::JobState::Completed);
 //! service.drain();
+//! std::fs::remove_dir_all(&dir).expect("remove the service root");
 //! ```
 //!
 //! [`SortSpec::predict`]: asym_core::sort::SortSpec::predict
