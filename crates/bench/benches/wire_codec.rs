@@ -9,6 +9,10 @@
 //!   its inline input (the HTTP body and the `accepted` WAL line);
 //! * `codec-outcome-encode` / `codec-outcome-decode` — `SortOutcome` with
 //!   its sorted output (the `completed` WAL line and the status reply);
+//! * `codec-status-decode` — a completed job's wait reply, read as
+//!   `asym_serve::client::wait` and the KV's compaction client read it:
+//!   `JobStatus::from_json` (which parses the body and renders the outcome
+//!   back to text), then `SortOutcome::from_json` on that text;
 //! * `codec-manifest-render` — every delta checkpoint manifest of the
 //!   staged run (the `checkpointed` WAL lines), rendered once each.
 //!
@@ -27,7 +31,7 @@ use asym_bench::Scale;
 use asym_core::sort::{run, run_staged, Algorithm, MemCheckpointer, SortOutcome, SortSpec};
 use asym_model::workload::Workload;
 use asym_model::Record;
-use asym_serve::JobRequest;
+use asym_serve::{JobRequest, JobState, JobStatus};
 use em_sim::EmStats;
 use std::hint::black_box;
 
@@ -71,6 +75,16 @@ fn main() {
 
     let request_text = request.to_json();
     let outcome_text = outcome.to_json(true);
+    let status_text = JobStatus {
+        id: 0,
+        state: JobState::Completed,
+        predicted: request.predict(),
+        attempts: 1,
+        telemetry: Some(outcome_text.clone()),
+        error: None,
+        failure: None,
+    }
+    .to_json();
     assert_eq!(JobRequest::from_json(&request_text).as_ref(), Ok(&request));
     assert_eq!(
         SortOutcome::from_json(&outcome_text)
@@ -83,7 +97,7 @@ fn main() {
     let none = EmStats::default();
     // `black_box` keeps each call's work alive. The codec models no
     // transfers, so a row carries the stats of the sort behind its document.
-    let rows: [(&str, EmStats, &dyn Fn()); 5] = [
+    let rows: [(&str, EmStats, &dyn Fn()); 6] = [
         ("codec-request-encode", none, &|| {
             black_box(request.to_json());
         }),
@@ -95,6 +109,11 @@ fn main() {
         }),
         ("codec-outcome-decode", outcome.stats, &|| {
             let _ = black_box(SortOutcome::from_json(&outcome_text));
+        }),
+        ("codec-status-decode", outcome.stats, &|| {
+            let status = JobStatus::from_json(&status_text).expect("status");
+            let telemetry = status.telemetry.as_deref().expect("completed");
+            let _ = black_box(SortOutcome::from_json(telemetry));
         }),
         ("codec-manifest-render", staged.stats, &|| {
             black_box(

@@ -10,11 +10,21 @@
 //!
 //! Bulk record data — sort inputs, sorted outputs, checkpoint runs — is a
 //! `[[key, payload], ...]` array, and it is most of every large document.
-//! It gets a fast path both ways: `write_records` prints digits straight
-//! into the output buffer, and the parser reads an array of exact
-//! `[u64, u64]` pairs in one pass into a [`Json::Records`] node instead of
-//! a tree node per number. [`records`] decodes either form. Neither changes
-//! a byte of the documents themselves.
+//! Every pass over it goes through one of two kernels:
+//!
+//! * `write_records` reserves its output once, renders records right to
+//!   left, two digits per step, into a stack buffer of 64 records, and
+//!   appends each buffer whole;
+//! * the parser reads an array of exact `[u64, u64]` pairs in one pass
+//!   into a [`Json::Records`] node instead of a tree node per number. It
+//!   tests for the byte a rendered document has next before it skips
+//!   whitespace, and checks for overflow only from a run's 20th digit.
+//!   Any other array (empty, signed, fractional, past `u64::MAX`, the
+//!   wrong arity) is left to the generic path.
+//!
+//! [`records`] decodes either form. Neither kernel changes a byte of a
+//! document or what any input parses to: the unit tests hold the parser
+//! to the generic path by running both.
 
 use crate::record::Record;
 
@@ -341,8 +351,10 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
-    if let Some(recs) = parse_records(b, pos) {
-        return Ok(Json::Records(recs));
+    if records_fast_path() {
+        if let Some(recs) = parse_records(b, pos) {
+            return Ok(Json::Records(recs));
+        }
     }
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -364,6 +376,19 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
+/// Whether arrays try [`parse_records`] before the generic path. Always
+/// on; the unit tests switch it off to hold the fast path to the generic
+/// one.
+#[cfg(not(test))]
+fn records_fast_path() -> bool {
+    true
+}
+
+#[cfg(test)]
+fn records_fast_path() -> bool {
+    tests::RECORDS_FAST_PATH.get()
+}
+
 /// The rest of an array (its `[` consumed) when it is a non-empty run of
 /// `[u64, u64]` pairs, read in one pass with no node per number. Anything
 /// else returns `None` with `pos` untouched, and the generic path parses
@@ -372,45 +397,87 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// arity, or a syntax error. Whitespace is skipped wherever the generic
 /// path skips it.
 fn parse_records(b: &[u8], pos: &mut usize) -> Option<Vec<Record>> {
-    fn byte(b: &[u8], p: &mut usize, c: u8) -> Option<()> {
-        skip_ws(b, p);
-        (b.get(*p) == Some(&c)).then(|| *p += 1)
-    }
     let mut p = *pos;
-    let mut recs = Vec::new();
+    // Allocate only once a pair has parsed: a generic array the fast path
+    // declines costs nothing here.
+    let mut recs = vec![parse_pair(b, &mut p)?];
     loop {
-        byte(b, &mut p, b'[')?;
-        let key = parse_digits(b, &mut p)?;
-        byte(b, &mut p, b',')?;
-        let payload = parse_digits(b, &mut p)?;
-        byte(b, &mut p, b']')?;
-        recs.push(Record::new(key, payload));
-        skip_ws(b, &mut p);
-        match b.get(p) {
-            Some(b',') => p += 1,
-            Some(b']') => {
-                *pos = p + 1;
-                return Some(recs);
+        if b.get(p) != Some(&b',') {
+            skip_ws(b, &mut p);
+            match b.get(p) {
+                Some(b',') => {}
+                Some(b']') => break,
+                _ => return None,
             }
-            _ => return None,
         }
+        p += 1;
+        recs.push(parse_pair(b, &mut p)?);
     }
+    *pos = p + 1;
+    Some(recs)
 }
 
-/// A bare digit run that [`parse_number`] would read as [`Json::Int`]
-/// (leading whitespace skipped), or `None`.
+/// One `[u64, u64]` pair (leading whitespace skipped), or `None`.
+fn parse_pair(b: &[u8], p: &mut usize) -> Option<Record> {
+    token(b, p, b'[')?;
+    let key = parse_digits(b, p)?;
+    token(b, p, b',')?;
+    let payload = parse_digits(b, p)?;
+    token(b, p, b']')?;
+    Some(Record::new(key, payload))
+}
+
+/// Consume the byte `c`, after whitespace if any. The exact byte is tested
+/// first: rendered documents put most tokens right after the previous one.
+#[inline(always)]
+fn token(b: &[u8], p: &mut usize, c: u8) -> Option<()> {
+    if b.get(*p) != Some(&c) {
+        skip_ws(b, p);
+        if b.get(*p) != Some(&c) {
+            return None;
+        }
+    }
+    *p += 1;
+    Some(())
+}
+
+/// A bare digit run (leading whitespace skipped) as a `u64`, or `None`
+/// where `str::parse::<u64>` would decline it. No run of 19 digits can
+/// overflow (`10^19 − 1 < u64::MAX`), so only the 20th digit on is
+/// checked, which keeps any number of leading zeros exact.
+///
+/// A sign, dot or exponent right after the run would make
+/// [`parse_number`]'s token no `u64`. [`parse_pair`] needs no test for
+/// them: it accepts only whitespace or its next punctuation there.
+#[inline(always)]
 fn parse_digits(b: &[u8], p: &mut usize) -> Option<u64> {
-    skip_ws(b, p);
-    let start = *p;
-    let mut n = 0u64;
-    while let Some(&c @ b'0'..=b'9') = b.get(*p) {
-        n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+    // The rendered gap before a payload is one space.
+    if b.get(*p) == Some(&b' ') {
         *p += 1;
     }
-    // parse_number takes a following sign, dot or exponent into the same
-    // token, which then is no u64.
-    let token_goes_on = matches!(b.get(*p), Some(b'-' | b'+' | b'.' | b'e' | b'E'));
-    (*p > start && !token_goes_on).then_some(n)
+    if !matches!(b.get(*p), Some(b'0'..=b'9')) {
+        skip_ws(b, p);
+    }
+    let start = *p;
+    let unchecked_end = b.len().min(start + 19);
+    let mut i = start;
+    let mut n = 0u64;
+    while i < unchecked_end {
+        let d = b[i].wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        n = n * 10 + u64::from(d);
+        i += 1;
+    }
+    if i == start + 19 {
+        while let Some(&c @ b'0'..=b'9') = b.get(i) {
+            n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+            i += 1;
+        }
+    }
+    *p = i;
+    (i > start).then_some(n)
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -501,52 +568,100 @@ fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Append the decimal digits of `n` to `out`, two at a time, with no
-/// intermediate string.
-fn push_u64(out: &mut String, mut n: u64) {
-    const PAIRS: [u8; 200] = {
-        let mut t = [0u8; 200];
-        let mut i = 0;
-        while i < 100 {
-            t[2 * i] = b'0' + (i / 10) as u8;
-            t[2 * i + 1] = b'0' + (i % 10) as u8;
-            i += 1;
-        }
-        t
-    };
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    while n >= 10 {
+/// The two-digit strings `00` to `99`, back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Write the decimal digits of `n` into `buf`, right to left and two at a
+/// time, so that they end just before `end`; returns where they start.
+#[inline(always)]
+fn digits_before(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    while n >= 100 {
         let d = (n % 100) as usize * 2;
         n /= 100;
-        i -= 2;
-        digits[i..i + 2].copy_from_slice(&PAIRS[d..d + 2]);
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
     }
-    if n > 0 || i == digits.len() {
-        i -= 1;
-        digits[i] = b'0' + n as u8;
+    if n >= 10 {
+        let d = n as usize * 2;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + n as u8;
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    end
 }
+
+/// Rendered digits and punctuation as the `&str` a `String` appends.
+/// Safe code can only append to a `String` through `&str`, so the bytes
+/// are checked once per append; the check of an ASCII run is a fast
+/// word-at-a-time scan.
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("rendered JSON is ASCII")
+}
+
+/// Append the decimal digits of `n` to `out`, with no intermediate string.
+fn push_u64(out: &mut String, n: u64) {
+    let mut buf = [0u8; 20];
+    let start = digits_before(&mut buf, 20, n);
+    out.push_str(ascii(&buf[start..]));
+}
+
+/// The widest rendered record with its separator: `, [`, 20 digits, `, `,
+/// 20 digits, `]`.
+const RECORD_MAX: usize = 46;
+
+/// Records rendered per stack buffer in [`write_records`].
+const RECORD_BATCH: usize = 64;
 
 /// Append `recs` as a `[[key, payload], ...]` array (`[]` when empty): the
 /// one writer of bulk record data. Byte-identical to building the array
 /// with [`JsonArr`] from `format!("[{}, {}]", key, payload)` items.
+///
+/// The output is reserved once, from a bound on the digits. Records are
+/// rendered right to left, [`RECORD_BATCH`] at a time, into one stack
+/// buffer, which is then appended whole: one copy and one ASCII check per
+/// batch instead of five appends per record.
 fn write_records(out: &mut String, recs: &[Record]) {
     if recs.is_empty() {
         out.push_str("[]");
         return;
     }
+    // A record takes its digits and 6 bytes of punctuation (`[`, `, `, `]`
+    // and the `, ` before it, or for the first the array's brackets). No
+    // key (payload) has more digits than the OR of all keys (payloads),
+    // and one vectorizable pass finds both.
+    let (keys, payloads) = recs
+        .iter()
+        .fold((0, 0), |(k, p), r| (k | r.key, p | r.payload));
+    let decimal_len = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    out.reserve(recs.len() * (6 + decimal_len(keys) + decimal_len(payloads)));
     out.push('[');
-    for (i, r) in recs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    let mut buf = [0u8; RECORD_BATCH * RECORD_MAX];
+    for (i, batch) in recs.chunks(RECORD_BATCH).enumerate() {
+        let mut at = buf.len();
+        for r in batch.iter().rev() {
+            at -= 1;
+            buf[at] = b']';
+            at = digits_before(&mut buf, at, r.payload);
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(b", ");
+            at = digits_before(&mut buf, at, r.key);
+            at -= 3;
+            buf[at..at + 3].copy_from_slice(b", [");
         }
-        out.push('[');
-        push_u64(out, r.key);
-        out.push_str(", ");
-        push_u64(out, r.payload);
-        out.push(']');
+        // The array's first record has no separator before it.
+        let from = if i == 0 { at + 2 } else { at };
+        out.push_str(ascii(&buf[from..]));
     }
     out.push(']');
 }
@@ -689,6 +804,42 @@ impl JsonArr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(super) static RECORDS_FAST_PATH: Cell<bool> = const { Cell::new(true) };
+    }
+
+    /// `text` parsed with the record fast path off: what every document
+    /// parsed to before the fast path existed.
+    fn parse_generic(text: &str) -> Result<Json, String> {
+        RECORDS_FAST_PATH.set(false);
+        let v = Json::parse(text);
+        RECORDS_FAST_PATH.set(true);
+        v
+    }
+
+    /// `text` parses to the same value, or fails with the same message,
+    /// with the fast path on and off; returns the fast path's result.
+    fn parse_both_ways(text: &str) -> Result<Json, String> {
+        let fast = Json::parse(text);
+        assert_eq!(fast, parse_generic(text), "{text:?}");
+        fast
+    }
+
+    /// Digit-count boundaries: 0, 1, 9, 10, 99, 100, ..., 10^19, u64::MAX.
+    fn digit_boundaries() -> Vec<u64> {
+        let mut cases = vec![0, 1, u64::MAX - 1, u64::MAX];
+        let mut p = 10u64;
+        loop {
+            cases.extend([p - 1, p]);
+            match p.checked_mul(10) {
+                Some(next) => p = next,
+                None => break cases,
+            }
+        }
+    }
 
     #[test]
     fn parses_the_scalar_zoo() {
@@ -953,5 +1104,165 @@ mod tests {
         assert_eq!(v.get("items").and_then(Json::as_arr).unwrap().len(), 2);
         assert_eq!(JsonObj::new().finish(), "{}");
         assert_eq!(JsonArr::new().finish(), "[]");
+    }
+
+    #[test]
+    fn pair_digit_runs_take_the_fast_path_up_to_u64_max() {
+        let twenty = 10_000_000_000_000_000_000u64;
+        for n in [
+            0,
+            7,
+            999_999_999_999_999_999,
+            9_999_999_999_999_999_999,
+            twenty,
+            u64::MAX,
+        ] {
+            for text in [format!("[[{n}, 5]]"), format!("[[5, {n}]]")] {
+                let v = parse_both_ways(&text).unwrap();
+                assert!(matches!(v, Json::Records(_)), "{text}");
+                assert_eq!(v.render(), text);
+            }
+        }
+        // 21 digits with leading zeros are still the u64 they spell, as
+        // str::parse reads them; one past u64::MAX is not.
+        let v = parse_both_ways("[[000000000000000000007, 018446744073709551615]]").unwrap();
+        assert_eq!(v, Json::Records(vec![Record::new(7, u64::MAX)]));
+        for text in [
+            "[[18446744073709551616, 1]]",
+            "[[1, 18446744073709551616]]",
+            "[[1, 018446744073709551616]]",
+            "[[1, 99999999999999999999]]",
+        ] {
+            let v = parse_both_ways(text).unwrap();
+            assert!(matches!(v, Json::Arr(_)), "{text} declines the fast path");
+        }
+    }
+
+    #[test]
+    fn whitespace_at_every_token_gap_parses_as_the_generic_path_does() {
+        let gaps = [
+            "[", "[", "1", ",", "2", "]", ",", "[", "3", ",", "4", "]", "]",
+        ];
+        for ws in [" ", "\n", "\t", "\r\n  "] {
+            for at in 0..=gaps.len() {
+                let mut text = String::new();
+                for (i, tok) in gaps.iter().enumerate() {
+                    if i == at {
+                        text.push_str(ws);
+                    }
+                    text.push_str(tok);
+                }
+                if at == gaps.len() {
+                    text.push_str(ws);
+                }
+                let v = parse_both_ways(&text).unwrap();
+                assert!(matches!(v, Json::Records(_)), "{text:?}");
+                assert_eq!(v, Json::Records(vec![Record::new(1, 2), Record::new(3, 4)]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_sign_dot_or_exponent_after_a_digit_run_declines_the_fast_path() {
+        for c in ['-', '+', '.', 'e', 'E'] {
+            for text in [
+                format!("[[1{c}2, 3]]"),
+                format!("[[1, 2{c}3]]"),
+                format!("[[1{c}, 3]]"),
+                format!("[[1, 2{c}]]"),
+                format!("[[1, 2], [3{c}0, 4]]"),
+            ] {
+                if let Ok(v) = parse_both_ways(&text) {
+                    assert!(matches!(v, Json::Arr(_)), "{text}");
+                }
+            }
+        }
+        assert_eq!(
+            parse_both_ways("[[1, 2e1]]").unwrap(),
+            Json::Arr(vec![Json::Arr(vec![Json::Int(1), Json::Num(20.0)])])
+        );
+    }
+
+    #[test]
+    fn every_truncation_of_a_pair_array_fails_as_the_generic_path_does() {
+        let text = "[ [12, 0], [3 ,\n45], [678, 9] ]";
+        assert!(parse_both_ways(text).is_ok());
+        for cut in 0..text.len() {
+            assert!(parse_both_ways(&text[..cut]).is_err(), "{:?}", &text[..cut]);
+        }
+    }
+
+    #[test]
+    fn written_records_match_the_builder_at_every_digit_boundary() {
+        let ns = digit_boundaries();
+        let mut recs: Vec<Record> = ns
+            .iter()
+            .flat_map(|&k| ns.iter().map(move |&p| Record::new(k, p)))
+            .collect();
+        // Batch edges: a record array one short of, at, and one past a
+        // whole number of stack buffers.
+        recs.truncate(3 * RECORD_BATCH + 1);
+        for len in [
+            1,
+            RECORD_BATCH - 1,
+            RECORD_BATCH,
+            RECORD_BATCH + 1,
+            recs.len(),
+        ] {
+            let part = &recs[..len];
+            let mut expect = JsonArr::new();
+            for r in part {
+                expect.raw(&format!("[{}, {}]", r.key, r.payload));
+            }
+            let mut out = String::from("x");
+            write_records(&mut out, part);
+            assert_eq!(out, format!("x{}", expect.finish()), "{len} records");
+        }
+        for n in ns {
+            let mut out = String::from("x");
+            push_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rendered records with random whitespace in every gap decode to
+        /// those records, and equal what the generic path makes of them.
+        #[test]
+        fn spaced_out_records_decode_like_the_generic_path(
+            pairs in prop::collection::vec(
+                (0u32..21, 0u64..u64::MAX, 0u32..21, 0u64..u64::MAX, 0u32..1 << 30),
+                1..40,
+            ),
+        ) {
+            // `digits` 20 is u64::MAX; fewer keep that many digits at most.
+            let value = |digits: u32, n: u64| match digits {
+                20 => u64::MAX,
+                19 => n,
+                d => n % 10u64.pow(d + 1),
+            };
+            let ws = |code: u32| ["", "", " ", "\n", "\t ", "\r\n  "][code as usize % 6];
+            let mut recs = Vec::new();
+            let mut text = String::from("[");
+            for (i, &(kd, k, pd, p, gaps)) in pairs.iter().enumerate() {
+                let r = Record::new(value(kd, k), value(pd, p));
+                recs.push(r);
+                let gap = |g: u32| ws(gaps >> (5 * g));
+                if i > 0 {
+                    text.push(',');
+                }
+                text.push_str(&format!(
+                    "{}[{}{}{},{}{}{}]{}",
+                    gap(0), gap(1), r.key, gap(2), gap(3), r.payload, gap(4), gap(5),
+                ));
+            }
+            text.push(']');
+            let v = Json::parse(&text).unwrap();
+            prop_assert_eq!(records(&v).unwrap(), recs.clone());
+            prop_assert!(matches!(v, Json::Records(_)));
+            prop_assert_eq!(v.clone(), parse_generic(&text).unwrap());
+        }
     }
 }

@@ -448,7 +448,9 @@ pub struct ReplayJob {
     /// The fold of the job's delta manifests
     /// ([`CheckpointManifest::fold`]), if the job made phase progress
     /// before the log ended: a full snapshot of its latest good phase. A
-    /// re-queued job resumes from it instead of restarting.
+    /// re-queued job resumes from it instead of restarting. A terminal job
+    /// never resumes, so its manifest keeps only the phase count and stats:
+    /// its `runs` are dropped.
     pub manifest: Option<CheckpointManifest>,
     /// The attempt count at the moment of the last phase progress — the
     /// retry clock's epoch: backoff and fault decay key off
@@ -493,10 +495,16 @@ impl ReplayJob {
     }
 
     /// Terminal outcomes stick: the first one recorded for a job wins, so
-    /// replay is idempotent and monotonic over prefixes.
+    /// replay is idempotent and monotonic over prefixes. The manifest's
+    /// records go with it (up to all `n` of them, held for as long as the
+    /// job is retained); its phase count stays, so progress never reads
+    /// lower.
     pub(crate) fn terminalize(&mut self, outcome: ReplayOutcome) {
         if !self.outcome.is_terminal() {
             self.outcome = outcome;
+            if let Some(m) = &mut self.manifest {
+                m.runs = Vec::new();
+            }
         }
     }
 }
@@ -933,6 +941,44 @@ mod tests {
     }
 
     #[test]
+    fn a_terminal_job_drops_its_checkpointed_records_but_not_its_phase() {
+        let m = manifests();
+        let held = folded(&m[..2]);
+        assert!(held.runs.iter().any(|run| !run.is_empty()));
+        for end in [
+            AuditEvent::Completed {
+                id: 0,
+                telemetry: r#"{"reads": 7}"#.into(),
+                output_digest: None,
+            },
+            AuditEvent::Failed {
+                id: 0,
+                kind: FailureKind::Fatal,
+                error: "boom".into(),
+            },
+            AuditEvent::Expired { id: 0 },
+        ] {
+            let log = log_of(&[
+                AuditEvent::Accepted {
+                    id: 0,
+                    request: request(),
+                    predicted_bytes: 100,
+                },
+                AuditEvent::Started { id: 0, attempt: 1 },
+                checkpointed(0, &m[0]),
+                checkpointed(0, &m[1]),
+                end,
+            ]);
+            let j = &replay(&log).expect("replays").jobs[&0];
+            assert!(j.outcome.is_terminal());
+            assert_eq!(j.checkpoint_phase(), 2);
+            let m = j.manifest.as_ref().expect("the phase count stays");
+            assert!(m.runs.is_empty(), "the records go");
+            assert_eq!((m.phases_done, m.stats), (held.phases_done, held.stats));
+        }
+    }
+
+    #[test]
     fn replay_ignores_duplicate_gapped_and_late_deltas() {
         let m = manifests();
         let accepted = AuditEvent::Accepted {
@@ -963,7 +1009,11 @@ mod tests {
             checkpointed(0, &m[2]),
         ]);
         let rep = replay(&log).expect("replays");
-        assert_eq!(rep.jobs[&0].manifest.as_ref(), Some(&two));
+        let expired = CheckpointManifest {
+            runs: Vec::new(),
+            ..two
+        };
+        assert_eq!(rep.jobs[&0].manifest.as_ref(), Some(&expired));
         assert_eq!(rep.jobs[&0].outcome, ReplayOutcome::Expired);
     }
 
