@@ -333,6 +333,12 @@ impl SortOutcome {
     /// `output_len` is informative only.
     pub fn from_json(text: &str) -> Result<SortOutcome, WireError> {
         let v = Json::parse(text).map_err(WireError::Malformed)?;
+        Self::from_json_value(&v)
+    }
+
+    /// Decode from an already-parsed [`Json`] value (e.g. the `outcome`
+    /// field of an audit line).
+    pub fn from_json_value(v: &Json) -> Result<SortOutcome, WireError> {
         let obj = v
             .as_obj()
             .ok_or_else(|| malformed("outcome must be a JSON object"))?;

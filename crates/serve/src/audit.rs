@@ -20,7 +20,8 @@
 //!   `tests/recovery.rs` pins;
 //! * a torn final line (the crash happened mid-`write`) is tolerated and
 //!   flagged, torn interior lines are typed errors — an interior
-//!   `checkpointed` line whose manifest does not decode included;
+//!   `checkpointed` line whose manifest does not decode, or `completed`
+//!   line whose outcome does not, included;
 //! * an unknown schema version anywhere is a typed
 //!   [`AuditError::UnknownVersion`] — forward-compat for consumers that
 //!   must not misread a future log as an empty one. Schema v2 is the first
@@ -368,12 +369,13 @@ impl AuditEvent {
                 error: json::get_str(obj, "error").unwrap_or_default(),
             }),
             "completed" => {
-                let telemetry = json::find(obj, "outcome")
-                    .ok_or_else(|| bad("completed event missing \"outcome\"".into()))?
-                    .render();
+                let ov = json::find(obj, "outcome")
+                    .ok_or_else(|| bad("completed event missing \"outcome\"".into()))?;
+                SortOutcome::from_json_value(ov)
+                    .map_err(|e| bad(format!("embedded outcome: {e}")))?;
                 Ok(AuditEvent::Completed {
                     id: id()?,
-                    telemetry,
+                    telemetry: ov.render(),
                     output_digest: json::get_u64(obj, "output_digest"),
                 })
             }
@@ -712,6 +714,13 @@ mod tests {
         sink.manifests
     }
 
+    /// The lean telemetry a real run of [`request`] logs when it completes.
+    fn lean() -> String {
+        let r = request();
+        let input = r.workload.generate(r.records, r.data_seed);
+        sort::run(&r.spec, &input).expect("sort").to_json(false)
+    }
+
     /// The fold of `deltas`, each of which must advance it.
     fn folded(deltas: &[CheckpointManifest]) -> CheckpointManifest {
         let mut held = None;
@@ -757,12 +766,12 @@ mod tests {
             },
             AuditEvent::Completed {
                 id: 3,
-                telemetry: r#"{ "reads": 1, "writes": 2 }"#.into(),
+                telemetry: lean(),
                 output_digest: None,
             },
             AuditEvent::Completed {
                 id: 4,
-                telemetry: r#"{ "reads": 1, "output_len": 2 }"#.into(),
+                telemetry: lean(),
                 output_digest: Some(u64::MAX - 7),
             },
             AuditEvent::Failed {
@@ -924,7 +933,7 @@ mod tests {
             + &log_of(&[
                 AuditEvent::Completed {
                     id: 0,
-                    telemetry: r#"{"reads": 7}"#.into(),
+                    telemetry: lean(),
                     output_digest: None,
                 },
                 checkpointed(2),
@@ -948,7 +957,7 @@ mod tests {
         for end in [
             AuditEvent::Completed {
                 id: 0,
-                telemetry: r#"{"reads": 7}"#.into(),
+                telemetry: lean(),
                 output_digest: None,
             },
             AuditEvent::Failed {
@@ -1096,6 +1105,52 @@ mod tests {
         assert_eq!(rep.jobs[&0].checkpoint_phase(), 0);
     }
 
+    /// A `completed` line whose outcome does not decode is corrupt, so
+    /// recovery refuses the log rather than serve telemetry no client can
+    /// read; as the final line it is torn, and the job runs again.
+    #[test]
+    fn completed_lines_whose_outcome_does_not_decode_are_malformed_unless_torn() {
+        use crate::{ServiceConfig, SortService};
+        let head = log_of(&[
+            AuditEvent::Accepted {
+                id: 0,
+                request: request(),
+                predicted_bytes: 100,
+            },
+            AuditEvent::Started { id: 0, attempt: 1 },
+        ]);
+        let bad = r#"{"v": 2, "event": "completed", "id": 0, "outcome": {"reads": 7}}"#;
+        assert!(matches!(
+            AuditEvent::from_json(bad),
+            Err(AuditError::Malformed(ref m)) if m.contains("\"writes\"")
+        ));
+        let root = std::env::temp_dir().join(format!("asym-audit-outcome-{}", std::process::id()));
+        std::fs::create_dir_all(&root).expect("root");
+        let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+
+        let interior = format!("{head}{bad}\n{}\n", AuditEvent::Drained.to_json());
+        assert!(matches!(replay(&interior), Err(AuditError::Malformed(_))));
+        std::fs::write(root.join("audit.jsonl"), &interior).expect("write log");
+        assert!(matches!(
+            SortService::recover(cfg.clone()),
+            Err(RecoverError::Audit(AuditError::Malformed(_)))
+        ));
+
+        let last = format!("{head}{bad}\n");
+        let rep = replay(&last).expect("a torn tail replays");
+        assert!(rep.torn_tail);
+        assert_eq!(rep.jobs[&0].outcome, ReplayOutcome::Pending);
+        std::fs::write(root.join("audit.jsonl"), &last).expect("write log");
+        let (service, report) = SortService::recover(cfg).expect("recovers");
+        assert!(report.torn_tail);
+        assert_eq!((report.restored, report.requeued), (0, 1));
+        let done = service.wait(0).expect("known job");
+        assert_eq!(done.state, crate::JobState::Completed, "{:?}", done.error);
+        service.drain();
+        drop(service);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn unknown_versions_are_typed_errors() {
         let future = r#"{"v": 3, "event": "accepted", "id": 1}"#;
@@ -1191,7 +1246,7 @@ mod tests {
             AuditEvent::Started { id: 0, attempt: 2 },
             AuditEvent::Completed {
                 id: 0,
-                telemetry: r#"{"reads": 7}"#.into(),
+                telemetry: lean(),
                 output_digest: None,
             },
             AuditEvent::Rejected(Refusal::Budget {

@@ -537,6 +537,12 @@ pub struct SortService {
 impl SortService {
     /// Start fresh: empty state, append to (or create) the audit log.
     /// Fails only on I/O (unwritable root directory).
+    ///
+    /// `start` does not read the log. On a root whose log already holds
+    /// jobs it still issues ids from 0, so the log gets two jobs with one
+    /// id, and a later [`recover`](SortService::recover) keeps the first
+    /// and silently drops the newer session's accepted job. Boot a used
+    /// root with `recover`.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<SortService> {
         let audit = AuditLog::open(&cfg.root_dir)?;
         Ok(SortService::boot(cfg, State::default(), audit, None))

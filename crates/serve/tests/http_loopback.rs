@@ -8,7 +8,8 @@ use asym_model::json::Json;
 use asym_serve::client::{self, read_response, roundtrip, ClientError};
 use asym_serve::http::MAX_CONNECTIONS;
 use asym_serve::{
-    serve, JobRequest, JobState, JobStatus, Refusal, ServiceConfig, SortService, SubmitError,
+    replay, serve, AuditEvent, JobRequest, JobState, JobStatus, Refusal, ServiceConfig,
+    SortService, SubmitError,
 };
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -25,6 +26,10 @@ const SMALL_JOB: &str = r#"{
     "spec": {"algorithm": "aem-samplesort", "m": 64, "b": 8, "omega": 16, "k": 2},
     "workload": "zipf", "records": 3000, "data_seed": 11, "include_output": false }"#;
 
+const PAR_JOB: &str = r#"{
+    "spec": {"algorithm": "par-aem-samplesort", "m": 64, "b": 8, "omega": 16, "k": 2, "lanes": 4},
+    "workload": "uniform", "records": 20000, "data_seed": 7, "include_output": false }"#;
+
 fn job(text: &str) -> JobRequest {
     JobRequest::from_json(text).expect("valid job")
 }
@@ -39,25 +44,32 @@ fn full_session_over_loopback() {
     let (code, body) = roundtrip(addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!(code, 200, "{body}");
 
-    // Accepted submission: 202 with an id.
-    let id = client::submit(addr, &job(SMALL_JOB)).expect("submit");
+    // Accepted submission: 202 with an id. A 4-lane parallel sort, so the
+    // telemetry carries a `parallel` block through the wire too.
+    let id = client::submit(addr, &job(PAR_JOB)).expect("submit");
 
-    // Poll until done; telemetry must be decodable outcome JSON.
-    let outcome = loop {
-        let (code, body) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "").expect("status");
-        assert_eq!(code, 200, "{body}");
-        let status = JobStatus::from_json(&body).expect("status decodes");
-        match status.state {
-            JobState::Completed => {
-                let telemetry = status.telemetry.as_deref().expect("telemetry present");
-                break SortOutcome::from_json(telemetry).expect("telemetry decodes");
-            }
-            JobState::Failed => panic!("job failed: {body}"),
-            _ => std::thread::sleep(std::time::Duration::from_millis(5)),
+    // Long-poll until done; telemetry must be decodable outcome JSON.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let status = loop {
+        let status = client::wait(addr, id).expect("wait");
+        if status.state.is_terminal() {
+            break status;
         }
+        assert!(Instant::now() < deadline, "job did not finish");
     };
+    assert_eq!(status.state, JobState::Completed, "{status:?}");
+    let telemetry = status.telemetry.as_deref().expect("telemetry present");
+    let outcome = SortOutcome::from_json(telemetry).expect("telemetry decodes");
     assert!(outcome.output.is_empty(), "lean telemetry");
-    assert!(outcome.stats.block_reads > 0);
+    assert!(outcome.parallel.is_some(), "{telemetry}");
+    // Count gates: a real 20k-record parallel sort moved real blocks.
+    assert!(outcome.stats.block_reads > 0, "no reads counted");
+    assert!(outcome.stats.block_writes > 0, "no writes counted");
+    assert!(outcome.report.total() >= outcome.stats.block_reads);
+    // The plain status route serves the same terminal status.
+    let (code, body) = roundtrip(addr, "GET", &format!("/jobs/{id}"), "").expect("status");
+    assert_eq!(code, 200, "{body}");
+    assert_eq!(JobStatus::from_json(&body).expect("status decodes"), status);
 
     // Over-budget submission: typed 429 with both sides of the comparison.
     let monster = SMALL_JOB.replace("\"m\": 64", "\"m\": 1000000");
@@ -99,6 +111,7 @@ fn full_session_over_loopback() {
     let v = Json::parse(&body).expect("parses");
     assert_eq!(v.get("submitted").and_then(Json::as_u64), Some(1));
     assert_eq!(v.get("rejected").and_then(Json::as_u64), Some(1));
+    assert_eq!(v.get("completed").and_then(Json::as_u64), Some(1));
 
     // Graceful shutdown over the wire: drained stats in the response.
     let (code, body) = roundtrip(addr, "POST", "/shutdown", "").expect("shutdown");
@@ -111,6 +124,17 @@ fn full_session_over_loopback() {
     assert!(
         audit.lines().count() >= 4,
         "accepted+completed+rejected+drained"
+    );
+    for line in audit.lines() {
+        AuditEvent::from_json(line).expect("audit line decodes");
+    }
+    let replayed = replay(&audit).expect("audit replays");
+    assert!(!replayed.torn_tail, "clean shutdown leaves no torn tail");
+    assert_eq!(replayed.jobs.len(), 1, "one accepted job in the log");
+    assert_eq!(replayed.rejected, 1, "one rejection in the log");
+    assert!(
+        replayed.pending().next().is_none(),
+        "nothing left pending after a drain"
     );
     let _ = std::fs::remove_dir_all(&root);
 }
