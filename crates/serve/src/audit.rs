@@ -622,20 +622,24 @@ pub fn replay(text: &str) -> Result<Replay, AuditError> {
 pub(crate) struct AuditLog(Mutex<Option<File>>);
 
 impl AuditLog {
-    /// Open (or create) the log in `root`, and `root` itself, to append.
-    pub(crate) fn open(root: &Path) -> io::Result<AuditLog> {
-        Ok(AuditLog(Mutex::new(Some(open_in(root, false)?))))
-    }
-
-    /// Open the log in `root` once, [`replay`] it, and repair its tail in
-    /// place so the next append starts a line of its own: a torn final
-    /// line is cut at its first byte, and a whole final line missing its
-    /// newline gets one. Nothing before the tail is rewritten, so a crash
-    /// mid-repair leaves the log as it was or repaired.
+    /// Open (or create) the log in `root`, and `root` itself, to append;
+    /// [`replay`] it, and repair its tail in place so the next append
+    /// starts a line of its own: a torn final line is cut at its first
+    /// byte, and a whole final line missing its newline gets one. Nothing
+    /// before the tail is rewritten, so a crash mid-repair leaves the log
+    /// as it was or repaired. The log need not be a regular file (a device
+    /// may read forever, and a held read end keeps a pipe writable), so it
+    /// is read through a short-lived read-only handle, and only for the
+    /// bytes its length reports.
     pub(crate) fn recover(root: &Path) -> Result<(AuditLog, Replay), RecoverError> {
-        let mut file = open_in(root, true)?;
+        std::fs::create_dir_all(root)?;
+        let path = root.join("audit.jsonl");
+        let mut file = OpenOptions::new().append(true).create(true).open(&path)?;
+        let len = file.metadata()?.len();
         let mut text = String::new();
-        file.read_to_string(&mut text)?;
+        if len > 0 {
+            File::open(&path)?.take(len).read_to_string(&mut text)?;
+        }
         let rep = replay(&text).map_err(RecoverError::Audit)?;
         if rep.torn_tail {
             let body = text.strip_suffix('\n').unwrap_or(&text);
@@ -668,18 +672,6 @@ impl AuditLog {
             None => Ok(()),
         }
     }
-}
-
-/// The log in `root`, opened to append (and to read, if `read`); `root`
-/// and the file are created as needed.
-fn open_in(root: &Path, read: bool) -> io::Result<File> {
-    std::fs::create_dir_all(root)?;
-    let path = root.join("audit.jsonl");
-    OpenOptions::new()
-        .read(read)
-        .append(true)
-        .create(true)
-        .open(path)
 }
 
 #[cfg(test)]

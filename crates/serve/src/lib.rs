@@ -12,11 +12,14 @@
 //! and [`client`] is the one client every caller uses to reach it.
 //!
 //! The service is built to survive its process: the audit log is a
-//! versioned write-ahead log ([`AuditEvent`], [`replay`]), [`SortService::recover`] replays
-//! it after a crash (re-queueing unfinished jobs, restoring finished
-//! ones), transient I/O failures retry with bounded exponential backoff,
-//! panicking sorters are caught per-attempt, and deadlines are enforced
-//! both at admission (modeled ETA) and by queue expiry. The
+//! versioned write-ahead log ([`AuditEvent`], [`replay`]), and every boot
+//! ([`SortService::start`], or [`SortService::recover`] for the report)
+//! replays it, re-queueing unfinished jobs, restoring finished ones and
+//! resuming the id counter, so a used root never reissues an id. A
+//! session that changed nothing writes nothing to the log. Transient I/O
+//! failures retry with bounded exponential backoff, panicking sorters are
+//! caught per-attempt, and deadlines are enforced both at admission
+//! (modeled ETA) and by queue expiry. The
 //! `em_sim::FaultStore` fault injector plugs into job specs so all of it
 //! is testable under a seeded storm (`tests/chaos.rs`).
 //!

@@ -504,6 +504,12 @@ impl State {
         let parked = self.delayed.iter().map(|&(_, id)| id);
         self.queue.iter().copied().chain(parked)
     }
+
+    /// The service holds a job or a rejection: only then do `recovered`
+    /// and `drained` lines tell the log anything.
+    fn has_history(&self) -> bool {
+        !self.jobs.is_empty() || self.stats.rejected > 0
+    }
 }
 
 struct Inner {
@@ -535,20 +541,15 @@ pub struct SortService {
 }
 
 impl SortService {
-    /// Start fresh: empty state, append to (or create) the audit log.
-    /// Fails only on I/O (unwritable root directory).
-    ///
-    /// `start` does not read the log. On a root whose log already holds
-    /// jobs it still issues ids from 0, so the log gets two jobs with one
-    /// id, and a later [`recover`](SortService::recover) keeps the first
-    /// and silently drops the newer session's accepted job. Boot a used
-    /// root with `recover`.
-    pub fn start(cfg: ServiceConfig) -> std::io::Result<SortService> {
-        let audit = AuditLog::open(&cfg.root_dir)?;
-        Ok(SortService::boot(cfg, State::default(), audit, None))
+    /// Boot on the config's root: [`recover`](SortService::recover)
+    /// without the report. Every boot replays the log, so a used root
+    /// resumes its id counter and keeps every job an earlier session
+    /// accepted; a fresh root is an empty service.
+    pub fn start(cfg: ServiceConfig) -> Result<SortService, RecoverError> {
+        SortService::recover(cfg).map(|(service, _)| service)
     }
 
-    /// Start by replaying the audit log in the config's root: terminal
+    /// Boot by replaying the audit log in the config's root: terminal
     /// jobs come back with their recorded outcomes, accepted-but-
     /// unfinished jobs re-queue (in id order, with a fresh deadline
     /// window), and the id counter resumes past every id ever issued. A
@@ -560,6 +561,8 @@ impl SortService {
     /// recovery appended, and lands in the same state. A missing log is an
     /// empty service, not an error. A torn final line is cut from the log
     /// before anything is appended ([`RecoveryReport::torn_tail`]).
+    /// Like `drained`, the `recovered` line is logged only when the service
+    /// holds a job or a rejection, so idle boots leave a log empty.
     pub fn recover(cfg: ServiceConfig) -> Result<(SortService, RecoveryReport), RecoverError> {
         let (audit, rep) = AuditLog::recover(&cfg.root_dir)?;
         let mut st = State {
@@ -609,32 +612,23 @@ impl SortService {
             next_id: rep.next_id,
             torn_tail: rep.torn_tail,
         };
-
-        Ok((SortService::boot(cfg, st, audit, Some(report)), report))
-    }
-
-    fn boot(
-        cfg: ServiceConfig,
-        state: State,
-        audit: AuditLog,
-        recovered: Option<RecoveryReport>,
-    ) -> SortService {
-        let workers = cfg.workers.max(1);
+        let logged = st.has_history();
+        let threads = cfg.workers.max(1);
         let inner = Arc::new(Inner {
             cfg,
-            state: Mutex::new(state),
+            state: Mutex::new(st),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
             audit,
         });
-        if let Some(r) = recovered {
+        if logged {
             inner.audit_event(&AuditEvent::Recovered {
-                requeued: r.requeued,
-                restored: r.restored,
-                next_id: r.next_id,
+                requeued: report.requeued,
+                restored: report.restored,
+                next_id: report.next_id,
             });
         }
-        let handles = (0..workers)
+        let handles = (0..threads)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -643,10 +637,8 @@ impl SortService {
                     .expect("spawn worker")
             })
             .collect();
-        SortService {
-            inner,
-            workers: Mutex::new(handles),
-        }
+        let workers = Mutex::new(handles);
+        Ok((SortService { inner, workers }, report))
     }
 
     /// Admit or reject one job. Admission holds the job's predicted peak
@@ -785,9 +777,10 @@ impl SortService {
 
     /// Graceful shutdown: refuse new submissions, let every admitted job
     /// finish (including parked retries), join the workers, and log the
-    /// drain. Idempotent; a no-op after [`kill`](SortService::kill).
+    /// drain if the service holds a job or a rejection. Idempotent; a
+    /// no-op after [`kill`](SortService::kill).
     pub fn drain(&self) {
-        {
+        let logged = {
             let mut st = self.inner.state.lock().expect("service state");
             if st.killed {
                 return;
@@ -813,9 +806,12 @@ impl SortService {
                 return;
             }
             st.drained = true;
-        }
+            st.has_history()
+        };
         self.join_workers();
-        self.inner.audit_event(&AuditEvent::Drained);
+        if logged {
+            self.inner.audit_event(&AuditEvent::Drained);
+        }
     }
 
     /// Simulated crash, for recovery and chaos tests: make every *later*

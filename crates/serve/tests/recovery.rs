@@ -2,9 +2,10 @@
 //! jobs dropped on the floor, exactly like a power cut), recover from the
 //! audit log alone, and check that nothing audited is lost or duplicated,
 //! re-run and restored jobs serve byte-identical telemetry, and the id
-//! counter resumes. A restored job's output is rebuilt from its logged
-//! input and checked against the logged digest; v1 logs, which embed the
-//! output, still recover verbatim. Plus the prefix property: replaying
+//! counter resumes, also when the earlier session booted with `start`;
+//! an idle boot writes nothing. A restored job's output is rebuilt from
+//! its logged input and checked against the logged digest; v1 logs, which
+//! embed the output, still recover verbatim. Plus the prefix property: replaying
 //! *any* byte prefix of a real session's `audit.jsonl` yields a consistent
 //! state, and longer prefixes only ever add information.
 
@@ -243,6 +244,83 @@ fn an_unterminated_final_line_is_ended_before_the_next_append() {
     drop(service);
     let text = std::fs::read_to_string(&log).expect("audit");
     assert!(text.ends_with('\n'), "every appended line is terminated");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every boot replays the log, so a second `start` session on a used root
+/// issues the next id instead of reissuing 0, and a later `recover`
+/// restores and serves both sessions' jobs.
+#[test]
+fn two_start_sessions_on_one_root_keep_both_jobs() {
+    let root = fresh_root("two-starts");
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let mut live = Vec::new();
+    for seed in [5, 6] {
+        let service = SortService::start(cfg.clone()).expect("start");
+        let input = Workload::Zipf.generate(3_000, seed);
+        let id = service
+            .submit(JobRequest::inline(job(0, 0).spec, input))
+            .expect("admitted");
+        live.push((id, served(&service, id)));
+        service.drain();
+        drop(service);
+    }
+    let ids: Vec<u64> = live.iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids, [0, 1], "the second session resumed the id counter");
+
+    let (service, report) = SortService::recover(cfg).expect("recover");
+    assert_eq!(
+        (report.requeued, report.restored, report.next_id),
+        (0, 2, 2)
+    );
+    for (id, telemetry) in &live {
+        assert!(
+            served(&service, *id) == *telemetry,
+            "job {id}: recovered telemetry differs from the live one"
+        );
+    }
+    service.kill();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A session that changes nothing writes nothing: any number of idle
+/// boots leave a fresh root's log empty, so booting it again stays cheap.
+/// Once the log holds a job, an idle boot appends exactly its `recovered`
+/// and `drained` lines.
+#[test]
+fn idle_boots_write_nothing_until_the_log_holds_a_job() {
+    let root = fresh_root("idle");
+    let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
+    let log = root.join("audit.jsonl");
+    for _ in 0..20 {
+        drop(SortService::start(cfg.clone()).expect("idle boot"));
+    }
+    assert_eq!(std::fs::metadata(&log).expect("the log exists").len(), 0);
+
+    let service = SortService::start(cfg.clone()).expect("start");
+    let input = Workload::Zipf.generate(2_000, 3);
+    let id = service
+        .submit(JobRequest::inline(job(0, 0).spec, input))
+        .expect("admitted");
+    served(&service, id);
+    drop(service);
+    let before = std::fs::read_to_string(&log).expect("audit");
+
+    drop(SortService::start(cfg).expect("idle boot"));
+    let after = std::fs::read_to_string(&log).expect("audit");
+    let appended: Vec<AuditEvent> = after
+        .strip_prefix(before.as_str())
+        .expect("a boot only appends")
+        .lines()
+        .map(|line| AuditEvent::from_json(line).expect("decodes"))
+        .collect();
+    let recovered = AuditEvent::Recovered {
+        requeued: 0,
+        restored: 1,
+        next_id: 1,
+    };
+    assert_eq!(appended, [recovered, AuditEvent::Drained]);
     let _ = std::fs::remove_dir_all(&root);
 }
 
