@@ -9,12 +9,16 @@
 //!   its inline input (the HTTP body and the `accepted` WAL line);
 //! * `codec-outcome-encode` / `codec-outcome-decode` — `SortOutcome` with
 //!   its sorted output (the `completed` WAL line and the status reply);
-//! * `codec-status-decode` — a completed job's wait reply, read as
-//!   `asym_serve::client::wait` and the KV's compaction client read it:
-//!   `JobStatus::from_json` (which parses the body and renders the outcome
-//!   back to text), then `SortOutcome::from_json` on that text;
+//! * `codec-status-decode` — a completed job's wait reply, read through
+//!   `asym_serve::client::wait`: `JobStatus::from_json` (which parses the
+//!   body and renders the outcome back to text), then
+//!   `SortOutcome::from_json` on that text;
 //! * `codec-manifest-render` — every delta checkpoint manifest of the
-//!   staged run (the `checkpointed` WAL lines), rendered once each.
+//!   staged run (the `checkpointed` WAL lines), rendered once each;
+//! * `codec-compaction-local-1350` — the result path of one in-process
+//!   compaction of kv-mixed's mean size (1,350 records in the same four-run
+//!   shape): `CompactionService::Local` from submit to the typed outcome,
+//!   the `accepted` and `completed` WAL lines included.
 //!
 //! ```text
 //! cargo bench -p asym-bench --bench wire_codec              # + BENCH_codec.json
@@ -29,21 +33,27 @@
 use asym_bench::json::{json_path_from_args, BenchReport};
 use asym_bench::Scale;
 use asym_core::sort::{run, run_staged, Algorithm, MemCheckpointer, SortOutcome, SortSpec};
+use asym_kv::CompactionService;
 use asym_model::workload::Workload;
 use asym_model::Record;
-use asym_serve::{JobRequest, JobState, JobStatus};
+use asym_serve::{JobRequest, JobState, JobStatus, ServiceConfig, SortService};
 use em_sim::EmStats;
 use std::hint::black_box;
 
 /// Records per job: the inline compaction size the service is tuned for.
 const N: usize = 16_384;
 
-/// Four sorted runs of `N / 4` keys below 100k, payloads their positions.
-fn compaction_input() -> Vec<Record> {
-    let mut input = Vec::with_capacity(N);
-    for r in 0..4u64 {
+/// Records in the in-process compaction row: kv-mixed's mean compaction.
+const LOCAL: usize = 1_350;
+
+/// Four sorted runs of about `n / 4` keys below 100k, payloads their
+/// positions.
+fn compaction_input(n: usize) -> Vec<Record> {
+    let mut input = Vec::with_capacity(n);
+    for r in 0..4 {
+        let len = n * (r + 1) / 4 - n * r / 4;
         let mut run: Vec<u64> = Workload::UniformRandom
-            .generate(N / 4, 0xC0DEC + r)
+            .generate(len, 0xC0DEC + r as u64)
             .iter()
             .map(|rec| rec.key % 100_000)
             .collect();
@@ -67,7 +77,7 @@ fn main() {
         .k(4)
         .build()
         .expect("valid spec");
-    let input = compaction_input();
+    let input = compaction_input(N);
     let request = JobRequest::inline(spec.clone(), input.clone());
     let outcome: SortOutcome = run(&spec, &input).expect("sort");
     let mut sink = MemCheckpointer::default();
@@ -132,6 +142,26 @@ fn main() {
         });
         report.push_with_stats(id, N as u64, secs, stats);
     }
+
+    // The embedded service `asym-kv` compacts through, on a private root.
+    let small = compaction_input(LOCAL);
+    let root = std::env::temp_dir().join(format!("asym-wire-codec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let service = SortService::start(ServiceConfig::new(1, u64::MAX, &root)).expect("start");
+    let local = CompactionService::Local(service);
+    let compact = || {
+        let job = JobRequest::inline(spec.clone(), small.clone());
+        local.submit_and_wait(job).expect("compaction").outcome
+    };
+    let mut sorted = small.clone();
+    sorted.sort_unstable();
+    assert_eq!(compact().output, sorted);
+    let id = format!("codec-compaction-local-{LOCAL}");
+    let (secs, stats) = asym_bench::time_row(&id, reps, || compact().stats);
+    report.push_with_stats(id, LOCAL as u64, secs, stats);
+    drop(local);
+    std::fs::remove_dir_all(&root).expect("remove the service root");
+
     report.write_to(&json_path).expect("write bench json");
     println!("wrote bench report to {}", json_path.display());
     for e in report.entries() {

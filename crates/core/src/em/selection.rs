@@ -18,28 +18,24 @@
 //! and Algorithm 2's phase 1 (the (M+1)-th smallest candidate, via
 //! `Smallest::cutoff`) are one `Smallest` scan each.
 //!
-//! Scans hand the kernel block slices, not single records. When n ≤ M the
-//! sort is one pass that collects the records and sorts them with
-//! `sort_unstable` — most of the buffer tree's full-buffer sorts and every
-//! k = 1 base case.
+//! One implementation deviation (performance, not semantics): the pass loop
+//! sorts the whole input once, on the host, during its first scan, and each
+//! later scan only re-reads the input before the next M records of that
+//! order are emitted. Every pass of the paper's algorithm emits exactly
+//! those records (the M smallest above the last one written), so the
+//! transfer schedule is unchanged: ⌈n/M⌉ scans, each followed by its
+//! records' writes. Host scratch is the n records; the modeled lease stays
+//! M. Sorting plain 16-byte records needs no tie-break for duplicates:
+//! equal records cannot be told apart in the output.
 //!
-//! **Duplicate records.** In a multi-pass sort candidates are keyed
-//! `(Record, scan index)`: the scan order is the same every pass, so the
-//! index is a stable tie-break that keeps duplicate records
-//! distinguishable — comparing raw records would skip every twin of a
-//! written record (`r <= last_written`) and lose it. A single pass has no
-//! last-written key, and equal records cannot be told apart in its output,
-//! so it sorts plain 16-byte records. On unique inputs the index never
-//! decides a comparison.
-//!
-//! One implementation deviation (performance, not semantics): the candidate
-//! set is a `Smallest` — a batch cut back by linear-time selection
-//! (`select_nth_unstable`) whenever it doubles — rather than a bounded
-//! max-heap. Keys are unique, so both keep exactly the same M smallest and
-//! every pass emits the same records; the batch just does it in O(n)
-//! comparisons per scan instead of O(n log M). The batch is host scratch of
-//! at most 2M keys; the modeled lease stays M, and the transfer schedule
-//! (one scan per pass, one write per output block) is unchanged.
+//! `Smallest` keeps the `cap` smallest of a stream of keys for the β
+//! extraction and the phase-1 cutoff. Their candidates are keyed
+//! `(Record, index)`, a stable tie-break that keeps duplicate records
+//! distinguishable; on unique inputs the index never decides a comparison.
+//! It is a batch cut back by linear-time selection (`select_nth_unstable`)
+//! whenever it doubles, rather than a bounded max-heap: both keep exactly
+//! the same `cap` smallest distinct keys, the batch in O(n) comparisons per
+//! scan instead of O(n log cap), as host scratch of at most 2·cap keys.
 
 use asym_model::{ModelError, Record, Result};
 use em_sim::{EmMachine, EmVec, EmWriter};
@@ -104,12 +100,12 @@ impl Smallest {
 }
 
 /// The Lemma 4.2 pass loop: sort the `n` records that `scan` hands to its
-/// visitor, a block slice at a time and in the same order on every call, by
-/// repeated scans, each collecting the `m` smallest keys above the last one
-/// written and handing their records to `emit` in ascending order. When
-/// `n ≤ m` the one pass sorts plain records: equal records cannot be told
-/// apart, so the scan-index tie-break would decide nothing. The caller
-/// leases the `m`-record set.
+/// visitor, a block slice at a time and in the same order on every call, in
+/// ⌈n/m⌉ scans, handing `emit` the next `m` records of the sorted order
+/// after each. The first scan collects the records and sorts them once;
+/// every later scan pays the same reads again and only counts what it
+/// sees. A scan that does not yield exactly `n` records is an
+/// [`ModelError::Invariant`]. The caller leases the `m`-record set.
 pub(crate) fn selection_passes(
     m: usize,
     n: usize,
@@ -119,45 +115,26 @@ pub(crate) fn selection_passes(
     if n == 0 {
         return Ok(());
     }
-    if n <= m {
-        let mut all = Vec::with_capacity(n);
-        scan(&mut |block| all.extend_from_slice(block))?;
-        if all.len() != n {
-            return Err(ModelError::Invariant(format!(
-                "selection pass found {} of {n} records",
-                all.len()
-            )));
+    let check = |found: usize| {
+        if found == n {
+            Ok(())
+        } else {
+            Err(ModelError::Invariant(format!(
+                "selection pass found {found} of {n} records"
+            )))
         }
-        all.sort_unstable();
-        emit(&all);
-        return Ok(());
-    }
-    let mut last_written: Option<Key> = None;
-    let mut remaining = n;
-    let mut out = Vec::with_capacity(m);
-    while remaining > 0 {
-        let mut best = Smallest::new(m);
-        let mut idx = 0;
-        scan(&mut |block| {
-            for &r in block {
-                let key = (r, idx);
-                idx += 1;
-                if last_written.is_none_or(|lw| key > lw) {
-                    best.offer(key);
-                }
-            }
-        })?;
-        let batch = best.into_sorted();
-        if batch.is_empty() {
-            return Err(ModelError::Invariant(format!(
-                "selection pass found none of {remaining} remaining records"
-            )));
+    };
+    let mut all = Vec::with_capacity(n);
+    scan(&mut |block| all.extend_from_slice(block))?;
+    check(all.len())?;
+    all.sort_unstable();
+    for (pass, chunk) in all.chunks(m).enumerate() {
+        if pass > 0 {
+            let mut found = 0;
+            scan(&mut |block| found += block.len())?;
+            check(found)?;
         }
-        last_written = batch.last().copied();
-        remaining -= batch.len();
-        out.clear();
-        out.extend(batch.into_iter().map(|(r, _)| r));
-        emit(&out);
+        emit(chunk);
     }
     Ok(())
 }
@@ -374,6 +351,70 @@ mod tests {
             prop_assert_eq!(out, expect);
             prop_assert_eq!(scans, stream.len().div_ceil(m));
         }
+    }
+
+    /// What the pass loop did, in order.
+    #[derive(Debug, PartialEq)]
+    enum Pass {
+        Scan,
+        Emit(Vec<Record>),
+    }
+
+    /// Run the pass loop over `input` (three-record blocks), recording each
+    /// scan and each emitted chunk; `lose` drops that many records from
+    /// every scan after the first.
+    fn passes(m: usize, input: &[Record], lose: usize) -> (Result<()>, Vec<Pass>) {
+        let log = std::cell::RefCell::new(Vec::new());
+        let scan = |visit: &mut dyn FnMut(&[Record])| {
+            let rescan = !log.borrow().is_empty();
+            log.borrow_mut().push(Pass::Scan);
+            let seen = if rescan {
+                input.len() - lose
+            } else {
+                input.len()
+            };
+            input[..seen].chunks(3).for_each(visit);
+            Ok(())
+        };
+        let emit = |chunk: &[Record]| log.borrow_mut().push(Pass::Emit(chunk.to_vec()));
+        let result = selection_passes(m, input.len(), scan, emit);
+        (result, log.into_inner())
+    }
+
+    #[test]
+    fn passes_emit_the_sorted_input_in_m_record_chunks_one_scan_each() {
+        let m = 8;
+        for (wl, n) in [
+            (Workload::AllIdentical, 2 * m + 1),
+            (Workload::DuplicateHeavy, 3 * m),
+            (Workload::UniformRandom, m + 1),
+            (Workload::Reversed, 4 * m - 3),
+        ] {
+            let input = wl.generate(n, 11);
+            let mut sorted = input.clone();
+            sorted.sort();
+            let expect: Vec<Pass> = sorted
+                .chunks(m)
+                .flat_map(|chunk| [Pass::Scan, Pass::Emit(chunk.to_vec())])
+                .collect();
+            let (result, log) = passes(m, &input, 0);
+            result.expect("sorts");
+            assert_eq!(log.len(), 2 * n.div_ceil(m), "{wl:?}: ⌈n/M⌉ scans");
+            assert_eq!(log, expect, "{wl:?}");
+        }
+    }
+
+    #[test]
+    fn a_rescan_that_finds_a_different_count_is_an_invariant_error() {
+        let input = Workload::UniformRandom.generate(20, 3);
+        let (result, log) = passes(8, &input, 1);
+        assert!(
+            matches!(&result, Err(ModelError::Invariant(msg)) if msg.contains("19 of 20")),
+            "{result:?}"
+        );
+        // The first pass's records went out; the short re-scan stopped the
+        // loop before its own.
+        assert_eq!(log.len(), 3);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use super::spec::{Algorithm, SortSpec, SpecError};
 use asym_model::json::{self, Json, JsonArr, JsonObj, RecordsError};
 use asym_model::Record;
 use em_sim::{Backend, EmStats, FaultSpec};
+use std::borrow::Cow;
 use wd_sim::{Cost, StealStats};
 
 /// Why a wire payload failed to decode.
@@ -332,13 +333,21 @@ impl SortOutcome {
     /// field (telemetry without payload) decodes as an empty output vector;
     /// `output_len` is informative only.
     pub fn from_json(text: &str) -> Result<SortOutcome, WireError> {
-        let v = Json::parse(text).map_err(WireError::Malformed)?;
-        Self::from_json_value(&v)
+        let mut v = Json::parse(text).map_err(WireError::Malformed)?;
+        let output = v.take("output");
+        Self::decode(&v, output.map(Cow::Owned))
     }
 
     /// Decode from an already-parsed [`Json`] value (e.g. the `outcome`
     /// field of an audit line).
     pub fn from_json_value(v: &Json) -> Result<SortOutcome, WireError> {
+        Self::decode(v, v.get("output").map(Cow::Borrowed))
+    }
+
+    /// Decode `v`, whose `output` field is `output`: borrowed from `v`, or
+    /// taken out of a tree the caller owns, so its records move rather
+    /// than copy.
+    fn decode(v: &Json, output: Option<Cow<'_, Json>>) -> Result<SortOutcome, WireError> {
         let obj = v
             .as_obj()
             .ok_or_else(|| malformed("outcome must be a JSON object"))?;
@@ -348,9 +357,9 @@ impl SortOutcome {
             peak_memory: req_u64(obj, "peak_memory")? as usize,
         };
         let omega = req_u64(obj, "omega")?;
-        let output = match json::find(obj, "output") {
+        let output = match output {
             None => Vec::new(),
-            Some(arr) => json::records(arr).map_err(|e| match e {
+            Some(arr) => json::records_of(arr).map_err(|e| match e {
                 RecordsError::NotArray => malformed("\"output\" must be an array"),
                 RecordsError::NotPair => malformed("output records are [key, payload] pairs"),
                 e => malformed(e.to_string()),

@@ -1,15 +1,19 @@
 //! How a compaction becomes a sort job: the engine hands a
-//! [`JobRequest`] to `asym-serve` and waits for the terminal status.
+//! [`JobRequest`] to `asym-serve`, waits for the job to end, and gets its
+//! [`SortOutcome`] back typed.
 //!
 //! Two transports share one contract:
 //!
 //! - [`CompactionService::Local`] — an embedded [`SortService`] (the
 //!   default: `AsymKv::new` starts one on a temp root it removes again
 //!   when the engine drops; no sockets, deterministic, still
-//!   admission-controlled).
+//!   admission-controlled). [`SortService::wait_outcome`] hands over the
+//!   outcome the service holds: no JSON is rendered or parsed for it.
 //! - [`CompactionService::http`] — `POST /jobs` + long-poll
 //!   `GET /jobs/<id>/wait` through [`asym_serve::client`], for an engine
-//!   pointed at a remote sort server (see `asym_serve::serve`).
+//!   pointed at a remote sort server (see `asym_serve::serve`). The
+//!   outcome is decoded once, from the parsed reply
+//!   ([`client::wait_outcome`]).
 //!
 //! Either way every compaction is priced by `JobRequest::predict()` at
 //! admission, and a refusal surfaces as [`KvError::Rejected`] carrying the
@@ -20,10 +24,11 @@
 use crate::KvError;
 use asym_core::sort::SortOutcome;
 use asym_serve::client::{self, ClientError};
-use asym_serve::{JobId, JobRequest, JobState, JobStatus, ServiceConfig, SortService};
+use asym_serve::{JobId, JobRequest, JobStatus, ServiceConfig, SortService};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Where compaction jobs run.
 pub enum CompactionService {
@@ -33,12 +38,13 @@ pub enum CompactionService {
     Http(SocketAddr),
 }
 
-/// One finished compaction job: its id and decoded outcome.
+/// One finished compaction job: its id and outcome.
 pub struct JobResult {
     /// The service-assigned job id.
     pub id: JobId,
-    /// The sorted output plus the job's measured `EmStats`.
-    pub outcome: SortOutcome,
+    /// The sorted output plus the job's measured `EmStats`, shared with
+    /// the embedded service that ran it.
+    pub outcome: Arc<SortOutcome>,
 }
 
 static SERVICE_DIRS: AtomicU64 = AtomicU64::new(0);
@@ -71,29 +77,33 @@ impl CompactionService {
     }
 
     /// Submit one job and block until it is terminal. `Completed` yields
-    /// the decoded outcome; every other terminal state is an error.
+    /// the outcome; every other terminal state is an error.
     pub fn submit_and_wait(&self, request: JobRequest) -> Result<JobResult, KvError> {
-        let (id, status) = match self {
+        match self {
             CompactionService::Local(service) => {
                 let id = service.submit(request).map_err(KvError::Rejected)?;
-                let status = service
-                    .wait(id)
-                    .ok_or_else(|| KvError::Service(format!("job {id} vanished")))?;
-                (id, status)
+                let outcome = service
+                    .wait_outcome(id)
+                    .ok_or_else(|| KvError::Service(format!("job {id} vanished")))?
+                    .map_err(|status| not_completed(&status))?;
+                Ok(JobResult { id, outcome })
             }
             CompactionService::Http(addr) => {
                 let id = client::submit(*addr, &request).map_err(client_error)?;
-                let status = loop {
-                    let status = client::wait(*addr, id).map_err(client_error)?;
-                    if status.state.is_terminal() {
-                        break status;
+                loop {
+                    match client::wait_outcome(*addr, id).map_err(client_error)? {
+                        Ok(outcome) => {
+                            let outcome = Arc::new(outcome);
+                            return Ok(JobResult { id, outcome });
+                        }
+                        Err(status) if status.state.is_terminal() => {
+                            return Err(not_completed(&status))
+                        }
+                        Err(_) => {}
                     }
-                };
-                (id, status)
+                }
             }
-        };
-        let outcome = terminal_outcome(&status)?;
-        Ok(JobResult { id, outcome })
+        }
     }
 }
 
@@ -138,22 +148,12 @@ fn client_error(e: ClientError) -> KvError {
     }
 }
 
-/// Decode the sorted payload out of a terminal [`JobStatus`].
-fn terminal_outcome(status: &JobStatus) -> Result<SortOutcome, KvError> {
-    match status.state {
-        JobState::Completed => {
-            let telemetry = status
-                .telemetry
-                .as_deref()
-                .ok_or_else(|| KvError::Service("completed job without telemetry".into()))?;
-            SortOutcome::from_json(telemetry)
-                .map_err(|e| KvError::Service(format!("telemetry decode: {e}")))
-        }
-        state => Err(KvError::Service(format!(
-            "compaction job {} ended {}: {}",
-            status.id,
-            state.name(),
-            status.error.as_deref().unwrap_or("no error recorded")
-        ))),
-    }
+/// The error for a job that ended without completing.
+fn not_completed(status: &JobStatus) -> KvError {
+    KvError::Service(format!(
+        "compaction job {} ended {}: {}",
+        status.id,
+        status.state.name(),
+        status.error.as_deref().unwrap_or("no error recorded")
+    ))
 }

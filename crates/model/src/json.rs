@@ -22,11 +22,13 @@
 //!   Any other array (empty, signed, fractional, past `u64::MAX`, the
 //!   wrong arity) is left to the generic path.
 //!
-//! [`records`] decodes either form. Neither kernel changes a byte of a
-//! document or what any input parses to: the unit tests hold the parser
-//! to the generic path by running both.
+//! [`records`] decodes either form ([`records_of`] moves an owned
+//! [`Json::Records`] node's vector out instead of copying it). Neither
+//! kernel changes a byte of a document or what any input parses to: the
+//! unit tests hold the parser to the generic path by running both.
 
 use crate::record::Record;
+use std::borrow::Cow;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug)]
@@ -154,6 +156,19 @@ impl Json {
         self.as_obj().and_then(|obj| find(obj, key))
     }
 
+    /// Remove and return an object field (first match; `None` for
+    /// non-objects too): a decoder that owns its tree takes a bulk field
+    /// out this way and hands it to [`records_of`] whole.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => {
+                let i = fields.iter().position(|(k, _)| k == key)?;
+                Some(fields.remove(i).1)
+            }
+            _ => None,
+        }
+    }
+
     /// Serialize back to a JSON document. `parse(render(v)) == v` for every
     /// value — integers stay exact ([`Json::Int`] prints verbatim).
     pub fn render(&self) -> String {
@@ -279,6 +294,15 @@ pub fn records(v: &Json) -> Result<Vec<Record>, RecordsError> {
             })
             .collect(),
         _ => Err(RecordsError::NotArray),
+    }
+}
+
+/// [`records`] of a value that may be owned: an owned [`Json::Records`]
+/// node's vector is moved out, not copied.
+pub fn records_of(v: Cow<'_, Json>) -> Result<Vec<Record>, RecordsError> {
+    match v {
+        Cow::Owned(Json::Records(recs)) => Ok(recs),
+        v => records(&v),
     }
 }
 
@@ -861,6 +885,24 @@ mod tests {
         let obj = v.as_obj().unwrap();
         assert_eq!(get_str(obj, "c").as_deref(), Some("s"));
         assert_eq!(get_bool(obj, "c"), None);
+    }
+
+    #[test]
+    fn take_removes_the_first_match_and_records_of_moves_an_owned_node() {
+        let mut v = Json::parse(r#"{ "a": [[1, 2], [3, 4]], "b": 5, "a": 6 }"#).unwrap();
+        let taken = v.take("a").expect("present");
+        assert_eq!(v.get("a"), Some(&Json::Int(6)), "only the first match goes");
+        assert_eq!(Json::Int(5).take("a"), None, "not an object");
+        let Json::Records(recs) = &taken else {
+            panic!("{taken:?} took the fast path")
+        };
+        let buffer = recs.as_ptr();
+        let borrowed = records(&taken).unwrap();
+        let owned = records_of(Cow::Owned(taken)).unwrap();
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned.as_ptr(), buffer, "moved, not copied");
+        let generic = Json::parse("[]").unwrap();
+        assert_eq!(records_of(Cow::Borrowed(&generic)), Ok(Vec::new()));
     }
 
     #[test]

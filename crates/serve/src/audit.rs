@@ -179,6 +179,25 @@ impl AuditEvent {
         }
     }
 
+    /// The fate a terminal event gives its job on replay (`None` for the
+    /// other events): what [`replay`] records, and what the live service
+    /// keeps for a job whose terminal event it just logged.
+    pub(crate) fn into_outcome(self) -> Option<ReplayOutcome> {
+        match self {
+            AuditEvent::Completed {
+                telemetry,
+                output_digest,
+                ..
+            } => Some(ReplayOutcome::Completed {
+                telemetry,
+                output_digest,
+            }),
+            AuditEvent::Failed { kind, error, .. } => Some(ReplayOutcome::Failed { kind, error }),
+            AuditEvent::Expired { .. } => Some(ReplayOutcome::Expired),
+            _ => None,
+        }
+    }
+
     /// The `accepted` line for a request already rendered by
     /// [`JobRequest::to_json`]: exactly what [`AuditEvent::to_json`] renders
     /// for [`AuditEvent::Accepted`]. The service renders the (possibly
@@ -411,11 +430,12 @@ pub enum ReplayOutcome {
     Completed {
         /// The embedded outcome JSON.
         telemetry: String,
-        /// Set while `telemetry` is the lean form a v2 `completed` line
+        /// Set when `telemetry` is the lean form a v2 `completed` line
         /// logs in place of the output:
         /// [`SortService::recover`](crate::SortService::recover) rebuilds
-        /// the output, checks it against this digest, and clears it. `None`:
-        /// `telemetry` is what the job serves.
+        /// the output, checks it against this digest, and keeps the whole
+        /// outcome typed beside this lean form, as the live service does.
+        /// `None`: `telemetry` is what the job serves.
         output_digest: Option<u64>,
     },
     /// Terminally failed.
@@ -563,32 +583,14 @@ impl Replay {
                     j.start_attempt(attempt);
                 }
             }
-            AuditEvent::Completed {
-                id,
-                telemetry,
-                output_digest,
-            } => {
-                self.terminalize(
-                    id,
-                    ReplayOutcome::Completed {
-                        telemetry,
-                        output_digest,
-                    },
-                );
-            }
-            AuditEvent::Failed { id, kind, error } => {
-                self.terminalize(id, ReplayOutcome::Failed { kind, error });
-            }
-            AuditEvent::Expired { id } => {
-                self.terminalize(id, ReplayOutcome::Expired);
+            AuditEvent::Completed { id, .. }
+            | AuditEvent::Failed { id, .. }
+            | AuditEvent::Expired { id } => {
+                if let (Some(j), Some(outcome)) = (self.jobs.get_mut(&id), ev.into_outcome()) {
+                    j.terminalize(outcome);
+                }
             }
             AuditEvent::Drained | AuditEvent::Recovered { .. } => {}
-        }
-    }
-
-    fn terminalize(&mut self, id: JobId, outcome: ReplayOutcome) {
-        if let Some(j) = self.jobs.get_mut(&id) {
-            j.terminalize(outcome);
         }
     }
 }

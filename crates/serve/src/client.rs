@@ -2,14 +2,16 @@
 //! framed by `Content-Length` and read with the same header reader the
 //! server uses for requests.
 //!
-//! [`roundtrip`] is the raw exchange. [`submit`] and [`wait`] speak the
-//! job routes and hand back typed values, decoded by
-//! [`SubmitError::from_json`] and [`JobStatus::from_json`].
+//! [`roundtrip`] is the raw exchange. [`submit`], [`wait`] and
+//! [`wait_outcome`] speak the job routes and hand back typed values,
+//! decoded by [`SubmitError::from_json`] and [`JobStatus::from_json`]
+//! (`wait_outcome` decodes a completed job's outcome straight from the
+//! parsed body).
 
 use crate::http::{read_body, read_content_length};
 use crate::job::{JobId, JobRequest, JobState, JobStatus};
 use crate::service::SubmitError;
-use asym_core::sort::WireError;
+use asym_core::sort::{SortOutcome, WireError};
 use asym_model::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -118,11 +120,36 @@ pub fn submit(addr: SocketAddr, request: &JobRequest) -> Result<JobId, ClientErr
 /// or failed, `504` for expired, `408` for a live job — or the call is a
 /// [`ClientError::Wire`].
 pub fn wait(addr: SocketAddr, id: JobId) -> Result<JobStatus, ClientError> {
+    let (mut status, outcome) = wait_reply(addr, id)?;
+    status.telemetry = outcome.as_ref().map(Json::render);
+    Ok(status)
+}
+
+/// One long-poll like [`wait`], with a completed job's outcome decoded
+/// from the same parse of the body ([`SortOutcome::from_json_value`]), not
+/// rendered back to telemetry text: `Ok` holds the outcome, `Err` the
+/// status of a job that is still live (poll again) or ended otherwise.
+pub fn wait_outcome(
+    addr: SocketAddr,
+    id: JobId,
+) -> Result<Result<SortOutcome, JobStatus>, ClientError> {
+    let (status, outcome) = wait_reply(addr, id)?;
+    if status.state != JobState::Completed {
+        return Ok(Err(status));
+    }
+    let outcome = outcome
+        .ok_or_else(|| WireError::Malformed(format!("completed job {id} without an outcome")))?;
+    Ok(Ok(SortOutcome::from_json_value(&outcome)?))
+}
+
+/// The `/wait` exchange behind [`wait`] and [`wait_outcome`]: the status
+/// with its checked code, and the body's parsed `outcome` field.
+fn wait_reply(addr: SocketAddr, id: JobId) -> Result<(JobStatus, Option<Json>), ClientError> {
     let (code, body) = roundtrip(addr, "GET", &format!("/jobs/{id}/wait"), "")?;
     if !matches!(code, 200 | 408 | 504) {
         return Err(ClientError::Status { code, body });
     }
-    let status = JobStatus::from_json(&body)?;
+    let (status, outcome) = JobStatus::decode(&body)?;
     let expected = match status.state {
         JobState::Completed | JobState::Failed => 200,
         JobState::Expired => 504,
@@ -135,22 +162,20 @@ pub fn wait(addr: SocketAddr, id: JobId) -> Result<JobStatus, ClientError> {
         ))
         .into());
     }
-    Ok(status)
+    Ok((status, outcome))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::respond;
-    use asym_core::sort::CostEstimate;
+    use asym_core::sort::{self, Algorithm, CostEstimate, SortSpec};
+    use asym_model::workload::Workload;
     use std::net::TcpListener;
 
-    /// `wait` against a one-shot server that answers `code` with a status
-    /// in `state`.
-    fn wait_answered(code: u16, state: JobState) -> Result<JobStatus, ClientError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let status = JobStatus {
+    /// Job 3's status in `state`, without telemetry.
+    fn status_in(state: JobState) -> JobStatus {
+        JobStatus {
             id: 3,
             state,
             predicted: CostEstimate {
@@ -163,7 +188,13 @@ mod tests {
             telemetry: None,
             error: None,
             failure: None,
-        };
+        }
+    }
+
+    /// `call` against a one-shot server that answers `code` with `status`.
+    fn answered<T>(code: u16, status: JobStatus, call: fn(SocketAddr, JobId) -> T) -> T {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
             let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -171,9 +202,15 @@ mod tests {
             read_content_length(&mut reader).expect("headers");
             respond(stream, code, "Test", &status.to_json());
         });
-        let answer = wait(addr, 3);
+        let answer = call(addr, 3);
         server.join().expect("server");
         answer
+    }
+
+    /// `wait` against a one-shot server that answers `code` with a status
+    /// in `state`.
+    fn wait_answered(code: u16, state: JobState) -> Result<JobStatus, ClientError> {
+        answered(code, status_in(state), wait)
     }
 
     #[test]
@@ -200,5 +237,29 @@ mod tests {
                 "{code} for {state:?} must be refused"
             );
         }
+    }
+
+    #[test]
+    fn wait_outcome_decodes_a_completed_outcome_and_hands_back_other_statuses() {
+        let spec = SortSpec::builder(Algorithm::Mergesort, 64, 8, 16)
+            .k(2)
+            .build()
+            .expect("valid spec");
+        let input = Workload::FewDistinct.generate(500, 9);
+        let outcome = sort::run(&spec, &input).expect("sort");
+        let completed = JobStatus {
+            telemetry: Some(outcome.to_json(true)),
+            ..status_in(JobState::Completed)
+        };
+        let decoded = answered(200, completed, wait_outcome).expect("contract holds");
+        assert!(decoded == Ok(outcome), "the served outcome, decoded");
+
+        for (code, state) in [(200, JobState::Failed), (408, JobState::Running)] {
+            let answer = answered(code, status_in(state), wait_outcome).expect("contract holds");
+            assert_eq!(answer, Err(status_in(state)));
+        }
+        // A completed status must carry its outcome.
+        let bare = answered(200, status_in(JobState::Completed), wait_outcome);
+        assert!(matches!(bare, Err(ClientError::Wire(_))), "{bare:?}");
     }
 }

@@ -19,6 +19,7 @@ use asym_core::sort::{checkpoint, CostEstimate, SortSpec, WireError};
 use asym_model::json::{self, Json, JsonObj, RecordsError};
 use asym_model::workload::Workload;
 use asym_model::Record;
+use std::borrow::Cow;
 
 /// Identifies one submitted job for the rest of its life (assigned by the
 /// service, monotonically increasing).
@@ -143,13 +144,21 @@ impl JobRequest {
     /// [`SortSpec`] wire decoding and builder validation. `data_seed`
     /// defaults to 0 and `include_output` to false.
     pub fn from_json(text: &str) -> Result<JobRequest, WireError> {
-        let v = Json::parse(text).map_err(WireError::Malformed)?;
-        Self::from_json_value(&v)
+        let mut v = Json::parse(text).map_err(WireError::Malformed)?;
+        let input = v.take("input");
+        Self::decode(&v, input.map(Cow::Owned))
     }
 
     /// Decode from an already-parsed [`Json`] value (e.g. the request an
     /// `accepted` audit line embeds).
     pub fn from_json_value(v: &Json) -> Result<JobRequest, WireError> {
+        Self::decode(v, v.get("input").map(Cow::Borrowed))
+    }
+
+    /// Decode `v`, whose `input` field is `input`: borrowed from `v`, or
+    /// taken out of a tree the caller owns, so its records move rather
+    /// than copy.
+    fn decode(v: &Json, input: Option<Cow<'_, Json>>) -> Result<JobRequest, WireError> {
         let obj = v
             .as_obj()
             .ok_or_else(|| WireError::Malformed("job request must be a JSON object".into()))?;
@@ -161,9 +170,9 @@ impl JobRequest {
             .ok_or_else(|| WireError::Malformed("missing string field \"workload\"".into()))?;
         let workload = Workload::parse(&name)
             .ok_or_else(|| WireError::Malformed(format!("unknown workload {name:?}")))?;
-        let input = match json::find(obj, "input") {
+        let input = match input {
             None => None,
-            Some(arr) => Some(json::records(arr).map_err(|e| {
+            Some(arr) => Some(json::records_of(arr).map_err(|e| {
                 WireError::Malformed(match e {
                     RecordsError::NotArray => "\"input\" must be an array".into(),
                     RecordsError::NotPair => "input records are [key, payload] pairs".into(),
@@ -331,7 +340,17 @@ impl JobStatus {
     /// Decode what [`to_json`](Self::to_json) renders, field for field.
     /// The derived `peak_bytes` and `io_cost` are recomputed, not read.
     pub fn from_json(text: &str) -> Result<JobStatus, WireError> {
-        let v = Json::parse(text).map_err(WireError::Malformed)?;
+        let (mut status, outcome) = JobStatus::decode(text)?;
+        status.telemetry = outcome.as_ref().map(Json::render);
+        Ok(status)
+    }
+
+    /// [`from_json`](Self::from_json) without rendering the outcome back
+    /// to text: `telemetry` stays `None`, and the body's parsed `outcome`
+    /// field, if any, comes back beside the status.
+    pub(crate) fn decode(text: &str) -> Result<(JobStatus, Option<Json>), WireError> {
+        let mut v = Json::parse(text).map_err(WireError::Malformed)?;
+        let outcome = v.take("outcome");
         let obj = v
             .as_obj()
             .ok_or_else(|| WireError::Malformed("job status must be a JSON object".into()))?;
@@ -349,7 +368,7 @@ impl JobStatus {
                     .ok_or_else(|| WireError::Malformed(format!("unknown failure kind {k:?}")))?,
             ),
         };
-        Ok(JobStatus {
+        let status = JobStatus {
             id: req_u64(obj, "id")?,
             state,
             predicted: CostEstimate {
@@ -359,10 +378,11 @@ impl JobStatus {
                 omega: req_u64(p, "omega")?,
             },
             attempts: req_u64(obj, "attempts")? as u32,
-            telemetry: json::find(obj, "outcome").map(Json::render),
+            telemetry: None,
             error: json::get_str(obj, "error"),
             failure,
-        })
+        };
+        Ok((status, outcome))
     }
 }
 

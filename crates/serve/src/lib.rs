@@ -16,7 +16,10 @@
 //! ([`SortService::start`], or [`SortService::recover`] for the report)
 //! replays it, re-queueing unfinished jobs, restoring finished ones and
 //! resuming the id counter, so a used root never reissues an id. A
-//! session that changed nothing writes nothing to the log. Transient I/O
+//! session that changed nothing writes nothing to the log. A completed
+//! job's outcome stays typed inside the service: JSON is rendered only
+//! when a status crosses the wire, and a caller in the same process takes
+//! the typed outcome ([`SortService::wait_outcome`]). Transient I/O
 //! failures retry with bounded exponential backoff, panicking sorters are
 //! caught per-attempt, and deadlines are enforced both at admission
 //! (modeled ETA) and by queue expiry. The

@@ -32,10 +32,19 @@
 //!
 //! A `completed` line carries the lean outcome telemetry, never the sorted
 //! records: for a job that asked for its output it logs their digest
-//! ([`AuditEvent::completed`]). The live service serves the full telemetry
-//! from memory; `recover` rebuilds it by sorting the job's logged input
-//! in RAM and checking the result against the digest, and a mismatch is a
-//! typed [`RecoverError::OutputDigest`], never a silent restore.
+//! ([`AuditEvent::completed`]). A completed job's entry holds what
+//! replaying that line yields, the lean telemetry and the digest, and a
+//! job that asked for its output also keeps its whole [`SortOutcome`],
+//! typed. JSON is rendered only where a status leaves the service:
+//! [`SortService::status`] and the waits render the typed outcome into
+//! [`JobStatus::telemetry`] after they release the state lock, and
+//! [`SortService::wait_outcome`] hands it to a caller in this process (the
+//! `asym-kv` compactor) with nothing rendered or parsed. A lean job serves
+//! its logged lean text, which keeps its `output_len`. `recover` rebuilds
+//! the typed outcome by sorting the job's logged input in RAM and checking
+//! the result against the digest, so a recovered entry equals the live
+//! one; a mismatch is a typed [`RecoverError::OutputDigest`], never a
+//! silent restore.
 //!
 //! Failures are classified ([`FailureKind`]): `ModelError::Io` is
 //! transient weather and earns bounded-exponential-backoff retries up to
@@ -416,7 +425,13 @@ impl ServiceStats {
 /// One job as the live service holds it: the durable record the WAL
 /// replays, plus what the log never records.
 struct JobEntry {
+    /// What replaying the log yields for this job: a completed job holds
+    /// the lean telemetry and output digest its `completed` line logged.
     job: ReplayJob,
+    /// The whole outcome, typed, of a completed job that asked for its
+    /// output: its status renders it once the state lock is released, and
+    /// [`SortService::wait_outcome`] hands it over as is.
+    output: Option<Arc<SortOutcome>>,
     predicted: CostEstimate,
     /// A worker holds the job (meaningful only while it is pending).
     running: bool,
@@ -442,6 +457,7 @@ impl JobEntry {
                 .deadline_ms
                 .map(|ms| now + Duration::from_millis(ms)),
             job,
+            output: None,
             predicted,
             running: false,
             enqueued_at: now,
@@ -459,14 +475,18 @@ impl JobEntry {
         }
     }
 
-    fn snapshot(&self, id: JobId) -> JobStatus {
+    /// The job's status, read under the state lock. A completed job that
+    /// holds its typed outcome leaves `telemetry` unset and returns the
+    /// outcome beside it, for [`rendered`] to render outside the lock.
+    fn snapshot(&self, id: JobId) -> Snapshot {
         let (telemetry, error, failure) = match &self.job.outcome {
             ReplayOutcome::Pending => (None, self.retry_error.clone(), None),
+            ReplayOutcome::Completed { .. } if self.output.is_some() => (None, None, None),
             ReplayOutcome::Completed { telemetry, .. } => (Some(telemetry.clone()), None, None),
             ReplayOutcome::Failed { kind, error } => (None, Some(error.clone()), Some(*kind)),
             ReplayOutcome::Expired => (None, Some("deadline expired while queued".into()), None),
         };
-        JobStatus {
+        let status = JobStatus {
             id,
             state: self.state(),
             predicted: self.predicted,
@@ -474,8 +494,22 @@ impl JobEntry {
             telemetry,
             error,
             failure,
-        }
+        };
+        (status, self.output.clone())
     }
+}
+
+/// A status read under the state lock, and the typed outcome its telemetry
+/// is still to be rendered from.
+type Snapshot = (JobStatus, Option<Arc<SortOutcome>>);
+
+/// The status a client sees: a held outcome rendered as the full telemetry
+/// the job asked for. Called after the state lock is released.
+fn rendered((mut status, output): Snapshot) -> JobStatus {
+    if let Some(outcome) = output {
+        status.telemetry = Some(outcome.to_json(true));
+    }
+    status
 }
 
 #[derive(Default)]
@@ -575,17 +609,14 @@ impl SortService {
             ..State::default()
         };
         let now = Instant::now();
-        for (id, mut job) in rep.jobs {
-            if let ReplayOutcome::Completed {
-                telemetry,
-                output_digest: Some(logged),
-            } = &job.outcome
-            {
-                job.outcome = ReplayOutcome::Completed {
-                    telemetry: rebuilt_telemetry(id, &job.request, telemetry, *logged)?,
-                    output_digest: None,
-                };
-            }
+        for (id, job) in rep.jobs {
+            let output = match &job.outcome {
+                ReplayOutcome::Completed {
+                    telemetry,
+                    output_digest: Some(logged),
+                } => Some(rebuilt_outcome(id, &job.request, telemetry, *logged)?),
+                _ => None,
+            };
             st.stats.submitted += 1;
             let predicted = job.request.predict();
             // A re-queued staged job carries the fold of its durable
@@ -601,7 +632,9 @@ impl SortService {
                 ReplayOutcome::Failed { .. } => st.stats.failed += 1,
                 ReplayOutcome::Expired => st.stats.expired += 1,
             }
-            st.jobs.insert(id, JobEntry::new(job, predicted, now));
+            let mut entry = JobEntry::new(job, predicted, now);
+            entry.output = output.map(Arc::new);
+            st.jobs.insert(id, entry);
         }
         st.stats.peak_in_flight_bytes = st.stats.in_flight_bytes;
         st.stats.peak_in_flight_io = st.stats.in_flight_io;
@@ -703,15 +736,18 @@ impl SortService {
     /// job also sweeps queue expiry, so a lapsed deadline is visible on
     /// the very next status call even on an idle service.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let mut st = self.inner.state.lock().expect("service state");
-        expire_overdue(&self.inner, &mut st);
-        st.jobs.get(&id).map(|e| e.snapshot(id))
+        let snapshot = {
+            let mut st = self.inner.state.lock().expect("service state");
+            expire_overdue(&self.inner, &mut st);
+            st.jobs.get(&id).map(|e| e.snapshot(id))
+        };
+        snapshot.map(rendered)
     }
 
     /// Block until job `id` reaches a terminal state; returns its final
     /// status (`None` for an unknown id).
     pub fn wait(&self, id: JobId) -> Option<JobStatus> {
-        self.wait_until(id, None)
+        self.wait_until(id, None).map(rendered)
     }
 
     /// Like [`wait`](SortService::wait), but gives up after `timeout`. On
@@ -719,9 +755,35 @@ impl SortService {
     /// callers distinguish by [`JobState::is_terminal`].
     pub fn wait_timeout(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
         self.wait_until(id, Some(Instant::now() + timeout))
+            .map(rendered)
     }
 
-    fn wait_until(&self, id: JobId, deadline: Option<Instant>) -> Option<JobStatus> {
+    /// Like [`wait`](SortService::wait), for a caller in this process that
+    /// wants the result typed: `Ok` holds a completed job's outcome, and
+    /// `Err` the final status of a job that failed or expired (`None` for an
+    /// unknown id). A job that asked for its output hands over the outcome
+    /// the service holds, sorted records included, with no telemetry
+    /// rendered or parsed; a lean job's telemetry is decoded.
+    pub fn wait_outcome(&self, id: JobId) -> Option<Result<Arc<SortOutcome>, JobStatus>> {
+        let (status, output) = self.wait_until(id, None)?;
+        if status.state != JobState::Completed {
+            return Some(Err(status));
+        }
+        Some(Ok(output.unwrap_or_else(|| {
+            let telemetry = status
+                .telemetry
+                .as_deref()
+                .expect("a completed job without a typed outcome serves its telemetry");
+            let outcome = SortOutcome::from_json(telemetry)
+                .expect("served telemetry decodes: rendered by to_json or checked at replay");
+            Arc::new(outcome)
+        })))
+    }
+
+    /// The one wait loop: job `id`'s snapshot once it is terminal or
+    /// `deadline` passes, read under the state lock and rendered by the
+    /// caller after it is released.
+    fn wait_until(&self, id: JobId, deadline: Option<Instant>) -> Option<Snapshot> {
         let mut st = self.inner.state.lock().expect("service state");
         loop {
             expire_overdue(&self.inner, &mut st);
@@ -1041,13 +1103,11 @@ fn worker_loop(inner: &Arc<Inner>) {
             st.active -= 1;
             // Each arm logs the attempt's event first, then applies it.
             let outcome = match result {
-                Ok(done) => {
-                    inner.audit_event(&done.logged);
+                Ok(Completion { logged, output }) => {
+                    inner.audit_event(&logged);
                     st.stats.completed += 1;
-                    Some(ReplayOutcome::Completed {
-                        telemetry: done.served,
-                        output_digest: None,
-                    })
+                    entry.output = output;
+                    logged.into_outcome()
                 }
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
                     let shift = effective_attempts.saturating_sub(1).min(20);
@@ -1127,18 +1187,19 @@ impl Checkpointer for ServiceCheckpointer {
     }
 }
 
-/// A successful attempt, rendered before the worker takes the state lock.
+/// A successful attempt, rendered for the WAL before the worker takes the
+/// state lock.
 struct Completion {
-    /// The telemetry the live service serves (with the output when the job
-    /// asked for it).
-    served: String,
-    /// The `completed` event the WAL logs ([`AuditEvent::completed`]).
+    /// The `completed` event the WAL logs ([`AuditEvent::completed`]). The
+    /// job's entry keeps the outcome replaying it yields.
     logged: AuditEvent,
+    /// The whole outcome, when the job asked for its output.
+    output: Option<Arc<SortOutcome>>,
 }
 
 /// Run one attempt: materialize the input (inline payload, or regenerated
 /// from the named workload), point file-backed storage and
-/// the fault schedule at this attempt, sort, render telemetry. Staged
+/// the fault schedule at this attempt, sort, render the lean telemetry. Staged
 /// (checkpointed) jobs resume from the fold of their durable manifests
 /// when it still validates, and fall back to a fresh staged run otherwise.
 /// Failures come back classified.
@@ -1213,23 +1274,22 @@ fn run_job(
         message: e.to_string(),
     })?;
     Ok(Completion {
-        served: outcome.to_json(request.include_output),
         logged: AuditEvent::completed(id, &outcome, request.include_output),
+        output: request.include_output.then(|| Arc::new(outcome)),
     })
 }
 
-/// The telemetry a completed job served live, rebuilt from the log: its
-/// input (inline, or regenerated) sorted in RAM, checked against the
-/// digest its `completed` line logged, and put back into the lean
-/// telemetry that line carries. `Record` orders by the whole
-/// `(key, payload)` pair, so every correct sort of an input has this one
-/// output.
-fn rebuilt_telemetry(
+/// The outcome a completed job held live, rebuilt from the log: its input
+/// (inline, or regenerated) sorted in RAM, checked against the digest its
+/// `completed` line logged, and put back into the lean telemetry that line
+/// carries. `Record` orders by the whole `(key, payload)` pair, so every
+/// correct sort of an input has this one output.
+fn rebuilt_outcome(
     id: JobId,
     request: &JobRequest,
     lean: &str,
     logged: u64,
-) -> Result<String, RecoverError> {
+) -> Result<SortOutcome, RecoverError> {
     let mut output = request.input_records();
     output.sort_unstable();
     let rebuilt = records_digest(&output);
@@ -1246,7 +1306,7 @@ fn rebuilt_telemetry(
         )))
     })?;
     outcome.output = output;
-    Ok(outcome.to_json(true))
+    Ok(outcome)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
