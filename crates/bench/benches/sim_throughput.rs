@@ -10,6 +10,9 @@
 //!   overhead, no algorithm);
 //! * `e3-mergesort-k{1,4,16}` — the Algorithm 2 mergesort (exercises the
 //!   slice merge queue and its phase-1 selection);
+//! * `e3-mergesort-k4-runs4` — the same k=4 mergesort over a compaction's
+//!   shape, four sorted runs laid end to end (exercises the run-aware base
+//!   case and merges whose runs barely interleave);
 //! * `e5-samplesort-k4` — the §4.2 distribution sort (exercises the bucket
 //!   writers);
 //! * `e6-heapsort-k4` — the §4.3 heapsort (exercises the buffer tree's run
@@ -70,8 +73,12 @@ fn cases(scale: Scale) -> Vec<Case> {
     let n_sort = scale.pick(20_000usize, 200_000, 1_000_000);
     let mut cases = vec![raw_stream_case(n_raw)];
     for (id, algorithm, k, seed) in SORTS {
-        cases.push(sort_case(id, algorithm, k, seed, n_sort));
+        let input = Workload::UniformRandom.generate(n_sort, seed);
+        cases.push(sort_case(id, algorithm, k, seed, input));
     }
+    let (algorithm, k, seed) = (Algorithm::Mergesort, 4, 0xE3);
+    let runs = concatenated_runs(n_sort, 4, seed);
+    cases.push(sort_case("e3-mergesort-k4-runs4", algorithm, k, seed, runs));
     cases
 }
 
@@ -98,9 +105,26 @@ fn raw_stream_case(n: usize) -> Case {
     }
 }
 
-/// One `sort::run` of n uniform records on the env-selected backend.
-fn sort_case(id: &'static str, algorithm: Algorithm, k: usize, seed: u64, n: usize) -> Case {
-    let input: Vec<Record> = Workload::UniformRandom.generate(n, seed);
+/// `n` uniform records in `runs` sorted runs laid end to end, as a
+/// compaction's input is; payloads stay the generator's positions, so the
+/// records are distinct.
+fn concatenated_runs(n: usize, runs: usize, seed: u64) -> Vec<Record> {
+    let mut input = Workload::UniformRandom.generate(n, seed);
+    for r in 0..runs {
+        input[n * r / runs..n * (r + 1) / runs].sort_unstable();
+    }
+    input
+}
+
+/// One `sort::run` of `input` on the env-selected backend.
+fn sort_case(
+    id: &'static str,
+    algorithm: Algorithm,
+    k: usize,
+    seed: u64,
+    input: Vec<Record>,
+) -> Case {
+    let n = input.len();
     let spec = asym_bench::sort_spec(algorithm, M, B, OMEGA, k, seed);
     Case {
         id,

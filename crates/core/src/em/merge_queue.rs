@@ -6,12 +6,35 @@
 //! popped as the minimum (so the run's slice is empty then); pops take a
 //! run's prefix and ejections take a run's suffix. So each run keeps the
 //! block it holds, the slice bounds within it, and whether the slice still
-//! ends the block, and two winner trees over the l runs give the smallest
-//! head and the largest tail. Peek-max is O(1); pop-min and pop-max replay
-//! one tree path, O(log l) comparisons of `(Record, run)`. A record's
-//! provenance is implicit (its run is the tree leaf, its offset the slice
-//! position), and "last in block" means the slice ended the block and is now
-//! empty.
+//! ends the block, and two tournament trees over the l runs give the
+//! smallest head and the largest tail. A record's provenance is implicit
+//! (its run is the tree leaf, its offset the slice position), and "last in
+//! block" means the slice ended the block and is now empty.
+//!
+//! The min side is popped once per record, so it is a loser tree: each
+//! inner node keeps the loser of the match there, key and all, and a pop
+//! replays only the champion's path, comparing the rising winner with one
+//! stored loser per level. The nodes it reads are fixed by the path, not by
+//! the comparisons, and each compare is one branch-free `u128` test; the
+//! swap keeps one branch, since a masked swap measured slower on uniform
+//! merges. Two states of a leaf are settled lazily, since only the
+//! champion's path can be replayed:
+//!
+//! * a *pending champion*: a pop that empties the champion's slice does
+//!   not replay it. [`SliceQueue::insert_block`] replays it once the run's
+//!   next block is in (the run is still the champion then), and the next
+//!   pop replays it as empty if no block comes (the run is exhausted, or an
+//!   ejection had cut its block's tail);
+//! * a *stale head*: a phase-2 ejection that empties a slice leaves the
+//!   slice's last head cached in the tree. The slice gets no block for the
+//!   rest of the round, so the head stays until it surfaces as champion,
+//!   and that pop drops it then.
+//!
+//! A pop therefore takes the first champion whose slice is non-empty; every
+//! non-empty slice's head is cached exactly, so that champion is Q's
+//! minimum (a `debug_assert` checks it against every slice). The max side
+//! is touched once per block or ejection, not once per record, and stays a
+//! winner tree: peek-max is its top, and pop-max replays one path.
 //!
 //! Phase 1 is one selection rather than a stream of bounded inserts: with Q
 //! empty and no bar, inserting the candidates one by one leaves Q holding
@@ -55,6 +78,13 @@ struct Slice {
 }
 
 impl Slice {
+    /// The min-tree key of the slice's head.
+    fn entry(&self, run: usize) -> Entry {
+        self.recs
+            .get(self.head)
+            .map_or(Entry::empty(run), |&h| Entry::live(h, run))
+    }
+
     /// The first index of the block whose key fails `below`, which holds on
     /// a prefix of the (ascending) block.
     fn first(&self, run: usize, below: impl Fn(Key) -> bool) -> usize {
@@ -115,30 +145,125 @@ impl WinnerTree {
     }
 }
 
-/// The tree keys of an empty slice (or a padding leaf): the min tree's is
-/// above every live `(record, run)`, the max tree's below every live
-/// `(record, run + 1)`.
-const EMPTY_HEAD: (Record, u32) = (
-    Record {
-        key: u64::MAX,
-        payload: u64::MAX,
-    },
-    u32::MAX,
-);
+/// A min-tree key: `(head record, run)` of a slice, as one `u128` of key
+/// and payload and a `tie` holding the run. An empty slice (or a padding
+/// leaf) also sets bit 32 of `tie`, so it loses to every live key, a
+/// `(u64::MAX, u64::MAX)` record included, and still names its run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    wide: u128,
+    tie: u64,
+}
+
+impl Entry {
+    fn live(rec: Record, run: usize) -> Self {
+        Self {
+            wide: u128::from(rec.key) << 64 | u128::from(rec.payload),
+            tie: run as u64,
+        }
+    }
+
+    fn empty(run: usize) -> Self {
+        Self {
+            wide: u128::MAX,
+            tie: 1 << 32 | run as u64,
+        }
+    }
+
+    /// The record of a live entry.
+    fn record(self) -> Record {
+        Record::new((self.wide >> 64) as u64, self.wide as u64)
+    }
+
+    /// The run, which is the entry's leaf.
+    fn run(self) -> usize {
+        self.tie as u32 as usize
+    }
+
+    /// `self < other` in `(record, run)` order, without branches.
+    #[inline(always)]
+    fn less(self, other: Entry) -> bool {
+        (self.wide < other.wide) | ((self.wide == other.wide) & (self.tie < other.tie))
+    }
+}
+
+/// A loser tree over a power-of-two number of leaves, each node holding an
+/// entry, key and all: `node[0]` is the champion (the smallest entry), and
+/// `node[v]` for an inner node v the loser of the match there. Leaf i sits
+/// below node `(leaves + i) / 2`. Only the champion's path is ever
+/// replayed.
+struct LoserTree {
+    node: Vec<Entry>,
+    /// Scratch for [`Self::rebuild`]: the winner of each node's subtree,
+    /// leaf i's entry at `leaves + i`.
+    win: Vec<Entry>,
+}
+
+impl LoserTree {
+    fn new(leaves: usize) -> Self {
+        Self {
+            node: (0..leaves).map(Entry::empty).collect(),
+            win: vec![Entry::empty(0); 2 * leaves],
+        }
+    }
+
+    fn champion(&self) -> Entry {
+        self.node[0]
+    }
+
+    /// Play every match, bottom up, over the leaves' entries `leaf(i)`.
+    fn rebuild(&mut self, leaf: impl Fn(usize) -> Entry) {
+        let leaves = self.node.len();
+        for i in 0..leaves {
+            self.win[leaves + i] = leaf(i);
+        }
+        for v in (1..leaves).rev() {
+            let (a, b) = (self.win[2 * v], self.win[2 * v + 1]);
+            let (winner, loser) = if b.less(a) { (b, a) } else { (a, b) };
+            self.win[v] = winner;
+            self.node[v] = loser;
+        }
+        self.node[0] = self.win[1];
+    }
+
+    /// Replay the champion's path with its new entry `win` (same run): at
+    /// each node the rising winner meets the stored loser, and the larger
+    /// stays. The nodes read are fixed by the path, and the compare is
+    /// one branch-free `u128` test.
+    #[inline(always)]
+    fn replay(&mut self, mut win: Entry) {
+        debug_assert_eq!(
+            win.run(),
+            self.champion().run(),
+            "only the champion replays"
+        );
+        let mut v = (self.node.len() + win.run()) / 2;
+        while v > 0 {
+            let other = self.node[v];
+            if other.less(win) {
+                self.node[v] = win;
+                win = other;
+            }
+            v /= 2;
+        }
+        self.node[0] = win;
+    }
+}
+
+/// The max tree's key of an empty slice (or a padding leaf): below every
+/// live `(record, run + 1)`.
 const EMPTY_TAIL: Reverse<(Record, u32)> = Reverse((Record { key: 0, payload: 0 }, 0));
 
 /// Algorithm 2's queue Q (see the module docs): one [`Slice`] per run,
-/// under a min tree over the slices' heads and a max tree over their tails.
-/// The head and tail records are cached flat so the trees compare without
-/// chasing into the slices.
+/// under a min loser tree over the slices' heads and a max winner tree over
+/// their tails. The loser tree holds the heads in its nodes, and the tails
+/// are cached flat, so neither tree chases into the slices.
 pub(super) struct SliceQueue {
     slices: Vec<Slice>,
-    /// `(head record, run)` per leaf.
-    heads: Vec<(Record, u32)>,
     /// `(tail record, run + 1)` per leaf, reversed so that the tree's
     /// smallest key is the largest tail.
     tails: Vec<Reverse<(Record, u32)>>,
-    min: WinnerTree,
+    min: LoserTree,
     max: WinnerTree,
     len: usize,
 }
@@ -148,9 +273,8 @@ impl SliceQueue {
         let leaves = runs.next_power_of_two();
         Self {
             slices: (0..runs).map(|_| Slice::default()).collect(),
-            heads: vec![EMPTY_HEAD; leaves],
             tails: vec![EMPTY_TAIL; leaves],
-            min: WinnerTree::new(leaves),
+            min: LoserTree::new(leaves),
             max: WinnerTree::new(leaves),
             len: 0,
         }
@@ -171,34 +295,18 @@ impl SliceQueue {
         &mut s.recs
     }
 
-    /// Queue `recs[lo..hi]` of run `r`'s block and refresh its cached head
-    /// and tail; the trees are the caller's to replay.
+    /// Queue `recs[lo..hi]` of run `r`'s block and refresh its cached
+    /// tail; the trees are the caller's to replay.
     fn keep(&mut self, r: usize, lo: usize, hi: usize) {
         let s = &mut self.slices[r];
         s.ends_block = hi == s.recs.len();
         s.recs.truncate(hi);
         s.head = lo;
         self.len += hi - lo;
-        self.cache(r);
-    }
-
-    fn cache(&mut self, r: usize) {
-        let s = &self.slices[r];
-        match (s.recs.get(s.head), s.recs.last()) {
-            (Some(&head), Some(&tail)) => {
-                self.heads[r] = (head, r as u32);
-                self.tails[r] = Reverse((tail, r as u32 + 1));
-            }
-            _ => {
-                self.heads[r] = EMPTY_HEAD;
-                self.tails[r] = EMPTY_TAIL;
-            }
-        }
-    }
-
-    fn update(&mut self, r: usize) {
-        self.min.update(&self.heads, r);
-        self.max.update(&self.tails, r);
+        self.tails[r] = match s.recs.last() {
+            Some(&tail) if lo < hi => Reverse((tail, r as u32 + 1)),
+            _ => EMPTY_TAIL,
+        };
     }
 
     /// Phase 1, once every run's current block is loaded into the empty
@@ -227,7 +335,9 @@ impl SliceQueue {
             let hi = s.first(r, |key| bar.is_none_or(|b| key < b));
             self.keep(r, s.head, hi);
         }
-        self.min.rebuild(&self.heads);
+        let slices = &self.slices;
+        self.min
+            .rebuild(|r| slices.get(r).map_or(Entry::empty(r), |s| s.entry(r)));
         self.max.rebuild(&self.tails);
         bar
     }
@@ -235,8 +345,14 @@ impl SliceQueue {
     /// Phase 2's insert of run `r`'s freshly loaded block, record by record
     /// as in the paper: skip keys up to `last_v`, stop at the bar, and into
     /// a full queue of capacity `m` either eject the maximum or reject the
-    /// key; the key turned away becomes the bar.
+    /// key; the key turned away becomes the bar. Run `r` is the pending
+    /// champion: its block-final record was the last pop.
     pub(super) fn insert_block(&mut self, r: usize, m: usize, last_v: Key, bar: &mut Option<Key>) {
+        debug_assert_eq!(
+            self.min.champion().run(),
+            r,
+            "only the champion's run loads a block"
+        );
         let s = &self.slices[r];
         let lo = s.first(r, |key| key <= last_v);
         let mut hi = lo;
@@ -263,30 +379,61 @@ impl SliceQueue {
             hi += 1;
         }
         self.keep(r, lo, hi);
-        self.update(r);
+        self.min.replay(self.slices[r].entry(r));
+        self.max.update(&self.tails, r);
     }
 
     /// Pop the smallest key, and whether it was the last record of its
-    /// block.
+    /// block. A pop that empties the slice leaves the run the pending
+    /// champion (see the module docs).
     pub(super) fn pop_min(&mut self) -> Option<(Key, bool)> {
         if self.len == 0 {
             return None;
         }
         self.len -= 1;
-        let r = self.min.top();
+        let top = self.live_champion();
+        let r = top.run();
         let s = &mut self.slices[r];
-        let key = merge_key(s.recs[s.head], r, s.base + s.head);
+        let key = merge_key(top.record(), r, s.base + s.head);
         s.head += 1;
         if let Some(&next) = s.recs.get(s.head) {
-            self.heads[r] = (next, r as u32);
-            self.min.update(&self.heads, r);
+            self.min.replay(Entry::live(next, r));
             Some((key, false))
         } else {
             let last_in_block = s.ends_block;
-            self.cache(r);
-            self.update(r);
+            self.tails[r] = EMPTY_TAIL;
+            self.max.update(&self.tails, r);
             Some((key, last_in_block))
         }
+    }
+
+    /// The champion once every empty slice that surfaces is dropped: a
+    /// pending champion whose block never came, or a stale head. Q must
+    /// not be empty; every non-empty slice's head is in the tree exactly,
+    /// so one of them surfaces.
+    fn live_champion(&mut self) -> Entry {
+        loop {
+            let top = self.min.champion();
+            let r = top.run();
+            let s = &self.slices[r];
+            if s.head < s.recs.len() {
+                debug_assert!(self.champion_is_min(r), "run {r} is not Q's minimum");
+                return top;
+            }
+            self.min.replay(Entry::empty(r));
+        }
+    }
+
+    /// The champion invariant: the champion is run `r`'s slice head, and no
+    /// other non-empty slice's head is smaller.
+    fn champion_is_min(&self, r: usize) -> bool {
+        let top = self.min.champion();
+        top == self.slices[r].entry(r)
+            && self
+                .slices
+                .iter()
+                .enumerate()
+                .all(|(i, s)| !s.entry(i).less(top))
     }
 
     fn peek_max(&self) -> Option<Key> {
@@ -298,6 +445,8 @@ impl SliceQueue {
         })
     }
 
+    /// Eject the largest key. A slice this empties keeps its head in the
+    /// min tree, stale, until it surfaces as champion.
     fn pop_max(&mut self) -> Option<Key> {
         let key = self.peek_max()?;
         self.len -= 1;
@@ -305,16 +454,11 @@ impl SliceQueue {
         let s = &mut self.slices[r];
         s.recs.pop();
         s.ends_block = false;
-        match s.recs.last() {
-            Some(&tail) if s.head < s.recs.len() => {
-                self.tails[r] = Reverse((tail, r as u32 + 1));
-                self.max.update(&self.tails, r);
-            }
-            _ => {
-                self.cache(r);
-                self.update(r);
-            }
-        }
+        self.tails[r] = match s.recs.last() {
+            Some(&tail) if s.head < s.recs.len() => Reverse((tail, r as u32 + 1)),
+            _ => EMPTY_TAIL,
+        };
+        self.max.update(&self.tails, r);
         Some(key)
     }
 }
@@ -516,6 +660,80 @@ mod tests {
                 load_next(&mut q, &mut reference, &runs[r], (r, b, offset + 1), key);
             }
         }
+    }
+
+    /// Run `ops` on a queue over `runs` (blocks of `b`) and on the
+    /// reference, checking every result: `n` pops the minimum and, when it
+    /// ends its block, loads the run's next block, or none if the run is
+    /// exhausted (as the merge does); `x` pops the maximum. Returns the
+    /// keys popped, in order.
+    fn script(runs: &[Vec<Record>], b: usize, ops: &str) -> Vec<u64> {
+        let (mut q, mut reference) = queue_and_reference(runs, b);
+        let mut popped = Vec::new();
+        for op in ops.chars() {
+            let key = match op {
+                'n' => {
+                    let got = q.pop_min();
+                    let want = reference.pop_first();
+                    assert_eq!(got.map(|(k, last)| (unpack(k), last)), want, "{ops}");
+                    let (key, last) = got.expect("script pops a non-empty queue");
+                    let (_, r, offset) = unpack(key);
+                    if last && offset + 1 < runs[r].len() {
+                        load_next(&mut q, &mut reference, &runs[r], (r, b, offset + 1), key);
+                    }
+                    key
+                }
+                'x' => {
+                    let got = q.pop_max();
+                    assert_eq!(got.map(unpack), reference.pop_last().map(|(k, _)| k));
+                    got.expect("script pops a non-empty queue")
+                }
+                _ => unreachable!("unknown op {op}"),
+            };
+            popped.push(key.0.key);
+            assert_eq!(q.len, reference.len());
+        }
+        popped
+    }
+
+    /// Ejections empty run 0's slice, whose stale head (10) stays in the
+    /// min tree; run 1's next block lies above it, so the stale head
+    /// surfaces as champion and is dropped rather than popped.
+    #[test]
+    fn an_ejected_slice_surfaces_as_champion_and_is_dropped() {
+        let rec = Record::keyed;
+        let runs = vec![
+            vec![rec(10), rec(11)],
+            vec![rec(1), rec(2), rec(20), rec(21)],
+        ];
+        assert_eq!(script(&runs, 2, "xxnnnn"), [11, 10, 1, 2, 20, 21]);
+        // The same with the stale run below a pending champion, and three
+        // runs so the stale leaf is not the champion's sibling.
+        let runs = vec![
+            vec![rec(1), rec(2), rec(30)],
+            vec![rec(10), rec(12)],
+            vec![rec(5), rec(6), rec(40)],
+        ];
+        assert_eq!(script(&runs, 2, "xxnnnnn"), [12, 10, 1, 2, 5, 6, 30]);
+    }
+
+    /// A block-final pop of an exhausted run loads nothing: the run stays
+    /// the pending champion until the next pop replays it as empty, with
+    /// an ejection in between or not.
+    #[test]
+    fn an_exhausted_champion_is_replayed_at_the_next_pop() {
+        let rec = Record::keyed;
+        let runs = vec![
+            vec![rec(1), rec(2)],
+            vec![rec(3), rec(4), rec(5), rec(6)],
+            vec![],
+        ];
+        assert_eq!(script(&runs, 2, "nnnnnn"), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(script(&runs, 2, "nnxn"), [1, 2, 4, 3]);
+        // An ejection cut run 0's tail, so its last pop ends no block and
+        // loads nothing either.
+        let runs = vec![vec![rec(1), rec(9), rec(10)], vec![rec(3), rec(4)]];
+        assert_eq!(script(&runs, 2, "xnnn"), [9, 1, 3, 4]);
     }
 
     proptest! {

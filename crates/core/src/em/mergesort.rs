@@ -47,9 +47,10 @@
 //! record-only ordering (`tests/cost_golden.rs` and the committed
 //! `BENCH_*.json` baselines pin this).
 //!
-//! **Implementation.** Q is a slice of each run's current block under two
-//! winner trees, and phase 1 is one selection; `em/merge_queue.rs` shows
-//! that every decision is the one record-by-record inserts make.
+//! **Implementation.** Q is a slice of each run's current block under a
+//! min loser tree and a max winner tree, and phase 1 is one selection;
+//! `em/merge_queue.rs` shows that every decision is the one
+//! record-by-record inserts make.
 //!
 //! The slices need sorted runs, so a block that is not sorted, or a round
 //! that finds nothing to write (a run that descends across a block

@@ -12,9 +12,9 @@
 //!   2's phase 1, the buffer tree (sorting full buffers) and the priority
 //!   queue (β extraction).
 //! * [`mergesort`] — Algorithm 2: l-way merge in rounds. Its queue
-//!   (`merge_queue`) is a slice of each run's current block under two
-//!   winner trees, and each round's first phase is one selection of the M
-//!   smallest candidates.
+//!   (`merge_queue`) is a slice of each run's current block under a loser
+//!   tree over the heads and a winner tree over the tails, and each
+//!   round's first phase is one selection of the M smallest candidates.
 //! * [`samplesort`] — §4.2: l-way distribution in k rounds of M/B splitters.
 //! * [`buffer_tree`] — §4.3.1–2: the (l/4, l) buffer tree.
 //! * [`pq`] — §4.3.3: the priority queue with α/β working sets.

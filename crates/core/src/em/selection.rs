@@ -28,6 +28,14 @@
 //! M. Sorting plain 16-byte records needs no tie-break for duplicates:
 //! equal records cannot be told apart in the output.
 //!
+//! The host sort is run-aware. A compaction's input is its few sorted runs
+//! laid end to end, so an input with at most eight descents (counted with
+//! an early exit) goes to the stable `sort`, which finds the runs and
+//! merges them in O(n log runs); any other input keeps `sort_unstable`,
+//! and a shuffled one pays only the few comparisons that find nine
+//! descents. Equal records cannot be told apart, so both give the same
+//! output.
+//!
 //! `Smallest` keeps the `cap` smallest of a stream of keys for the β
 //! extraction and the phase-1 cutoff. Their candidates are keyed
 //! `(Record, index)`, a stable tie-break that keeps duplicate records
@@ -127,7 +135,11 @@ pub(crate) fn selection_passes(
     let mut all = Vec::with_capacity(n);
     scan(&mut |block| all.extend_from_slice(block))?;
     check(all.len())?;
-    all.sort_unstable();
+    if few_descents(&all) {
+        all.sort();
+    } else {
+        all.sort_unstable();
+    }
     for (pass, chunk) in all.chunks(m).enumerate() {
         if pass > 0 {
             let mut found = 0;
@@ -137,6 +149,19 @@ pub(crate) fn selection_passes(
         emit(chunk);
     }
     Ok(())
+}
+
+/// The most descents an input may hold and still count as a few sorted
+/// runs laid end to end, as a compaction's input is.
+const FEW_DESCENTS: usize = 8;
+
+/// Whether `recs` holds at most [`FEW_DESCENTS`] descents; the count stops
+/// at the first one past it, so a shuffled input pays a few comparisons.
+fn few_descents(recs: &[Record]) -> bool {
+    recs.windows(2)
+        .filter(|w| w[1] < w[0])
+        .nth(FEW_DESCENTS)
+        .is_none()
 }
 
 /// Sort `input` (n ≤ kM) with the Lemma 4.2 selection sort; `k` only bounds
@@ -186,6 +211,9 @@ mod tests {
     use asym_model::workload::Workload;
     use em_sim::EmConfig;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn machine(m: usize, b: usize, omega: u64) -> EmMachine {
         // M-record candidate set + load buffer + store buffer.
@@ -401,6 +429,58 @@ mod tests {
             result.expect("sorts");
             assert_eq!(log.len(), 2 * n.div_ceil(m), "{wl:?}: ⌈n/M⌉ scans");
             assert_eq!(log, expect, "{wl:?}");
+        }
+    }
+
+    /// `runs` ascending runs of `len ≥ 5` records laid end to end, each
+    /// over keys 0..5 with repeats (so records repeat within and across
+    /// runs): every run but the first starts with a descent.
+    fn concatenated_runs(runs: usize, len: usize) -> Vec<Record> {
+        (0..runs)
+            .flat_map(|r| {
+                (0..len).map(move |j| Record::new(5 * j as u64 / len as u64, r as u64 % 2))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn few_descents_stops_counting_past_the_threshold() {
+        for (runs, few) in [
+            (1, true),
+            (2, true),
+            (FEW_DESCENTS + 1, true),
+            (FEW_DESCENTS + 2, false),
+        ] {
+            let input = concatenated_runs(runs, 6);
+            assert_eq!(few_descents(&input), few, "{runs} runs");
+        }
+        assert!(few_descents(&[]));
+        assert!(!few_descents(&Workload::UniformRandom.generate(64, 5)));
+    }
+
+    /// Inputs the run-aware sort takes (a few runs, duplicates, descents at
+    /// the threshold) and inputs it leaves to `sort_unstable` (just past
+    /// it, many runs, shuffled) give the same scan and emit log: ⌈n/m⌉
+    /// scans, each followed by the next m records of the sorted order.
+    #[test]
+    fn few_run_and_many_run_inputs_scan_and_emit_alike() {
+        for runs in [1, 2, 4, FEW_DESCENTS + 1, FEW_DESCENTS + 2, 40] {
+            let input = concatenated_runs(runs, 7);
+            let mut shuffled = input.clone();
+            shuffled.shuffle(&mut StdRng::seed_from_u64(runs as u64));
+            let mut sorted = input.clone();
+            sorted.sort_unstable();
+            for m in [5, 16, input.len()] {
+                let expect: Vec<Pass> = sorted
+                    .chunks(m)
+                    .flat_map(|chunk| [Pass::Scan, Pass::Emit(chunk.to_vec())])
+                    .collect();
+                for case in [&input, &shuffled] {
+                    let (result, log) = passes(m, case, 0);
+                    result.expect("sorts");
+                    assert_eq!(log, expect, "{runs} runs, m={m}");
+                }
+            }
         }
     }
 

@@ -180,7 +180,25 @@ impl Workload {
 /// `n` unique uniformly distributed keys in `[0, MAX_KEY]`, ascendingly biased
 /// rejection-free construction: sample with replacement, then deduplicate by
 /// mixing in a counter (key space is 2^64 so collisions are already rare).
+///
+/// The collision walk draws nothing, so every key is one draw and the stream
+/// is the same whether or not a key repeats. The keys are therefore drawn
+/// first and checked for a repeat in cache-sized buckets; only on a repeat
+/// are the same draws rerun through the key set ([`walked_unique_keys`]),
+/// which gives the same keys and leaves `rng` where the fast path does.
 fn unique_uniform_keys(n: usize, rng: &mut StdRng) -> Vec<u64> {
+    let start = rng.clone();
+    let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=MAX_KEY)).collect();
+    if !has_repeat(&keys) {
+        return keys;
+    }
+    *rng = start;
+    walked_unique_keys(n, rng)
+}
+
+/// [`unique_uniform_keys`] through the key set: each draw that repeats an
+/// earlier key walks on by a fixed odd step until it is new.
+fn walked_unique_keys(n: usize, rng: &mut StdRng) -> Vec<u64> {
     let mut keys: Vec<u64> = Vec::with_capacity(n);
     let mut used =
         HashSet::with_capacity_and_hasher(n * 2, BuildHasherDefault::<KeyHasher>::default());
@@ -194,7 +212,61 @@ fn unique_uniform_keys(n: usize, rng: &mut StdRng) -> Vec<u64> {
     keys
 }
 
-/// A one-multiply hasher for the key set of [`unique_uniform_keys`]. The
+/// Keys per bucket of [`has_repeat`], on average: a bucket's open-addressed
+/// table (twice as many slots, 8 bytes each) stays within a 64 KB cache.
+const REPEAT_BUCKET: usize = 4096;
+
+/// Whether any key in `keys` (each at most [`MAX_KEY`]) occurs twice. The
+/// keys are split by their top bits into buckets of about
+/// [`REPEAT_BUCKET`], so equal keys share a bucket, and each bucket is
+/// checked in a small open-addressed table; `u64::MAX`, above every key,
+/// marks an empty slot.
+fn has_repeat(keys: &[u64]) -> bool {
+    let bits = (keys.len() / REPEAT_BUCKET)
+        .next_power_of_two()
+        .trailing_zeros();
+    let bucket = |k: u64| k.checked_shr(u64::BITS - bits).unwrap_or(0) as usize;
+    let mut starts = vec![0usize; (1 << bits) + 1];
+    for &k in keys {
+        starts[bucket(k) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut grouped = vec![0u64; keys.len()];
+    let mut next = starts.clone();
+    for &k in keys {
+        let b = bucket(k);
+        grouped[next[b]] = k;
+        next[b] += 1;
+    }
+    let mut table = Vec::new();
+    starts.windows(2).any(|w| {
+        let part = &grouped[w[0]..w[1]];
+        let slots = (2 * part.len()).next_power_of_two();
+        table.clear();
+        table.resize(slots, u64::MAX);
+        let shift = u64::BITS - slots.trailing_zeros();
+        part.iter().any(|&k| {
+            let mut i = k
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .checked_shr(shift)
+                .unwrap_or(0) as usize;
+            loop {
+                match table[i] {
+                    u64::MAX => {
+                        table[i] = k;
+                        return false;
+                    }
+                    t if t == k => return true,
+                    _ => i = (i + 1) & (slots - 1),
+                }
+            }
+        })
+    })
+}
+
+/// A one-multiply hasher for the key set of [`walked_unique_keys`]. The
 /// keys are uniform draws, so SipHash's flood resistance buys nothing, and
 /// the generated keys depend only on the set's membership, which no hasher
 /// changes.
@@ -395,6 +467,61 @@ mod tests {
             set.len()
         );
         assert!(!Workload::DuplicateHeavy.unique_records());
+    }
+
+    /// The bucketed fast path gives the keys the key set gives, and leaves
+    /// the generator where the key set leaves it, across sizes that make
+    /// one bucket, several, and a partial last one.
+    #[test]
+    fn fast_unique_keys_equal_the_key_set_walk() {
+        for n in [0, 1, 2, 100, 4095, 4097, 20_000, 70_001] {
+            for seed in [0, 1, 7, 0xDEAD] {
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut walked = fast.clone();
+                let keys = unique_uniform_keys(n, &mut fast);
+                assert_eq!(
+                    keys,
+                    walked_unique_keys(n, &mut walked),
+                    "n={n} seed={seed}"
+                );
+                let next = |rng: &mut StdRng| rng.gen_range(0..=u64::MAX);
+                assert_eq!(next(&mut fast), next(&mut walked), "n={n} seed={seed}");
+            }
+        }
+    }
+
+    /// A planted repeat is found wherever it lands: in the first, a
+    /// middle and the last bucket, at the edges of the key range, and
+    /// next to its twin or far from it.
+    #[test]
+    fn has_repeat_finds_a_planted_duplicate_in_any_bucket() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let keys: Vec<u64> = (0..3 * REPEAT_BUCKET + 17)
+            .map(|_| rng.gen_range(0..=MAX_KEY))
+            .collect();
+        assert!(!has_repeat(&keys));
+        assert!(!has_repeat(&[]) && !has_repeat(&[MAX_KEY]));
+        let mut by_key: Vec<usize> = (0..keys.len()).collect();
+        by_key.sort_unstable_by_key(|&i| keys[i]);
+        let n = keys.len();
+        // Twin pairs: the smallest and largest keys (first and last
+        // buckets), a middle one, and neighbours in position.
+        for (from, to) in [
+            (by_key[0], by_key[n - 1]),
+            (by_key[n - 1], 0),
+            (by_key[n / 2], n - 1),
+            (5, 6),
+        ] {
+            let mut planted = keys.clone();
+            planted[to] = planted[from];
+            assert!(has_repeat(&planted), "key {} copied to {to}", planted[from]);
+        }
+        for edge in [0, MAX_KEY] {
+            let mut planted = keys.clone();
+            planted[1] = edge;
+            planted[n - 2] = edge;
+            assert!(has_repeat(&planted), "edge key {edge}");
+        }
     }
 
     #[test]

@@ -44,9 +44,9 @@ use asym_core::sort::{CheckpointManifest, SortOutcome};
 use asym_model::json::{self, Json, JsonObj};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The audit schema this build writes. It replays every version from 1 up
 /// to this one.
@@ -198,19 +198,24 @@ impl AuditEvent {
         }
     }
 
-    /// The `accepted` line for a request already rendered by
-    /// [`JobRequest::to_json`]: exactly what [`AuditEvent::to_json`] renders
-    /// for [`AuditEvent::Accepted`]. The service renders the (possibly
-    /// large) request before it takes its state lock, and only this cheap
-    /// splice of the assigned id runs under it.
-    fn accepted_line(id: JobId, predicted_bytes: u64, request: &str) -> String {
+    /// The `accepted` line around a request rendered by
+    /// [`JobRequest::to_json`]: the text before the request and the text
+    /// after it, so that the line is `before + request + after`, exactly
+    /// what [`AuditEvent::to_json`] renders for [`AuditEvent::Accepted`].
+    /// The service renders the (possibly large) request before it takes its
+    /// state lock, and only this short frame is built under it.
+    fn accepted_frame(id: JobId, predicted_bytes: u64) -> (String, &'static str) {
+        const CLOSE: &str = " }";
         let mut o = JsonObj::new();
         o.u64("v", SCHEMA_VERSION)
             .str("event", "accepted")
             .u64("id", id)
             .u64("predicted_bytes", predicted_bytes)
-            .raw("request", request);
-        o.finish()
+            .raw("request", "");
+        let mut before = o.finish();
+        debug_assert!(before.ends_with(CLOSE), "an object closes with {CLOSE:?}");
+        before.truncate(before.len() - CLOSE.len());
+        (before, CLOSE)
     }
 
     /// Stable wire name of the event.
@@ -239,7 +244,8 @@ impl AuditEvent {
                 request,
                 predicted_bytes,
             } => {
-                return AuditEvent::accepted_line(*id, *predicted_bytes, &request.to_json());
+                let (before, after) = AuditEvent::accepted_frame(*id, *predicted_bytes);
+                return before + &request.to_json() + after;
             }
             AuditEvent::Rejected(refusal) => {
                 o.str(
@@ -461,8 +467,9 @@ impl ReplayOutcome {
 /// transitions below.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayJob {
-    /// The embedded request, ready to re-run.
-    pub request: JobRequest,
+    /// The embedded request, ready to re-run. Shared, so that a worker
+    /// takes it from the service's state without copying its inline input.
+    pub request: Arc<JobRequest>,
     /// Attempts already consumed (max attempt number seen).
     pub attempts: u32,
     /// The job's fate so far.
@@ -485,7 +492,7 @@ impl ReplayJob {
     /// An accepted job: no attempts, no progress, no outcome.
     pub(crate) fn new(request: JobRequest) -> ReplayJob {
         ReplayJob {
-            request,
+            request: Arc::new(request),
             attempts: 0,
             outcome: ReplayOutcome::Pending,
             manifest: None,
@@ -617,7 +624,7 @@ pub fn replay(text: &str) -> Result<Replay, AuditError> {
 }
 
 /// `audit.jsonl` in a service root, as the service writes it. Each append
-/// is one line and its newline in one `write_all` under the log's lock, so
+/// is one line and its newline, written whole under the log's lock, so
 /// lines never interleave and a crash cannot leave a whole line without
 /// its terminator. After [`AuditLog::kill`] appends vanish and succeed, as
 /// they would have after the real process died.
@@ -654,12 +661,20 @@ impl AuditLog {
 
     /// Append one event.
     pub(crate) fn append(&self, ev: &AuditEvent) -> io::Result<()> {
-        self.write_line(ev.to_json())
+        self.write_line(&ev.to_json())
     }
 
-    /// Append the `accepted` event of a request rendered by [`JobRequest::to_json`].
+    /// Append the `accepted` event of a request rendered by
+    /// [`JobRequest::to_json`]. The request text is written from where it
+    /// lies, between its frame's two halves, never copied into the line.
     pub(crate) fn append_accepted(&self, id: JobId, bytes: u64, request: &str) -> io::Result<()> {
-        self.write_line(AuditEvent::accepted_line(id, bytes, request))
+        let (before, after) = AuditEvent::accepted_frame(id, bytes);
+        self.write_parts(&mut [
+            IoSlice::new(before.as_bytes()),
+            IoSlice::new(request.as_bytes()),
+            IoSlice::new(after.as_bytes()),
+            IoSlice::new(b"\n"),
+        ])
     }
 
     /// The simulated crash: every later append vanishes.
@@ -667,12 +682,26 @@ impl AuditLog {
         *self.0.lock().expect("audit log") = None;
     }
 
-    fn write_line(&self, mut line: String) -> io::Result<()> {
-        line.push('\n');
-        match &mut *self.0.lock().expect("audit log") {
-            Some(f) => f.write_all(line.as_bytes()),
-            None => Ok(()),
+    fn write_line(&self, line: &str) -> io::Result<()> {
+        self.write_parts(&mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")])
+    }
+
+    /// Write `parts` back to back, whole, under the log's lock: vectored
+    /// writes until every byte is out.
+    fn write_parts(&self, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+        let mut guard = self.0.lock().expect("audit log");
+        let Some(f) = &mut *guard else {
+            return Ok(());
+        };
+        while !parts.is_empty() {
+            match f.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
+        Ok(())
     }
 }
 
@@ -789,19 +818,38 @@ mod tests {
         }
     }
 
-    /// `submit` renders the request before it takes the state lock and
-    /// splices the id in under it; the line must be the event's own.
+    /// `submit` renders the request before it takes the state lock, and
+    /// under it the log writes the line's frame around that text; the bytes
+    /// must be the event's own line, in the same `JsonObj` layout as every
+    /// other event.
     #[test]
     fn the_prerendered_accepted_line_is_the_event_line() {
         let r = JobRequest::inline(request().spec, Workload::Zipf.generate(50, 2));
-        let line = AuditEvent::accepted_line(7, 4096, &r.to_json());
+        let mut o = JsonObj::new();
+        o.u64("v", SCHEMA_VERSION)
+            .str("event", "accepted")
+            .u64("id", 7)
+            .u64("predicted_bytes", 4096)
+            .raw("request", &r.to_json());
+        let line = o.finish();
         let event = AuditEvent::Accepted {
             id: 7,
-            request: r,
+            request: r.clone(),
             predicted_bytes: 4096,
         };
         assert_eq!(line, event.to_json());
         assert_eq!(AuditEvent::from_json(&line), Ok(event));
+
+        let root = std::env::temp_dir().join(format!("asym-audit-accepted-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (audit, _) = AuditLog::recover(&root).expect("opens");
+        audit
+            .append_accepted(7, 4096, &r.to_json())
+            .expect("append");
+        audit.append(&AuditEvent::Drained).expect("append");
+        let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("read");
+        assert_eq!(text, line + "\n" + &AuditEvent::Drained.to_json() + "\n");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A job that asked for its output logs lean telemetry plus the

@@ -99,12 +99,12 @@ impl JobRequest {
         self.input.as_ref().map_or(self.records, Vec::len)
     }
 
-    /// The records this job sorts: the inline payload, or the named
-    /// workload regenerated from its seed.
-    pub(crate) fn input_records(&self) -> Vec<Record> {
+    /// The records this job sorts: the inline payload, borrowed, or the
+    /// named workload regenerated from its seed.
+    pub(crate) fn input_records(&self) -> Cow<'_, [Record]> {
         match &self.input {
-            Some(records) => records.clone(),
-            None => self.workload.generate(self.records, self.data_seed),
+            Some(records) => Cow::Borrowed(records),
+            None => Cow::Owned(self.workload.generate(self.records, self.data_seed)),
         }
     }
 

@@ -1061,7 +1061,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             inner.audit_event(&AuditEvent::Started { id, attempt });
             (
                 id,
-                entry.job.request.clone(),
+                Arc::clone(&entry.job.request),
                 attempt,
                 failed_since_progress,
                 manifest,
@@ -1246,7 +1246,8 @@ fn run_job(
     } else {
         request.spec.clone()
     };
-    // Inline payloads sort verbatim; generator jobs regenerate server-side.
+    // Inline payloads sort verbatim, borrowed from the shared request;
+    // generator jobs regenerate server-side.
     let input = request.input_records();
     let outcome = if request.checkpoint {
         // Staged path: resume from the folded durable manifests when they
@@ -1290,7 +1291,7 @@ fn rebuilt_outcome(
     lean: &str,
     logged: u64,
 ) -> Result<SortOutcome, RecoverError> {
-    let mut output = request.input_records();
+    let mut output = request.input_records().into_owned();
     output.sort_unstable();
     let rebuilt = records_digest(&output);
     if rebuilt != logged {
