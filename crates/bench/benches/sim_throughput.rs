@@ -8,6 +8,9 @@
 //!
 //! * `raw-stream` — stage → `EmReader` → `EmWriter` copy (pure simulator
 //!   overhead, no algorithm);
+//! * `stage-gather` — stage the input, then gather it back: the uncharged
+//!   bulk paths every `sort::run` starts and ends with, zero modeled
+//!   transfers;
 //! * `e3-mergesort-k{1,4,16}` — the Algorithm 2 mergesort (exercises the
 //!   slice merge queue and its phase-1 selection);
 //! * `e3-mergesort-k4-runs4` — the same k=4 mergesort over a compaction's
@@ -71,7 +74,7 @@ struct Case {
 fn cases(scale: Scale) -> Vec<Case> {
     let n_raw = scale.pick(100_000usize, 2_000_000, 10_000_000);
     let n_sort = scale.pick(20_000usize, 200_000, 1_000_000);
-    let mut cases = vec![raw_stream_case(n_raw)];
+    let mut cases = vec![raw_stream_case(n_raw), stage_gather_case(n_raw)];
     for (id, algorithm, k, seed) in SORTS {
         let input = Workload::UniformRandom.generate(n_sort, seed);
         cases.push(sort_case(id, algorithm, k, seed, input));
@@ -100,6 +103,25 @@ fn raw_stream_case(n: usize) -> Case {
             drop(r);
             let out = w.finish();
             assert_eq!(out.len(), n);
+            em.stats()
+        }),
+    }
+}
+
+/// Stage n records and gather them back: the store's uncharged bulk
+/// paths, which charge no transfer.
+fn stage_gather_case(n: usize) -> Case {
+    let input: Vec<Record> = Workload::UniformRandom.generate(n, 0x5EED);
+    Case {
+        id: "stage-gather",
+        algorithm: "",
+        n,
+        run: Box::new(move || {
+            let em = asym_bench::machine(EmConfig::new(M, B, OMEGA));
+            let v = EmVec::stage(&em, &input);
+            let out = v.read_all_uncharged(&em);
+            assert_eq!(out.len(), n);
+            v.free(&em);
             em.stats()
         }),
     }

@@ -1,5 +1,5 @@
-//! [`run`], the one `match` that dispatches a [`SortSpec`] to its
-//! algorithm's engine, and the unified [`SortOutcome`].
+//! [`run`] and [`run_lean`], the one `match` that dispatches a
+//! [`SortSpec`] to its algorithm's engine, and the unified [`SortOutcome`].
 
 use super::spec::{Algorithm, SortSpec};
 use crate::em::{aem_heapsort, aem_mergesort, aem_samplesort};
@@ -17,8 +17,12 @@ use wd_sim::{Cost, StealStats};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SortOutcome {
     /// The sorted records (gathered to host memory, uncharged — the
-    /// disk-resident runs are the algorithm's output).
+    /// disk-resident runs are the algorithm's output). Empty for a lean
+    /// run ([`run_lean`]) and for telemetry decoded without its records.
     pub output: Vec<Record>,
+    /// How many records the sort produced: `output.len()` when the output
+    /// was gathered, and the input's length when it was not.
+    pub output_len: usize,
     /// Transfer statistics, merged across lanes for parallel runs. Includes
     /// the steal warm-up charge when the spec enables it.
     pub stats: EmStats,
@@ -69,23 +73,30 @@ pub struct ParData {
 }
 
 /// Shared sequential plumbing: build the spec's machine, stage the input
-/// (uncharged), run the engine, gather the output, and assert that freeing
-/// the output leaves the store fully released — every engine frees what
-/// it allocates.
+/// (uncharged), run the engine, gather the output unless the run is
+/// `lean`, and assert that freeing the output leaves the store fully
+/// released — every engine frees what it allocates.
 fn run_serial(
     spec: &SortSpec,
     input: &[Record],
+    lean: bool,
     engine: impl FnOnce(&EmMachine, EmVec) -> Result<EmVec>,
 ) -> Result<SortOutcome> {
     let em = spec.machine()?;
     let staged = EmVec::stage(&em, input);
     let sorted = engine(&em, staged)?;
-    let output = sorted.read_all_uncharged(&em);
+    let output_len = sorted.len();
+    let output = if lean {
+        Vec::new()
+    } else {
+        sorted.read_all_uncharged(&em)
+    };
     sorted.free(&em);
     assert_eq!(em.live_blocks(), 0, "engine leaked disk blocks");
     let stats = em.stats();
     Ok(SortOutcome {
         output,
+        output_len,
         stats,
         report: stats.report(spec.omega()),
         parallel: None,
@@ -99,23 +110,39 @@ fn run_serial(
 ///
 /// [`ModelError`]: asym_model::ModelError
 pub fn run(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
+    dispatch(spec, input, false)
+}
+
+/// [`run`] for a caller that wants only the counts: the sequential sorts
+/// free their sorted runs without gathering them into host memory, so the
+/// outcome's `output` is empty and `output_len` is the input's length.
+/// Every charged transfer, and so every count, is `run`'s. The parallel
+/// sort still gathers (its engine returns the gathered runs) and drops
+/// the records here.
+pub fn run_lean(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
+    dispatch(spec, input, true)
+}
+
+fn dispatch(spec: &SortSpec, input: &[Record], lean: bool) -> Result<SortOutcome> {
     let k = spec.k();
     match spec.algorithm() {
-        Algorithm::Mergesort => run_serial(spec, input, |em, v| aem_mergesort(em, v, k)),
+        Algorithm::Mergesort => run_serial(spec, input, lean, |em, v| aem_mergesort(em, v, k)),
         // The spec's seed drives the splitter sampling, so runs are
         // deterministic in the spec.
-        Algorithm::Samplesort => run_serial(spec, input, |em, v| {
+        Algorithm::Samplesort => run_serial(spec, input, lean, |em, v| {
             aem_samplesort(em, v, k, &mut StdRng::seed_from_u64(spec.seed()))
         }),
-        Algorithm::Heapsort => run_serial(spec, input, |em, v| aem_heapsort(em, v, k)),
+        Algorithm::Heapsort => run_serial(spec, input, lean, |em, v| aem_heapsort(em, v, k)),
         Algorithm::ParSamplesort => {
             let par = spec.par_machine()?;
             let (run, steal_warmup) =
                 par_aem_sample_sort(&par, input, k, spec.seed(), spec.steal_charge())?;
             assert_eq!(par.live_blocks(), 0, "a run must release every block");
             let stats = run.merged;
+            let output_len = run.output.len();
             Ok(SortOutcome {
-                output: run.output,
+                output: if lean { Vec::new() } else { run.output },
+                output_len,
                 stats,
                 report: stats.report(spec.omega()),
                 parallel: Some(ParData {
@@ -153,6 +180,15 @@ mod tests {
             for input in [&uniform[..], &[]] {
                 let outcome = run(&spec, input).expect("run");
                 assert_sorted_permutation(input, &outcome.output);
+                assert_eq!(outcome.output_len, input.len());
+                let lean = run_lean(&spec, input).expect("lean run");
+                assert!(lean.output.is_empty(), "{algorithm}");
+                assert_eq!(lean.output_len, input.len(), "{algorithm}");
+                assert_eq!(
+                    (lean.stats, lean.report, &lean.parallel),
+                    (outcome.stats, outcome.report, &outcome.parallel),
+                    "{algorithm}: a lean run pays the same transfers"
+                );
                 assert_eq!(
                     outcome.stats.block_writes > 0,
                     !input.is_empty(),

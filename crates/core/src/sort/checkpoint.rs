@@ -560,6 +560,7 @@ fn execute(
     let output = runs.pop().expect("the plan always ends with one run");
     debug_assert!(runs.is_empty(), "merge rounds must converge to one run");
     Ok(SortOutcome {
+        output_len: output.len(),
         output,
         stats: cum,
         report: cum.report(spec.omega()),

@@ -18,6 +18,9 @@
 //!   are cost-identical by construction — `tests/cost_golden.rs` freezes
 //!   the counts through the free functions and `tests/sort_api.rs` pins
 //!   the equivalence.
+//! * [`run_lean`] — `run` for a caller that wants only the counts: the
+//!   sorted runs are freed without gathering them to host memory, and the
+//!   outcome keeps only their length (`output_len`).
 //! * [`SortOutcome`] — output, merged [`EmStats`](em_sim::EmStats), a
 //!   [`CostReport`](asym_model::CostReport), and per-lane / per-phase /
 //!   scheduler detail for parallel runs.
@@ -59,7 +62,7 @@ pub use checkpoint::{
     MemCheckpointer, StagePlan, MANIFEST_VERSION,
 };
 
-pub use adapters::{run, ParData, SortOutcome};
+pub use adapters::{run, run_lean, ParData, SortOutcome};
 pub use predict::CostEstimate;
 pub use spec::{
     env_backend, env_thread_cap, parse_backend, parse_thread_cap, Algorithm, SortSpec,

@@ -285,10 +285,11 @@ fn cost_from(v: &Json, what: &str) -> Result<Cost, WireError> {
 
 impl SortOutcome {
     /// Render the outcome as JSON telemetry: the merged stats, ω, the
-    /// weighted total, per-lane / per-phase / scheduler detail for parallel
-    /// runs, and — only when `include_output` — the sorted records
-    /// themselves as `[key, payload]` pairs (telemetry consumers usually
-    /// want counts, not payload bytes).
+    /// weighted total, `output_len`, per-lane / per-phase / scheduler
+    /// detail for parallel runs, and — only when `include_output` — the
+    /// sorted records themselves as `[key, payload]` pairs (telemetry
+    /// consumers usually want counts, not payload bytes). A lean outcome
+    /// holds no records, so it is rendered without them.
     pub fn to_json(&self, include_output: bool) -> String {
         let mut o = JsonObj::new();
         o.u64("reads", self.stats.block_reads)
@@ -296,7 +297,7 @@ impl SortOutcome {
             .u64("peak_memory", self.stats.peak_memory as u64)
             .u64("omega", self.report.omega)
             .u64("io_cost", self.io_cost())
-            .u64("output_len", self.output.len() as u64);
+            .u64("output_len", self.output_len as u64);
         if include_output {
             o.records("output", &self.output);
         }
@@ -330,8 +331,10 @@ impl SortOutcome {
     }
 
     /// Decode telemetry back into a [`SortOutcome`]. An absent `output`
-    /// field (telemetry without payload) decodes as an empty output vector;
-    /// `output_len` is informative only.
+    /// field (telemetry without payload) decodes as an empty output vector
+    /// that keeps the logged `output_len`; an absent `output_len` falls
+    /// back to the output's length, and an `output` whose length disagrees
+    /// with it is malformed.
     pub fn from_json(text: &str) -> Result<SortOutcome, WireError> {
         let mut v = Json::parse(text).map_err(WireError::Malformed)?;
         let output = v.take("output");
@@ -357,6 +360,7 @@ impl SortOutcome {
             peak_memory: req_u64(obj, "peak_memory")? as usize,
         };
         let omega = req_u64(obj, "omega")?;
+        let has_output = output.is_some();
         let output = match output {
             None => Vec::new(),
             Some(arr) => json::records_of(arr).map_err(|e| match e {
@@ -364,6 +368,19 @@ impl SortOutcome {
                 RecordsError::NotPair => malformed("output records are [key, payload] pairs"),
                 e => malformed(e.to_string()),
             })?,
+        };
+        let output_len = match json::find(obj, "output_len") {
+            None => output.len(),
+            Some(_) => {
+                let len = req_u64(obj, "output_len")? as usize;
+                if has_output && len != output.len() {
+                    return Err(malformed(format!(
+                        "\"output\" holds {} records but \"output_len\" is {len}",
+                        output.len()
+                    )));
+                }
+                len
+            }
         };
         let parallel = match json::find(obj, "parallel") {
             None => None,
@@ -425,6 +442,7 @@ impl SortOutcome {
         };
         Ok(SortOutcome {
             output,
+            output_len,
             stats,
             report: stats.report(omega),
             parallel,
@@ -460,7 +478,7 @@ pub fn records_digest(records: &[Record]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sort::run;
+    use crate::sort::{self, run};
     use asym_model::workload::Workload;
 
     #[test]
@@ -650,6 +668,30 @@ mod tests {
         let without = SortOutcome::from_json(&outcome.to_json(false)).expect("decode");
         assert!(without.output.is_empty());
         assert_eq!(without.stats, outcome.stats);
+        // The lean form keeps its length, so it re-renders byte for byte.
+        assert_eq!(without.output_len, 500);
+        assert_eq!(without.to_json(false), outcome.to_json(false));
+        let lean = sort::run_lean(&spec, &input).expect("lean run");
+        assert_eq!(lean.to_json(false), outcome.to_json(false));
+    }
+
+    #[test]
+    fn output_len_falls_back_to_the_output_and_must_agree_with_it() {
+        let head = r#"{ "reads": 1, "writes": 1, "peak_memory": 4, "omega": 8"#;
+        let old = SortOutcome::from_json(&format!("{head}, \"output\": [[1, 2]] }}")).unwrap();
+        assert_eq!((old.output.len(), old.output_len), (1, 1));
+        let lean = SortOutcome::from_json(&format!("{head}, \"output_len\": 9 }}")).unwrap();
+        assert_eq!((lean.output.len(), lean.output_len), (0, 9));
+        for bad in [
+            r#""output_len": 2, "output": [[1, 2]]"#,
+            r#""output_len": 1, "output": []"#,
+        ] {
+            let err = SortOutcome::from_json(&format!("{head}, {bad} }}")).unwrap_err();
+            assert!(
+                matches!(err, WireError::Malformed(ref m) if m.contains("output_len")),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

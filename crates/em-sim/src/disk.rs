@@ -6,7 +6,10 @@
 //! array may be partial). Released slots go on a free list and are reused by
 //! the next allocation, so a long-running simulation settles into a fixed
 //! arena with **zero per-block heap allocations**: every transfer is a
-//! `memcpy` into or out of the slab.
+//! `memcpy` into or out of the slab. The uncharged gather copies straight
+//! out of the slab. Staging keeps the per-block default: reserving the
+//! whole slab up front measured slower, as the gather after it then
+//! page-faulted its entire output on every run.
 
 use crate::store::{BlockId, BlockStore, SlotTable};
 use asym_model::{Record, Result};
@@ -68,6 +71,14 @@ impl BlockStore for MemStore {
         let start = slot * self.block_size;
         self.data[start..start + records.len()].copy_from_slice(records);
         BlockId(slot)
+    }
+
+    /// Copies straight out of the slab, with no per-block buffer.
+    fn gather(&mut self, ids: &[BlockId], out: &mut Vec<Record>) -> Result<()> {
+        for &id in ids {
+            out.extend_from_slice(self.slice(id)?);
+        }
+        Ok(())
     }
 
     fn read_into(&mut self, id: BlockId, out: &mut Vec<Record>) -> Result<()> {

@@ -243,8 +243,8 @@ impl EmMachine {
         }
     }
 
-    /// Uncharged read of a block into a caller-reused buffer (test oracles
-    /// and bulk uncharged copies like `EmVec::read_all_uncharged`).
+    /// Uncharged read of a block into a caller-reused buffer (test
+    /// oracles; whole arrays go through `EmVec::read_all_uncharged`).
     pub fn peek_block_into(&self, id: BlockId, buf: &mut Vec<Record>) -> Result<()> {
         self.inner.disk.borrow_mut().peek_into(id, buf)
     }
@@ -328,11 +328,19 @@ impl EmMachine {
     }
 
     /// Stage a whole record slice as a block-aligned disk array, uncharged.
-    /// Returns the block ids in order. Used to set up problem inputs. Each
-    /// chunk is copied **once**, straight into the arena.
+    /// Returns the block ids in order. Used to set up problem inputs. The
+    /// store takes the whole input in one call ([`BlockStore::stage`],
+    /// which the file backend batches); the ids are those of one `alloc`
+    /// per chunk.
     pub fn stage_input(&self, records: &[Record]) -> Vec<BlockId> {
-        let mut disk = self.inner.disk.borrow_mut();
-        records.chunks(self.b()).map(|c| disk.alloc(c)).collect()
+        self.inner.disk.borrow_mut().stage(records)
+    }
+
+    /// Uncharged bulk copy of the live records of `ids`, in order, appended
+    /// to `out` ([`BlockStore::gather`]): the output collection of
+    /// `EmVec::read_all_uncharged`.
+    pub(crate) fn gather_uncharged(&self, ids: &[BlockId], out: &mut Vec<Record>) -> Result<()> {
+        self.inner.disk.borrow_mut().gather(ids, out)
     }
 }
 

@@ -8,9 +8,16 @@
 //! * [`crate::MemStore`] — the zero-alloc slab arena (the default). Every
 //!   transfer is a `memcpy`; this is what all modeled-cost experiments run on.
 //! * [`crate::FileStore`] — a real temp file, one slot per fixed-size byte
-//!   range, driven through `std::fs` seeks and reads/writes. This backend
+//!   range, driven through positioned reads and writes. This backend
 //!   actually performs I/O, so wall-clock time through it can be compared
 //!   against the modeled `reads + ω·writes` charge.
+//!
+//! Every *charged* transfer is one block: one `read_into`, `write` or
+//! `alloc` per modeled read or write, so a backend's per-call cost is the
+//! per-block cost the model prices. Uncharged problem setup and output
+//! collection go through [`BlockStore::stage`] and [`BlockStore::gather`],
+//! which a backend may batch (the defaults are the per-block loops, and a
+//! batched override must hand out the same ids).
 //!
 //! Modeled costs are **backend-independent by construction**: the machine
 //! counts one read per `read_block_into` and ω per block write *before*
@@ -81,6 +88,28 @@ pub trait BlockStore {
     /// plain read.
     fn peek_into(&mut self, id: BlockId, out: &mut Vec<Record>) -> Result<()> {
         self.read_into(id, out)
+    }
+
+    /// Uncharged bulk staging: copy `records` into fresh slots, `B` at a
+    /// time (the last block may be partial), returning the ids in order.
+    /// The ids must be exactly those of one [`BlockStore::alloc`] per
+    /// chunk; backends override this only to move the bytes in fewer,
+    /// larger copies. The default is that per-block loop.
+    fn stage(&mut self, records: &[Record]) -> Vec<BlockId> {
+        let b = self.block_size();
+        records.chunks(b).map(|chunk| self.alloc(chunk)).collect()
+    }
+
+    /// Uncharged bulk gather: append the live records of every block in
+    /// `ids`, in order, to `out`. Like [`BlockStore::peek_into`] it is not
+    /// a modeled transfer; the default is one `peek_into` per block.
+    fn gather(&mut self, ids: &[BlockId], out: &mut Vec<Record>) -> Result<()> {
+        let mut buf = Vec::with_capacity(self.block_size());
+        for &id in ids {
+            self.peek_into(id, &mut buf)?;
+            out.extend_from_slice(&buf);
+        }
+        Ok(())
     }
 }
 

@@ -98,14 +98,13 @@ impl EmVec {
         })
     }
 
-    /// Uncharged copy of all records (test oracles and experiment setup only).
+    /// Uncharged copy of all records (test oracles, experiment setup and
+    /// output collection), gathered in bulk by the store.
     pub fn read_all_uncharged(&self, machine: &EmMachine) -> Vec<Record> {
         let mut out = Vec::with_capacity(self.len);
-        let mut buf = Vec::with_capacity(machine.b());
-        for id in &self.blocks {
-            machine.peek_block_into(*id, &mut buf).expect("live block");
-            out.extend_from_slice(&buf);
-        }
+        machine
+            .gather_uncharged(&self.blocks, &mut out)
+            .expect("live block");
         out.truncate(self.len);
         out
     }

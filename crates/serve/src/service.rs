@@ -46,6 +46,15 @@
 //! one; a mismatch is a typed [`RecoverError::OutputDigest`], never a
 //! silent restore.
 //!
+//! A file-backed attempt keeps its block files in `<root>/job-<id>`,
+//! which is removed when the attempt ends, however it ends, so a served
+//! root holds only `audit.jsonl` between attempts. A killed process cannot
+//! clean up: it leaves the directory (and block file) of every attempt it
+//! was running. Recovery re-queues those jobs, and each one's next attempt
+//! reuses and removes its directory; a job that never runs again (it
+//! expires in the queue, or the root is never recovered) leaves its
+//! directory behind.
+//!
 //! Failures are classified ([`FailureKind`]): `ModelError::Io` is
 //! transient weather and earns bounded-exponential-backoff retries up to
 //! [`ServiceConfig::max_attempts`]; panics (caught per-attempt with
@@ -78,8 +87,9 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission budget: max summed predicted peak bytes in flight.
     pub budget_bytes: u64,
-    /// Service root: per-job file-backend directories and the audit log
-    /// live here. Created if absent.
+    /// Service root: the audit log, and a `job-<id>` directory for each
+    /// running file-backed attempt (removed when the attempt ends), live
+    /// here. Created if absent.
     pub root_dir: PathBuf,
     /// Attempt budget per job: a retryable failure re-queues the job until
     /// this many attempts are spent, then it fails terminally. Minimum 1.
@@ -1197,12 +1207,27 @@ struct Completion {
     output: Option<Arc<SortOutcome>>,
 }
 
+/// A file-backed attempt's private directory under the service root,
+/// removed when the attempt ends: completed, failed, or unwinding to the
+/// worker's `catch_unwind`. The attempt's `FileStore`s live and die inside
+/// the sort call, so their files are gone by then.
+struct JobDir(PathBuf);
+
+impl Drop for JobDir {
+    fn drop(&mut self) {
+        // Best effort, like `FileStore`'s own cleanup: a failed removal
+        // must not turn an unwind into an abort.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Run one attempt: materialize the input (inline payload, or regenerated
 /// from the named workload), point file-backed storage and
 /// the fault schedule at this attempt, sort, render the lean telemetry. Staged
 /// (checkpointed) jobs resume from the fold of their durable manifests
 /// when it still validates, and fall back to a fresh staged run otherwise.
-/// Failures come back classified.
+/// A job that did not ask for its output runs [`sort::run_lean`], so its
+/// sorted records are never gathered. Failures come back classified.
 fn run_job(
     inner: &Arc<Inner>,
     id: JobId,
@@ -1218,7 +1243,7 @@ fn run_job(
             kind: FailureKind::Io,
             message: format!("job dir: {e}"),
         })?;
-        Some(dir)
+        Some(JobDir(dir))
     } else {
         None
     };
@@ -1236,8 +1261,8 @@ fn run_job(
     // job gets a private directory under the service root.
     let spec = if dir.is_some() || fault != request.spec.fault() {
         let mut b = request.spec.to_builder().fault(fault);
-        if let Some(d) = dir {
-            b = b.file_dir(d);
+        if let Some(JobDir(d)) = &dir {
+            b = b.file_dir(d.clone());
         }
         b.build().map_err(|e| JobFailure {
             kind: FailureKind::Fatal,
@@ -1264,8 +1289,10 @@ fn run_job(
             Some(m) => sort::resume_from(&spec, &input, &m, &mut sink),
             None => sort::run_staged(&spec, &input, &mut sink),
         }
-    } else {
+    } else if request.include_output {
         sort::run(&spec, &input)
+    } else {
+        sort::run_lean(&spec, &input)
     }
     .map_err(|e| JobFailure {
         kind: match e {

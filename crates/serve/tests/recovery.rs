@@ -15,10 +15,10 @@ use asym_serve::{
     replay, AuditEvent, JobRequest, JobState, RecoverError, ReplayOutcome, ServiceConfig,
     SortService,
 };
-use em_sim::FaultSpec;
+use em_sim::{Backend, FaultSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 
 fn fresh_root(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asym-recovery-{}-{name}", std::process::id()));
@@ -52,6 +52,24 @@ fn par_job(data_seed: u64, records: usize) -> JobRequest {
             .expect("valid spec"),
         ..job(data_seed, records)
     }
+}
+
+/// Panic jobs panic inside the worker's catch_unwind; silence the hook
+/// for worker threads only so the storm doesn't spray backtraces
+/// (test-harness panics stay visible).
+fn quiet_worker_panics() {
+    static QUIET: Once = Once::new();
+    QUIET.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("sort-worker"));
+            if !worker {
+                default_hook(info);
+            }
+        }));
+    });
 }
 
 /// The served telemetry of job `id`, which must have completed.
@@ -209,6 +227,96 @@ fn kill_and_recover_restores_queue_counters_and_results() {
 /// with no terminator. Replay accepts it, so recovery must end it before
 /// appending: otherwise the next event glues onto it, and the *following*
 /// recovery finds a corrupt interior line.
+/// File-backed attempts keep their block files in `<root>/job-<id>`;
+/// every attempt removes it when it ends, whether it completed, failed or
+/// will be retried, so the served root holds only its log. A lean job's
+/// `completed` line still logs how many records it sorted.
+#[test]
+fn file_backed_attempts_leave_only_the_log_in_the_root() {
+    quiet_worker_panics();
+    let root = fresh_root("job-dirs");
+    let mut cfg = ServiceConfig::new(2, u64::MAX, root.clone());
+    cfg.max_attempts = 12;
+    cfg.backoff_base_ms = 1;
+    cfg.backoff_cap_ms = 10;
+    let service = SortService::start(cfg).expect("start");
+    let on_file = |algorithm, fault| {
+        SortSpec::builder(algorithm, 64, 8, 16)
+            .k(2)
+            .lanes(if algorithm == Algorithm::ParSamplesort {
+                2
+            } else {
+                1
+            })
+            .backend(Backend::File)
+            .fault(fault)
+            .build()
+            .expect("valid spec")
+    };
+    let mut storm = FaultSpec::new(0xF11E);
+    storm.read_permille = 500;
+    let mut crash = FaultSpec::new(0xBAD);
+    crash.panic_permille = 1_000;
+    let lean = |data_seed| JobRequest {
+        include_output: false,
+        ..job(data_seed, 3_000)
+    };
+    let jobs = [
+        JobRequest {
+            spec: on_file(Algorithm::Mergesort, None),
+            ..lean(20)
+        },
+        JobRequest {
+            spec: on_file(Algorithm::ParSamplesort, None),
+            ..lean(21)
+        },
+        JobRequest {
+            spec: on_file(Algorithm::Heapsort, None),
+            ..job(22, 3_000)
+        },
+        JobRequest {
+            spec: on_file(Algorithm::Mergesort, Some(storm)),
+            ..lean(23)
+        },
+        JobRequest {
+            spec: on_file(Algorithm::Mergesort, None),
+            ..job(24, 500)
+        }
+        .checkpointed(true),
+        JobRequest {
+            spec: on_file(Algorithm::Mergesort, Some(crash)),
+            ..lean(25)
+        },
+    ];
+    let ids: Vec<u64> = jobs
+        .into_iter()
+        .map(|r| service.submit(r).expect("admitted"))
+        .collect();
+    for &id in &ids[..5] {
+        served(&service, id);
+    }
+    let doomed = service.wait(ids[5]).expect("known job");
+    assert_eq!(doomed.state, JobState::Failed, "{:?}", doomed.error);
+    assert!(service.stats().retried >= 1, "the fault storm fired");
+    let mut left: Vec<String> = std::fs::read_dir(&root)
+        .expect("root")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["audit.jsonl"], "attempts leaked their directories");
+    service.drain();
+    drop(service);
+    let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
+    for &id in &ids[..2] {
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"completed\"") && l.contains(&format!("\"id\": {id},")))
+            .expect("completed line");
+        assert!(line.contains("\"output_len\": 3000"), "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn an_unterminated_final_line_is_ended_before_the_next_append() {
     let root = fresh_root("unterminated");
@@ -442,18 +550,7 @@ fn a_tampered_output_digest_fails_recovery_naming_the_job() {
 fn session_log() -> &'static str {
     static LOG: OnceLock<String> = OnceLock::new();
     LOG.get_or_init(|| {
-        // The panic job panics inside the worker's catch_unwind; silence
-        // the hook for worker threads only so the storm doesn't spray
-        // backtraces (test-harness panics stay visible).
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("sort-worker"));
-            if !worker {
-                default_hook(info);
-            }
-        }));
+        quiet_worker_panics();
         let root = fresh_root("session");
         let mut cfg = ServiceConfig::new(1, u64::MAX, root.clone());
         cfg.max_attempts = 12;

@@ -100,6 +100,7 @@ fn assert_serves_direct_run(service: &SortService, id: u64, request: &JobRequest
             typed.output.is_empty(),
             "job {id}: a lean outcome has no records"
         );
+        assert_eq!(typed.output_len, n, "job {id}: but keeps their count");
     }
 }
 

@@ -125,6 +125,7 @@ proptest! {
         let stats = EmStats { block_reads: 3, block_writes: 2, peak_memory: 16 };
         let outcome = SortOutcome {
             output: recs.clone(),
+            output_len: recs.len(),
             stats,
             report: stats.report(8),
             parallel: None,
@@ -134,7 +135,11 @@ proptest! {
         let decoded = SortOutcome::from_json(&text).expect("decode");
         prop_assert_eq!(&decoded.output, &recs);
         prop_assert_eq!(decoded.stats, stats);
-        prop_assert!(SortOutcome::from_json(&outcome.to_json(false)).expect("decode").output.is_empty());
+        let lean = SortOutcome::from_json(&outcome.to_json(false)).expect("decode");
+        prop_assert!(lean.output.is_empty());
+        // A lean decode keeps the length, so it re-renders byte for byte.
+        prop_assert_eq!(lean.output_len, recs.len());
+        prop_assert_eq!(lean.to_json(false), outcome.to_json(false));
 
         // Runs cut at arbitrary points, empty runs included.
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (recs.len() + 1)).collect();
