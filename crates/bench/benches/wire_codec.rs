@@ -18,7 +18,13 @@
 //! * `codec-compaction-local-1350` — the result path of one in-process
 //!   compaction of kv-mixed's mean size (1,350 records in the same four-run
 //!   shape): `CompactionService::Local` from submit to the typed outcome,
-//!   the `accepted` and `completed` WAL lines included.
+//!   the `accepted` and `completed` WAL lines included;
+//! * `serve-recover-16x16k` — one boot of a used service root:
+//!   `SortService::recover` (and the clean shutdown after it) on a root
+//!   whose log holds 16 completed 16k-record inline jobs that asked for
+//!   their output. The root is built once, untimed. Each boot replays the
+//!   log, sorts every job's logged input again and checks it against the
+//!   logged digest.
 //!
 //! ```text
 //! cargo bench -p asym-bench --bench wire_codec              # + BENCH_codec.json
@@ -45,6 +51,9 @@ const N: usize = 16_384;
 
 /// Records in the in-process compaction row: kv-mixed's mean compaction.
 const LOCAL: usize = 1_350;
+
+/// Completed jobs in the log of the boot row's root.
+const BOOT_JOBS: usize = 16;
 
 /// Four sorted runs of about `n / 4` keys below 100k, payloads their
 /// positions.
@@ -160,6 +169,32 @@ fn main() {
     let (secs, stats) = asym_bench::time_row(&id, reps, || compact().stats);
     report.push_with_stats(id, LOCAL as u64, secs, stats);
     drop(local);
+    std::fs::remove_dir_all(&root).expect("remove the service root");
+
+    // A used root, built once: every job asked for its output, so each
+    // boot rebuilds all of them.
+    let root = std::env::temp_dir().join(format!("asym-wire-codec-boot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cfg = ServiceConfig::new(1, u64::MAX, &root);
+    let service = SortService::start(cfg.clone()).expect("start");
+    let ids: Vec<_> = (0..BOOT_JOBS)
+        .map(|_| service.submit(request.clone()).expect("admitted"))
+        .collect();
+    for id in ids {
+        assert_eq!(
+            service.wait(id).expect("known job").state,
+            JobState::Completed
+        );
+    }
+    drop(service);
+    let id = format!("serve-recover-{BOOT_JOBS}x16k");
+    let (secs, _) = asym_bench::time_row(&id, reps, || {
+        let (service, booted) = SortService::recover(cfg.clone()).expect("recover");
+        assert_eq!(booted.restored, BOOT_JOBS as u64);
+        drop(service);
+        none
+    });
+    report.push_with_stats(id, (BOOT_JOBS * N) as u64, secs, none);
     std::fs::remove_dir_all(&root).expect("remove the service root");
 
     report.write_to(&json_path).expect("write bench json");

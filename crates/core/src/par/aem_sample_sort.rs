@@ -85,7 +85,8 @@ pub fn par_samplesort_slack(m: usize, b: usize, k: usize) -> usize {
 /// Everything one modeled parallel sort run measured.
 pub struct ParSortRun {
     /// The sorted records (gathered from the lanes' sorted runs, uncharged —
-    /// the distributed runs *are* the algorithm's output).
+    /// the distributed runs *are* the algorithm's output). Empty when the
+    /// run was not asked to gather them.
     pub output: Vec<Record>,
     /// Final per-lane transfer stats, in worker order.
     pub lane_stats: Vec<EmStats>,
@@ -168,12 +169,17 @@ impl<'a> PhaseLog<'a> {
 /// on the schedule, not extra scheduled work). The second return value is
 /// the total warm-up charge (zero when disabled), so callers can recover
 /// the schedule-invariant base counts by subtraction.
+///
+/// With `gather` set, the sorted runs are gathered into
+/// [`ParSortRun::output`] before they are freed; without it they are freed
+/// unread. The gather is uncharged, so every count is the same either way.
 pub fn par_aem_sample_sort(
     par: &ParMachine,
     input: &[Record],
     k: usize,
     seed: u64,
     charge_steals: bool,
+    gather: bool,
 ) -> Result<(ParSortRun, EmStats)> {
     assert!(k >= 1, "k must be at least 1");
     let cfg = par.cfg();
@@ -338,15 +344,17 @@ pub fn par_aem_sample_sort(
     }
     log.barrier("bucket-sort");
 
-    // Gather (uncharged oracle): the distributed sorted runs are the
-    // algorithm's output; collecting them into one host vector is test
+    // Gather (uncharged oracle), if asked: the distributed sorted runs are
+    // the algorithm's output; collecting them into one host vector is test
     // plumbing, not a modeled transfer.
-    let mut output = Vec::with_capacity(n);
+    let mut output = Vec::with_capacity(if gather { n } else { 0 });
     for (owner, run) in sorted_runs {
-        output.extend(run.read_all_uncharged(par.lane(owner)));
+        if gather {
+            output.extend(run.read_all_uncharged(par.lane(owner)));
+        }
         run.free(par.lane(owner));
     }
-    debug_assert_eq!(output.len(), n, "sort must conserve records");
+    debug_assert!(!gather || output.len() == n, "sort must conserve records");
 
     // Scheduler simulation over the measured (uncharged) phase tree: the
     // same per-lane depths the cost algebra uses become leaf weights.
@@ -418,7 +426,7 @@ mod tests {
 
     /// The engine without the steal charge.
     fn sort(par: &ParMachine, input: &[Record], k: usize, seed: u64) -> ParSortRun {
-        par_aem_sample_sort(par, input, k, seed, false)
+        par_aem_sample_sort(par, input, k, seed, false, true)
             .expect("sort")
             .0
     }
@@ -524,11 +532,11 @@ mod tests {
         let input = Workload::UniformRandom.generate(6000, 17);
         let base = {
             let machine = par(32, 4, 8, 1, 4);
-            par_aem_sample_sort(&machine, &input, 1, 23, false).expect("base")
+            par_aem_sample_sort(&machine, &input, 1, 23, false, true).expect("base")
         };
         let charged = {
             let machine = par(32, 4, 8, 1, 4);
-            par_aem_sample_sort(&machine, &input, 1, 23, true).expect("charged")
+            par_aem_sample_sort(&machine, &input, 1, 23, true, true).expect("charged")
         };
         assert_eq!(base.1, EmStats::default(), "knob off charges nothing");
         let (run, warmup) = charged;

@@ -113,12 +113,10 @@ pub fn run(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
     dispatch(spec, input, false)
 }
 
-/// [`run`] for a caller that wants only the counts: the sequential sorts
-/// free their sorted runs without gathering them into host memory, so the
-/// outcome's `output` is empty and `output_len` is the input's length.
-/// Every charged transfer, and so every count, is `run`'s. The parallel
-/// sort still gathers (its engine returns the gathered runs) and drops
-/// the records here.
+/// [`run`] for a caller that wants only the counts: every sort frees its
+/// sorted runs without gathering them into host memory, so the outcome's
+/// `output` is empty and `output_len` is the input's length. Every charged
+/// transfer, and so every count, is `run`'s.
 pub fn run_lean(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
     dispatch(spec, input, true)
 }
@@ -136,13 +134,12 @@ fn dispatch(spec: &SortSpec, input: &[Record], lean: bool) -> Result<SortOutcome
         Algorithm::ParSamplesort => {
             let par = spec.par_machine()?;
             let (run, steal_warmup) =
-                par_aem_sample_sort(&par, input, k, spec.seed(), spec.steal_charge())?;
+                par_aem_sample_sort(&par, input, k, spec.seed(), spec.steal_charge(), !lean)?;
             assert_eq!(par.live_blocks(), 0, "a run must release every block");
             let stats = run.merged;
-            let output_len = run.output.len();
             Ok(SortOutcome {
-                output: if lean { Vec::new() } else { run.output },
-                output_len,
+                output: run.output,
+                output_len: input.len(),
                 stats,
                 report: stats.report(spec.omega()),
                 parallel: Some(ParData {

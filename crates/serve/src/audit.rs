@@ -5,15 +5,17 @@
 //! Every line of `audit.jsonl` is one [`AuditEvent`], rendered with a
 //! schema version (`"v"`) first. The event set is chosen so the log is
 //! *sufficient* to restart the service: `accepted` embeds the full
-//! [`JobRequest`] (the service can re-run the job), `completed` embeds the
-//! lean outcome telemetry (counts, ω, `output_len`, any `parallel` block)
-//! plus, for a job that asked for its output, a digest of the sorted
-//! records in place of the records, and every terminal event names its
-//! job. A sort's output is a function of its input alone (`Record` orders
-//! by the whole `(key, payload)` pair), so recovery rebuilds the output
-//! from the `accepted` request and checks it against the digest; the log
-//! never holds the records a second time in `completed`. [`replay`] folds
-//! any prefix of a log into a [`Replay`]:
+//! [`JobRequest`] (the service can re-run the job), `completed` carries
+//! the job's [`SortOutcome`], rendered lean (counts, ω, `output_len`, any
+//! `parallel` block) plus, for a job that asked for its output, a digest
+//! of the sorted records in place of the records, and every terminal
+//! event names its job. A sort's output is a function of its input alone
+//! (`Record` orders by the whole `(key, payload)` pair), so recovery
+//! rebuilds the output from the `accepted` request, checks it against the
+//! digest and puts it into the decoded outcome; the log never holds the
+//! records a second time in `completed`. The events are typed both ways:
+//! a line decodes to the values it was rendered from, and re-renders byte
+//! for byte. [`replay`] folds any prefix of a log into a [`Replay`]:
 //!
 //! * terminal outcomes win and never un-terminalize, so replaying a longer
 //!   prefix only ever *adds* information — the monotonicity property
@@ -124,18 +126,19 @@ pub enum AuditEvent {
         /// The failure message.
         error: String,
     },
-    /// Terminal success. Carries the telemetry so a recovered service
-    /// still serves the result; see [`AuditEvent::completed`] for what the
+    /// Terminal success. Carries the outcome so a recovered service still
+    /// serves the result; see [`AuditEvent::completed`] for what the
     /// service logs.
     Completed {
         /// The job.
         id: JobId,
-        /// [`SortOutcome::to_json`], embedded verbatim.
-        telemetry: String,
-        /// [`records_digest`] of the sorted output when `telemetry` is the
-        /// lean form of a job whose served telemetry carries the output.
-        /// `None`: `telemetry` is served as it is (a lean job, or a v1 line
-        /// that embedded the output).
+        /// The job's outcome, embedded as [`SortOutcome::to_json`]: lean,
+        /// unless it holds records and the line has no digest (a v1 line
+        /// embedded the output of a job that asked for it).
+        outcome: Arc<SortOutcome>,
+        /// [`records_digest`] of the sorted output of a job that asked for
+        /// it, logged in place of the records. `None`: a lean job, or a v1
+        /// line that embedded the output.
         output_digest: Option<u64>,
     },
     /// Terminal failure (fatal kind, or the attempt budget is spent).
@@ -166,16 +169,20 @@ pub enum AuditEvent {
 }
 
 impl AuditEvent {
-    /// The `completed` event the service logs for `outcome`: the lean
-    /// telemetry ([`SortOutcome::to_json`] without the output), plus the
-    /// output's [`records_digest`] when the job asked for its output. The
-    /// records themselves are not logged; recovery re-sorts the job's
-    /// logged input and checks it against the digest.
-    pub fn completed(id: JobId, outcome: &SortOutcome, include_output: bool) -> AuditEvent {
+    /// The `completed` event the service logs for `outcome`: the outcome,
+    /// plus the output's [`records_digest`] when the job asked for its
+    /// output. A job that did not ask keeps no records: the output a staged
+    /// run gathers is dropped here. Either way the line renders the outcome
+    /// lean; recovery re-sorts the job's logged input and checks it against
+    /// the digest.
+    pub fn completed(id: JobId, mut outcome: SortOutcome, include_output: bool) -> AuditEvent {
+        if !include_output {
+            outcome.output = Vec::new();
+        }
         AuditEvent::Completed {
             id,
-            telemetry: outcome.to_json(false),
             output_digest: include_output.then(|| records_digest(&outcome.output)),
+            outcome: Arc::new(outcome),
         }
     }
 
@@ -185,11 +192,11 @@ impl AuditEvent {
     pub(crate) fn into_outcome(self) -> Option<ReplayOutcome> {
         match self {
             AuditEvent::Completed {
-                telemetry,
+                outcome,
                 output_digest,
                 ..
             } => Some(ReplayOutcome::Completed {
-                telemetry,
+                outcome,
                 output_digest,
             }),
             AuditEvent::Failed { kind, error, .. } => Some(ReplayOutcome::Failed { kind, error }),
@@ -279,14 +286,15 @@ impl AuditEvent {
             }
             AuditEvent::Completed {
                 id,
-                telemetry,
+                outcome,
                 output_digest,
             } => {
                 o.u64("id", *id);
                 if let Some(d) = output_digest {
                     o.u64("output_digest", *d);
                 }
-                o.raw("outcome", telemetry);
+                let embedded = output_digest.is_none() && !outcome.output.is_empty();
+                o.raw("outcome", &outcome.to_json(embedded));
             }
             AuditEvent::Failed { id, kind, error } => {
                 o.u64("id", *id)
@@ -396,11 +404,11 @@ impl AuditEvent {
             "completed" => {
                 let ov = json::find(obj, "outcome")
                     .ok_or_else(|| bad("completed event missing \"outcome\"".into()))?;
-                SortOutcome::from_json_value(ov)
+                let outcome = SortOutcome::from_json_value(ov)
                     .map_err(|e| bad(format!("embedded outcome: {e}")))?;
                 Ok(AuditEvent::Completed {
                     id: id()?,
-                    telemetry: ov.render(),
+                    outcome: Arc::new(outcome),
                     output_digest: json::get_u64(obj, "output_digest"),
                 })
             }
@@ -432,16 +440,16 @@ impl AuditEvent {
 pub enum ReplayOutcome {
     /// Accepted, no terminal event yet: recovery must re-queue it.
     Pending,
-    /// Done; the embedded telemetry is the result.
+    /// Done; the outcome is the result.
     Completed {
-        /// The embedded outcome JSON.
-        telemetry: String,
-        /// Set when `telemetry` is the lean form a v2 `completed` line
-        /// logs in place of the output:
+        /// The outcome the `completed` line carried. Its `output_len` is
+        /// the accepted request's record count when the line held no
+        /// records.
+        outcome: Arc<SortOutcome>,
+        /// Set when the line logged this digest in place of the output:
         /// [`SortService::recover`](crate::SortService::recover) rebuilds
-        /// the output, checks it against this digest, and keeps the whole
-        /// outcome typed beside this lean form, as the live service does.
-        /// `None`: `telemetry` is what the job serves.
+        /// the output, checks it against the digest, and puts it into
+        /// `outcome`, so a recovered job holds what the live one did.
         output_digest: Option<u64>,
     },
     /// Terminally failed.
@@ -590,9 +598,24 @@ impl Replay {
                     j.start_attempt(attempt);
                 }
             }
-            AuditEvent::Completed { id, .. }
-            | AuditEvent::Failed { id, .. }
-            | AuditEvent::Expired { id } => {
+            AuditEvent::Completed {
+                id,
+                mut outcome,
+                output_digest,
+            } => {
+                if let Some(j) = self.jobs.get_mut(&id) {
+                    // A sort keeps every record. A lean line logged before
+                    // `output_len` was decodes a count of 0.
+                    if outcome.output.is_empty() {
+                        Arc::make_mut(&mut outcome).output_len = j.request.record_count();
+                    }
+                    j.terminalize(ReplayOutcome::Completed {
+                        outcome,
+                        output_digest,
+                    });
+                }
+            }
+            AuditEvent::Failed { id, .. } | AuditEvent::Expired { id } => {
                 if let (Some(j), Some(outcome)) = (self.jobs.get_mut(&id), ev.into_outcome()) {
                     j.terminalize(outcome);
                 }
@@ -737,11 +760,11 @@ mod tests {
         sink.manifests
     }
 
-    /// The lean telemetry a real run of [`request`] logs when it completes.
-    fn lean() -> String {
+    /// The lean outcome a real run of [`request`] logs when it completes.
+    fn lean() -> Arc<SortOutcome> {
         let r = request();
         let input = r.workload.generate(r.records, r.data_seed);
-        sort::run(&r.spec, &input).expect("sort").to_json(false)
+        Arc::new(sort::run_lean(&r.spec, &input).expect("sort"))
     }
 
     /// The fold of `deltas`, each of which must advance it.
@@ -789,12 +812,12 @@ mod tests {
             },
             AuditEvent::Completed {
                 id: 3,
-                telemetry: lean(),
+                outcome: lean(),
                 output_digest: None,
             },
             AuditEvent::Completed {
                 id: 4,
-                telemetry: lean(),
+                outcome: lean(),
                 output_digest: Some(u64::MAX - 7),
             },
             AuditEvent::Failed {
@@ -811,8 +834,8 @@ mod tests {
             },
         ];
         for ev in events {
-            // Embedded telemetry re-renders through the parser, which
-            // reproduces the codec's own spacing.
+            // A `completed` line decodes to the typed outcome it was
+            // rendered from.
             let line = ev.to_json();
             assert_eq!(AuditEvent::from_json(&line), Ok(ev), "{line}");
         }
@@ -852,20 +875,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A job that asked for its output logs lean telemetry plus the
-    /// output's digest; one that did not logs its served telemetry as is.
+    /// A job that asked for its output logs its lean outcome plus the
+    /// output's digest; one that did not logs the lean outcome and keeps no
+    /// records.
     #[test]
     fn completed_logs_a_digest_in_place_of_the_output() {
         let r = request();
         let input = r.workload.generate(r.records, r.data_seed);
         let outcome = sort::run(&r.spec, &input).expect("sort");
-        let lean = outcome.to_json(false);
-        let with = AuditEvent::completed(1, &outcome, true);
+        let lean = SortOutcome {
+            output: Vec::new(),
+            ..outcome.clone()
+        };
+        let with = AuditEvent::completed(1, outcome.clone(), true);
         assert_eq!(
             with,
             AuditEvent::Completed {
                 id: 1,
-                telemetry: lean.clone(),
+                outcome: Arc::new(outcome.clone()),
                 output_digest: Some(records_digest(&outcome.output)),
             }
         );
@@ -873,10 +900,10 @@ mod tests {
         assert!(line.len() < 300, "no records in the line: {line}");
         assert!(line.contains("\"output_len\": 300"), "{line}");
         assert_eq!(
-            AuditEvent::completed(1, &outcome, false),
+            AuditEvent::completed(1, outcome, false),
             AuditEvent::Completed {
                 id: 1,
-                telemetry: lean,
+                outcome: Arc::new(lean),
                 output_digest: None,
             }
         );
@@ -975,7 +1002,7 @@ mod tests {
             + &log_of(&[
                 AuditEvent::Completed {
                     id: 0,
-                    telemetry: lean(),
+                    outcome: lean(),
                     output_digest: None,
                 },
                 checkpointed(2),
@@ -999,7 +1026,7 @@ mod tests {
         for end in [
             AuditEvent::Completed {
                 id: 0,
-                telemetry: lean(),
+                outcome: lean(),
                 output_digest: None,
             },
             AuditEvent::Failed {
@@ -1288,7 +1315,7 @@ mod tests {
             AuditEvent::Started { id: 0, attempt: 2 },
             AuditEvent::Completed {
                 id: 0,
-                telemetry: lean(),
+                outcome: lean(),
                 output_digest: None,
             },
             AuditEvent::Rejected(Refusal::Budget {

@@ -30,21 +30,19 @@
 //! written, not synced (no `sync_data`), so a power cut can still lose
 //! the page cache's tail; the power-loss item in `ROADMAP.md` tracks it.
 //!
-//! A `completed` line carries the lean outcome telemetry, never the sorted
-//! records: for a job that asked for its output it logs their digest
-//! ([`AuditEvent::completed`]). A completed job's entry holds what
-//! replaying that line yields, the lean telemetry and the digest, and a
-//! job that asked for its output also keeps its whole [`SortOutcome`],
-//! typed. JSON is rendered only where a status leaves the service:
-//! [`SortService::status`] and the waits render the typed outcome into
-//! [`JobStatus::telemetry`] after they release the state lock, and
-//! [`SortService::wait_outcome`] hands it to a caller in this process (the
-//! `asym-kv` compactor) with nothing rendered or parsed. A lean job serves
-//! its logged lean text, which keeps its `output_len`. `recover` rebuilds
-//! the typed outcome by sorting the job's logged input in RAM and checking
-//! the result against the digest, so a recovered entry equals the live
-//! one; a mismatch is a typed [`RecoverError::OutputDigest`], never a
-//! silent restore.
+//! A `completed` line carries the job's outcome rendered lean, never the
+//! sorted records: for a job that asked for its output it logs their
+//! digest ([`AuditEvent::completed`]). A completed job's entry holds one
+//! typed [`SortOutcome`], the one its line was rendered from, records
+//! included when the job asked for them. JSON is rendered only where a
+//! status leaves the service: [`SortService::status`] and the waits render
+//! the outcome into [`JobStatus::telemetry`] after they release the state
+//! lock, and [`SortService::wait_outcome`] hands it to a caller in this
+//! process (the `asym-kv` compactor) with nothing rendered or parsed.
+//! `recover` rebuilds the records by sorting the job's logged input in RAM
+//! and checking the result against the digest, so a recovered entry equals
+//! the live one; a mismatch is a typed [`RecoverError::OutputDigest`],
+//! never a silent restore.
 //!
 //! A file-backed attempt keeps its block files in `<root>/job-<id>`,
 //! which is removed when the attempt ends, however it ends, so a served
@@ -72,7 +70,7 @@ use asym_core::sort::{
     self, CheckpointManifest, Checkpointer, CostEstimate, SortOutcome, WireError,
 };
 use asym_model::json::{self, Json, JsonObj};
-use asym_model::ModelError;
+use asym_model::{ModelError, Record};
 use em_sim::Backend;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -436,12 +434,8 @@ impl ServiceStats {
 /// replays, plus what the log never records.
 struct JobEntry {
     /// What replaying the log yields for this job: a completed job holds
-    /// the lean telemetry and output digest its `completed` line logged.
+    /// its outcome, with the records when it asked for them.
     job: ReplayJob,
-    /// The whole outcome, typed, of a completed job that asked for its
-    /// output: its status renders it once the state lock is released, and
-    /// [`SortService::wait_outcome`] hands it over as is.
-    output: Option<Arc<SortOutcome>>,
     predicted: CostEstimate,
     /// A worker holds the job (meaningful only while it is pending).
     running: bool,
@@ -467,7 +461,6 @@ impl JobEntry {
                 .deadline_ms
                 .map(|ms| now + Duration::from_millis(ms)),
             job,
-            output: None,
             predicted,
             running: false,
             enqueued_at: now,
@@ -485,39 +478,41 @@ impl JobEntry {
         }
     }
 
-    /// The job's status, read under the state lock. A completed job that
-    /// holds its typed outcome leaves `telemetry` unset and returns the
-    /// outcome beside it, for [`rendered`] to render outside the lock.
+    /// The job's status, read under the state lock. A completed job leaves
+    /// `telemetry` unset and returns its outcome beside it, for
+    /// [`rendered`] to render outside the lock.
     fn snapshot(&self, id: JobId) -> Snapshot {
-        let (telemetry, error, failure) = match &self.job.outcome {
-            ReplayOutcome::Pending => (None, self.retry_error.clone(), None),
-            ReplayOutcome::Completed { .. } if self.output.is_some() => (None, None, None),
-            ReplayOutcome::Completed { telemetry, .. } => (Some(telemetry.clone()), None, None),
-            ReplayOutcome::Failed { kind, error } => (None, Some(error.clone()), Some(*kind)),
-            ReplayOutcome::Expired => (None, Some("deadline expired while queued".into()), None),
+        let (error, failure, outcome) = match &self.job.outcome {
+            ReplayOutcome::Pending => (self.retry_error.clone(), None, None),
+            ReplayOutcome::Completed { outcome, .. } => (None, None, Some(Arc::clone(outcome))),
+            ReplayOutcome::Failed { kind, error } => (Some(error.clone()), Some(*kind), None),
+            ReplayOutcome::Expired => (Some("deadline expired while queued".into()), None, None),
         };
         let status = JobStatus {
             id,
             state: self.state(),
             predicted: self.predicted,
             attempts: self.job.attempts,
-            telemetry,
+            telemetry: None,
             error,
             failure,
         };
-        (status, self.output.clone())
+        (
+            status,
+            outcome.map(|o| (o, self.job.request.include_output)),
+        )
     }
 }
 
-/// A status read under the state lock, and the typed outcome its telemetry
-/// is still to be rendered from.
-type Snapshot = (JobStatus, Option<Arc<SortOutcome>>);
+/// A status read under the state lock, and the outcome of a completed job
+/// with whether its telemetry includes the records: still to be rendered.
+type Snapshot = (JobStatus, Option<(Arc<SortOutcome>, bool)>);
 
-/// The status a client sees: a held outcome rendered as the full telemetry
-/// the job asked for. Called after the state lock is released.
-fn rendered((mut status, output): Snapshot) -> JobStatus {
-    if let Some(outcome) = output {
-        status.telemetry = Some(outcome.to_json(true));
+/// The status a client sees: a completed job's outcome rendered as the
+/// telemetry it asked for. Called after the state lock is released.
+fn rendered((mut status, outcome): Snapshot) -> JobStatus {
+    if let Some((outcome, include_output)) = outcome {
+        status.telemetry = Some(outcome.to_json(include_output));
     }
     status
 }
@@ -619,14 +614,14 @@ impl SortService {
             ..State::default()
         };
         let now = Instant::now();
-        for (id, job) in rep.jobs {
-            let output = match &job.outcome {
-                ReplayOutcome::Completed {
-                    telemetry,
-                    output_digest: Some(logged),
-                } => Some(rebuilt_outcome(id, &job.request, telemetry, *logged)?),
-                _ => None,
-            };
+        for (id, mut job) in rep.jobs {
+            if let ReplayOutcome::Completed {
+                outcome,
+                output_digest: Some(logged),
+            } = &mut job.outcome
+            {
+                Arc::make_mut(outcome).output = rebuilt_output(id, &job.request, *logged)?;
+            }
             st.stats.submitted += 1;
             let predicted = job.request.predict();
             // A re-queued staged job carries the fold of its durable
@@ -642,9 +637,7 @@ impl SortService {
                 ReplayOutcome::Failed { .. } => st.stats.failed += 1,
                 ReplayOutcome::Expired => st.stats.expired += 1,
             }
-            let mut entry = JobEntry::new(job, predicted, now);
-            entry.output = output.map(Arc::new);
-            st.jobs.insert(id, entry);
+            st.jobs.insert(id, JobEntry::new(job, predicted, now));
         }
         st.stats.peak_in_flight_bytes = st.stats.in_flight_bytes;
         st.stats.peak_in_flight_io = st.stats.in_flight_io;
@@ -771,23 +764,14 @@ impl SortService {
     /// Like [`wait`](SortService::wait), for a caller in this process that
     /// wants the result typed: `Ok` holds a completed job's outcome, and
     /// `Err` the final status of a job that failed or expired (`None` for an
-    /// unknown id). A job that asked for its output hands over the outcome
-    /// the service holds, sorted records included, with no telemetry
-    /// rendered or parsed; a lean job's telemetry is decoded.
+    /// unknown id). The outcome is the one the service holds, with no
+    /// telemetry rendered or parsed: sorted records included when the job
+    /// asked for its output, and only their count (`output_len`) when not.
     pub fn wait_outcome(&self, id: JobId) -> Option<Result<Arc<SortOutcome>, JobStatus>> {
-        let (status, output) = self.wait_until(id, None)?;
-        if status.state != JobState::Completed {
-            return Some(Err(status));
-        }
-        Some(Ok(output.unwrap_or_else(|| {
-            let telemetry = status
-                .telemetry
-                .as_deref()
-                .expect("a completed job without a typed outcome serves its telemetry");
-            let outcome = SortOutcome::from_json(telemetry)
-                .expect("served telemetry decodes: rendered by to_json or checked at replay");
-            Arc::new(outcome)
-        })))
+        Some(match self.wait_until(id, None)? {
+            (_, Some((outcome, _))) => Ok(outcome),
+            (status, None) => Err(status),
+        })
     }
 
     /// The one wait loop: job `id`'s snapshot once it is terminal or
@@ -1113,11 +1097,10 @@ fn worker_loop(inner: &Arc<Inner>) {
             st.active -= 1;
             // Each arm logs the attempt's event first, then applies it.
             let outcome = match result {
-                Ok(Completion { logged, output }) => {
-                    inner.audit_event(&logged);
+                Ok(completed) => {
+                    inner.audit_event(&completed);
                     st.stats.completed += 1;
-                    entry.output = output;
-                    logged.into_outcome()
+                    completed.into_outcome()
                 }
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
                     let shift = effective_attempts.saturating_sub(1).min(20);
@@ -1197,16 +1180,6 @@ impl Checkpointer for ServiceCheckpointer {
     }
 }
 
-/// A successful attempt, rendered for the WAL before the worker takes the
-/// state lock.
-struct Completion {
-    /// The `completed` event the WAL logs ([`AuditEvent::completed`]). The
-    /// job's entry keeps the outcome replaying it yields.
-    logged: AuditEvent,
-    /// The whole outcome, when the job asked for its output.
-    output: Option<Arc<SortOutcome>>,
-}
-
 /// A file-backed attempt's private directory under the service root,
 /// removed when the attempt ends: completed, failed, or unwinding to the
 /// worker's `catch_unwind`. The attempt's `FileStore`s live and die inside
@@ -1223,7 +1196,8 @@ impl Drop for JobDir {
 
 /// Run one attempt: materialize the input (inline payload, or regenerated
 /// from the named workload), point file-backed storage and
-/// the fault schedule at this attempt, sort, render the lean telemetry. Staged
+/// the fault schedule at this attempt, sort, and return the `completed`
+/// event the WAL logs ([`AuditEvent::completed`]). Staged
 /// (checkpointed) jobs resume from the fold of their durable manifests
 /// when it still validates, and fall back to a fresh staged run otherwise.
 /// A job that did not ask for its output runs [`sort::run_lean`], so its
@@ -1234,7 +1208,7 @@ fn run_job(
     request: &JobRequest,
     failed_since_progress: u32,
     manifest: Option<CheckpointManifest>,
-) -> Result<Completion, JobFailure> {
+) -> Result<AuditEvent, JobFailure> {
     let dir = if request.spec.backend() == Backend::File {
         let dir = inner.cfg.root_dir.join(format!("job-{id}"));
         // A transient filesystem hiccup here is as retryable as one
@@ -1301,23 +1275,19 @@ fn run_job(
         },
         message: e.to_string(),
     })?;
-    Ok(Completion {
-        logged: AuditEvent::completed(id, &outcome, request.include_output),
-        output: request.include_output.then(|| Arc::new(outcome)),
-    })
+    Ok(AuditEvent::completed(id, outcome, request.include_output))
 }
 
-/// The outcome a completed job held live, rebuilt from the log: its input
-/// (inline, or regenerated) sorted in RAM, checked against the digest its
-/// `completed` line logged, and put back into the lean telemetry that line
-/// carries. `Record` orders by the whole `(key, payload)` pair, so every
-/// correct sort of an input has this one output.
-fn rebuilt_outcome(
+/// The output a completed job held live, rebuilt from the log: its input
+/// (inline, or regenerated) sorted in RAM and checked against the digest
+/// its `completed` line logged. `Record` orders by the whole
+/// `(key, payload)` pair, so every correct sort of an input has this one
+/// output.
+fn rebuilt_output(
     id: JobId,
     request: &JobRequest,
-    lean: &str,
     logged: u64,
-) -> Result<SortOutcome, RecoverError> {
+) -> Result<Vec<Record>, RecoverError> {
     let mut output = request.input_records().into_owned();
     output.sort_unstable();
     let rebuilt = records_digest(&output);
@@ -1328,13 +1298,7 @@ fn rebuilt_outcome(
             rebuilt,
         });
     }
-    let mut outcome = SortOutcome::from_json(lean).map_err(|e| {
-        RecoverError::Audit(AuditError::Malformed(format!(
-            "job {id}: completed outcome: {e}"
-        )))
-    })?;
-    outcome.output = output;
-    Ok(outcome)
+    Ok(output)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -30,6 +30,7 @@ use asym_serve::{
 use em_sim::FaultSpec;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn fresh_root(name: &str) -> PathBuf {
@@ -121,10 +122,10 @@ fn assert_each_phase_paid_once(events: &[AuditEvent], request: &JobRequest, id: 
 fn assert_lean_completions(events: &[AuditEvent], jobs: usize) {
     let mut completions = 0;
     for ev in events {
-        if let AuditEvent::Completed { id, telemetry, .. } = ev {
+        if let AuditEvent::Completed { id, outcome, .. } = ev {
             completions += 1;
             assert!(
-                !telemetry.contains("\"output\""),
+                outcome.output.is_empty(),
                 "job {id}: a completed line carries records"
             );
         }
@@ -577,7 +578,6 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
     std::fs::create_dir_all(&root).expect("mkdir");
     let request = staged_job(2_000);
     let (want, full) = reference(&request);
-    let telemetry = want.to_json(true);
 
     let mut log = String::new();
     for ev in [
@@ -593,7 +593,7 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         },
         AuditEvent::Completed {
             id: 0,
-            telemetry: telemetry.clone(),
+            outcome: Arc::new(want.clone()),
             output_digest: None,
         },
         // A stale (older) manifest line landing after the terminal

@@ -157,14 +157,9 @@ fn kill_and_recover_restores_queue_counters_and_results() {
     // is lean telemetry plus the output's digest.
     let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     for line in text.lines() {
-        if let Ok(AuditEvent::Completed {
-            telemetry,
-            output_digest,
-            ..
-        }) = AuditEvent::from_json(line)
-        {
+        if let Ok(AuditEvent::Completed { output_digest, .. }) = AuditEvent::from_json(line) {
             assert!(output_digest.is_some(), "{line}");
-            assert!(!telemetry.contains("\"output\""), "{line}");
+            assert!(!line.contains("\"output\""), "{line}");
         }
     }
 
@@ -434,7 +429,8 @@ fn idle_boots_write_nothing_until_the_log_holds_a_job() {
 
 /// A log written before schema v2 embeds each output in its `completed`
 /// line. It still recovers, serving that telemetry byte for byte, and v2
-/// lines appended after it recover alongside.
+/// lines appended after it recover alongside. A lean line logged before
+/// `output_len` was comes back with the count its request sorted.
 #[test]
 fn a_v1_completed_line_with_its_output_still_recovers_verbatim() {
     let root = fresh_root("v1");
@@ -446,22 +442,50 @@ fn a_v1_completed_line_with_its_output_still_recovers_verbatim() {
     let telemetry = sort::run(&request.spec, &input)
         .expect("direct run")
         .to_json(true);
+    let lean_request = JobRequest {
+        include_output: false,
+        ..job(6, 3_000)
+    };
+    let lean_input = lean_request
+        .workload
+        .generate(lean_request.records, lean_request.data_seed);
+    let lean = sort::run_lean(&lean_request.spec, &lean_input)
+        .expect("direct run")
+        .to_json(false);
+    let countless = lean.replacen(", \"output_len\": 3000", "", 1);
+    assert_ne!(countless, lean, "{lean}");
+    let accepted = |id, request: &JobRequest| {
+        format!(
+            "{{ \"v\": 1, \"event\": \"accepted\", \"id\": {id}, \"predicted_bytes\": {}, \"request\": {} }}\n\
+             {{ \"v\": 1, \"event\": \"started\", \"id\": {id}, \"attempt\": 1 }}\n",
+            request.predict().peak_bytes(),
+            request.to_json()
+        )
+    };
     let log = format!(
-        "{{ \"v\": 1, \"event\": \"accepted\", \"id\": 0, \"predicted_bytes\": {}, \"request\": {} }}\n\
-         {{ \"v\": 1, \"event\": \"started\", \"id\": 0, \"attempt\": 1 }}\n\
-         {{ \"v\": 1, \"event\": \"completed\", \"id\": 0, \"outcome\": {telemetry} }}\n",
-        request.predict().peak_bytes(),
-        request.to_json()
+        "{}{{ \"v\": 1, \"event\": \"completed\", \"id\": 0, \"outcome\": {telemetry} }}\n\
+         {}{{ \"v\": 1, \"event\": \"completed\", \"id\": 1, \"outcome\": {countless} }}\n",
+        accepted(0, &request),
+        accepted(1, &lean_request),
     );
     std::fs::write(root.join("audit.jsonl"), &log).expect("write log");
+    let assert_lean_count = |service: &SortService| {
+        let typed = service
+            .wait_outcome(1)
+            .expect("known job")
+            .expect("completed");
+        assert_eq!(typed.output_len, 3_000, "the typed count");
+        assert!(served(service, 1) == lean, "the count in the body");
+    };
 
     let cfg = ServiceConfig::new(1, u64::MAX, root.clone());
     let (service, report) = SortService::recover(cfg.clone()).expect("a v1 log recovers");
-    assert_eq!((report.restored, report.requeued), (1, 0));
+    assert_eq!((report.restored, report.requeued), (2, 0));
     assert!(
         served(&service, 0) == telemetry,
         "v1 telemetry not verbatim"
     );
+    assert_lean_count(&service);
     let id = service.submit(job(5, 2_000)).expect("admitted");
     let live = served(&service, id);
     service.drain();
@@ -470,11 +494,12 @@ fn a_v1_completed_line_with_its_output_still_recovers_verbatim() {
     let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
     assert!(text.starts_with(&log) && text.contains("{ \"v\": 2, "));
     let (service, report) = SortService::recover(cfg).expect("a mixed log recovers");
-    assert_eq!((report.restored, report.requeued), (2, 0));
+    assert_eq!((report.restored, report.requeued), (3, 0));
     assert!(
         served(&service, 0) == telemetry,
         "v1 telemetry not verbatim"
     );
+    assert_lean_count(&service);
     assert!(served(&service, id) == live, "v2 telemetry not rebuilt");
     service.kill();
     drop(service);
@@ -509,13 +534,13 @@ fn a_tampered_output_digest_fails_recovery_naming_the_job() {
             let line = match AuditEvent::from_json(line).expect("decodes") {
                 AuditEvent::Completed {
                     id,
-                    telemetry,
+                    outcome,
                     output_digest: Some(d),
                 } if id == inline => {
                     digest = Some(d);
                     AuditEvent::Completed {
                         id,
-                        telemetry,
+                        outcome,
                         output_digest: Some(d ^ 1),
                     }
                     .to_json()
@@ -614,6 +639,12 @@ fn session_log() -> &'static str {
         drop(service);
         let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
         let _ = std::fs::remove_dir_all(&root);
+        // Every line decodes to typed values that re-render it byte for
+        // byte.
+        for line in text.lines() {
+            let event = AuditEvent::from_json(line).expect("decodes");
+            assert_eq!(event.to_json(), line);
+        }
 
         // The session must actually contain the variety the prefixes are
         // sliced from.

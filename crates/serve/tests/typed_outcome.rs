@@ -1,12 +1,12 @@
-//! A completed job's outcome, as the service holds it. A job that asked for
-//! its output keeps the outcome typed and serves it rendered; a lean job
-//! keeps the lean telemetry its `completed` line logged. Both serve the
-//! bytes a direct run renders, live and after `recover`, and
-//! `wait_outcome` hands the same outcome over typed.
+//! A completed job's outcome, as the service holds it: typed, with its
+//! records when the job asked for its output and only their count when
+//! not, and served rendered. Both serve the bytes a direct run renders,
+//! live and after `recover`, `wait_outcome` hands the same outcome over
+//! typed, and every line of the log re-renders byte for byte.
 
 use asym_core::sort::{self, Algorithm, SortOutcome, SortSpec};
 use asym_model::workload::Workload;
-use asym_serve::{JobRequest, JobState, ServiceConfig, SortService};
+use asym_serve::{AuditEvent, JobRequest, JobState, ServiceConfig, SortService};
 use std::path::PathBuf;
 
 fn fresh_root(name: &str) -> PathBuf {
@@ -127,6 +127,18 @@ fn completed_jobs_serve_a_direct_runs_telemetry_live_and_after_recover() {
     }
     service.drain();
     drop(service);
+    // Every line, the three completions included, decodes to typed values
+    // that re-render it byte for byte.
+    let text = std::fs::read_to_string(root.join("audit.jsonl")).expect("audit");
+    let completions = text.lines().filter(|l| l.contains("\"completed\"")).count();
+    assert_eq!(completions, jobs.len());
+    for line in text.lines() {
+        let event = AuditEvent::from_json(line).expect("decodes");
+        assert!(
+            event.to_json() == line,
+            "re-rendered differently: {line:.200}"
+        );
+    }
     std::fs::remove_dir_all(&root).expect("remove the service root");
 }
 

@@ -68,7 +68,8 @@ fn engine_run(
         Algorithm::ParSamplesort => {
             let cfg = EmConfig::new(m, b, OMEGA).with_slack(par_samplesort_slack(m, b, k));
             let par = ParMachine::new(cfg, lanes);
-            let (run, _) = par_aem_sample_sort(&par, input, k, SEED, false).expect("par sort");
+            let (run, _) =
+                par_aem_sample_sort(&par, input, k, SEED, false, true).expect("par sort");
             (run.output, run.merged)
         }
     }
