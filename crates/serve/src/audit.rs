@@ -30,10 +30,12 @@
 //!   whose `completed` lines may omit the output, so a v1 build refuses a
 //!   v2 log instead of restoring empty outputs; this build replays both.
 //!
-//! [`ReplayJob`] is also the live service's durable job record: the
-//! worker calls the same [`ReplayJob`] transitions as [`Replay`] does, so
-//! the advance-only checkpoint rule and the first-terminal-wins rule each
-//! live in one place.
+//! [`Replay`] is also the durable half of the live service's state: every
+//! event the service logs, it then applies through the same
+//! `Replay::apply` that [`replay`] folds a log with. So the live jobs, the
+//! id counter and the lifetime counters are the log's fold by
+//! construction, and the advance-only checkpoint rule and the
+//! first-terminal-wins rule each live in one place.
 //!
 //! The crate-private `AuditLog` owns the file: it opens, appends to,
 //! repairs (cutting a torn tail in place) and kills `audit.jsonl`. Appends
@@ -183,25 +185,6 @@ impl AuditEvent {
             id,
             output_digest: include_output.then(|| records_digest(&outcome.output)),
             outcome: Arc::new(outcome),
-        }
-    }
-
-    /// The fate a terminal event gives its job on replay (`None` for the
-    /// other events): what [`replay`] records, and what the live service
-    /// keeps for a job whose terminal event it just logged.
-    pub(crate) fn into_outcome(self) -> Option<ReplayOutcome> {
-        match self {
-            AuditEvent::Completed {
-                outcome,
-                output_digest,
-                ..
-            } => Some(ReplayOutcome::Completed {
-                outcome,
-                output_digest,
-            }),
-            AuditEvent::Failed { kind, error, .. } => Some(ReplayOutcome::Failed { kind, error }),
-            AuditEvent::Expired { .. } => Some(ReplayOutcome::Expired),
-            _ => None,
         }
     }
 
@@ -470,9 +453,9 @@ impl ReplayOutcome {
     }
 }
 
-/// One job reconstructed from the log — and, inside the live service, the
-/// durable part of a job's state, which the service moves only through the
-/// transitions below.
+/// One job reconstructed from the log. The live service holds its jobs as
+/// these records too, in its own [`Replay`], and only the fold that
+/// [`replay`] runs changes one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayJob {
     /// The embedded request, ready to re-run. Shared, so that a worker
@@ -497,56 +480,16 @@ pub struct ReplayJob {
 }
 
 impl ReplayJob {
-    /// An accepted job: no attempts, no progress, no outcome.
-    pub(crate) fn new(request: JobRequest) -> ReplayJob {
-        ReplayJob {
-            request: Arc::new(request),
-            attempts: 0,
-            outcome: ReplayOutcome::Pending,
-            manifest: None,
-            attempts_at_checkpoint: 0,
-        }
-    }
-
     /// Completed phases: the manifest's `phases_done` (0: no manifest).
     pub fn checkpoint_phase(&self) -> u64 {
         self.manifest.as_ref().map_or(0, |m| m.phases_done)
     }
-
-    /// Attempt `attempt` (1-based) began. The count only grows, so a
-    /// replayed or duplicated line cannot lower it.
-    pub(crate) fn start_attempt(&mut self, attempt: u32) {
-        self.attempts = self.attempts.max(attempt);
-    }
-
-    /// Record a delta manifest by folding it into [`Self::manifest`].
-    /// Progress only moves forward (the fold ignores a stale, duplicate or
-    /// gapped delta), and a manifest arriving after the job's terminal
-    /// outcome is stale noise (a torn race the WAL ordering makes possible
-    /// only across replays) — both are ignored. Advancing moves the retry
-    /// clock's epoch to the current attempt.
-    pub(crate) fn checkpoint(&mut self, delta: CheckpointManifest) {
-        if !self.outcome.is_terminal() && CheckpointManifest::fold(&mut self.manifest, delta) {
-            self.attempts_at_checkpoint = self.attempts;
-        }
-    }
-
-    /// Terminal outcomes stick: the first one recorded for a job wins, so
-    /// replay is idempotent and monotonic over prefixes. The manifest's
-    /// records go with it (up to all `n` of them, held for as long as the
-    /// job is retained); its phase count stays, so progress never reads
-    /// lower.
-    pub(crate) fn terminalize(&mut self, outcome: ReplayOutcome) {
-        if !self.outcome.is_terminal() {
-            self.outcome = outcome;
-            if let Some(m) = &mut self.manifest {
-                m.runs = Vec::new();
-            }
-        }
-    }
 }
 
-/// The fold of a log prefix: everything a restarted service needs.
+/// The fold of a log prefix: everything a restarted service needs, and the
+/// durable half of a running service's state, which folds in every event
+/// it logs exactly as [`replay`] does. The counters count as events are
+/// folded, so none of them walks the jobs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Replay {
     /// Every accepted job, by id (BTreeMap: re-queue in id order).
@@ -557,6 +500,12 @@ pub struct Replay {
     pub rejected: u64,
     /// Retry events seen.
     pub retries: u64,
+    /// Jobs completed: the first terminal event of each is counted.
+    pub completed: u64,
+    /// Jobs failed terminally.
+    pub failed: u64,
+    /// Jobs expired in the queue.
+    pub expired: u64,
     /// The final line was unparsable — a crash tore it mid-write. The
     /// prefix before it replayed fine.
     pub torn_tail: bool,
@@ -571,57 +520,89 @@ impl Replay {
             .map(|(&id, _)| id)
     }
 
-    fn apply(&mut self, ev: AuditEvent) {
+    /// Fold one event into the jobs and the counters.
+    pub(crate) fn apply(&mut self, ev: AuditEvent) {
         match ev {
             AuditEvent::Accepted { id, request, .. } => {
                 self.next_id = self.next_id.max(id + 1);
                 // First acceptance wins: replaying a duplicated line (or a
                 // prefix twice) cannot double a job.
-                self.jobs.entry(id).or_insert(ReplayJob::new(request));
+                self.jobs.entry(id).or_insert_with(|| ReplayJob {
+                    request: Arc::new(request),
+                    attempts: 0,
+                    outcome: ReplayOutcome::Pending,
+                    manifest: None,
+                    attempts_at_checkpoint: 0,
+                });
             }
             AuditEvent::Rejected(_) => {
                 self.rejected += 1;
             }
-            AuditEvent::Started { id, attempt } => {
+            // The attempt count only grows, so a replayed or duplicated
+            // line cannot lower it.
+            AuditEvent::Started { id, attempt } | AuditEvent::Retried { id, attempt, .. } => {
+                self.retries += u64::from(matches!(ev, AuditEvent::Retried { .. }));
                 if let Some(j) = self.jobs.get_mut(&id) {
-                    j.start_attempt(attempt);
+                    j.attempts = j.attempts.max(attempt);
                 }
             }
+            // Progress only moves forward (the fold ignores a stale,
+            // duplicate or gapped delta), and a manifest arriving after the
+            // job's terminal outcome is stale noise (a torn race the WAL
+            // ordering makes possible only across replays). Advancing moves
+            // the retry clock's epoch to the current attempt.
             AuditEvent::Checkpointed { id, manifest } => {
                 if let Some(j) = self.jobs.get_mut(&id) {
-                    j.checkpoint(manifest);
-                }
-            }
-            AuditEvent::Retried { id, attempt, .. } => {
-                self.retries += 1;
-                if let Some(j) = self.jobs.get_mut(&id) {
-                    j.start_attempt(attempt);
+                    if !j.outcome.is_terminal()
+                        && CheckpointManifest::fold(&mut j.manifest, manifest)
+                    {
+                        j.attempts_at_checkpoint = j.attempts;
+                    }
                 }
             }
             AuditEvent::Completed {
                 id,
-                mut outcome,
+                outcome,
                 output_digest,
             } => {
-                if let Some(j) = self.jobs.get_mut(&id) {
-                    // A sort keeps every record. A lean line logged before
-                    // `output_len` was decodes a count of 0.
-                    if outcome.output.is_empty() {
-                        Arc::make_mut(&mut outcome).output_len = j.request.record_count();
-                    }
-                    j.terminalize(ReplayOutcome::Completed {
-                        outcome,
-                        output_digest,
-                    });
-                }
+                let completed = ReplayOutcome::Completed {
+                    outcome,
+                    output_digest,
+                };
+                self.completed += u64::from(self.terminalize(id, completed));
             }
-            AuditEvent::Failed { id, .. } | AuditEvent::Expired { id } => {
-                if let (Some(j), Some(outcome)) = (self.jobs.get_mut(&id), ev.into_outcome()) {
-                    j.terminalize(outcome);
-                }
+            AuditEvent::Failed { id, kind, error } => {
+                let failed = ReplayOutcome::Failed { kind, error };
+                self.failed += u64::from(self.terminalize(id, failed));
+            }
+            AuditEvent::Expired { id } => {
+                self.expired += u64::from(self.terminalize(id, ReplayOutcome::Expired));
             }
             AuditEvent::Drained | AuditEvent::Recovered { .. } => {}
         }
+    }
+
+    /// Terminal outcomes stick: the first one recorded for a job wins, so
+    /// replay is idempotent and monotonic over prefixes. The manifest's
+    /// records go with it (up to all `n` of them, held for as long as the
+    /// job is retained); its phase count stays, so progress never reads
+    /// lower. Returns whether `outcome` was recorded, to be counted.
+    fn terminalize(&mut self, id: JobId, mut outcome: ReplayOutcome) -> bool {
+        let Some(j) = self.jobs.get_mut(&id).filter(|j| !j.outcome.is_terminal()) else {
+            return false;
+        };
+        // A sort keeps every record. A lean line logged before `output_len`
+        // was decodes a count of 0.
+        if let ReplayOutcome::Completed { outcome, .. } = &mut outcome {
+            if outcome.output.is_empty() {
+                Arc::make_mut(outcome).output_len = j.request.record_count();
+            }
+        }
+        j.outcome = outcome;
+        if let Some(m) = &mut j.manifest {
+            m.runs = Vec::new();
+        }
+        true
     }
 }
 
@@ -684,7 +665,8 @@ impl AuditLog {
 
     /// Append one event.
     pub(crate) fn append(&self, ev: &AuditEvent) -> io::Result<()> {
-        self.write_line(&ev.to_json())
+        let line = ev.to_json();
+        self.write_parts(&mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")])
     }
 
     /// Append the `accepted` event of a request rendered by
@@ -703,10 +685,6 @@ impl AuditLog {
     /// The simulated crash: every later append vanishes.
     pub(crate) fn kill(&self) {
         *self.0.lock().expect("audit log") = None;
-    }
-
-    fn write_line(&self, line: &str) -> io::Result<()> {
-        self.write_parts(&mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")])
     }
 
     /// Write `parts` back to back, whole, under the log's lock: vectored

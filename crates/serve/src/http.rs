@@ -262,31 +262,25 @@ fn handle(stream: &TcpStream, service: &SortService) -> HandleResult {
                 Err(e) => respond(stream, 503, "Service Unavailable", &e.to_json()),
             },
         },
-        ("GET", _, Some((id, true))) => {
-            let id = id.parse::<u64>().ok();
+        ("GET", _, Some((id, wait))) => {
             let timeout_ms = query_u64(query, "timeout_ms")
                 .unwrap_or(DEFAULT_WAIT_MS)
                 .min(MAX_WAIT_MS);
-            match id.and_then(|id| service.wait_timeout(id, Duration::from_millis(timeout_ms))) {
+            let status = id.parse::<u64>().ok().and_then(|id| match wait {
+                true => service.wait_timeout(id, Duration::from_millis(timeout_ms)),
+                false => service.status(id),
+            });
+            match status {
                 None => respond(stream, 404, "Not Found", r#"{"error": "unknown job"}"#),
                 Some(status) if status.state == JobState::Expired => {
                     respond(stream, 504, "Gateway Timeout", &status.to_json());
-                }
-                Some(status) if status.state.is_terminal() => {
-                    respond(stream, 200, "OK", &status.to_json());
                 }
                 // Server-side timeout: the job is alive but not done; the
                 // current snapshot rides along so pollers learn something.
-                Some(status) => respond(stream, 408, "Request Timeout", &status.to_json()),
-            }
-        }
-        ("GET", _, Some((id, false))) => {
-            match id.parse::<u64>().ok().and_then(|id| service.status(id)) {
-                Some(status) if status.state == JobState::Expired => {
-                    respond(stream, 504, "Gateway Timeout", &status.to_json());
+                Some(status) if wait && !status.state.is_terminal() => {
+                    respond(stream, 408, "Request Timeout", &status.to_json());
                 }
                 Some(status) => respond(stream, 200, "OK", &status.to_json()),
-                None => respond(stream, 404, "Not Found", r#"{"error": "unknown job"}"#),
             }
         }
         ("POST", "/shutdown", _) => {

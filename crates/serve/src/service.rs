@@ -30,19 +30,22 @@
 //! written, not synced (no `sync_data`), so a power cut can still lose
 //! the page cache's tail; the power-loss item in `ROADMAP.md` tracks it.
 //!
+//! The live state is the log, replayed: it holds the [`Replay`] that
+//! [`crate::replay`] folds the log into, and applies each event it logs
+//! through that same fold right after the append. Beside the fold it keeps
+//! only what the log never holds: the queue, the retry parking lot, and
+//! each job's prediction, deadline clock and running flag. So `recover` is
+//! replay, rebuild the outputs, and schedule what is pending.
+//!
 //! A `completed` line carries the job's outcome rendered lean, never the
 //! sorted records: for a job that asked for its output it logs their
-//! digest ([`AuditEvent::completed`]). A completed job's entry holds one
-//! typed [`SortOutcome`], the one its line was rendered from, records
-//! included when the job asked for them. JSON is rendered only where a
-//! status leaves the service: [`SortService::status`] and the waits render
-//! the outcome into [`JobStatus::telemetry`] after they release the state
-//! lock, and [`SortService::wait_outcome`] hands it to a caller in this
-//! process (the `asym-kv` compactor) with nothing rendered or parsed.
-//! `recover` rebuilds the records by sorting the job's logged input in RAM
-//! and checking the result against the digest, so a recovered entry equals
-//! the live one; a mismatch is a typed [`RecoverError::OutputDigest`],
-//! never a silent restore.
+//! digest ([`AuditEvent::completed`]). The fold keeps the typed
+//! [`SortOutcome`] the line was rendered from, records included. JSON is
+//! rendered only where a status leaves the service, after the state lock
+//! is released; [`SortService::wait_outcome`] hands the outcome to a
+//! caller in this process (the `asym-kv` compactor) typed. `recover`
+//! rebuilds the records by sorting the job's logged input and checking
+//! them against the digest ([`RecoverError::OutputDigest`] if they miss).
 //!
 //! A file-backed attempt keeps its block files in `<root>/job-<id>`,
 //! which is removed when the attempt ends, however it ends, so a served
@@ -63,7 +66,7 @@
 //! the recovery tests lean on — it drops queued and running work on the
 //! floor exactly like a killed process.
 
-use crate::audit::{AuditError, AuditEvent, AuditLog, ReplayJob, ReplayOutcome};
+use crate::audit::{AuditError, AuditEvent, AuditLog, Replay, ReplayOutcome};
 use crate::job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
 use asym_core::sort::wire::{records_digest, req_u64};
 use asym_core::sort::{
@@ -367,42 +370,44 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
-/// Point-in-time service counters (see [`SortService::stats`]).
+/// Point-in-time service counters (see [`SortService::stats`]). The
+/// first six count over the log's lifetime, so a recovery keeps them; the
+/// peaks and `checkpoints` count this process only, from 0 at each boot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Jobs admitted over the service lifetime.
+    /// Jobs admitted over the log's lifetime.
     pub submitted: u64,
     /// Submissions turned away by admission control (memory budget, I/O
-    /// budget or deadline).
+    /// budget or deadline) over the log's lifetime.
     pub rejected: u64,
-    /// Jobs finished successfully.
+    /// Jobs finished successfully over the log's lifetime.
     pub completed: u64,
-    /// Jobs that failed terminally.
+    /// Jobs that failed terminally over the log's lifetime.
     pub failed: u64,
-    /// Jobs whose deadline lapsed while queued.
+    /// Jobs whose deadline lapsed while queued, over the log's lifetime.
     pub expired: u64,
-    /// Retryable failures that re-queued a job.
+    /// Retryable failures that re-queued a job, over the log's lifetime.
     pub retried: u64,
-    /// Jobs admitted but not yet picked up by a worker.
+    /// Jobs waiting in the queue for a worker, now.
     pub queued: u64,
-    /// Jobs parked in retry backoff.
+    /// Jobs parked in retry backoff, now.
     pub delayed: u64,
-    /// Jobs currently running.
+    /// Jobs this process is running, now.
     pub active: u64,
-    /// Summed predicted peak bytes of admitted-but-unfinished jobs.
+    /// Summed predicted peak bytes of the pending jobs, now.
     pub in_flight_bytes: u64,
-    /// High-water mark of `in_flight_bytes` — the number the budget
-    /// invariant is checked against.
+    /// High-water mark of `in_flight_bytes` in this process — the number
+    /// the budget invariant is checked against.
     pub peak_in_flight_bytes: u64,
     /// The configured admission budget.
     pub budget_bytes: u64,
-    /// Summed predicted I/O cost of admitted-but-unfinished jobs.
+    /// Summed predicted I/O cost of the pending jobs, now.
     pub in_flight_io: u64,
-    /// High-water mark of `in_flight_io`.
+    /// High-water mark of `in_flight_io` in this process.
     pub peak_in_flight_io: u64,
     /// The configured I/O-cost budget (0: unlimited).
     pub io_budget: u64,
-    /// Checkpoint manifests recorded over the service lifetime.
+    /// Checkpoint manifests this process recorded (0 after a recovery).
     pub checkpoints: u64,
 }
 
@@ -430,12 +435,10 @@ impl ServiceStats {
     }
 }
 
-/// One job as the live service holds it: the durable record the WAL
-/// replays, plus what the log never records.
-struct JobEntry {
-    /// What replaying the log yields for this job: a completed job holds
-    /// its outcome, with the records when it asked for them.
-    job: ReplayJob,
+/// What the live service keeps of a job beside its record in the fold:
+/// what the log never holds.
+struct Sched {
+    /// The admission-time prediction (a recovery recomputes it).
     predicted: CostEstimate,
     /// A worker holds the job (meaningful only while it is pending).
     running: bool,
@@ -447,61 +450,6 @@ struct JobEntry {
     enqueued_at: Instant,
     /// The last retryable failure's message, shown until the job ends.
     retry_error: Option<String>,
-}
-
-impl JobEntry {
-    /// A job entering the service at `now`, admitted by `submit` or
-    /// rebuilt by `recover`. A recovered job's deadline clock restarts
-    /// here: the log has no wall-clock anchor, and punishing a job for the
-    /// outage would expire everything.
-    fn new(job: ReplayJob, predicted: CostEstimate, now: Instant) -> JobEntry {
-        JobEntry {
-            expires_at: job
-                .request
-                .deadline_ms
-                .map(|ms| now + Duration::from_millis(ms)),
-            job,
-            predicted,
-            running: false,
-            enqueued_at: now,
-            retry_error: None,
-        }
-    }
-
-    fn state(&self) -> JobState {
-        match self.job.outcome {
-            ReplayOutcome::Pending if self.running => JobState::Running,
-            ReplayOutcome::Pending => JobState::Queued,
-            ReplayOutcome::Completed { .. } => JobState::Completed,
-            ReplayOutcome::Failed { .. } => JobState::Failed,
-            ReplayOutcome::Expired => JobState::Expired,
-        }
-    }
-
-    /// The job's status, read under the state lock. A completed job leaves
-    /// `telemetry` unset and returns its outcome beside it, for
-    /// [`rendered`] to render outside the lock.
-    fn snapshot(&self, id: JobId) -> Snapshot {
-        let (error, failure, outcome) = match &self.job.outcome {
-            ReplayOutcome::Pending => (self.retry_error.clone(), None, None),
-            ReplayOutcome::Completed { outcome, .. } => (None, None, Some(Arc::clone(outcome))),
-            ReplayOutcome::Failed { kind, error } => (Some(error.clone()), Some(*kind), None),
-            ReplayOutcome::Expired => (Some("deadline expired while queued".into()), None, None),
-        };
-        let status = JobStatus {
-            id,
-            state: self.state(),
-            predicted: self.predicted,
-            attempts: self.job.attempts,
-            telemetry: None,
-            error,
-            failure,
-        };
-        (
-            status,
-            outcome.map(|o| (o, self.job.request.include_output)),
-        )
-    }
 }
 
 /// A status read under the state lock, and the outcome of a completed job
@@ -517,16 +465,27 @@ fn rendered((mut status, outcome): Snapshot) -> JobStatus {
     status
 }
 
+/// The live service: the fold of its log, and the scheduling the log never
+/// holds. [`State::apply`] is the one writer of the fold.
 #[derive(Default)]
 struct State {
-    next_id: JobId,
+    /// Every job, the id counter and the lifetime counters: the log's fold,
+    /// as [`replay`](crate::replay) of the log would rebuild it.
+    fold: Replay,
+    /// The scheduling entry of every job in the fold.
+    sched: HashMap<JobId, Sched>,
     queue: VecDeque<JobId>,
     /// Retry parking lot: jobs waiting out their backoff, with due times.
     delayed: Vec<(Instant, JobId)>,
-    jobs: HashMap<JobId, JobEntry>,
-    /// The lifetime counters and in-flight sums; [`SortService::stats`]
-    /// fills in the fields derived from the rest of the state.
-    stats: ServiceStats,
+    /// Summed predicted peak bytes of the pending jobs.
+    in_flight_bytes: u64,
+    /// Summed predicted I/O cost of the pending jobs.
+    in_flight_io: u64,
+    /// High-water marks of the two sums since this process booted.
+    peak_in_flight_bytes: u64,
+    peak_in_flight_io: u64,
+    /// Checkpoint manifests recorded since this process booted.
+    checkpoints: u64,
     /// Admin hold: workers leave the queue untouched until released —
     /// tests use this to line up a deterministic schedule.
     held: bool,
@@ -538,6 +497,121 @@ struct State {
 }
 
 impl State {
+    /// Apply one event the service just logged: the scheduling the event
+    /// implies, then the fold. The two touch disjoint state. A started
+    /// attempt holds a worker until a `retried`, `completed` or `failed`
+    /// line ends it; a `retried` job parks for its backoff; a terminal job
+    /// gives back what admission held for it, and an expired one leaves
+    /// the queue.
+    fn apply(&mut self, ev: AuditEvent) {
+        match &ev {
+            AuditEvent::Started { id, .. } => {
+                self.active += 1;
+                self.sched.get_mut(id).expect("a started job").running = true;
+            }
+            AuditEvent::Checkpointed { .. } => self.checkpoints += 1,
+            AuditEvent::Retried {
+                id,
+                backoff_ms,
+                error,
+                ..
+            } => {
+                self.end_attempt(*id).retry_error = Some(error.clone());
+                let due = Instant::now() + Duration::from_millis(*backoff_ms);
+                self.delayed.push((due, *id));
+            }
+            AuditEvent::Completed { id, .. } | AuditEvent::Failed { id, .. } => {
+                self.end_attempt(*id);
+                self.release(*id);
+            }
+            AuditEvent::Expired { id } => {
+                self.queue.retain(|queued| queued != id);
+                self.delayed.retain(|(_, parked)| parked != id);
+                self.release(*id);
+            }
+            _ => {}
+        }
+        self.fold.apply(ev);
+    }
+
+    /// The running attempt of job `id` ended.
+    fn end_attempt(&mut self, id: JobId) -> &mut Sched {
+        self.active -= 1;
+        let sched = self.sched.get_mut(&id).expect("a running job");
+        sched.running = false;
+        sched
+    }
+
+    /// Job `id` ended: give back the budgets admission held for it.
+    fn release(&mut self, id: JobId) {
+        let predicted = self.sched[&id].predicted;
+        self.in_flight_bytes -= predicted.peak_bytes();
+        self.in_flight_io -= predicted.io_cost();
+    }
+
+    /// Schedule job `id` of the fold at `now`, predicted at `predicted`:
+    /// a pending job joins the queue and holds its prediction against the
+    /// budgets. A recovered job's deadline clock restarts here: the log has
+    /// no wall-clock anchor, and punishing a job for the outage would
+    /// expire everything.
+    fn schedule(&mut self, id: JobId, predicted: CostEstimate, now: Instant) {
+        let job = &self.fold.jobs[&id];
+        let expires_at = job
+            .request
+            .deadline_ms
+            .map(|ms| now + Duration::from_millis(ms));
+        if !job.outcome.is_terminal() {
+            self.queue.push_back(id);
+            self.in_flight_bytes += predicted.peak_bytes();
+            self.peak_in_flight_bytes = self.peak_in_flight_bytes.max(self.in_flight_bytes);
+            self.in_flight_io += predicted.io_cost();
+            self.peak_in_flight_io = self.peak_in_flight_io.max(self.in_flight_io);
+        }
+        let sched = Sched {
+            predicted,
+            running: false,
+            expires_at,
+            enqueued_at: now,
+            retry_error: None,
+        };
+        self.sched.insert(id, sched);
+    }
+
+    /// Job `id`'s status, read under the state lock (`None`: unknown). A
+    /// completed job leaves `telemetry` unset and returns its outcome
+    /// beside it, for [`rendered`] to render outside the lock.
+    fn snapshot(&self, id: JobId) -> Option<Snapshot> {
+        let job = self.fold.jobs.get(&id)?;
+        let sched = &self.sched[&id];
+        let (state, error, failure, outcome) = match &job.outcome {
+            ReplayOutcome::Pending if sched.running => {
+                (JobState::Running, sched.retry_error.clone(), None, None)
+            }
+            ReplayOutcome::Pending => (JobState::Queued, sched.retry_error.clone(), None, None),
+            ReplayOutcome::Completed { outcome, .. } => {
+                let outcome = (Arc::clone(outcome), job.request.include_output);
+                (JobState::Completed, None, None, Some(outcome))
+            }
+            ReplayOutcome::Failed { kind, error } => {
+                (JobState::Failed, Some(error.clone()), Some(*kind), None)
+            }
+            ReplayOutcome::Expired => {
+                let error = Some("deadline expired while queued".into());
+                (JobState::Expired, error, None, None)
+            }
+        };
+        let status = JobStatus {
+            id,
+            state,
+            predicted: sched.predicted,
+            attempts: job.attempts,
+            telemetry: None,
+            error,
+            failure,
+        };
+        Some((status, outcome))
+    }
+
     /// The ids of every queued job: the queue, then the retry parking lot.
     fn pending(&self) -> impl Iterator<Item = JobId> + '_ {
         let parked = self.delayed.iter().map(|&(_, id)| id);
@@ -547,7 +621,45 @@ impl State {
     /// The service holds a job or a rejection: only then do `recovered`
     /// and `drained` lines tell the log anything.
     fn has_history(&self) -> bool {
-        !self.jobs.is_empty() || self.stats.rejected > 0
+        !self.fold.jobs.is_empty() || self.fold.rejected > 0
+    }
+
+    /// Admission control: the first budget that cannot hold a job predicted
+    /// at `predicted` — peak bytes, then I/O cost (when `io_budget` is
+    /// set), then the deadline (when `io_per_ms` prices an ETA) — or `None`
+    /// to admit.
+    fn refusal(
+        &self,
+        cfg: &ServiceConfig,
+        predicted: &CostEstimate,
+        deadline_ms: Option<u64>,
+    ) -> Option<Refusal> {
+        let need = predicted.peak_bytes();
+        let available = cfg.budget_bytes.saturating_sub(self.in_flight_bytes);
+        if need > available {
+            return Some(Refusal::Budget {
+                predicted: need,
+                available,
+            });
+        }
+        let need_io = predicted.io_cost();
+        let available = cfg.io_budget.saturating_sub(self.in_flight_io);
+        if cfg.io_budget > 0 && need_io > available {
+            return Some(Refusal::Io {
+                predicted: need_io,
+                available,
+            });
+        }
+        match deadline_ms {
+            Some(deadline_ms) if cfg.io_per_ms > 0 => {
+                let eta_ms = need_io.div_ceil(cfg.io_per_ms);
+                (eta_ms > deadline_ms).then_some(Refusal::Deadline {
+                    eta_ms,
+                    deadline_ms,
+                })
+            }
+            _ => None,
+        }
     }
 }
 
@@ -559,16 +671,20 @@ struct Inner {
     work_ready: Condvar,
     /// Signals waiters: some job reached a terminal state.
     job_done: Condvar,
-    /// The WAL. Lock order is always state → audit (or audit alone);
-    /// never take state while holding audit.
+    /// The WAL. Every transition appends its event under the state lock
+    /// and then applies it ([`State::apply`]); the checkpointer alone
+    /// appends first and then takes the state lock to apply. So the lock
+    /// order is always state → audit (or audit alone); never take state
+    /// while holding audit.
     audit: AuditLog,
 }
 
 impl Inner {
-    /// Append one event, best-effort: audit faults must not take down the
-    /// data path once the file opened.
-    fn audit_event(&self, ev: &AuditEvent) {
-        let _ = self.audit.append(ev);
+    /// Append one event, best-effort (audit faults must not take down the
+    /// data path once the file opened), then apply it to the state.
+    fn log(&self, st: &mut State, ev: AuditEvent) {
+        let _ = self.audit.append(&ev);
+        st.apply(ev);
     }
 }
 
@@ -603,18 +719,9 @@ impl SortService {
     /// Like `drained`, the `recovered` line is logged only when the service
     /// holds a job or a rejection, so idle boots leave a log empty.
     pub fn recover(cfg: ServiceConfig) -> Result<(SortService, RecoveryReport), RecoverError> {
-        let (audit, rep) = AuditLog::recover(&cfg.root_dir)?;
-        let mut st = State {
-            next_id: rep.next_id,
-            stats: ServiceStats {
-                rejected: rep.rejected,
-                retried: rep.retries,
-                ..ServiceStats::default()
-            },
-            ..State::default()
-        };
-        let now = Instant::now();
-        for (id, mut job) in rep.jobs {
+        let (audit, mut fold) = AuditLog::recover(&cfg.root_dir)?;
+        let mut predicted = Vec::with_capacity(fold.jobs.len());
+        for (&id, job) in &mut fold.jobs {
             if let ReplayOutcome::Completed {
                 outcome,
                 output_digest: Some(logged),
@@ -622,33 +729,35 @@ impl SortService {
             {
                 Arc::make_mut(outcome).output = rebuilt_output(id, &job.request, *logged)?;
             }
-            st.stats.submitted += 1;
-            let predicted = job.request.predict();
-            // A re-queued staged job carries the fold of its durable
-            // manifests: the next attempt resumes from it instead of
-            // restarting, and its retry clock restarts at the manifest's.
-            match job.outcome {
-                ReplayOutcome::Pending => {
-                    st.stats.in_flight_bytes += predicted.peak_bytes();
-                    st.stats.in_flight_io += predicted.io_cost();
-                    st.queue.push_back(id);
-                }
-                ReplayOutcome::Completed { .. } => st.stats.completed += 1,
-                ReplayOutcome::Failed { .. } => st.stats.failed += 1,
-                ReplayOutcome::Expired => st.stats.expired += 1,
-            }
-            st.jobs.insert(id, JobEntry::new(job, predicted, now));
+            predicted.push((id, job.request.predict()));
         }
-        st.stats.peak_in_flight_bytes = st.stats.in_flight_bytes;
-        st.stats.peak_in_flight_io = st.stats.in_flight_io;
+        // The repair cut the torn line: the log now folds to this state.
+        let torn_tail = std::mem::take(&mut fold.torn_tail);
+        let mut st = State {
+            fold,
+            ..State::default()
+        };
+        // A re-queued staged job carries the fold of its durable manifests:
+        // the next attempt resumes from it instead of restarting, and its
+        // retry clock restarts at the manifest's.
+        let now = Instant::now();
+        for (id, predicted) in predicted {
+            st.schedule(id, predicted, now);
+        }
         let requeued = st.queue.len() as u64;
         let report = RecoveryReport {
             requeued,
-            restored: st.jobs.len() as u64 - requeued,
-            next_id: rep.next_id,
-            torn_tail: rep.torn_tail,
+            restored: st.fold.jobs.len() as u64 - requeued,
+            next_id: st.fold.next_id,
+            torn_tail,
         };
-        let logged = st.has_history();
+        if st.has_history() {
+            let _ = audit.append(&AuditEvent::Recovered {
+                requeued: report.requeued,
+                restored: report.restored,
+                next_id: report.next_id,
+            });
+        }
         let threads = cfg.workers.max(1);
         let inner = Arc::new(Inner {
             cfg,
@@ -657,13 +766,6 @@ impl SortService {
             job_done: Condvar::new(),
             audit,
         });
-        if logged {
-            inner.audit_event(&AuditEvent::Recovered {
-                requeued: report.requeued,
-                restored: report.restored,
-                next_id: report.next_id,
-            });
-        }
         let handles = (0..threads)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -685,7 +787,6 @@ impl SortService {
     pub fn submit(&self, request: JobRequest) -> Result<JobId, SubmitError> {
         let predicted = request.predict();
         let need = predicted.peak_bytes();
-        let need_io = predicted.io_cost();
         // Render the request (the whole inline input) before taking the
         // lock that workers and waiters share.
         let request_json = request.to_json();
@@ -697,15 +798,11 @@ impl SortService {
                 return Err(SubmitError::Draining);
             }
             expire_overdue(&self.inner, &mut st);
-            if let Some(refusal) =
-                refusal(&self.inner.cfg, &st.stats, &predicted, request.deadline_ms)
-            {
-                st.stats.rejected += 1;
-                drop(st);
-                self.inner.audit_event(&AuditEvent::Rejected(refusal));
+            if let Some(refusal) = st.refusal(&self.inner.cfg, &predicted, request.deadline_ms) {
+                self.inner.log(&mut st, AuditEvent::Rejected(refusal));
                 return Err(SubmitError::Rejected(refusal));
             }
-            let id = st.next_id;
+            let id = st.fold.next_id;
             // WAL ordering: the accepted record must be on disk before the
             // job can run, or a crash could complete work the log never
             // heard of — so nothing is recorded or held until it is. The
@@ -717,18 +814,12 @@ impl SortService {
                 .map_err(|e| SubmitError::Unlogged {
                     error: e.to_string(),
                 })?;
-            st.next_id += 1;
-            let stats = &mut st.stats;
-            stats.submitted += 1;
-            stats.in_flight_bytes += need;
-            stats.peak_in_flight_bytes = stats.peak_in_flight_bytes.max(stats.in_flight_bytes);
-            stats.in_flight_io += need_io;
-            stats.peak_in_flight_io = stats.peak_in_flight_io.max(stats.in_flight_io);
-            st.jobs.insert(
+            st.apply(AuditEvent::Accepted {
                 id,
-                JobEntry::new(ReplayJob::new(request), predicted, Instant::now()),
-            );
-            st.queue.push_back(id);
+                request,
+                predicted_bytes: need,
+            });
+            st.schedule(id, predicted, Instant::now());
             id
         };
         self.inner.work_ready.notify_one();
@@ -742,7 +833,7 @@ impl SortService {
         let snapshot = {
             let mut st = self.inner.state.lock().expect("service state");
             expire_overdue(&self.inner, &mut st);
-            st.jobs.get(&id).map(|e| e.snapshot(id))
+            st.snapshot(id)
         };
         snapshot.map(rendered)
     }
@@ -781,10 +872,9 @@ impl SortService {
         let mut st = self.inner.state.lock().expect("service state");
         loop {
             expire_overdue(&self.inner, &mut st);
-            let e = st.jobs.get(&id)?;
             let now = Instant::now();
-            if e.state().is_terminal() || deadline.is_some_and(|d| d <= now) {
-                return Some(e.snapshot(id));
+            if st.fold.jobs.get(&id)?.outcome.is_terminal() || deadline.is_some_and(|d| d <= now) {
+                return st.snapshot(id);
             }
             // Short bounded steps rather than one long wait: expiry has no
             // dedicated timer thread, so waiters double as the sweep.
@@ -802,17 +892,28 @@ impl SortService {
         }
     }
 
-    /// Current counters.
+    /// Current counters: the fold's, and this process's.
     pub fn stats(&self) -> ServiceStats {
         let mut st = self.inner.state.lock().expect("service state");
         expire_overdue(&self.inner, &mut st);
+        let fold = &st.fold;
         ServiceStats {
+            submitted: fold.jobs.len() as u64,
+            rejected: fold.rejected,
+            completed: fold.completed,
+            failed: fold.failed,
+            expired: fold.expired,
+            retried: fold.retries,
             queued: st.queue.len() as u64,
             delayed: st.delayed.len() as u64,
             active: st.active,
+            in_flight_bytes: st.in_flight_bytes,
+            peak_in_flight_bytes: st.peak_in_flight_bytes,
             budget_bytes: self.inner.cfg.budget_bytes,
+            in_flight_io: st.in_flight_io,
+            peak_in_flight_io: st.peak_in_flight_io,
             io_budget: self.inner.cfg.io_budget,
-            ..st.stats
+            checkpoints: st.checkpoints,
         }
     }
 
@@ -866,7 +967,7 @@ impl SortService {
         };
         self.join_workers();
         if logged {
-            self.inner.audit_event(&AuditEvent::Drained);
+            let _ = self.inner.audit.append(&AuditEvent::Drained);
         }
     }
 
@@ -905,43 +1006,6 @@ impl Drop for SortService {
     }
 }
 
-/// Admission control: the first budget that cannot hold a job predicted
-/// at `predicted` — peak bytes, then I/O cost (when `io_budget` is set),
-/// then the deadline (when `io_per_ms` prices an ETA) — or `None` to admit.
-fn refusal(
-    cfg: &ServiceConfig,
-    stats: &ServiceStats,
-    predicted: &CostEstimate,
-    deadline_ms: Option<u64>,
-) -> Option<Refusal> {
-    let need = predicted.peak_bytes();
-    let available = cfg.budget_bytes.saturating_sub(stats.in_flight_bytes);
-    if need > available {
-        return Some(Refusal::Budget {
-            predicted: need,
-            available,
-        });
-    }
-    let need_io = predicted.io_cost();
-    let available = cfg.io_budget.saturating_sub(stats.in_flight_io);
-    if cfg.io_budget > 0 && need_io > available {
-        return Some(Refusal::Io {
-            predicted: need_io,
-            available,
-        });
-    }
-    match deadline_ms {
-        Some(deadline_ms) if cfg.io_per_ms > 0 => {
-            let eta_ms = need_io.div_ceil(cfg.io_per_ms);
-            (eta_ms > deadline_ms).then_some(Refusal::Deadline {
-                eta_ms,
-                deadline_ms,
-            })
-        }
-        _ => None,
-    }
-}
-
 /// Expire every queued job whose deadline has lapsed. Called under the
 /// state lock from every observer path and from the worker loop, so a
 /// dedicated timer thread is unnecessary. Running jobs are never expired
@@ -950,21 +1014,13 @@ fn refusal(
 /// in `st.queue` or `st.delayed`.
 fn expire_overdue(inner: &Inner, st: &mut State) {
     let now = Instant::now();
-    let jobs = &st.jobs;
-    let lapsed = |id: JobId| jobs[&id].expires_at.is_some_and(|t| t <= now);
-    let overdue: Vec<JobId> = st.pending().filter(|&id| lapsed(id)).collect();
+    let lapsed = |id: &JobId| st.sched[id].expires_at.is_some_and(|t| t <= now);
+    let overdue: Vec<JobId> = st.pending().filter(lapsed).collect();
     if overdue.is_empty() {
         return;
     }
-    st.queue.retain(|&id| !lapsed(id));
-    st.delayed.retain(|&(_, id)| !lapsed(id));
-    for &id in &overdue {
-        let e = st.jobs.get_mut(&id).expect("overdue job exists");
-        e.job.terminalize(ReplayOutcome::Expired);
-        st.stats.in_flight_bytes -= e.predicted.peak_bytes();
-        st.stats.in_flight_io -= e.predicted.io_cost();
-        st.stats.expired += 1;
-        inner.audit_event(&AuditEvent::Expired { id });
+    for id in overdue {
+        inner.log(st, AuditEvent::Expired { id });
     }
     inner.job_done.notify_all();
 }
@@ -985,16 +1041,16 @@ struct JobFailure {
 fn pick_next(st: &State, cfg: &ServiceConfig, now: Instant) -> Option<usize> {
     let mut best: Option<(i128, JobId, usize)> = None;
     for (pos, &id) in st.queue.iter().enumerate() {
-        let Some(e) = st.jobs.get(&id) else { continue };
-        let io = e.predicted.io_cost();
-        let remaining = match &e.job.manifest {
+        let sched = &st.sched[&id];
+        let io = sched.predicted.io_cost();
+        let remaining = match &st.fold.jobs[&id].manifest {
             Some(m) if m.total_phases > 0 => {
                 let left = m.total_phases - m.phases_done.min(m.total_phases);
                 (io as u128 * left as u128 / m.total_phases as u128) as u64
             }
             _ => io,
         };
-        let age_ms = now.saturating_duration_since(e.enqueued_at).as_millis() as i128;
+        let age_ms = now.saturating_duration_since(sched.enqueued_at).as_millis() as i128;
         let effective = remaining as i128 - age_ms * cfg.aging_io_per_ms as i128;
         if best.is_none_or(|(be, bid, _)| (effective, id) < (be, bid)) {
             best = Some((effective, id, pos));
@@ -1027,7 +1083,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 }
                 // Sleep until the earliest reason to wake: a due retry, a
                 // queued job's expiry, or (bounded) a notification.
-                let expiries = st.pending().filter_map(|id| st.jobs[&id].expires_at);
+                let expiries = st.pending().filter_map(|id| st.sched[&id].expires_at);
                 let step = st
                     .delayed
                     .iter()
@@ -1041,25 +1097,21 @@ fn worker_loop(inner: &Arc<Inner>) {
                     .expect("service state");
                 st = guard;
             };
-            st.active += 1;
-            let entry = st.jobs.get_mut(&id).expect("queued job exists");
-            entry.running = true;
-            let attempt = entry.job.attempts + 1;
-            entry.job.start_attempt(attempt);
+            let job = &st.fold.jobs[&id];
+            let attempt = job.attempts + 1;
             // The fault-decay clock counts only attempts since the last
             // phase progress: an attempt that checkpointed a phase reset
             // the storm's schedule along with the retry clock.
-            let failed_since_progress =
-                (attempt - 1).saturating_sub(entry.job.attempts_at_checkpoint);
-            let manifest = entry.job.manifest.clone();
-            inner.audit_event(&AuditEvent::Started { id, attempt });
-            (
+            let failed_since_progress = (attempt - 1).saturating_sub(job.attempts_at_checkpoint);
+            let picked = (
                 id,
-                Arc::clone(&entry.job.request),
+                Arc::clone(&job.request),
                 attempt,
                 failed_since_progress,
-                manifest,
-            )
+                job.manifest.clone(),
+            );
+            inner.log(&mut st, AuditEvent::Started { id, attempt });
+            picked
         };
 
         // The sort runs outside the lock, fenced by catch_unwind: a
@@ -1084,63 +1136,38 @@ fn worker_loop(inner: &Arc<Inner>) {
         });
 
         {
-            let mut guard = inner.state.lock().expect("service state");
-            let st = &mut *guard;
+            let mut st = inner.state.lock().expect("service state");
             let max_attempts = inner.cfg.max_attempts.max(1);
-            let entry = st.jobs.get_mut(&id).expect("running job exists");
-            entry.running = false;
             // The retry budget is per progress epoch: attempts that
             // completed a phase (this one included — the checkpointer may
             // have advanced the epoch while we ran) moved the epoch
             // forward and are not billed against `max_attempts`.
-            let effective_attempts = attempt.saturating_sub(entry.job.attempts_at_checkpoint);
-            st.active -= 1;
-            // Each arm logs the attempt's event first, then applies it.
-            let outcome = match result {
-                Ok(completed) => {
-                    inner.audit_event(&completed);
-                    st.stats.completed += 1;
-                    completed.into_outcome()
-                }
+            let effective_attempts =
+                attempt.saturating_sub(st.fold.jobs[&id].attempts_at_checkpoint);
+            let ended = match result {
+                Ok(completed) => completed,
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
-                    let shift = effective_attempts.saturating_sub(1).min(20);
-                    let backoff_ms = inner
-                        .cfg
-                        .backoff_base_ms
-                        .saturating_mul(1u64 << shift)
-                        .min(inner.cfg.backoff_cap_ms);
-                    inner.audit_event(&AuditEvent::Retried {
-                        id,
-                        attempt,
-                        backoff_ms,
-                        error: f.message.clone(),
-                    });
                     // The budgets stay held: the job is still the
                     // service's responsibility, just parked.
-                    entry.retry_error = Some(f.message);
-                    st.stats.retried += 1;
-                    st.delayed
-                        .push((Instant::now() + Duration::from_millis(backoff_ms), id));
-                    None
-                }
-                Err(f) => {
-                    inner.audit_event(&AuditEvent::Failed {
+                    let shift = effective_attempts.saturating_sub(1).min(20);
+                    AuditEvent::Retried {
                         id,
-                        kind: f.kind,
-                        error: f.message.clone(),
-                    });
-                    st.stats.failed += 1;
-                    Some(ReplayOutcome::Failed {
-                        kind: f.kind,
+                        attempt,
+                        backoff_ms: inner
+                            .cfg
+                            .backoff_base_ms
+                            .saturating_mul(1u64 << shift)
+                            .min(inner.cfg.backoff_cap_ms),
                         error: f.message,
-                    })
+                    }
                 }
+                Err(f) => AuditEvent::Failed {
+                    id,
+                    kind: f.kind,
+                    error: f.message,
+                },
             };
-            if let Some(outcome) = outcome {
-                entry.job.terminalize(outcome);
-                st.stats.in_flight_bytes -= entry.predicted.peak_bytes();
-                st.stats.in_flight_io -= entry.predicted.io_cost();
-            }
+            inner.log(&mut st, ended);
         }
         inner.job_done.notify_all();
         inner.work_ready.notify_all();
@@ -1149,11 +1176,11 @@ fn worker_loop(inner: &Arc<Inner>) {
 
 /// The [`Checkpointer`] the worker hands a staged job: each delta
 /// manifest is appended to the audit WAL *first* (durability), then
-/// folded into the job's entry through [`ReplayJob::checkpoint`], the
-/// same transition replay applies. A failed append fails the save — and so the phase —
-/// and records nothing: a manifest the WAL refused is not durable. The
-/// two locks are taken strictly in sequence (audit, then state), never
-/// nested, per the service's lock order.
+/// applied to the state ([`State::apply`]), which folds it into the job as
+/// replay does. A failed append fails the save — and so the phase — and
+/// records nothing: a manifest the WAL refused is not durable. The two
+/// locks are taken strictly in sequence (audit, then state), never nested,
+/// per the service's lock order.
 struct ServiceCheckpointer {
     inner: Arc<Inner>,
     id: JobId,
@@ -1169,13 +1196,7 @@ impl Checkpointer for ServiceCheckpointer {
             .audit
             .append(&event)
             .map_err(|e| ModelError::Io(format!("checkpoint append: {e}")))?;
-        let mut st = self.inner.state.lock().expect("service state");
-        st.stats.checkpoints += 1;
-        if let (Some(e), AuditEvent::Checkpointed { manifest, .. }) =
-            (st.jobs.get_mut(&self.id), event)
-        {
-            e.job.checkpoint(manifest);
-        }
+        self.inner.state.lock().expect("service state").apply(event);
         Ok(())
     }
 }
@@ -1308,5 +1329,202 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         format!("panic: {s}")
     } else {
         "panic: (non-string payload)".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The fold checker: seeded, randomized single-worker sessions that
+    //! assert, after every call, that the live state is its log replayed.
+
+    use super::*;
+    use crate::audit::replay;
+    use asym_core::sort::{Algorithm, SortSpec};
+    use asym_model::workload::Workload;
+    use em_sim::FaultSpec;
+    use std::path::Path;
+    use std::sync::MutexGuard;
+
+    /// A xorshift stream: the session script, reproducible from its seed.
+    struct Script(u64);
+
+    impl Script {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn config(root: &Path) -> ServiceConfig {
+        let mut cfg = ServiceConfig::new(1, 1 << 22, root);
+        cfg.max_attempts = 12;
+        cfg.backoff_base_ms = 1;
+        cfg.backoff_cap_ms = 4;
+        cfg.io_per_ms = 1_000_000;
+        cfg
+    }
+
+    /// One of the session's job kinds, drawn from `script`: lean, full,
+    /// parallel, checkpointed, a fault storm (checkpointed or not), a
+    /// certain crash, a deadline that lapses in the queue, and the two
+    /// admission refusals.
+    fn request(script: &mut Script) -> JobRequest {
+        let kind = script.below(10);
+        let storm = FaultSpec {
+            seed: script.below(1 << 20),
+            read_permille: 150,
+            write_permille: 120,
+            short_permille: 300,
+            panic_permille: 0,
+        };
+        let (algorithm, m) = match kind {
+            1 => (Algorithm::Samplesort, 64),
+            2 => (Algorithm::ParSamplesort, 64),
+            8 => (Algorithm::Mergesort, 1 << 22),
+            _ => (Algorithm::Mergesort, 64),
+        };
+        let spec = SortSpec::builder(algorithm, m, 8, 16).k(2);
+        let spec = match kind {
+            2 => spec.lanes(2),
+            4 | 5 => spec.fault(Some(storm)),
+            6 => spec.fault(Some(FaultSpec {
+                panic_permille: 1_000,
+                ..FaultSpec::new(storm.seed)
+            })),
+            _ => spec,
+        };
+        let records = 200 + script.below(600) as usize;
+        let input = Workload::Zipf.generate(records, script.below(1 << 20));
+        let mut request = JobRequest::inline(spec.build().expect("valid spec"), input);
+        request.include_output = kind == 1;
+        request.checkpoint = kind == 3 || kind == 5;
+        request.deadline_ms = match kind {
+            7 => Some(1),
+            9 => {
+                request.records = 20_000_000;
+                request.input = None;
+                Some(1)
+            }
+            _ => None,
+        };
+        request
+    }
+
+    /// Wait until no attempt runs. Under a hold, nothing starts, so the
+    /// returned lock sees a log every transition has reached.
+    fn quiet(service: &SortService) -> MutexGuard<'_, State> {
+        loop {
+            let st = service.inner.state.lock().expect("service state");
+            if st.active == 0 {
+                return st;
+            }
+            drop(st);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The live state is its log, replayed: the fold equals the log's, once
+    /// each completed outcome's records are checked against the digest
+    /// its line logged and stripped (a replayed outcome holds only the
+    /// digest); and the scheduling holds exactly the fold's pending jobs,
+    /// with their predictions in flight.
+    fn assert_is_its_log(service: &SortService, root: &Path, step: &str) {
+        let st = quiet(service);
+        let text = std::fs::read_to_string(root.join("audit.jsonl")).unwrap_or_default();
+        let logged = replay(&text).expect("the log replays");
+        let mut live = st.fold.clone();
+        for (id, job) in &mut live.jobs {
+            if let ReplayOutcome::Completed {
+                outcome,
+                output_digest,
+            } = &mut job.outcome
+            {
+                if let Some(digest) = output_digest {
+                    let held = records_digest(&outcome.output);
+                    assert_eq!(held, *digest, "{step}: job {id}'s records");
+                }
+                Arc::make_mut(outcome).output = Vec::new();
+            }
+        }
+        assert_eq!(live, logged, "{step}: the live fold is not the log's");
+
+        let mut scheduled: Vec<JobId> = st.pending().collect();
+        scheduled.sort_unstable();
+        let pending: Vec<JobId> = st.fold.pending().collect();
+        assert_eq!(
+            scheduled, pending,
+            "{step}: the queue is not the pending jobs"
+        );
+        let held = pending.iter().fold((0, 0), |(bytes, io), id| {
+            let p = st.sched[id].predicted;
+            (bytes + p.peak_bytes(), io + p.io_cost())
+        });
+        assert_eq!(
+            (st.in_flight_bytes, st.in_flight_io),
+            held,
+            "{step}: the budgets do not hold the pending jobs"
+        );
+    }
+
+    fn session(seed: u64) {
+        let root =
+            std::env::temp_dir().join(format!("asym-fold-check-{}-{seed:x}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut script = Script(seed);
+        let mut service = SortService::start(config(&root)).expect("start");
+        service.hold();
+        for call in 0..40 {
+            let step = format!("seed {seed:#x}, call {call}");
+            match script.below(8) {
+                0..=3 => {
+                    let _ = service.submit(request(&mut script));
+                }
+                4 => {
+                    let id = script.below(service.stats().submitted + 1);
+                    let _ = service.status(id);
+                }
+                5 | 6 => {
+                    // Let the worker run for a while, then hold it again.
+                    service.release();
+                    std::thread::sleep(Duration::from_millis(script.below(6)));
+                    service.hold();
+                }
+                _ => {
+                    // A crash, held or mid-attempt; the log's fold boots.
+                    if script.below(2) == 0 {
+                        service.release();
+                        std::thread::sleep(Duration::from_millis(script.below(4)));
+                    }
+                    service.kill();
+                    service = SortService::start(config(&root)).expect("recover");
+                    service.hold();
+                }
+            }
+            assert_is_its_log(&service, &root, &step);
+        }
+        service.drain();
+        assert_is_its_log(&service, &root, &format!("seed {seed:#x}, drained"));
+        let stats = service.stats();
+        assert_eq!((stats.queued, stats.delayed, stats.active), (0, 0, 0));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_live_state_is_its_log_replayed() {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("sort-worker"));
+            if !worker {
+                default_hook(info);
+            }
+        }));
+        for seed in [0x5EED_0001, 0xF01D_2002, 0xC0DE_3003, 0xBEEF_4004] {
+            session(seed);
+        }
     }
 }
