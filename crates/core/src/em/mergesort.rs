@@ -123,7 +123,8 @@ pub fn aem_mergesort_opts(
 
 /// Merge already-sorted runs staged on `machine` with the Lemma 4.1 l-way
 /// merge — the staged/checkpointed executor's merge-round engine
-/// (`sort::checkpoint`). The input runs are left live; the caller frees
+/// (`sort::checkpoint`), and the whole job of a spec that names its runs
+/// (`sort::merge`). The input runs are left live; the caller frees
 /// them. Requires `runs.len() <= kM/B`.
 pub(crate) fn merge_sorted_runs(machine: &EmMachine, runs: &[EmVec], k: usize) -> Result<EmVec> {
     merge_runs(machine, runs, k, MergeOpts::default())

@@ -1,6 +1,7 @@
 //! [`run`] and [`run_lean`], the one `match` that dispatches a
 //! [`SortSpec`] to its algorithm's engine, and the unified [`SortOutcome`].
 
+use super::merge::merge_staged;
 use super::spec::{Algorithm, SortSpec};
 use crate::em::{aem_heapsort, aem_mergesort, aem_samplesort};
 use crate::par::par_aem_sample_sort;
@@ -72,19 +73,17 @@ pub struct ParData {
     pub steal_warmup: EmStats,
 }
 
-/// Shared sequential plumbing: build the spec's machine, stage the input
-/// (uncharged), run the engine, gather the output unless the run is
+/// Shared sequential plumbing: build the spec's machine, run the engine
+/// (which stages its input, uncharged), gather the output unless the run is
 /// `lean`, and assert that freeing the output leaves the store fully
 /// released — every engine frees what it allocates.
 fn run_serial(
     spec: &SortSpec,
-    input: &[Record],
     lean: bool,
-    engine: impl FnOnce(&EmMachine, EmVec) -> Result<EmVec>,
+    engine: impl FnOnce(&EmMachine) -> Result<EmVec>,
 ) -> Result<SortOutcome> {
     let em = spec.machine()?;
-    let staged = EmVec::stage(&em, input);
-    let sorted = engine(&em, staged)?;
+    let sorted = engine(&em)?;
     let output_len = sorted.len();
     let output = if lean {
         Vec::new()
@@ -106,7 +105,9 @@ fn run_serial(
 /// Run the job described by `spec` over `input` — the one front door. The
 /// spec's algorithm picks the engine (its public free function), so the
 /// result is cost-identical to calling that engine on the spec's machine.
-/// Runtime faults (backend I/O, exceeded leases) surface as [`ModelError`]s.
+/// A spec with [`runs`](SortSpec::runs) merges them instead (`sort::merge`).
+/// Runtime faults (backend I/O, exceeded leases) surface as [`ModelError`]s,
+/// and so does an input that is not the runs its spec names.
 ///
 /// [`ModelError`]: asym_model::ModelError
 pub fn run(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
@@ -123,14 +124,19 @@ pub fn run_lean(spec: &SortSpec, input: &[Record]) -> Result<SortOutcome> {
 
 fn dispatch(spec: &SortSpec, input: &[Record], lean: bool) -> Result<SortOutcome> {
     let k = spec.k();
+    let stage = |em: &EmMachine| EmVec::stage(em, input);
+    if let Some(runs) = spec.runs() {
+        // Only the mergesort takes runs (the builder checks).
+        return run_serial(spec, lean, |em| merge_staged(em, input, runs, k));
+    }
     match spec.algorithm() {
-        Algorithm::Mergesort => run_serial(spec, input, lean, |em, v| aem_mergesort(em, v, k)),
+        Algorithm::Mergesort => run_serial(spec, lean, |em| aem_mergesort(em, stage(em), k)),
         // The spec's seed drives the splitter sampling, so runs are
         // deterministic in the spec.
-        Algorithm::Samplesort => run_serial(spec, input, lean, |em, v| {
-            aem_samplesort(em, v, k, &mut StdRng::seed_from_u64(spec.seed()))
+        Algorithm::Samplesort => run_serial(spec, lean, |em| {
+            aem_samplesort(em, stage(em), k, &mut StdRng::seed_from_u64(spec.seed()))
         }),
-        Algorithm::Heapsort => run_serial(spec, input, lean, |em, v| aem_heapsort(em, v, k)),
+        Algorithm::Heapsort => run_serial(spec, lean, |em| aem_heapsort(em, stage(em), k)),
         Algorithm::ParSamplesort => {
             let par = spec.par_machine()?;
             let (run, steal_warmup) =

@@ -41,7 +41,9 @@
 //! sort: its output is identical to [`super::run`] (every sorter is a
 //! total order on records), but its modeled costs differ from the
 //! single-shot path's, so [`predict_staged`] prices it — per-chunk
-//! theorem envelopes plus a Lemma 4.1 envelope per merge round.
+//! theorem envelopes plus a Lemma 4.1 envelope per merge round. A staged
+//! run always sorts from scratch: it ignores a spec's
+//! [`runs`](SortSpec::runs), whose chunks would cut across them.
 
 use super::adapters::{run, SortOutcome};
 use super::predict::CostEstimate;
@@ -449,8 +451,9 @@ pub fn predict_staged(spec: &SortSpec, n: usize) -> CostEstimate {
     let mut reads = 0u64;
     let mut writes = 0u64;
     let mut peak = spec.m() + staged_slack(spec);
+    let chunk_spec = spec.without_runs();
     for &(lo, hi) in plan.chunks() {
-        let e = spec.predict(hi - lo);
+        let e = chunk_spec.predict(hi - lo);
         reads += e.reads;
         writes += e.writes;
         peak = peak.max(e.peak_memory);
@@ -524,11 +527,12 @@ fn execute(
 ) -> Result<SortOutcome> {
     let total = plan.total_phases();
     let digest = input_digest(spec, input);
+    let chunk_spec = spec.without_runs();
     for phase in start..total {
         let (base, produced, phase_stats) = match plan.chunks().get(phase) {
             Some(&(lo, hi)) if lo == hi => (runs.len(), vec![Vec::new()], EmStats::default()),
             Some(&(lo, hi)) => {
-                let out = run(spec, &input[lo..hi])?;
+                let out = run(&chunk_spec, &input[lo..hi])?;
                 (runs.len(), vec![out.output], out.stats)
             }
             None => {

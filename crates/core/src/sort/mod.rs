@@ -21,6 +21,10 @@
 //! * [`run_lean`] — `run` for a caller that wants only the counts: the
 //!   sorted runs are freed without gathering them to host memory, and the
 //!   outcome keeps only their length (`output_len`).
+//! * [`merge`] — a mergesort spec may name the sorted runs its input
+//!   already is ([`SortSpecBuilder::runs`]); `run` then merges them in one
+//!   Lemma 4.1 merge instead of sorting from scratch, and
+//!   [`SortSpec::predict`] prices that merge in closed form.
 //! * [`SortOutcome`] — output, merged [`EmStats`](em_sim::EmStats), a
 //!   [`CostReport`](asym_model::CostReport), and per-lane / per-phase /
 //!   scheduler detail for parallel runs.
@@ -53,6 +57,7 @@
 
 mod adapters;
 pub mod checkpoint;
+pub mod merge;
 pub mod predict;
 pub mod spec;
 pub mod wire;

@@ -67,7 +67,14 @@ impl SortSpec {
     /// assert!(est.peak_memory >= 64); // at least one full memory
     /// assert!(est.writes < est.reads); // k > 1 trades reads for writes
     /// ```
+    ///
+    /// A spec with [`runs`](SortSpec::runs) is priced as the merge of
+    /// those runs ([`super::merge`]): exact writes and peak memory, and a
+    /// read bound. Its runs name the records, so `n` is their total.
     pub fn predict(&self, n: usize) -> CostEstimate {
+        if let Some(runs) = self.runs() {
+            return super::merge::predict(self, runs);
+        }
         let (m, b, k) = (self.m(), self.b(), self.k());
         let blocks = n.div_ceil(b).max(1) as u64;
         // Merge/distribution levels at the serial fan-in kM/B

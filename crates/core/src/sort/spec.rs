@@ -125,6 +125,23 @@ pub enum SpecError {
         /// The rate requested.
         permille: u16,
     },
+    /// Runs to merge were given to an algorithm other than the mergesort.
+    RunsNeedMergesort {
+        /// The algorithm requested.
+        algorithm: Algorithm,
+    },
+    /// A merge was given a run of no records.
+    EmptyRun {
+        /// The run's position in the list.
+        index: usize,
+    },
+    /// A merge was given more runs than one merge round takes in, `kM/B`.
+    TooManyRuns {
+        /// The runs requested.
+        runs: usize,
+        /// The fan-in `kM/B`.
+        fan_in: usize,
+    },
     /// An `ASYM_BENCH_*` variable held an unparsable value.
     Env {
         /// The variable.
@@ -160,6 +177,17 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::FaultRate { field, permille } => {
                 write!(f, "fault rate {field} = {permille} exceeds 1000 permille")
+            }
+            SpecError::RunsNeedMergesort { algorithm } => {
+                write!(
+                    f,
+                    "only {} merges given runs, not {algorithm}",
+                    Algorithm::Mergesort
+                )
+            }
+            SpecError::EmptyRun { index } => write!(f, "run {index} holds no records"),
+            SpecError::TooManyRuns { runs, fan_in } => {
+                write!(f, "{runs} runs exceed one merge's fan-in kM/B = {fan_in}")
             }
             SpecError::Env {
                 var,
@@ -240,6 +268,7 @@ pub struct SortSpec {
     slack: usize,
     steal_charge: bool,
     fault: Option<FaultSpec>,
+    runs: Option<Vec<usize>>,
 }
 
 impl SortSpec {
@@ -261,6 +290,7 @@ impl SortSpec {
             slack: None,
             steal_charge: false,
             fault: None,
+            runs: None,
         }
     }
 
@@ -280,6 +310,7 @@ impl SortSpec {
             slack: Some(self.slack),
             steal_charge: self.steal_charge,
             fault: self.fault,
+            runs: self.runs.clone(),
         }
     }
 
@@ -348,6 +379,21 @@ impl SortSpec {
         self.fault
     }
 
+    /// The lengths of the sorted runs the input is made of, in input
+    /// order, when the job merges them instead of sorting from scratch
+    /// (`None`: a full sort). See [`SortSpecBuilder::runs`].
+    pub fn runs(&self) -> Option<&[usize]> {
+        self.runs.as_deref()
+    }
+
+    /// This spec as a full sort: the same job with its runs dropped.
+    pub(crate) fn without_runs(&self) -> SortSpec {
+        SortSpec {
+            runs: None,
+            ..self.clone()
+        }
+    }
+
     /// The machine configuration this spec resolves to.
     fn em_config(&self) -> EmConfig {
         EmConfig::new(self.m, self.b, self.omega).with_slack(self.slack)
@@ -402,6 +448,7 @@ pub struct SortSpecBuilder {
     slack: Option<usize>,
     steal_charge: bool,
     fault: Option<FaultSpec>,
+    runs: Option<Vec<usize>>,
 }
 
 impl SortSpecBuilder {
@@ -455,6 +502,18 @@ impl SortSpecBuilder {
     /// are a typed [`SpecError::FaultRate`] at build time.
     pub fn fault(mut self, fault: Option<FaultSpec>) -> Self {
         self.fault = fault;
+        self
+    }
+
+    /// Declare the input to be sorted runs of these lengths, laid end to
+    /// end in this order: the job then merges them in one Lemma 4.1 merge
+    /// (Algorithm 2's merge rounds) instead of sorting from scratch, so it
+    /// writes each block once. Only the mergesort takes runs, at most its
+    /// fan-in `kM/B` of them, none empty; anything else is a typed
+    /// [`SpecError`] at build time. Whether the input really is those runs
+    /// is checked as the merge reads it.
+    pub fn runs(mut self, runs: Vec<usize>) -> Self {
+        self.runs = Some(runs);
         self
     }
 
@@ -535,6 +594,22 @@ impl SortSpecBuilder {
                 }
             }
         }
+        if let Some(runs) = &self.runs {
+            if self.algorithm != Algorithm::Mergesort {
+                return Err(SpecError::RunsNeedMergesort {
+                    algorithm: self.algorithm,
+                });
+            }
+            if let Some(index) = runs.iter().position(|&len| len == 0) {
+                return Err(SpecError::EmptyRun { index });
+            }
+            if runs.len() > fan_in {
+                return Err(SpecError::TooManyRuns {
+                    runs: runs.len(),
+                    fan_in,
+                });
+            }
+        }
         let slack = self
             .slack
             .unwrap_or_else(|| self.algorithm.default_slack(self.m, self.b, self.k));
@@ -551,6 +626,7 @@ impl SortSpecBuilder {
             slack,
             steal_charge: self.steal_charge,
             fault: self.fault,
+            runs: self.runs,
         })
     }
 }
@@ -595,6 +671,13 @@ mod tests {
                 .expect("valid spec");
             assert_eq!(spec.to_builder().build(), Ok(spec), "{algorithm}");
         }
+        let merge = SortSpec::builder(Algorithm::Mergesort, 32, 4, 8)
+            .k(2)
+            .runs(vec![5, 1, 30])
+            .build()
+            .expect("valid merge");
+        assert_eq!(merge.to_builder().build(), Ok(merge.clone()));
+        assert_eq!(merge.without_runs().runs(), None);
     }
 
     #[test]
@@ -654,6 +737,31 @@ mod tests {
                 k: 1
             })
         );
+        // Runs: the mergesort only, none empty, at most kM/B = 16 of them.
+        assert_eq!(
+            SortSpec::builder(Algorithm::Samplesort, 32, 4, 8)
+                .runs(vec![3])
+                .build(),
+            Err(SpecError::RunsNeedMergesort {
+                algorithm: Algorithm::Samplesort
+            })
+        );
+        assert!(
+            b(|s| s.k(2).runs(vec![])).is_ok(),
+            "zero runs merge to nothing"
+        );
+        assert_eq!(
+            b(|s| s.k(2).runs(vec![4, 0, 4])),
+            Err(SpecError::EmptyRun { index: 1 })
+        );
+        assert_eq!(
+            b(|s| s.k(2).runs(vec![1; 17])),
+            Err(SpecError::TooManyRuns {
+                runs: 17,
+                fan_in: 16
+            })
+        );
+        assert!(b(|s| s.k(2).runs(vec![1; 16])).is_ok());
         // Every error displays something human-readable.
         for e in [
             SpecError::ZeroOmega,

@@ -74,6 +74,15 @@ impl WireError {
                     SpecError::FaultRate { field, permille } => {
                         o.str("field", field).u64("permille", *permille as u64);
                     }
+                    SpecError::RunsNeedMergesort { algorithm } => {
+                        o.str("algorithm", algorithm.name());
+                    }
+                    SpecError::EmptyRun { index } => {
+                        o.u64("index", *index as u64);
+                    }
+                    SpecError::TooManyRuns { runs, fan_in } => {
+                        o.u64("runs", *runs as u64).u64("fan_in", *fan_in as u64);
+                    }
                     SpecError::Env {
                         var,
                         value,
@@ -120,6 +129,9 @@ fn spec_error_kind(e: &SpecError) -> &'static str {
         SpecError::LanesOnSerialSort { .. } => "lanes_on_serial_sort",
         SpecError::GeometryOverflow { .. } => "geometry_overflow",
         SpecError::FaultRate { .. } => "fault_rate",
+        SpecError::RunsNeedMergesort { .. } => "runs_need_mergesort",
+        SpecError::EmptyRun { .. } => "empty_run",
+        SpecError::TooManyRuns { .. } => "too_many_runs",
         SpecError::Env { .. } => "env",
     }
 }
@@ -159,6 +171,13 @@ impl SortSpec {
                 .u64("short_permille", f.short_permille as u64)
                 .u64("panic_permille", f.panic_permille as u64);
             o.raw("fault", &fo.finish());
+        }
+        if let Some(runs) = self.runs() {
+            let mut arr = JsonArr::new();
+            for len in runs {
+                arr.raw(&len.to_string());
+            }
+            o.raw("runs", &arr.finish());
         }
         o.finish()
     }
@@ -222,6 +241,18 @@ impl SortSpec {
                 short_permille: rate("short_permille"),
                 panic_permille: rate("panic_permille"),
             }));
+        }
+        if let Some(rv) = json::find(obj, "runs") {
+            let runs = rv
+                .as_arr()
+                .and_then(|items| {
+                    items
+                        .iter()
+                        .map(|len| len.as_u64().map(|n| n as usize))
+                        .collect::<Option<Vec<usize>>>()
+                })
+                .ok_or_else(|| malformed("\"runs\" must be an array of run lengths"))?;
+            builder = builder.runs(runs);
         }
         builder.build().map_err(WireError::Spec)
     }
@@ -598,6 +629,11 @@ mod tests {
                 field: "read_permille",
                 permille: 1001,
             },
+            SpecError::RunsNeedMergesort {
+                algorithm: Algorithm::Heapsort,
+            },
+            SpecError::EmptyRun { index: 3 },
+            SpecError::TooManyRuns { runs: 9, fan_in: 8 },
             SpecError::Env {
                 var: "ASYM_BENCH_BACKEND",
                 value: "nvme".into(),
@@ -614,7 +650,34 @@ mod tests {
                 .to_owned();
             assert!(kinds.insert(kind), "kind slugs must be distinct");
         }
-        assert_eq!(kinds.len(), 10);
+        assert_eq!(kinds.len(), 13);
+    }
+
+    #[test]
+    fn spec_with_runs_round_trips_and_renders_them_only_when_present() {
+        let plain = SortSpec::builder(Algorithm::Mergesort, 32, 4, 8)
+            .k(2)
+            .build()
+            .expect("valid spec");
+        assert!(!plain.to_json().contains("runs"));
+        let merge = plain.to_builder().runs(vec![7, 1, 40]).build().unwrap();
+        let text = merge.to_json();
+        assert_eq!(
+            text,
+            plain.to_json().replace(" }", ", \"runs\": [7, 1, 40] }")
+        );
+        assert_eq!(SortSpec::from_json(&text), Ok(merge));
+        let head =
+            r#"{"algorithm": "aem-mergesort", "m": 32, "b": 4, "omega": 8, "k": 2, "runs": "#;
+        for bad in ["3", "[1, -2]", "[[1]]"] {
+            let err = SortSpec::from_json(&format!("{head}{bad}}}")).unwrap_err();
+            assert!(
+                matches!(err, WireError::Malformed(ref m) if m.contains("run lengths")),
+                "{bad}: {err:?}"
+            );
+        }
+        let err = SortSpec::from_json(&format!("{head}[2, 0]}}")).unwrap_err();
+        assert_eq!(err, WireError::Spec(SpecError::EmptyRun { index: 1 }));
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! must sort identically under the AEM mergesort's provenance-keyed merge
 //! and a stable RAM reference, preserving every record. (The merge queue's
 //! own duplicate-key properties are unit tests in `em/merge_queue.rs`.)
+//! A spec that names its input's sorted runs merges them in one pass, on
+//! either backend, within the closed-form `predict()`.
 
 use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::Record;
+use em_sim::Backend;
 use proptest::prelude::*;
 
 /// Records drawn from a tiny space: with 4 keys × 3 payloads over up to 600
@@ -75,5 +78,49 @@ proptest! {
         expect.sort();
         prop_assert_eq!(outcome.output.len(), stream.len(), "records lost in the sort");
         prop_assert_eq!(outcome.output, expect);
+    }
+
+    /// Merging given runs: r ∈ 1..=kM/B sorted runs of random lengths
+    /// (partial last blocks; records repeated within and across runs;
+    /// r = 1 is a leveling spill into an empty level), on `mem` and
+    /// `file`. The output is the sorted concatenation, the writes are
+    /// ⌈n/B⌉ exactly, and reads, writes and peak memory stay within
+    /// `predict()`.
+    #[test]
+    fn merging_given_runs_writes_each_block_once_within_predict(
+        runs in prop::collection::vec(
+            prop::collection::vec((0u64..4, 0u64..3).prop_map(|(k, p)| Record::new(k, p)), 1..70),
+            1..17,
+        ),
+        b in 0u32..3,
+        fan in 2usize..5,
+        k in 1usize..4,
+        file in any::<bool>(),
+    ) {
+        let b = 1usize << b;
+        let runs = &runs[..runs.len().min(k * fan)];
+        let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
+        let mut input = Vec::new();
+        for run in runs {
+            let mut run = run.clone();
+            run.sort();
+            input.extend(run);
+        }
+        let spec = SortSpec::builder(Algorithm::Mergesort, fan * b, b, 8)
+            .k(k)
+            .backend(if file { Backend::File } else { Backend::Mem })
+            .runs(lens.clone())
+            .build()
+            .expect("valid merge spec");
+        let outcome = sort::run(&spec, &input).expect("merge");
+        let mut expect = input.clone();
+        expect.sort();
+        prop_assert_eq!(outcome.output, expect);
+        let est = spec.predict(input.len());
+        let s = outcome.stats;
+        prop_assert_eq!(s.block_writes, input.len().div_ceil(b) as u64, "{:?}", lens);
+        prop_assert!(s.block_writes <= est.writes, "{:?}", lens);
+        prop_assert!(s.block_reads <= est.reads, "reads {} > {} for {:?}", s.block_reads, est.reads, lens);
+        prop_assert!(s.peak_memory <= est.peak_memory, "{:?}", lens);
     }
 }

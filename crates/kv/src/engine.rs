@@ -32,14 +32,22 @@
 //!   charge-what-you-touch rule the old `examples/kv_store.rs` baseline
 //!   got wrong (it charged `ilog2(max(1, len))+1` even on an empty store;
 //!   see [`crate::baseline`]).
-//! - A **compaction's I/O is the sort job's**: the engine gathers run
-//!   contents uncharged, ships them inline to `asym-serve`, and installs
-//!   the returned output uncharged. The job stages, sorts, and charges the
-//!   merge's reads and writes on its own machine, and those measured
-//!   [`EmStats`] come back in the job telemetry — double-charging the same
-//!   transfer on two machines would count the merge twice. Engine-side
-//!   totals live in [`AsymKv::total_stats`]: engine stats merged with
-//!   every compaction job's stats.
+//! - A **compaction's I/O is the merge job's**: the engine gathers run
+//!   contents uncharged, ships them inline to `asym-serve` — together
+//!   with each run's length ([`SortSpecBuilder::runs`]) once they outgrow
+//!   primary memory — and installs the returned output uncharged. The job
+//!   stages each run as it is, merges them in one Lemma 4.1 merge —
+//!   ⌈n/B⌉ writes, each block read about once — and charges those reads
+//!   and writes on its own machine; runs that fit in M are sorted in one
+//!   pass of the same ⌈n/B⌉ reads and writes. The measured [`EmStats`]
+//!   come back in the job telemetry, and `predict()` prices the job (its
+//!   writes exactly). This is the merge the policy model prices
+//!   ([`crate::policy`]: "merges read what they write"). Double-charging
+//!   the same transfer on two machines would count the merge twice.
+//!   Engine-side totals live in [`AsymKv::total_stats`]: engine stats
+//!   merged with every compaction job's stats.
+//!
+//! [`SortSpecBuilder::runs`]: asym_core::sort::SortSpecBuilder::runs
 
 use crate::policy::{CompactionStyle, Policy};
 use crate::submit::{CompactionService, ServiceRoot};
@@ -418,20 +426,23 @@ impl AsymKv {
         Ok(())
     }
 
-    /// Merge `runs` via one submitted sort job; the result (if any) is
-    /// destined for `into_level`, which decides tombstone garbage
-    /// collection.
+    /// Merge `runs` via one submitted job that merges them as the sorted
+    /// runs they are; the result (if any) is destined for `into_level`,
+    /// which decides tombstone garbage collection.
     fn merge_runs(
         &mut self,
         source_level: usize,
         runs: Vec<Run>,
         into_level: usize,
     ) -> Result<Option<Run>, KvError> {
-        // Gather uncharged: the job stages this same data and charges the
-        // merge's reads itself (module docs, "what gets charged where").
+        // Gather uncharged, noting each run's length: the job stages each
+        // run as it is and charges the merge's reads itself (module docs,
+        // "what gets charged where").
         let mut input = Vec::new();
+        let mut lens = Vec::with_capacity(runs.len());
         for run in &runs {
             input.extend(run.vec.read_all_uncharged(&self.machine));
+            lens.push(run.vec.len());
         }
         for run in runs {
             run.vec.free(&self.machine);
@@ -440,7 +451,7 @@ impl AsymKv {
             return Ok(None);
         }
         let input_records = input.len();
-        let request = JobRequest::inline(self.compaction_spec()?, input);
+        let request = JobRequest::inline(self.compaction_spec(lens)?, input);
         let predicted = request.predict();
         let result = self.service.submit_and_wait(request)?;
 
@@ -483,17 +494,30 @@ impl AsymKv {
         )))
     }
 
-    /// The job description every compaction submits: the engine's own
-    /// geometry, mergesort, fan-in `k = min(ω, M/B)` unless pinned.
-    fn compaction_spec(&self) -> Result<SortSpec, KvError> {
+    /// The job description a compaction of runs of lengths `lens` submits:
+    /// the engine's own geometry, mergesort, slack and fan-in from
+    /// `k = min(ω, M/B)` unless pinned, and — when the runs outgrow
+    /// primary memory — the runs, so the job merges them in one pass
+    /// instead of sorting from scratch.
+    fn compaction_spec(&self, lens: Vec<usize>) -> Result<SortSpec, KvError> {
         let k = self.cfg.sort_k.unwrap_or_else(|| {
             (self.cfg.omega as usize).clamp(1, (self.cfg.m / self.cfg.b).max(1))
         });
-        SortSpec::builder(Algorithm::Mergesort, self.cfg.m, self.cfg.b, self.cfg.omega)
-            .k(k)
-            .backend(self.cfg.backend)
-            .build()
-            .map_err(KvError::Spec)
+        let mut builder =
+            SortSpec::builder(Algorithm::Mergesort, self.cfg.m, self.cfg.b, self.cfg.omega)
+                .k(k)
+                .backend(self.cfg.backend);
+        // Runs that fit in M sort in one pass of ⌈n/B⌉ reads and writes,
+        // which the merge only matches (it reads each run's partial last
+        // block) and is slower at on the host; past M the sort's base case
+        // re-reads every block up to k times, and past kM it writes twice.
+        // One merge takes at most kM/B runs; a compaction of more (a tiering
+        // ratio above the fan-in) is sorted.
+        let fan_in = k.saturating_mul(self.cfg.m) / self.cfg.b;
+        if lens.iter().sum::<usize>() > self.cfg.m && lens.len() <= fan_in {
+            builder = builder.runs(lens);
+        }
+        builder.build().map_err(KvError::Spec)
     }
 
     /// Probe one run for `key`: the in-RAM fences pick the single block
@@ -556,6 +580,26 @@ mod tests {
         cfg.memtable_cap = 8;
         cfg.policy = Policy::fixed(style, t);
         AsymKv::new(cfg).expect("engine")
+    }
+
+    /// A tiering ratio above one merge's fan-in kM/B still compacts: those
+    /// compactions ship no runs and are sorted.
+    #[test]
+    fn a_tiering_ratio_above_the_merge_fan_in_still_compacts() {
+        let mut cfg = KvConfig::new(8);
+        cfg.m = 64;
+        cfg.b = 16;
+        cfg.memtable_cap = 8;
+        cfg.sort_k = Some(1); // fan-in kM/B = 4
+        cfg.policy = Policy::fixed(CompactionStyle::Tiering, 6);
+        let mut kv = AsymKv::new(cfg).expect("engine");
+        for i in 0..450u64 {
+            kv.put(i % 90, i).expect("put");
+        }
+        assert!(!kv.compactions().is_empty(), "6-run levels must compact");
+        for key in 0..90u64 {
+            assert_eq!(kv.get(key).expect("get"), Some(360 + key));
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! land in a bounded in-memory memtable; flushes produce immutable sorted
 //! runs on the same [`BlockStore`](em_sim::BlockStore)-backed machinery
 //! the sorters use; and **every compaction is a sort job**: a sorted-run
-//! merge is packaged as a [`SortSpec`](asym_core::sort::SortSpec) job,
+//! merge is packaged as a [`SortSpec`](asym_core::sort::SortSpec) job
+//! that names the runs it merges once they outgrow memory (one Lemma 4.1
+//! merge, ⌈n/B⌉ writes),
 //! priced by `predict()` at admission, and run by `asym-serve` — an
 //! embedded [`SortService`](asym_serve::SortService) by default, or a
 //! real HTTP sort server via [`CompactionService::http`].

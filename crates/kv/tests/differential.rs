@@ -24,9 +24,16 @@ fn small_cfg(style: CompactionStyle, t: usize, omega: u64) -> KvConfig {
 }
 
 /// Check every compaction's measured stats against its admission-time
-/// prediction (reads/writes are envelopes, peak memory is a hard bound).
+/// prediction (reads are a bound, peak memory is a hard bound). A
+/// compaction writes each block once, whether it merges the runs it ships
+/// or, fitting in M, sorts them in one pass, so its writes are exactly the
+/// predicted ⌈n/B⌉.
 fn assert_envelopes(kv: &AsymKv, label: &str) {
     for c in kv.compactions() {
+        assert_eq!(
+            c.stats.block_writes, c.predicted.writes,
+            "{label}: a compaction's writes must be its predicted merge writes in {c:?}"
+        );
         assert!(
             c.stats.block_reads <= c.predicted.reads,
             "{label}: reads {} > predicted {} in {c:?}",

@@ -853,6 +853,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A merge job's `accepted` line carries its runs inside the spec and
+    /// decodes back to the same bytes.
+    #[test]
+    fn an_accepted_merge_line_round_trips_byte_for_byte() {
+        let spec = request().spec.to_builder().runs(vec![20, 30]).build();
+        let mut input = Workload::Zipf.generate(50, 2);
+        input[..20].sort();
+        input[20..].sort();
+        let line = AuditEvent::Accepted {
+            id: 4,
+            request: JobRequest::inline(spec.expect("valid merge"), input),
+            predicted_bytes: 4096,
+        }
+        .to_json();
+        assert!(line.contains("\"runs\": [20, 30]"), "{line}");
+        assert_eq!(
+            AuditEvent::from_json(&line).expect("decodes").to_json(),
+            line
+        );
+    }
+
     /// A job that asked for its output logs its lean outcome plus the
     /// output's digest; one that did not logs the lean outcome and keeps no
     /// records.

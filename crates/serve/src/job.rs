@@ -13,6 +13,18 @@
 //! mirrors `input.len()` so `predict()` prices the actual payload.
 //! `include_output` chooses between lean telemetry and full sorted output
 //! in the completion payload.
+//!
+//! An inline input that is already sorted runs laid end to end (a
+//! compaction's) can say so: its spec names the run lengths
+//! ([`SortSpecBuilder::runs`]), and the job then merges them in one
+//! Lemma 4.1 merge instead of sorting from scratch, priced in closed form
+//! by `predict()`. The decoder refuses runs that cannot be merged as one
+//! inline job: runs without an inline input, runs on a checkpointed job,
+//! and runs that do not sum to the input's length ([`WireError::Malformed`]);
+//! the spec itself refuses empty runs, more than `kM/B` runs, and runs on
+//! any algorithm but the mergesort ([`WireError::Spec`]).
+//!
+//! [`SortSpecBuilder::runs`]: asym_core::sort::SortSpecBuilder::runs
 
 use asym_core::sort::wire::req_u64;
 use asym_core::sort::{checkpoint, CostEstimate, SortSpec, WireError};
@@ -109,8 +121,9 @@ impl JobRequest {
     }
 
     /// The pre-run cost bounds the service admits on: the single-shot
-    /// envelope normally, the staged envelope for checkpointed jobs (the
-    /// execution they actually get).
+    /// envelope normally, the closed-form merge cost when the spec names
+    /// its runs, the staged envelope for checkpointed jobs (the execution
+    /// they actually get: a staged run sorts from scratch).
     pub fn predict(&self) -> CostEstimate {
         if self.checkpoint {
             checkpoint::predict_staged(&self.spec, self.record_count())
@@ -186,6 +199,27 @@ impl JobRequest {
             Some(v) => v.len(),
             None => req_u64(obj, "records")? as usize,
         };
+        let checkpoint = json::get_bool(obj, "checkpoint").unwrap_or(false);
+        if let Some(runs) = spec.runs() {
+            if input.is_none() {
+                return Err(WireError::Malformed(
+                    "\"runs\" name the runs of an inline \"input\"; there is none".into(),
+                ));
+            }
+            if checkpoint {
+                return Err(WireError::Malformed(
+                    "a merge of given \"runs\" cannot be checkpointed".into(),
+                ));
+            }
+            let total = runs
+                .iter()
+                .try_fold(0usize, |sum, &len| sum.checked_add(len));
+            if total != Some(records) {
+                return Err(WireError::Malformed(format!(
+                    "\"runs\" {runs:?} do not sum to the input's {records} records"
+                )));
+            }
+        }
         Ok(JobRequest {
             spec,
             workload,
@@ -194,7 +228,7 @@ impl JobRequest {
             input,
             include_output: json::get_bool(obj, "include_output").unwrap_or(false),
             deadline_ms: json::get_u64(obj, "deadline_ms"),
-            checkpoint: json::get_bool(obj, "checkpoint").unwrap_or(false),
+            checkpoint,
         })
     }
 }
@@ -389,7 +423,7 @@ impl JobStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_core::sort::Algorithm;
+    use asym_core::sort::{Algorithm, SpecError};
 
     fn request() -> JobRequest {
         JobRequest {
@@ -486,6 +520,94 @@ mod tests {
                 matches!(err, WireError::Malformed(ref m) if m.contains(needle)),
                 "{text}: {err:?}"
             );
+        }
+    }
+
+    /// A merge request: three sorted runs over M = 32, B = 4, k = 2.
+    fn merge_request() -> JobRequest {
+        let runs = [vec![1, 4, 9], vec![2, 3], vec![0, 5, 6, 7, 8]];
+        let input: Vec<Record> = runs
+            .concat()
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| Record::new(k, i as u64))
+            .collect();
+        let spec = SortSpec::builder(Algorithm::Mergesort, 32, 4, 8)
+            .k(2)
+            .runs(runs.iter().map(Vec::len).collect())
+            .build()
+            .unwrap();
+        JobRequest::inline(spec, input)
+    }
+
+    #[test]
+    fn merge_requests_round_trip_and_predict_the_merge() {
+        let r = merge_request();
+        let text = r.to_json();
+        assert!(text.contains("\"runs\": [3, 2, 5]"), "{text}");
+        assert_eq!(JobRequest::from_json(&text), Ok(r.clone()));
+        let est = r.predict();
+        assert_eq!(
+            est.writes, 3,
+            "a merge writes each of its ten records' blocks once"
+        );
+        assert_eq!(est.peak_memory, 32 + 2 * 4 + 3);
+        // A request without runs renders no "runs" key.
+        let spec = SortSpec::builder(Algorithm::Mergesort, 32, 4, 8)
+            .k(2)
+            .build();
+        let plain = JobRequest::inline(spec.unwrap(), r.input.clone().unwrap());
+        assert!(!plain.to_json().contains("runs"));
+    }
+
+    #[test]
+    fn unmergeable_runs_are_refused_at_decode() {
+        let text = merge_request().to_json();
+        let spec_err =
+            |from: &str, to: &str| JobRequest::from_json(&text.replacen(from, to, 1)).unwrap_err();
+        for (from, to, needle) in [
+            ("[3, 2, 5]", "[3, 2, 4]", "do not sum to the input's 10"),
+            (
+                "[3, 2, 5]",
+                "[18446744073709551615, 1, 10]",
+                "do not sum to the input's 10",
+            ),
+            ("\"input\"", "\"dropped\"", "there is none"),
+            (
+                "\"include_output\": true",
+                "\"include_output\": true, \"checkpoint\": true",
+                "cannot be checkpointed",
+            ),
+        ] {
+            let err = spec_err(from, to);
+            assert!(
+                matches!(err, WireError::Malformed(ref m) if m.contains(needle)),
+                "{to}: {err:?}"
+            );
+        }
+        for (from, to, want) in [
+            (
+                "[3, 2, 5]",
+                "[3, 0, 2, 5]",
+                SpecError::EmptyRun { index: 1 },
+            ),
+            (
+                "aem-mergesort",
+                "aem-samplesort",
+                SpecError::RunsNeedMergesort {
+                    algorithm: Algorithm::Samplesort,
+                },
+            ),
+            (
+                "[3, 2, 5]",
+                "[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]",
+                SpecError::TooManyRuns {
+                    runs: 17,
+                    fan_in: 16,
+                },
+            ),
+        ] {
+            assert_eq!(spec_err(from, to), WireError::Spec(want), "{to}");
         }
     }
 

@@ -1222,7 +1222,10 @@ impl Drop for JobDir {
 /// (checkpointed) jobs resume from the fold of their durable manifests
 /// when it still validates, and fall back to a fresh staged run otherwise.
 /// A job that did not ask for its output runs [`sort::run_lean`], so its
-/// sorted records are never gathered. Failures come back classified.
+/// sorted records are never gathered. A spec that names its input's runs
+/// merges them: `sort::run` and `sort::run_lean` dispatch on the runs, and
+/// a run found out of order fails the job as [`FailureKind::Fatal`].
+/// Failures come back classified.
 fn run_job(
     inner: &Arc<Inner>,
     id: JobId,

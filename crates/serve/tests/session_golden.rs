@@ -335,11 +335,15 @@ fn a_scripted_session_logs_and_serves_the_golden_bytes() {
         }
     }));
     let fresh = session();
+    // Rows print as the table below is written: the digest in hex.
+    let render = |(step, lines, responses, digest): &Row| {
+        format!("({step:?}, {lines}, {responses}, {digest:#018x})")
+    };
     let mut moved = String::new();
     for row in &fresh {
         match GOLDEN.iter().find(|g| g.0 == row.0) {
             Some(g) if g == row => {}
-            Some(g) => moved += &format!("    step {:?} moved from {g:?}\n", row.0),
+            Some(g) => moved += &format!("    step {:?} moved from {}\n", row.0, render(g)),
             None => moved += &format!("    step {:?} has no golden row\n", row.0),
         }
     }
@@ -352,9 +356,7 @@ fn a_scripted_session_logs_and_serves_the_golden_bytes() {
     }
     let rows: String = fresh
         .iter()
-        .map(|(step, lines, responses, digest)| {
-            format!("    ({step:?}, {lines}, {responses}, {digest:#018x}),\n")
-        })
+        .map(|row| format!("    {},\n", render(row)))
         .collect();
     assert!(
         moved.is_empty(),

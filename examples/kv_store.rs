@@ -85,7 +85,7 @@ fn main() {
     println!("every answer was cross-checked between the two stores during the run;");
     println!("the dictionary's O(1) writes/op is what survives an omega = 26 memory.\n");
 
-    // Part 2: block-granular LSM engine, compactions as admitted sort jobs.
+    // Part 2: block-granular LSM engine, compactions as admitted merge jobs.
     let omega = 8u64;
     let lsm_ops = 12_000u64;
     let mut lsm = Table::new(
@@ -133,7 +133,7 @@ fn main() {
             kv.compactions().len().to_string(),
         ]);
     }
-    lsm.note("every compaction was a sort job priced by predict() and admitted by the service");
+    lsm.note("every compaction was a merge job priced by predict() and admitted by the service");
     println!("{lsm}");
     let chosen = Policy::for_omega(omega);
     println!(
